@@ -10,6 +10,8 @@ a zero treated fraction for isolated nodes.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .dgp import (
     BuiltinDesign,
     DesignSpec,
@@ -53,6 +55,7 @@ from .graph import (
     generate_erdos_renyi,
     generate_watts_strogatz,
     read_edge_csv,
+    read_table,
     summarize,
     to_edge_list,
     write_edge_csv,
@@ -72,6 +75,7 @@ from .oracle import (
     dbar_star_moments,
     dbar_weights,
     enumeration_population_ols,
+    imputation_bias,
     oracle_report,
     t_weights,
     true_dbar_coefficients,
@@ -79,4 +83,7 @@ from .oracle import (
     true_t_coefficients,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

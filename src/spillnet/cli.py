@@ -21,7 +21,14 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import __version__
-from .dgp import BuiltinDesign, DesignSpec, load_design_csv, resolve_design
+from .dgp import (
+    BuiltinDesign,
+    DesignSpec,
+    EffectGaps,
+    load_design_csv,
+    resolve_design,
+    true_effect_deltas,
+)
 from .errors import (
     ConfigurationError,
     EmptySubsampleError,
@@ -29,18 +36,7 @@ from .errors import (
     ParameterError,
     SingularModelError,
 )
-from .estimators import (
-    CONST,
-    DBAR,
-    DBAR_STAR,
-    TREATED,
-    TREATED_NEIGHBORS,
-    RegressionFit,
-    dbar_regression,
-    dbar_star_regression,
-    stratified_regression,
-    t_regression,
-)
+from .estimators import CONST, SPECS, TREATED, StratifiedResult, stratified_regression
 from .exposure import (
     TreatmentVector,
     assign_bernoulli,
@@ -49,7 +45,7 @@ from .exposure import (
     empirical_exposure_diagnostics,
     write_scatter_csv,
 )
-from .graph import DegreeSummary, from_edge_list, summarize
+from .graph import DegreeSummary, from_edge_list, nonnegative_int, read_table, summarize
 from .montecarlo import (
     AggregateReport,
     ErdosRenyiGraph,
@@ -58,7 +54,7 @@ from .montecarlo import (
     run,
     write_results_csv,
 )
-from .oracle import OracleReport, oracle_report
+from .oracle import OracleReport, imputation_bias, oracle_report
 
 
 # ---------------------------------------------------------------------------
@@ -300,27 +296,20 @@ def cmd_scatter(args) -> int:
 # ---------------------------------------------------------------------------
 # oracle
 
+def _positive_int(cell: str) -> int:
+    value = int(cell)
+    if value <= 0:
+        raise ValueError(f"{value} is not positive")
+    return value
+
+
 def _read_histogram_csv(path: str) -> DegreeSummary:
-    hist: dict[int, int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"degree", "count"}.issubset(reader.fieldnames):
-            raise IngestionError(f"{path}: expected columns degree,count")
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                g = int(row["degree"])
-                c = int(row["count"])
-            except (TypeError, ValueError) as exc:
-                raise IngestionError(f"{path}:{line_no}: malformed histogram row") from exc
-            if g in hist:
-                raise IngestionError(f"{path}:{line_no}: duplicate degree {g}")
-            hist[g] = c
-    if not hist:
-        raise IngestionError(f"{path}: histogram file has no rows")
-    try:
-        return DegreeSummary.from_histogram(hist)
-    except ParameterError as exc:
-        raise IngestionError(f"{path}: {exc}") from exc
+    columns, lines = read_table(
+        path, {"degree": nonnegative_int, "count": _positive_int}, unique="degree"
+    )
+    if not lines:
+        raise IngestionError(f"{path}:1: histogram file has no rows")
+    return DegreeSummary.from_histogram(dict(zip(columns["degree"], columns["count"])))
 
 
 def _format_oracle_text(report: OracleReport) -> str:
@@ -395,91 +384,66 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 # audit
 
-def _read_edges_raw(path: str) -> list[tuple[str, str]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["src", "dst"]:
-            raise IngestionError(f"{path}: expected header 'src,dst'")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise IngestionError(f"{path}:{line_no}: expected two columns")
-            rows.append((row[0].strip(), row[1].strip()))
-    return rows
+def _binary(cell: str) -> int:
+    if cell not in ("0", "1"):
+        raise ValueError(f"non-binary value {cell!r}")
+    return int(cell)
 
 
 def _read_unit_data(path: str, id_col: str, treatment_col: str, outcome_col: str):
-    ids: list[str] = []
-    treatments: list[int] = []
-    outcomes: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {id_col, treatment_col, outcome_col}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            missing = sorted(required - set(reader.fieldnames or ()))
-            raise IngestionError(f"{path}: missing columns {missing}")
-        bad_treatment: list[int] = []
-        bad_outcome: list[int] = []
-        for line_no, row in enumerate(reader, start=2):
-            unit = row[id_col].strip()
-            if unit in ids:
-                raise IngestionError(f"{path}:{line_no}: duplicate id {unit!r}")
-            ids.append(unit)
-            if row[treatment_col].strip() not in {"0", "1"}:
-                bad_treatment.append(line_no)
-                treatments.append(0)
-            else:
-                treatments.append(int(row[treatment_col]))
-            try:
-                outcomes.append(float(row[outcome_col]))
-            except (TypeError, ValueError):
-                bad_outcome.append(line_no)
-                outcomes.append(0.0)
-    if bad_treatment:
-        raise IngestionError(
-            f"{path}: non-binary treatment values on rows {bad_treatment[:20]}"
-        )
-    if bad_outcome:
-        raise IngestionError(f"{path}: non-numeric outcomes on rows {bad_outcome[:20]}")
-    if not ids:
-        raise IngestionError(f"{path}: no data rows")
-    return ids, np.array(treatments, dtype=np.int64), np.array(outcomes, dtype=float)
+    columns, lines = read_table(
+        path, {id_col: str, treatment_col: _binary, outcome_col: float}, unique=id_col
+    )
+    if not lines:
+        raise IngestionError(f"{path}:1: no data rows")
+    treatment = np.array(columns[treatment_col], dtype=np.int64)
+    return columns[id_col], treatment, np.array(columns[outcome_col], dtype=float)
 
 
-def _fit_line(label: str, fit: RegressionFit | None, slope: str) -> str:
-    if fit is None:
-        return f"  {label:<14} unavailable"
-    direct = fit.coef(TREATED)
-    spill = fit.coef(slope)
-    return (
-        f"  {label:<14} direct {direct:9.4f} [{fit.se[TREATED]:.4f}]"
-        f"   spillover {spill:9.4f} [{fit.se[slope]:.4f}]   n={fit.n_used}"
+def _plug_in_gaps(strat: StratifiedResult, summary: DegreeSummary) -> EffectGaps:
+    """The baseline and direct-effect gaps of the fitted strata.
+
+    They are ``true_effect_deltas`` of the design whose tables hold each
+    fitted stratum's coefficients, over the degree counts of those strata.
+    """
+    if 0 not in strat.fits:
+        return EffectGaps(baseline=None, direct=None)
+    fitted = DesignSpec(
+        baseline={g: fit.coef(CONST) for g, fit in strat.fits.items()},
+        direct_effect={g: fit.coef(TREATED) for g, fit in strat.fits.items()},
+        spillover_effect=dict.fromkeys(strat.fits, 0.0),  # the gaps do not read it
+        noise_sd=0.0,
+    )
+    return true_effect_deltas(
+        fitted, DegreeSummary.from_histogram({g: summary.histogram[g] for g in strat.fits})
     )
 
 
 def cmd_audit(args) -> int:
     ids, d, y = _read_unit_data(args.data, args.id_col, args.treatment_col, args.outcome_col)
     index = {unit: i for i, unit in enumerate(ids)}
-    raw_edges = _read_edges_raw(args.edges)
-    unknown = [
-        f"row {row_no}: {a!r}-{b!r}"
-        for row_no, (a, b) in enumerate(raw_edges, start=2)
-        if a not in index or b not in index
+    edges, edge_lines = read_table(args.edges, {"src": str, "dst": str})
+    bad = [
+        f"{args.edges}:{line}: {a!r}-{b!r}"
+        for a, b, line in zip(edges["src"], edges["dst"], edge_lines)
+        if a not in index or b not in index or a == b
     ]
-    if unknown:
+    if bad:
         raise IngestionError(
-            f"{args.edges}: edge endpoints missing from {args.data}: {unknown[:20]}"
+            f"edges must join two different ids of {args.data}: {', '.join(bad[:20])}"
         )
-    net = from_edge_list([(index[a], index[b]) for a, b in raw_edges], n=len(ids))
+    net = from_edge_list(
+        [(index[a], index[b]) for a, b in zip(edges["src"], edges["dst"])], n=len(ids)
+    )
 
     p_hat = float(d.mean())
     tr = TreatmentVector(d=d, p=p_hat)
     summary = summarize(net)
     profile = compute_exposure(net, tr)
     diag = empirical_exposure_diagnostics(profile)
+
+    def opt(v):
+        return "undefined" if v is None else f"{v:.4f}"
 
     lines = [
         f"audit of {args.data} with edges {args.edges}",
@@ -489,12 +453,8 @@ def cmd_audit(args) -> int:
         f"  mean degree                {summary.mean_degree:.4f}",
         f"  max degree                 {summary.max_degree}",
         f"  isolated share             {summary.isolated_fraction:.4f}",
-        f"  mean degree (>0)           "
-        + ("undefined" if summary.mean_degree_positive is None
-           else f"{summary.mean_degree_positive:.4f}"),
-        f"  mean inverse degree (>0)   "
-        + ("undefined" if summary.mean_inverse_degree_positive is None
-           else f"{summary.mean_inverse_degree_positive:.4f}"),
+        f"  mean degree (>0)           {opt(summary.mean_degree_positive)}",
+        f"  mean inverse degree (>0)   {opt(summary.mean_inverse_degree_positive)}",
         "",
         "imputed-fraction vs degree covariance",
         f"  empirical                  {diag.cov_dbar_star_degree:.6f}",
@@ -502,56 +462,31 @@ def cmd_audit(args) -> int:
         f"{cov_dbar_star_degree_closed_form(summary, p_hat):.6f}",
     ]
 
-    fits: dict[str, RegressionFit | None] = {}
-    for label, fn, slope in (
-        ("t_reg", t_regression, TREATED_NEIGHBORS),
-        ("dbar_reg", dbar_regression, DBAR),
-        ("dbar_star_reg", dbar_star_regression, DBAR_STAR),
-    ):
-        try:
-            fits[label] = fn(net, tr, y, profile=profile)
-        except (SingularModelError, EmptySubsampleError, ParameterError):
-            fits[label] = None
     lines += ["", "regression fits (coefficient [se])"]
-    lines.append(_fit_line("t_reg", fits["t_reg"], TREATED_NEIGHBORS))
-    lines.append(_fit_line("dbar_reg", fits["dbar_reg"], DBAR))
-    lines.append(_fit_line("dbar_star_reg", fits["dbar_star_reg"], DBAR_STAR))
+    slopes: dict[str, tuple[float, float]] = {}  # spec name -> spillover coefficient, se
+    for name, (fit_fn, slope_name, _) in SPECS.items():
+        try:
+            fit = fit_fn(net, tr, y, profile=profile)
+        except (SingularModelError, EmptySubsampleError, ParameterError):
+            lines.append(f"  {name:<14} unavailable")
+            continue
+        slope, slope_se = slopes[name] = fit.coef(slope_name), fit.se[slope_name]
+        lines.append(
+            f"  {name:<14} direct {fit.coef(TREATED):9.4f} [{fit.se[TREATED]:.4f}]"
+            f"   spillover {slope:9.4f} [{slope_se:.4f}]   n={fit.n_used}"
+        )
 
     strat = stratified_regression(net, tr, y, profile=profile)
-    positive_fits = {g: f for g, f in strat.fits.items() if g > 0}
-    baseline_gap = direct_gap = None
-    if 0 in strat.fits and positive_fits:
-        degree = net.degree
-        weights = {g: int((degree == g).sum()) for g in positive_fits}
-        total = sum(weights.values())
-        baseline_gap = (
-            sum(w * positive_fits[g].coef(CONST) for g, w in weights.items()) / total
-            - strat.fits[0].coef(CONST)
-        )
-        direct_gap = (
-            sum(w * positive_fits[g].coef(TREATED) for g, w in weights.items()) / total
-            - strat.fits[0].coef(TREATED)
-        )
-
-    implied_bias = None
-    share = summary.positive_share
-    if share == 1.0:
-        implied_bias = 0.0
-    elif baseline_gap is not None and 0.0 < share and summary.mean_inverse_degree_positive:
-        if 0.0 < p_hat < 1.0:
-            implied_bias = (
-                (baseline_gap + p_hat * direct_gap) * (1.0 - share)
-                / (p_hat * (1.0 - share) + (1.0 - p_hat) * summary.mean_inverse_degree_positive)
-            )
-
-    def opt(v):
-        return "undefined" if v is None else f"{v:.4f}"
-
+    gaps = _plug_in_gaps(strat, summary)
+    implied_bias = imputation_bias(
+        gaps.baseline, gaps.direct, p_hat,
+        summary.positive_share, summary.mean_inverse_degree_positive,
+    )
     lines += [
         "",
         "plug-in stratified gaps (positive-degree strata vs isolated stratum)",
-        f"  baseline gap               {opt(baseline_gap)}",
-        f"  direct-effect gap          {opt(direct_gap)}",
+        f"  baseline gap               {opt(gaps.baseline)}",
+        f"  direct-effect gap          {opt(gaps.direct)}",
         f"  implied imputation bias    {opt(implied_bias)}",
     ]
     if strat.skipped:
@@ -559,16 +494,9 @@ def cmd_audit(args) -> int:
         lines.append(f"  strata skipped: {skipped}")
 
     warning = False
-    if (
-        summary.isolated_fraction > 0
-        and fits["dbar_reg"] is not None
-        and fits["dbar_star_reg"] is not None
-    ):
-        spill_dbar = fits["dbar_reg"].coef(DBAR)
-        spill_star = fits["dbar_star_reg"].coef(DBAR_STAR)
-        combined_se = float(
-            np.hypot(fits["dbar_reg"].se[DBAR], fits["dbar_star_reg"].se[DBAR_STAR])
-        )
+    if summary.isolated_fraction > 0 and {"dbar_reg", "dbar_star_reg"} <= slopes.keys():
+        (spill_dbar, se_dbar), (spill_star, se_star) = slopes["dbar_reg"], slopes["dbar_star_reg"]
+        combined_se = float(np.hypot(se_dbar, se_star))
         if abs(spill_star - spill_dbar) > 2.0 * combined_se:
             warning = True
             lines += [

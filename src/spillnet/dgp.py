@@ -13,7 +13,7 @@ own-by-neighbor interaction, and a constant per-neighbor increment.
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError, IngestionError, ParameterError
 from .exposure import TreatmentVector, compute_exposure
-from .graph import DegreeSummary, Network
+from .graph import DegreeSummary, Network, nonnegative_int, read_table
 
 DESIGN_IDS = (1, 2, 3)
 
@@ -32,7 +32,8 @@ class DesignSpec:
     """Tabulated degree-functions defining a data generating process.
 
     The maps must cover every degree present in the network a spec is applied
-    to; ``ConfigurationError`` is raised otherwise.
+    to; ``ConfigurationError`` is raised otherwise. Table values and the noise
+    scale must be finite (``ParameterError`` otherwise).
     """
 
     baseline: Mapping[int, float]
@@ -41,8 +42,11 @@ class DesignSpec:
     noise_sd: float
 
     def __post_init__(self):
-        if self.noise_sd < 0:
-            raise ParameterError("noise_sd must be nonnegative")
+        if not 0.0 <= self.noise_sd < math.inf:
+            raise ParameterError("noise_sd must be finite and nonnegative")
+        for table in (self.baseline, self.direct_effect, self.spillover_effect):
+            if not all(map(math.isfinite, table.values())):
+                raise ParameterError("design table values must be finite")
 
     def require_degrees(self, degrees: Iterable[int]) -> None:
         missing = sorted(
@@ -156,34 +160,17 @@ def true_effect_deltas(spec: DesignSpec, summary: DegreeSummary) -> EffectGaps:
 
 def load_design_csv(path: str | Path, noise_sd: float) -> DesignSpec:
     """Load a tabulated design from a ``degree,theta00,mu_de,lambda_se`` CSV."""
-    path = Path(path)
-    baseline: dict[int, float] = {}
-    direct: dict[int, float] = {}
-    spillover: dict[int, float] = {}
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"degree", "theta00", "mu_de", "lambda_se"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise IngestionError(f"{path}: expected columns {sorted(required)}")
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                g = int(row["degree"])
-                if g < 0:
-                    raise ValueError
-                if g in baseline:
-                    raise IngestionError(f"{path}:{line_no}: duplicate degree {g}")
-                baseline[g] = float(row["theta00"])
-                direct[g] = float(row["mu_de"])
-                spillover[g] = float(row["lambda_se"])
-            except IngestionError:
-                raise
-            except (TypeError, ValueError) as exc:
-                raise IngestionError(f"{path}:{line_no}: malformed design row") from exc
-    if not baseline:
-        raise IngestionError(f"{path}: design file has no rows")
+    columns, lines = read_table(
+        path,
+        {"degree": nonnegative_int, "theta00": float, "mu_de": float, "lambda_se": float},
+        unique="degree",
+    )
+    if not lines:
+        raise IngestionError(f"{path}:1: design file has no rows")
+    degrees = columns["degree"]
     return DesignSpec(
-        baseline=baseline,
-        direct_effect=direct,
-        spillover_effect=spillover,
+        baseline=dict(zip(degrees, columns["theta00"])),
+        direct_effect=dict(zip(degrees, columns["mu_de"])),
+        spillover_effect=dict(zip(degrees, columns["lambda_se"])),
         noise_sd=noise_sd,
     )

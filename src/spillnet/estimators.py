@@ -73,12 +73,14 @@ def ols(design_matrix: np.ndarray, y: np.ndarray, names: tuple[str, ...],
 
     Raises SingularModelError naming the collinear columns when the matrix is
     rank deficient, and ParameterError when there are not more rows than
-    columns.
+    columns or an entry is not finite.
     """
     x = np.asarray(design_matrix, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.size:
         raise ParameterError("design matrix and outcome shapes do not match")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ParameterError("design matrix and outcome must be finite")
     n, k = x.shape
     if len(names) != k:
         raise ParameterError("need one name per design-matrix column")
@@ -167,6 +169,19 @@ def dbar_star_regression(net: Network, tr: TreatmentVector, y: np.ndarray, *,
         prof.dbar_star,
     ])
     return ols(x, y, (CONST, TREATED, DBAR_STAR), spec_name="dbar_star_reg")
+
+
+# The three specifications: name -> (fit function, spillover slope column, the
+# OracleReport fields of the population direct coefficient, of the spillover
+# target and of that target plus its bias).
+SPECS = {
+    "t_reg": (t_regression, TREATED_NEIGHBORS, ("t_direct", "t_spillover", "t_spillover")),
+    "dbar_reg": (dbar_regression, DBAR, ("dbar_direct", "dbar_spillover", "dbar_spillover")),
+    "dbar_star_reg": (
+        dbar_star_regression, DBAR_STAR,
+        ("dbar_star_direct", "dbar_star_weighted", "dbar_star_total"),
+    ),
+}
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -350,25 +350,68 @@ def to_edge_list(net: Network) -> list[tuple[int, int]]:
     return [(i, j) for i in range(net.n) for j in net.adjacency[i] if i < j]
 
 
-def read_edge_csv(path: str | Path) -> list[tuple[int, int]]:
-    """Read an edge-list CSV with header ``src,dst`` and 0-based node indices."""
-    path = Path(path)
-    with path.open(newline="") as fh:
+def read_table(
+    path: str | Path, columns: Mapping[str, Callable[[str], Any]], unique: str | None = None
+) -> tuple[dict[str, list], list[int]]:
+    """Read the named columns of a headed CSV file, one list per column.
+
+    Columns are found by header name and other columns are ignored. Cells are
+    stripped and parsed by their column's parser; lines whose cells are all
+    blank are skipped.
+    A cell is bad when it is missing, its parser raises ValueError, it parses
+    to a non-finite float, or it repeats an earlier value of the ``unique``
+    column. Any bad cell raises IngestionError naming ``path:line`` and the
+    first 20 bad lines of each column. Returns the columns and the file line
+    of each row.
+    """
+    values: dict[str, list] = {name: [] for name in columns}
+    bad: dict[str, tuple[str, list[int]]] = {}
+    lines: list[int] = []
+    first_line: dict[Any, int] = {}
+    with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["src", "dst"]:
-            raise IngestionError(f"{path}: expected header 'src,dst'")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
+        header = [cell.strip() for cell in next(reader, [])]
+        missing = [name for name in columns if name not in header]
+        if missing:
+            raise IngestionError(f"{path}:1: missing columns {missing} in header {header}")
+        slots = [(name, header.index(name), parse, values[name]) for name, parse in columns.items()]
+        for row in reader:
+            if not any(cell.strip() for cell in row):
                 continue
-            if len(row) < 2:
-                raise IngestionError(f"{path}:{line_no}: expected two columns")
-            try:
-                rows.append((int(row[0]), int(row[1])))
-            except ValueError as exc:
-                raise IngestionError(f"{path}:{line_no}: non-integer node index") from exc
-    return rows
+            line = reader.line_num
+            lines.append(line)
+            for name, index, parse, out in slots:
+                try:
+                    if index >= len(row):
+                        raise ValueError("missing cell")
+                    value = parse(row[index].strip())
+                    if isinstance(value, float) and not math.isfinite(value):
+                        raise ValueError(f"non-finite number {value!r}")
+                    if name == unique and first_line.setdefault(value, line) != line:
+                        raise ValueError(f"duplicate {value!r}, first on line {first_line[value]}")
+                    out.append(value)
+                except ValueError as exc:
+                    bad.setdefault(name, (str(exc), []))[1].append(line)
+    if bad:
+        raise IngestionError("; ".join(
+            f"{path}:{at[0]}: column {name!r}: {error}; bad lines {at[:20]}"
+            for name, (error, at) in bad.items()
+        ))
+    return values, lines
+
+
+def nonnegative_int(cell: str) -> int:
+    """Parse a table cell holding a node index, a degree or a count."""
+    value = int(cell)
+    if value < 0:
+        raise ValueError(f"negative integer {value}")
+    return value
+
+
+def read_edge_csv(path: str | Path) -> list[tuple[int, int]]:
+    """Read an edge-list CSV with columns ``src,dst`` holding 0-based node indices."""
+    columns, _ = read_table(path, {"src": nonnegative_int, "dst": nonnegative_int})
+    return list(zip(columns["src"], columns["dst"]))
 
 
 def write_edge_csv(net: Network, path: str | Path) -> None:

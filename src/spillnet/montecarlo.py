@@ -20,27 +20,12 @@ import numpy as np
 
 from .dgp import BuiltinDesign, DesignSpec, resolve_design, simulate_outcomes
 from .errors import EmptySubsampleError, ParameterError, SingularModelError
-from .estimators import (
-    DBAR,
-    DBAR_STAR,
-    TREATED,
-    TREATED_NEIGHBORS,
-    dbar_regression,
-    dbar_star_regression,
-    t_regression,
-)
+from .estimators import SPECS, TREATED
 from .exposure import assign_bernoulli, compute_exposure
 from .graph import WS_CALIBRATED, Network, generate_erdos_renyi, generate_watts_strogatz, summarize
 from .oracle import oracle_report
 
-CELLS = (
-    ("t_reg", "direct"),
-    ("t_reg", "spillover"),
-    ("dbar_reg", "direct"),
-    ("dbar_reg", "spillover"),
-    ("dbar_star_reg", "direct"),
-    ("dbar_star_reg", "spillover"),
-)
+CELLS = tuple((spec_name, coef) for spec_name in SPECS for coef in ("direct", "spillover"))
 
 RESULTS_COLUMNS = (
     "design", "c", "spec", "coef", "mean_estimate", "true_coef", "bias",
@@ -159,34 +144,19 @@ def _simulate_rep(config: SimConfig, rep: int):
     profile = compute_exposure(net, tr)
     try:
         fits = {
-            "t_reg": t_regression(net, tr, y, profile=profile),
-            "dbar_reg": dbar_regression(net, tr, y, profile=profile),
-            "dbar_star_reg": dbar_star_regression(net, tr, y, profile=profile),
+            name: fit_fn(net, tr, y, profile=profile) for name, (fit_fn, _, _) in SPECS.items()
         }
     except (SingularModelError, EmptySubsampleError, ParameterError) as exc:
         # degenerate draw (rank deficiency or unusable subsample): exclude the rep
         return str(exc)
 
     report = oracle_report(spec, summarize(net), config.p)
-    oracle_values = {
-        ("t_reg", "direct"): (report.t_direct, report.t_direct),
-        ("t_reg", "spillover"): (report.t_spillover, report.t_spillover),
-        ("dbar_reg", "direct"): (report.dbar_direct, report.dbar_direct),
-        ("dbar_reg", "spillover"): (report.dbar_spillover, report.dbar_spillover),
-        ("dbar_star_reg", "direct"): (report.dbar_star_direct, report.dbar_star_direct),
-        ("dbar_star_reg", "spillover"): (report.dbar_star_weighted, report.dbar_star_total),
-    }
-    slope_name = {
-        "t_reg": TREATED_NEIGHBORS,
-        "dbar_reg": DBAR,
-        "dbar_star_reg": DBAR_STAR,
-    }
     out = {}
-    for spec_name, coef in CELLS:
-        fit = fits[spec_name]
-        name = TREATED if coef == "direct" else slope_name[spec_name]
-        value, total = oracle_values[(spec_name, coef)]
-        out[(spec_name, coef)] = (fit.coef(name), fit.se[name], value, total)
+    for name, fit in fits.items():
+        _, slope, oracle_fields = SPECS[name]
+        direct, value, total = (getattr(report, field) for field in oracle_fields)
+        out[(name, "direct")] = (fit.coef(TREATED), fit.se[TREATED], direct, direct)
+        out[(name, "spillover")] = (fit.coef(slope), fit.se[slope], value, total)
     return out
 
 

@@ -20,12 +20,12 @@ import numpy as np
 
 from .dgp import DesignSpec, true_effect_deltas
 from .errors import EmptySubsampleError, ParameterError, SingularModelError
-from .estimators import CONST, DBAR, DBAR_STAR, DEGREE, TREATED, TREATED_NEIGHBORS
+from .estimators import CONST, DBAR, DBAR_STAR, DEGREE, SPECS, TREATED, TREATED_NEIGHBORS
 from .graph import DegreeSummary, Network
 
 ENUMERATION_MAX_NODES = 12
 
-SPEC_NAMES = ("t_reg", "dbar_reg", "dbar_star_reg")
+SPEC_NAMES = tuple(SPECS)
 
 
 @dataclass(frozen=True)
@@ -131,16 +131,34 @@ def _dbar_second_moment_factor(g: int, p: float, positive_share: float) -> float
     return p * p + p * (1.0 - p) / g - p * p * positive_share
 
 
+def imputation_bias(
+    baseline_gap: float | None, direct_gap: float | None, p: float,
+    positive_share: float, mean_inverse_degree_positive: float | None,
+) -> float | None:
+    """Bias of the zero-imputed spillover slope from the isolated nodes.
+
+    (baseline_gap + p * direct_gap) * (1 - s) / (p * (1 - s) + (1 - p) *
+    E[1/degree | degree>0]), with s the positive-degree share and the gaps
+    taken between connected and isolated nodes. Exactly 0 when s = 1; None
+    when the gaps are undefined.
+    """
+    if positive_share == 1.0:
+        return 0.0
+    if baseline_gap is None or direct_gap is None:
+        return None
+    s, inv_mean = positive_share, mean_inverse_degree_positive
+    return (baseline_gap + p * direct_gap) * (1.0 - s) / (p * (1.0 - s) + (1.0 - p) * inv_mean)
+
+
 def true_dbar_star_coefficients(
     spec: DesignSpec, summary: DegreeSummary, p: float
 ) -> tuple[float, float | None, float | None]:
     """Population (direct, bias, weighted) parts of the zero-imputed regression.
 
     The spillover coefficient decomposes into ``bias + weighted``. The bias
-    is (baseline_gap + p * direct_gap) * (1 - s) / (p * (1 - s) +
-    (1 - p) * E[1/degree | degree>0]) with s the positive-degree share; it
-    vanishes exactly when s = 1 or when both gaps are zero. The weighted part
-    averages degree * spillover_effect with weights proportional to
+    is ``imputation_bias`` of the design's gaps; it vanishes exactly when
+    s = 1 or when both gaps are zero. The weighted part averages
+    degree * spillover_effect with weights proportional to
     E[dbar * (dbar - mean of the imputed fraction) | degree], evaluated with
     exact Binomial moments. Bias and weighted are None when every node is
     isolated (the imputed fraction is then identically zero).
@@ -152,21 +170,13 @@ def true_dbar_star_coefficients(
     if s == 0.0:
         return direct, None, None
 
-    inv_mean = summary.mean_inverse_degree_positive
     factor = lambda g: _dbar_second_moment_factor(g, p, s)
     weighted = (
         summary.expect(lambda g: g * spec.spillover_effect[g] * factor(g), positive_only=True)
         / summary.expect(factor, positive_only=True)
     )
-    if s == 1.0:
-        bias = 0.0
-    else:
-        gaps = true_effect_deltas(spec, summary)
-        bias = (
-            (gaps.baseline + p * gaps.direct)
-            * (1.0 - s)
-            / (p * (1.0 - s) + (1.0 - p) * inv_mean)
-        )
+    gaps = true_effect_deltas(spec, summary)
+    bias = imputation_bias(gaps.baseline, gaps.direct, p, s, summary.mean_inverse_degree_positive)
     return direct, bias, weighted
 
 

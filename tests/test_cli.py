@@ -1,9 +1,11 @@
 import csv
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+import spillnet
 from spillnet.cli import config_from_dict, main
 from spillnet.dgp import BuiltinDesign, expand
 from spillnet.exposure import assign_bernoulli
@@ -197,18 +199,31 @@ def test_audit_rejects_non_binary_treatment(tmp_path, capsys):
     edges = tmp_path / "edges.csv"
     edges.write_text("src,dst\na,b\n")
     data = tmp_path / "units.csv"
-    data.write_text("id,treatment,outcome\na,2,1.0\nb,0,2.0\n")
-    assert main(["audit", "--edges", str(edges), "--data", str(data)]) == 3
-    assert "non-binary" in capsys.readouterr().err
+    for rows, message in (
+        ("a,2,1.0\nb,0,2.0\n", f"{data}:2: column 'treatment': non-binary"),
+        # non-finite outcomes are bad cells too, reported with their file lines
+        ("a,1,nan\nb,0,inf\n", f"{data}:2: column 'outcome': non-finite number nan; "
+                               "bad lines [2, 3]"),
+        ("a,1,1.0\n\nb,0,-inf\n", f"{data}:4: column 'outcome': non-finite number -inf"),
+    ):
+        data.write_text("id,treatment,outcome\n" + rows)
+        assert main(["audit", "--edges", str(edges), "--data", str(data)]) == 3
+        assert message in capsys.readouterr().err
 
 
 def test_audit_rejects_unknown_edge_ids(tmp_path, capsys):
     edges = tmp_path / "edges.csv"
-    edges.write_text("src,dst\na,zz\n")
     data = tmp_path / "units.csv"
     data.write_text("id,treatment,outcome\na,1,1.0\nb,0,2.0\n")
-    assert main(["audit", "--edges", str(edges), "--data", str(data)]) == 3
-    assert "zz" in capsys.readouterr().err
+    # blank lines count, so the bad row of the second file is on line 5
+    for rows, message in (
+        ("a,zz\n", f"{edges}:2: 'a'-'zz'"),
+        ("a,b\n\n\nb,zz\n", f"{edges}:5: 'b'-'zz'"),
+        ("a,b\n\nb,b\n", f"{edges}:4: 'b'-'b'"),  # a self-link
+    ):
+        edges.write_text("src,dst\n" + rows)
+        assert main(["audit", "--edges", str(edges), "--data", str(data)]) == 3
+        assert message in capsys.readouterr().err
 
 
 def test_audit_rejects_missing_columns(tmp_path):
@@ -292,3 +307,8 @@ def test_version_flag(capsys):
         main(["--version"])
     assert err.value.code == 0
     assert "spillnet" in capsys.readouterr().out
+
+
+def test_package_exports_names_not_submodules():
+    assert [name for name in spillnet.__all__ if inspect.ismodule(getattr(spillnet, name))] == []
+    assert {"run", "ols", "read_table", "imputation_bias"} <= set(spillnet.__all__)

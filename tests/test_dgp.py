@@ -49,6 +49,12 @@ def test_negative_noise_sd_rejected():
                    spillover_effect={0: 0.0}, noise_sd=-1.0)
 
 
+def test_non_finite_design_values_rejected():
+    with pytest.raises(ParameterError):
+        DesignSpec(baseline={0: float("nan")}, direct_effect={0: 1.0},
+                   spillover_effect={0: 0.0}, noise_sd=1.0)
+
+
 def test_noise_free_design3_outcomes_exact():
     net = generate_watts_strogatz(50, 4, 0.2, 0.5, seed=8)
     tr = assign_bernoulli(50, 0.5, seed=9)
@@ -159,6 +165,10 @@ def test_design_csv_rejects_bad_files(tmp_path):
     empty.write_text("degree,theta00,mu_de,lambda_se\n")
     with pytest.raises(IngestionError):
         load_design_csv(empty, noise_sd=1.0)
+    not_finite = tmp_path / "nan.csv"
+    not_finite.write_text("degree,theta00,mu_de,lambda_se\n0,1,1,0\n1,nan,1,0\n")
+    with pytest.raises(IngestionError, match=r"nan.csv:3: column 'theta00': non-finite"):
+        load_design_csv(not_finite, noise_sd=1.0)
 
 
 def test_stratified_identification_with_zero_noise():

@@ -67,6 +67,17 @@ def test_ols_requires_more_rows_than_columns():
         ols(np.ones((3, 3)), np.ones(3), ("a", "b", "c"))
 
 
+def test_ols_rejects_non_finite_inputs():
+    x = np.column_stack([np.ones(20), np.arange(20.0)])
+    y = np.arange(20.0)
+    y[3] = np.nan
+    with pytest.raises(ParameterError):
+        ols(x, y, ("const", "a"))
+    x[5, 1] = np.inf
+    with pytest.raises(ParameterError):
+        ols(x, np.arange(20.0), ("const", "a"))
+
+
 def test_ci_is_exactly_plus_minus_1_96_se():
     rng = np.random.default_rng(11)
     x = np.column_stack([np.ones(30), rng.normal(size=30)])

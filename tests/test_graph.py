@@ -176,6 +176,10 @@ def test_edge_csv_rejects_wrong_header(tmp_path):
     path.write_text("a,b\n0,1\n")
     with pytest.raises(IngestionError):
         read_edge_csv(path)
+    # a bad cell is reported at its file line, blank lines included
+    path.write_text("src,dst\n0,1\n\n1,x\n2,-1\n")
+    with pytest.raises(IngestionError, match=r"edges.csv:4: column 'dst': .*; bad lines \[4, 5\]"):
+        read_edge_csv(path)
 
 
 @pytest.mark.parametrize(
