@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import ConfigurationError, IngestionError, ParameterError
-from .exposure import TreatmentVector, compute_exposure
+from .exposure import ExposureProfile, TreatmentVector, compute_exposure
 from .graph import DegreeSummary, Network, nonnegative_int, read_table
 
 DESIGN_IDS = (1, 2, 3)
@@ -111,15 +111,18 @@ def _lookup(table: Mapping[int, float], degree: np.ndarray) -> np.ndarray:
 
 
 def simulate_outcomes(
-    net: Network, tr: TreatmentVector, spec: DesignSpec, seed: int
+    net: Network, tr: TreatmentVector, spec: DesignSpec, seed: int,
+    profile: ExposureProfile | None = None,
 ) -> np.ndarray:
     """Simulate outcomes from the partially linear form.
 
     Noise is iid Normal(0, noise_sd^2), drawn independently of the network
-    and treatment; deterministic given ``seed``.
+    and treatment; deterministic given ``seed``. A ``profile`` already
+    computed for (net, tr) is used instead of recomputing it.
     """
     spec.require_degrees(np.unique(net.degree).tolist())
-    profile = compute_exposure(net, tr)
+    if profile is None:
+        profile = compute_exposure(net, tr)
     y = (
         _lookup(spec.baseline, profile.degree)
         + _lookup(spec.direct_effect, profile.degree) * tr.d

@@ -306,18 +306,43 @@ def generate_erdos_renyi(n: int, mean_degree: float, seed: int) -> Network:
     """G(n, p) graph with p chosen to target the requested mean degree.
 
     Each unordered pair is linked independently with probability
-    mean_degree / (n - 1). Deterministic given ``seed`` (PCG64).
+    p = mean_degree / (n - 1). Deterministic given ``seed`` (PCG64).
+
+    Geometric edge skipping (Batagelj & Brandes 2005): the pairs (i, j),
+    i < j, are numbered in row-major order, and the gap from one linked pair
+    to the next is Geometric(p). Gaps are drawn in batches and cumulated into
+    pair positions, and each position is mapped back to its pair through the
+    row starts i(2n - i - 1)/2. Time and memory are O(n + m) for m edges.
     """
+    n = operator.index(n)
     if n < 2:
         raise ParameterError("erdos-renyi requires n >= 2")
+    if n * n >= 2**63:
+        raise ParameterError("erdos-renyi requires n * n < 2**63")
     if not 0.0 < mean_degree <= n - 1:
         raise ParameterError("mean_degree must lie in (0, n-1]")
 
     p_edge = mean_degree / (n - 1)
+    pairs = n * (n - 1) // 2
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
-    linked = rng.random(iu.size) < p_edge
-    return _network_from_keys(n, iu[linked] * n + ju[linked])
+    found = [np.empty(0, dtype=np.int64)]
+    last = -1  # position of the last linked pair drawn so far
+    # p_edge can underflow to 0 for a tiny mean_degree; that links no pair
+    while p_edge > 0 and last < pairs:
+        remaining = pairs - 1 - last
+        expected = remaining * p_edge
+        size = int(expected + 6 * math.sqrt(expected * (1 - p_edge))) + 1
+        # Any gap of pairs + 1 or more ends the draw, even from position -1.
+        # Clipping it there keeps the cumulative sum from wrapping whatever
+        # the batch size, since rng.geometric returns 2**63 - 1 for a tiny p.
+        pos = last + np.cumsum(np.minimum(rng.geometric(p_edge, size), pairs + 1))
+        found.append(pos[pos < pairs])
+        last = int(pos[-1])
+    pos = np.concatenate(found)
+    rows = np.arange(n - 1, dtype=np.int64)
+    starts = rows * (2 * n - rows - 1) // 2
+    i = np.searchsorted(starts, pos, side="right") - 1
+    return _network_from_keys(n, i * n + pos - starts[i] + i + 1)
 
 
 def from_edge_list(rows: Iterable[tuple[int, int]], n: int) -> Network:
@@ -347,7 +372,8 @@ def from_edge_list(rows: Iterable[tuple[int, int]], n: int) -> Network:
 
 def to_edge_list(net: Network) -> list[tuple[int, int]]:
     """All edges as (i, j) pairs with i < j, sorted."""
-    return [(i, j) for i in range(net.n) for j in net.adjacency[i] if i < j]
+    u, v = net.edge_arrays
+    return list(zip(u.tolist(), v.tolist()))
 
 
 def read_table(

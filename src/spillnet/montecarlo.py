@@ -134,14 +134,19 @@ class AggregateReport:
         raise KeyError((spec_name, coef))
 
 
-def _simulate_rep(config: SimConfig, rep: int):
-    """One repetition: returns {cell: (estimate, se, oracle_value, oracle_total)} or a failure reason."""
-    graph_rep = rep if config.regenerate_graph_each_rep else 0
-    net = config.graph.generate(config.n, derive_seed(config.base_seed, graph_rep, "graph"))
+def _simulate_rep(config: SimConfig, fixed: Network | None, rep: int):
+    """One repetition: returns {cell: (estimate, se, oracle_value, oracle_total)} or a failure reason.
+
+    ``fixed`` is the network shared by every rep, or None to draw one per rep.
+    """
+    if fixed is None:
+        net = config.graph.generate(config.n, derive_seed(config.base_seed, rep, "graph"))
+    else:
+        net = fixed
     tr = assign_bernoulli(config.n, config.p, derive_seed(config.base_seed, rep, "treatment"))
     spec = resolve_design(config.design, np.unique(net.degree).tolist())
-    y = simulate_outcomes(net, tr, spec, derive_seed(config.base_seed, rep, "noise"))
     profile = compute_exposure(net, tr)
+    y = simulate_outcomes(net, tr, spec, derive_seed(config.base_seed, rep, "noise"), profile=profile)
     try:
         fits = {
             name: fit_fn(net, tr, y, profile=profile) for name, (fit_fn, _, _) in SPECS.items()
@@ -164,12 +169,18 @@ def run(config: SimConfig, workers: int = 1) -> AggregateReport:
     """Execute the configured repetitions and aggregate every cell.
 
     Reps whose fit raises a singularity (or an empty subsample) are excluded
-    and logged; more than 1% exclusions triggers a run-level warning.
-    Deterministic given the config, including under ``workers > 1``:
-    aggregation order is fixed by rep index, not completion order.
+    and logged; more than 1% exclusions triggers a run-level warning. Without
+    ``regenerate_graph_each_rep`` the network is generated once per call and
+    shared by every rep. Deterministic given the config, including under
+    ``workers > 1``: aggregation order is fixed by rep index, not completion
+    order.
     """
     config.validate()
-    rep_fn = partial(_simulate_rep, config)
+    fixed = None
+    if not config.regenerate_graph_each_rep:
+        # Network is immutable, so every rep can share the one graph rep 0 would draw
+        fixed = config.graph.generate(config.n, derive_seed(config.base_seed, 0, "graph"))
+    rep_fn = partial(_simulate_rep, config, fixed)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(rep_fn, range(config.reps), chunksize=64))

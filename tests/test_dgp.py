@@ -109,6 +109,11 @@ def test_simulation_is_deterministic_given_seed():
         simulate_outcomes(net, tr, spec, seed=42),
         simulate_outcomes(net, tr, spec, seed=42),
     )
+    # a precomputed exposure profile gives the same outcomes bit for bit
+    assert np.array_equal(
+        simulate_outcomes(net, tr, spec, seed=42),
+        simulate_outcomes(net, tr, spec, seed=42, profile=compute_exposure(net, tr)),
+    )
 
 
 def test_design_must_cover_observed_degrees():

@@ -106,6 +106,41 @@ def test_er_complete_graph_at_maximum_mean_degree():
 def test_er_vanishing_mean_degree_gives_empty_graph():
     net = generate_erdos_renyi(2, mean_degree=1e-12, seed=4)
     assert np.all(net.degree == 0)
+    # at p = 1e-300 every geometric gap is 2**63 - 1, whose cumulative sum
+    # would wrap negative unclipped; at 5e-324 / 9 the edge probability is 0.0
+    for n, mean_degree in ((2, 1e-300), (10, 1e-300), (10, 5e-324)):
+        for seed in range(5):
+            net = generate_erdos_renyi(n, mean_degree, seed=seed)
+            assert np.all(net.degree == 0), (n, mean_degree, seed)
+
+
+def test_er_links_every_pair_at_rate_p():
+    n, mean_degree, n_seeds = 6, 1.5, 3000
+    p_edge = mean_degree / (n - 1)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    counts = dict.fromkeys(pairs, 0)
+    for seed in range(n_seeds):
+        net = generate_erdos_renyi(n, mean_degree, seed=seed)
+        for pair in zip(*(a.tolist() for a in net.edge_arrays)):
+            counts[pair] += 1  # a KeyError here is a pair outside i < j < n
+    bound = 4.5 * math.sqrt(n_seeds * p_edge * (1 - p_edge))
+    # the first and last pair positions, where an off-by-one in the
+    # position -> pair map would show first
+    assert abs(counts[(0, 1)] - n_seeds * p_edge) <= bound
+    assert abs(counts[(4, 5)] - n_seeds * p_edge) <= bound
+    for pair, count in counts.items():
+        assert abs(count - n_seeds * p_edge) <= bound, pair
+
+
+def test_er_at_200k_nodes_has_binomial_edge_count():
+    # a draw over all n(n-1)/2 ~ 2e10 pairs would not fit in memory
+    n, mean_degree = 200_000, 2.0
+    net = generate_erdos_renyi(n, mean_degree, seed=8)
+    pairs = n * (n - 1) / 2
+    p_edge = mean_degree / (n - 1)
+    edges = net.edge_arrays[0].size
+    assert abs(edges - pairs * p_edge) <= 5 * math.sqrt(pairs * p_edge * (1 - p_edge))
+    assert int(net.degree.sum()) == 2 * edges
 
 
 def test_er_isolated_fraction_matches_poisson_limit():
@@ -137,6 +172,8 @@ def test_er_rejects_bad_parameters():
         generate_erdos_renyi(10, 0.0, seed=0)
     with pytest.raises(ParameterError):
         generate_erdos_renyi(10, 9.5, seed=0)
+    with pytest.raises(ParameterError):
+        generate_erdos_renyi(2**32, 2.0, seed=0)
 
 
 def test_from_edge_list_deduplicates_and_symmetrizes():
@@ -187,6 +224,8 @@ def test_edge_csv_rejects_wrong_header(tmp_path):
     [
         lambda: generate_watts_strogatz(80, 4, 0.5, 0.6, seed=3),
         lambda: generate_erdos_renyi(80, 2.0, seed=3),
+        lambda: generate_erdos_renyi(6, 5.0, seed=1),
+        lambda: generate_erdos_renyi(2000, 3.0, seed=7),
         lambda: from_edge_list([(0, 1), (2, 3), (1, 2)], n=6),
     ],
 )

@@ -3,8 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from spillnet import dgp, estimators, montecarlo
 from spillnet.dgp import BuiltinDesign, expand
 from spillnet.errors import EmptySubsampleError, ParameterError
+from spillnet.exposure import compute_exposure
 from spillnet.montecarlo import (
     CELLS,
     ErdosRenyiGraph,
@@ -57,6 +59,10 @@ def test_parallel_execution_matches_serial():
     serial = run(SMALL)
     parallel = run(SMALL, workers=2)
     assert serial == parallel
+    fixed = dataclasses.replace(
+        SMALL, graph=ErdosRenyiGraph(mean_degree=3.0), regenerate_graph_each_rep=False
+    )
+    assert run(fixed) == run(fixed, workers=2)
 
 
 def test_single_rep_marks_mc_se_undefined():
@@ -75,6 +81,37 @@ def test_fixed_graph_reuses_the_same_network():
     assert run(fixed).cell("dbar_reg", "spillover").oracle_value == run(single).cell(
         "dbar_reg", "spillover"
     ).oracle_value
+
+
+class CountingGraph:
+    """A graph model that counts how often it is asked for a network."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def generate(self, n, seed):
+        self.calls += 1
+        return WattsStrogatzGraph().generate(n, seed)
+
+
+def test_fixed_graph_is_generated_once_per_run():
+    for regenerate, expected in ((False, 1), (True, SMALL.reps)):
+        model = CountingGraph()
+        run(dataclasses.replace(SMALL, graph=model, regenerate_graph_each_rep=regenerate))
+        assert model.calls == expected, regenerate
+
+
+def test_exposure_is_computed_once_per_rep(monkeypatch):
+    calls = []
+
+    def counting(net, tr):
+        calls.append(1)
+        return compute_exposure(net, tr)
+
+    for module in (dgp, estimators, montecarlo):
+        monkeypatch.setattr(module, "compute_exposure", counting)
+    run(SMALL)
+    assert len(calls) == SMALL.reps
 
 
 def test_estimates_match_oracle_within_three_mc_ses():
