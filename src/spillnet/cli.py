@@ -51,6 +51,8 @@ from .montecarlo import (
     ErdosRenyiGraph,
     SimConfig,
     WattsStrogatzGraph,
+    config_to_dict,
+    graph_to_dict,
     run,
     write_results_csv,
 )
@@ -134,68 +136,6 @@ def _c_values(args, cfg: dict[str, Any], default: str = "0,-0.5") -> list[float]
         raise ParameterError(f"could not parse --c value {raw!r}") from exc
 
 
-def _graph_to_dict(graph: WattsStrogatzGraph | ErdosRenyiGraph) -> dict[str, Any]:
-    if isinstance(graph, WattsStrogatzGraph):
-        return {"kind": "ws", "k": graph.k, "beta": graph.beta,
-                "delete_prob": graph.delete_prob}
-    return {"kind": "er", "mean_degree": graph.mean_degree}
-
-
-def _config_to_dict(config: SimConfig) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "n": config.n,
-        "reps": config.reps,
-        "p": config.p,
-        "base_seed": config.base_seed,
-        "regenerate_graph_each_rep": config.regenerate_graph_each_rep,
-    }
-    if isinstance(config.design, BuiltinDesign):
-        out["design"] = {"design_id": config.design.design_id, "c": config.design.c}
-    else:
-        out["design"] = {
-            "baseline": {str(g): v for g, v in config.design.baseline.items()},
-            "direct_effect": {str(g): v for g, v in config.design.direct_effect.items()},
-            "spillover_effect": {str(g): v for g, v in config.design.spillover_effect.items()},
-            "noise_sd": config.design.noise_sd,
-        }
-    out["graph"] = _graph_to_dict(config.graph)
-    return out
-
-
-def config_from_dict(data: dict[str, Any]) -> SimConfig:
-    """Rebuild a SimConfig from its manifest serialization."""
-    design_data = data["design"]
-    design: BuiltinDesign | DesignSpec
-    if "design_id" in design_data:
-        design = BuiltinDesign(design_id=int(design_data["design_id"]), c=float(design_data["c"]))
-    else:
-        design = DesignSpec(
-            baseline={int(g): float(v) for g, v in design_data["baseline"].items()},
-            direct_effect={int(g): float(v) for g, v in design_data["direct_effect"].items()},
-            spillover_effect={int(g): float(v) for g, v in design_data["spillover_effect"].items()},
-            noise_sd=float(design_data["noise_sd"]),
-        )
-    graph_data = data["graph"]
-    graph: WattsStrogatzGraph | ErdosRenyiGraph
-    if graph_data["kind"] == "ws":
-        graph = WattsStrogatzGraph(
-            k=int(graph_data["k"]),
-            beta=float(graph_data["beta"]),
-            delete_prob=float(graph_data["delete_prob"]),
-        )
-    else:
-        graph = ErdosRenyiGraph(mean_degree=float(graph_data["mean_degree"]))
-    return SimConfig(
-        n=int(data["n"]),
-        reps=int(data["reps"]),
-        p=float(data["p"]),
-        design=design,
-        graph=graph,
-        base_seed=int(data["base_seed"]),
-        regenerate_graph_each_rep=bool(data["regenerate_graph_each_rep"]),
-    )
-
-
 def _write_manifest(command: str, out_path: Path, outputs: list[str],
                     config_payload: Any, started: float) -> None:
     manifest = {
@@ -244,7 +184,7 @@ def cmd_simulate(args) -> int:
         )
         report = run(config, workers=args.workers)
         entries.append((design_label, c_label, report))
-        config_dicts.append(_config_to_dict(config))
+        config_dicts.append(config_to_dict(config))
         print(
             f"design {design_label} c={c_label or '-'}: "
             f"{report.reps_completed}/{report.reps_requested} reps, "
@@ -280,7 +220,7 @@ def cmd_scatter(args) -> int:
 
     out = Path(args.out)
     write_scatter_csv(profile, out)
-    payload = {"n": n, "p": p, "seed": seed, "graph": _graph_to_dict(graph)}
+    payload = {"n": n, "p": p, "seed": seed, "graph": graph_to_dict(graph)}
     _write_manifest("scatter", out, [str(out)], payload, started)
 
     def fmt(v):

@@ -1,9 +1,9 @@
 """OLS core and the three spillover regression specifications.
 
 All fits report homoskedastic (iid) standard errors and 95% intervals built
-as coefficient +/- 1.96 * se. The solver is least squares via an orthogonal
-decomposition; results agree with the normal equations to well below 1e-9
-for the small, well-conditioned systems used here (at most four columns).
+as coefficient +/- 1.96 * se. One thin SVD per fit gives the rank check, the
+coefficients and the standard errors; they agree with the normal equations to
+well below 1e-9 for the small, well-conditioned systems used here (<= 4 columns).
 """
 
 from __future__ import annotations
@@ -87,20 +87,21 @@ def ols(design_matrix: np.ndarray, y: np.ndarray, names: tuple[str, ...],
     if n <= k:
         raise ParameterError(f"need more rows ({n}) than columns ({k})")
 
-    singular_values = np.linalg.svd(x, compute_uv=False)
-    if singular_values[-1] <= RANK_RTOL * singular_values[0]:
+    # one thin SVD x = U diag(s) Vt gives the rank check, beta = V diag(1/s) U'y
+    # and diag((x'x)^-1) = sum_j (V_ij / s_j)^2
+    u_mat, s, vt = np.linalg.svd(x, full_matrices=False)
+    if s[-1] <= RANK_RTOL * s[0]:
         cols = _collinear_columns(x, names)
         raise SingularModelError(
             f"design matrix is rank deficient; collinear columns: {', '.join(cols) or 'unknown'}",
             columns=cols,
         )
 
-    beta = np.linalg.lstsq(x, y, rcond=None)[0]
+    beta = (u_mat.T @ y / s) @ vt
     residuals = y - x @ beta
     rss = float(residuals @ residuals)
     sigma2 = rss / (n - k)
-    xtx_inv = np.linalg.inv(x.T @ x)
-    se = np.sqrt(sigma2 * np.diag(xtx_inv))
+    se = np.sqrt(sigma2 * np.sum((vt / s[:, None]) ** 2, axis=0))
     tss = float(np.sum((y - y.mean()) ** 2))
     r_squared = 1.0 - rss / tss if tss > 0 else 0.0
     coef = dict(zip(names, beta.tolist()))

@@ -28,45 +28,54 @@ from .errors import IngestionError, ParameterError
 WS_CALIBRATED = {"k": 8, "beta": 0.25, "delete_prob": 0.75}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Network:
-    """Immutable undirected simple graph on nodes 0..n-1.
+    """Immutable undirected simple graph on nodes 0..n-1, stored as its edges.
 
-    ``adjacency[i]`` is the sorted tuple of i's neighbors. Symmetry
-    (j in adjacency[i] iff i in adjacency[j]) and absence of self-links are
-    guaranteed by every constructor in this module.
+    Edge e joins ``u[e] < v[e]``; the edges are sorted by (u, v) and none
+    repeats, as every constructor in this module guarantees, so the graph is
+    symmetric and has no self-links. Both arrays are read-only.
     """
 
     n: int
-    adjacency: tuple[tuple[int, ...], ...]
+    u: np.ndarray
+    v: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.u.flags.writeable = False
+        self.v.flags.writeable = False
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Network):
+            return NotImplemented
+        return (self.n == other.n and np.array_equal(self.u, other.u)
+                and np.array_equal(self.v, other.v))
+
+    def __reduce__(self):
+        # rebuild through __init__, so an unpickled copy is read-only too
+        return Network, (self.n, self.u, self.v)
 
     @cached_property
     def degree(self) -> np.ndarray:
-        """Per-node neighbor counts as an int array."""
-        return np.array([len(a) for a in self.adjacency], dtype=np.int64)
+        """Per-node neighbor counts as a read-only int array."""
+        degree = np.bincount(np.concatenate([self.u, self.v]), minlength=self.n)
+        degree.flags.writeable = False
+        return degree
 
-    @cached_property
+    @property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Edge endpoints (u, v) with u < v, sorted lexicographically."""
-        u = [i for i in range(self.n) for j in self.adjacency[i] if i < j]
-        v = [j for i in range(self.n) for j in self.adjacency[i] if i < j]
-        return np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
+        return self.u, self.v
 
     def check_invariants(self) -> None:
-        """Assert symmetry, no self-links, sortedness and no duplicates."""
-        if len(self.adjacency) != self.n:
-            raise AssertionError("adjacency length differs from n")
-        neighbor_sets = [set(a) for a in self.adjacency]
-        for i, nbrs in enumerate(self.adjacency):
-            if i in neighbor_sets[i]:
-                raise AssertionError(f"self-link at node {i}")
-            if len(nbrs) != len(neighbor_sets[i]):
-                raise AssertionError(f"duplicate neighbor at node {i}")
-            if list(nbrs) != sorted(nbrs):
-                raise AssertionError(f"unsorted adjacency at node {i}")
-            for j in nbrs:
-                if i not in neighbor_sets[j]:
-                    raise AssertionError(f"asymmetric edge {i}-{j}")
+        """Assert endpoints in range, u < v, and edges sorted without repeats."""
+        if self.u.shape != self.v.shape or self.u.ndim != 1:
+            raise AssertionError("edge arrays differ in shape")
+        if not ((self.u >= 0).all() and (self.u < self.v).all() and (self.v < self.n).all()):
+            raise AssertionError("an edge has u < 0, u >= v or v >= n")
+        keys = self.u * self.n + self.v
+        if not (np.diff(keys) > 0).all():
+            raise AssertionError("edges are unsorted or repeated")
 
 
 @dataclass(frozen=True)
@@ -147,23 +156,9 @@ def summarize(net: Network) -> DegreeSummary:
 def _network_from_keys(n: int, keys: np.ndarray) -> Network:
     """Build a network from sorted, distinct packed edge keys ``u * n + v``, u < v.
 
-    Every constructor in this module ends here. The cached ``degree`` and
-    ``edge_arrays`` are filled from the same arrays as the adjacency.
+    Every constructor in this module ends here.
     """
-    u, v = np.divmod(keys, n)
-    # For node x a stable sort by endpoint lists the smaller neighbors (edges
-    # ending at x, ascending u) before the larger ones (edges starting at x,
-    # ascending v), so every neighbor list comes out sorted.
-    ends = np.concatenate([v, u])
-    order = np.argsort(ends, kind="stable")
-    neighbors = np.concatenate([u, v])[order].tolist()
-    degree = np.bincount(ends, minlength=n)
-    bounds = [0, *np.cumsum(degree).tolist()]
-    adjacency = tuple(map(tuple, map(neighbors.__getitem__, map(slice, bounds[:-1], bounds[1:]))))
-    net = Network(n=n, adjacency=adjacency)
-    net.__dict__["degree"] = degree
-    net.__dict__["edge_arrays"] = (u, v)
-    return net
+    return Network(n, *np.divmod(keys, n))
 
 
 class _WordStream:

@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -77,6 +77,70 @@ class SimConfig:
             raise ParameterError("n must be at least 10")
         if not 0.0 < self.p < 1.0:
             raise ParameterError("p must lie strictly in (0, 1)")
+
+
+def graph_to_dict(graph: GraphModel) -> dict[str, Any]:
+    """The manifest serialization of a graph model."""
+    if isinstance(graph, WattsStrogatzGraph):
+        return {"kind": "ws", "k": graph.k, "beta": graph.beta,
+                "delete_prob": graph.delete_prob}
+    return {"kind": "er", "mean_degree": graph.mean_degree}
+
+
+def config_to_dict(config: SimConfig) -> dict[str, Any]:
+    """The manifest serialization of a SimConfig; ``config_from_dict`` inverts it."""
+    out: dict[str, Any] = {
+        "n": config.n,
+        "reps": config.reps,
+        "p": config.p,
+        "base_seed": config.base_seed,
+        "regenerate_graph_each_rep": config.regenerate_graph_each_rep,
+    }
+    if isinstance(config.design, BuiltinDesign):
+        out["design"] = {"design_id": config.design.design_id, "c": config.design.c}
+    else:
+        out["design"] = {
+            "baseline": {str(g): v for g, v in config.design.baseline.items()},
+            "direct_effect": {str(g): v for g, v in config.design.direct_effect.items()},
+            "spillover_effect": {str(g): v for g, v in config.design.spillover_effect.items()},
+            "noise_sd": config.design.noise_sd,
+        }
+    out["graph"] = graph_to_dict(config.graph)
+    return out
+
+
+def config_from_dict(data: dict[str, Any]) -> SimConfig:
+    """Rebuild a SimConfig from its manifest serialization."""
+    design_data = data["design"]
+    design: BuiltinDesign | DesignSpec
+    if "design_id" in design_data:
+        design = BuiltinDesign(design_id=int(design_data["design_id"]), c=float(design_data["c"]))
+    else:
+        design = DesignSpec(
+            baseline={int(g): float(v) for g, v in design_data["baseline"].items()},
+            direct_effect={int(g): float(v) for g, v in design_data["direct_effect"].items()},
+            spillover_effect={int(g): float(v) for g, v in design_data["spillover_effect"].items()},
+            noise_sd=float(design_data["noise_sd"]),
+        )
+    graph_data = data["graph"]
+    graph: GraphModel
+    if graph_data["kind"] == "ws":
+        graph = WattsStrogatzGraph(
+            k=int(graph_data["k"]),
+            beta=float(graph_data["beta"]),
+            delete_prob=float(graph_data["delete_prob"]),
+        )
+    else:
+        graph = ErdosRenyiGraph(mean_degree=float(graph_data["mean_degree"]))
+    return SimConfig(
+        n=int(data["n"]),
+        reps=int(data["reps"]),
+        p=float(data["p"]),
+        design=design,
+        graph=graph,
+        base_seed=int(data["base_seed"]),
+        regenerate_graph_each_rep=bool(data["regenerate_graph_each_rep"]),
+    )
 
 
 def derive_seed(base_seed: int, rep_index: int, stream_tag: str) -> int:

@@ -244,9 +244,9 @@ def enumeration_population_ols(
     spec.require_degrees(np.unique(net.degree).tolist())
 
     degree = net.degree.astype(float)
-    adjacency = np.zeros((n, n))
-    for i, nbrs in enumerate(net.adjacency):
-        adjacency[i, list(nbrs)] = 1.0
+    a_mat = np.zeros((n, n))
+    u, v = net.edge_arrays
+    a_mat[u, v] = a_mat[v, u] = 1.0
 
     codes = np.arange(2**n, dtype=np.uint64)
     d_mat = ((codes[:, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(float)
@@ -254,7 +254,7 @@ def enumeration_population_ols(
     log_prob = n_treated * np.log(p) + (n - n_treated) * np.log1p(-p)
     prob = np.exp(log_prob)
 
-    t_mat = d_mat @ adjacency.T
+    t_mat = d_mat @ a_mat.T
 
     baseline = np.array([spec.baseline[int(g)] for g in degree])
     direct = np.array([spec.direct_effect[int(g)] for g in degree])

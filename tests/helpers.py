@@ -22,8 +22,17 @@ def enumerate_treatments(n: int, p: float):
         yield d, p**k * (1.0 - p) ** (n - k)
 
 
-def treated_neighbor_counts(adjacency, d: np.ndarray) -> np.ndarray:
-    return np.array([int(d[list(nbrs)].sum()) for nbrs in adjacency], dtype=np.int64)
+def neighbor_lists(net: Network) -> list[list[int]]:
+    """Each node's sorted neighbors, built edge by edge from ``net.u`` and ``net.v``."""
+    nbrs: list[list[int]] = [[] for _ in range(net.n)]
+    for a, b in zip(net.u.tolist(), net.v.tolist()):
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    return [sorted(x) for x in nbrs]
+
+
+def treated_neighbor_counts(neighbors, d: np.ndarray) -> np.ndarray:
+    return np.array([int(d[nbrs].sum()) for nbrs in neighbors], dtype=np.int64)
 
 
 def exact_dbar_star_moments(net, p: float) -> tuple[float, float, float]:
@@ -34,9 +43,10 @@ def exact_dbar_star_moments(net, p: float) -> tuple[float, float, float]:
     """
     degree = net.degree.astype(float)
     safe = np.maximum(degree, 1.0)
+    neighbors = neighbor_lists(net)
     e_x = e_xx = e_xg = 0.0
     for d, prob in enumerate_treatments(net.n, p):
-        t = treated_neighbor_counts(net.adjacency, d)
+        t = treated_neighbor_counts(neighbors, d)
         dbar_star = np.where(degree > 0, t / safe, 0.0)
         e_x += prob * float(dbar_star.mean())
         e_xx += prob * float((dbar_star**2).mean())
@@ -105,4 +115,6 @@ def reference_watts_strogatz(
             adj[a].discard(b)
             adj[b].discard(a)
 
-    return Network(n=n, adjacency=tuple(tuple(sorted(s)) for s in adj))
+    pairs = sorted((a, b) for a in range(n) for b in adj[a] if a < b)
+    u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return Network(n, u, v)

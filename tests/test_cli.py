@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import spillnet
-from spillnet.cli import config_from_dict, main
+from spillnet.cli import main
 from spillnet.dgp import BuiltinDesign, expand
 from spillnet.exposure import assign_bernoulli
 from spillnet.graph import generate_watts_strogatz, write_edge_csv
-from spillnet.montecarlo import WattsStrogatzGraph, run
+from spillnet.montecarlo import WattsStrogatzGraph, config_from_dict, run
 from spillnet.dgp import simulate_outcomes
 
 

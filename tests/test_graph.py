@@ -1,15 +1,17 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_watts_strogatz
+from helpers import neighbor_lists, reference_watts_strogatz
 from spillnet.errors import IngestionError, ParameterError
 from spillnet.graph import (
     WS_CALIBRATED,
     DegreeSummary,
+    Network,
     from_edge_list,
     generate_erdos_renyi,
     generate_watts_strogatz,
@@ -24,8 +26,9 @@ from spillnet.montecarlo import derive_seed
 def test_ws_ring_without_rewiring_or_deletion_is_a_cycle():
     net = generate_watts_strogatz(10, 2, beta=0.0, delete_prob=0.0, seed=123)
     assert np.all(net.degree == 2)
+    neighbors = neighbor_lists(net)
     for i in range(10):
-        assert net.adjacency[i] == tuple(sorted(((i - 1) % 10, (i + 1) % 10)))
+        assert neighbors[i] == sorted(((i - 1) % 10, (i + 1) % 10))
 
 
 def test_ws_full_deletion_gives_empty_graph():
@@ -253,6 +256,59 @@ def test_arbitrary_edge_lists_satisfy_invariants(n, data):
     net.check_invariants()
     assert from_edge_list(to_edge_list(net), n=n) == net
 
+
+
+@pytest.mark.parametrize(
+    "n, pairs",
+    [
+        (3, [(1, 0)]),
+        (3, [(1, 1)]),
+        (3, [(0, 1), (0, 1)]),
+        (3, [(1, 2), (0, 1)]),
+        (3, [(0, 3)]),
+    ],
+    ids=["u_above_v", "self_link", "repeated", "unsorted", "v_out_of_range"],
+)
+def test_check_invariants_rejects_malformed_edges(n, pairs):
+    net = Network(n, *np.array(pairs, dtype=np.int64).T)
+    with pytest.raises(AssertionError):
+        net.check_invariants()
+
+
+def test_network_arrays_are_read_only():
+    net = generate_erdos_renyi(50, 2.0, seed=2)
+    for values in (net.u, net.v, net.degree):
+        with pytest.raises(ValueError):
+            values[0] = 7
+
+
+def test_network_equality():
+    net = from_edge_list([(0, 1), (1, 2)], n=4)
+    assert net == from_edge_list([(2, 1), (1, 0)], n=4)
+    assert not net != from_edge_list([(2, 1), (1, 0)], n=4)
+    assert net != from_edge_list([(0, 1)], n=4)
+    assert net != from_edge_list([(0, 1), (0, 2)], n=4)  # other u, same v
+    assert net != from_edge_list([(0, 2), (1, 2)], n=4)  # same u, other v
+    assert net != from_edge_list([(0, 1), (1, 2)], n=5)
+    assert not net == "x"
+    assert net != "x"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: generate_watts_strogatz(300, seed=4, **WS_CALIBRATED),
+        lambda: generate_erdos_renyi(300, 2.0, seed=4),
+    ],
+)
+def test_network_survives_pickling(make):
+    # workers > 1 send a fixed network to the pool by pickling it
+    net = make()
+    copy = pickle.loads(pickle.dumps(net))
+    assert copy == net
+    assert np.array_equal(copy.degree, net.degree)
+    with pytest.raises(ValueError):
+        copy.u[0] = 1
 
 def test_summary_hand_example():
     s = DegreeSummary.from_degrees([0, 2, 2])
