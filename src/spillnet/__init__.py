@@ -28,6 +28,7 @@ from .errors import (
     ParameterError,
     SingularModelError,
     SpillnetError,
+    TooFewUnitsError,
 )
 from .estimators import (
     RegressionFit,
@@ -68,6 +69,7 @@ from .montecarlo import (
     WattsStrogatzGraph,
     derive_seed,
     run,
+    run_study,
     write_results_csv,
 )
 from .oracle import (

@@ -36,7 +36,14 @@ from .errors import (
     ParameterError,
     SingularModelError,
 )
-from .estimators import CONST, SPECS, TREATED, StratifiedResult, stratified_regression
+from .estimators import (
+    CONST,
+    SPECS,
+    TREATED,
+    StratifiedResult,
+    fit_specification,
+    stratified_regression,
+)
 from .exposure import (
     TreatmentVector,
     assign_bernoulli,
@@ -47,13 +54,12 @@ from .exposure import (
 )
 from .graph import DegreeSummary, from_edge_list, nonnegative_int, read_table, summarize
 from .montecarlo import (
-    AggregateReport,
     ErdosRenyiGraph,
     SimConfig,
     WattsStrogatzGraph,
     config_to_dict,
     graph_to_dict,
-    run,
+    run_study,
     write_results_csv,
 )
 from .oracle import OracleReport, imputation_bias, oracle_report
@@ -167,8 +173,6 @@ def cmd_simulate(args) -> int:
     ))
 
     design_file = _pick(args.design_file, cfg, "design_file", None)
-    entries: list[tuple[str, str, AggregateReport]] = []
-    config_dicts = []
     if design_file is not None:
         runs = [("custom", "", _design_from_args(args, cfg, 0.0))]
     else:
@@ -177,14 +181,16 @@ def cmd_simulate(args) -> int:
             for design_id in _design_ids(args, cfg)
             for c in _c_values(args, cfg)
         ]
-    for design_label, c_label, design in runs:
-        config = SimConfig(
+    configs = [
+        SimConfig(
             n=n, reps=reps, p=p, design=design, graph=graph,
             base_seed=seed, regenerate_graph_each_rep=regenerate,
         )
-        report = run(config, workers=args.workers)
-        entries.append((design_label, c_label, report))
-        config_dicts.append(config_to_dict(config))
+        for _, _, design in runs
+    ]
+    reports = run_study(configs, workers=args.workers)
+    entries = [(label, c_label, report) for (label, c_label, _), report in zip(runs, reports)]
+    for design_label, c_label, report in entries:
         print(
             f"design {design_label} c={c_label or '-'}: "
             f"{report.reps_completed}/{report.reps_requested} reps, "
@@ -193,7 +199,7 @@ def cmd_simulate(args) -> int:
 
     out = Path(args.out)
     write_results_csv(entries, out)
-    _write_manifest("simulate", out, [str(out)], config_dicts, started)
+    _write_manifest("simulate", out, [str(out)], [config_to_dict(c) for c in configs], started)
     print(f"wrote {out}")
     return 0
 
@@ -244,7 +250,7 @@ def _positive_int(cell: str) -> int:
 
 
 def _read_histogram_csv(path: str) -> DegreeSummary:
-    columns, lines = read_table(
+    columns, lines, _ = read_table(
         path, {"degree": nonnegative_int, "count": _positive_int}, unique="degree"
     )
     if not lines:
@@ -331,13 +337,13 @@ def _binary(cell: str) -> int:
 
 
 def _read_unit_data(path: str, id_col: str, treatment_col: str, outcome_col: str):
-    columns, lines = read_table(
+    columns, lines, index = read_table(
         path, {id_col: str, treatment_col: _binary, outcome_col: float}, unique=id_col
     )
     if not lines:
         raise IngestionError(f"{path}:1: no data rows")
     treatment = np.array(columns[treatment_col], dtype=np.int64)
-    return columns[id_col], treatment, np.array(columns[outcome_col], dtype=float)
+    return index, treatment, np.array(columns[outcome_col], dtype=float)
 
 
 def _plug_in_gaps(strat: StratifiedResult, summary: DegreeSummary) -> EffectGaps:
@@ -360,9 +366,8 @@ def _plug_in_gaps(strat: StratifiedResult, summary: DegreeSummary) -> EffectGaps
 
 
 def cmd_audit(args) -> int:
-    ids, d, y = _read_unit_data(args.data, args.id_col, args.treatment_col, args.outcome_col)
-    index = {unit: i for i, unit in enumerate(ids)}
-    edges, edge_lines = read_table(args.edges, {"src": str, "dst": str})
+    index, d, y = _read_unit_data(args.data, args.id_col, args.treatment_col, args.outcome_col)
+    edges, edge_lines, _ = read_table(args.edges, {"src": str, "dst": str})
     bad = [
         f"{args.edges}:{line}: {a!r}-{b!r}"
         for a, b, line in zip(edges["src"], edges["dst"], edge_lines)
@@ -373,7 +378,7 @@ def cmd_audit(args) -> int:
             f"edges must join two different ids of {args.data}: {', '.join(bad[:20])}"
         )
     net = from_edge_list(
-        [(index[a], index[b]) for a, b in zip(edges["src"], edges["dst"])], n=len(ids)
+        [(index[a], index[b]) for a, b in zip(edges["src"], edges["dst"])], n=len(index)
     )
 
     p_hat = float(d.mean())
@@ -387,7 +392,7 @@ def cmd_audit(args) -> int:
 
     lines = [
         f"audit of {args.data} with edges {args.edges}",
-        f"units: {len(ids)}   treated share: {p_hat:.4f}",
+        f"units: {len(index)}   treated share: {p_hat:.4f}",
         "",
         "degree summary",
         f"  mean degree                {summary.mean_degree:.4f}",
@@ -404,13 +409,13 @@ def cmd_audit(args) -> int:
 
     lines += ["", "regression fits (coefficient [se])"]
     slopes: dict[str, tuple[float, float]] = {}  # spec name -> spillover coefficient, se
-    for name, (fit_fn, slope_name, _) in SPECS.items():
+    for name, spec in SPECS.items():
         try:
-            fit = fit_fn(net, tr, y, profile=profile)
+            fit = fit_specification(name, net, tr, y, profile=profile)
         except (SingularModelError, EmptySubsampleError, ParameterError):
             lines.append(f"  {name:<14} unavailable")
             continue
-        slope, slope_se = slopes[name] = fit.coef(slope_name), fit.se[slope_name]
+        slope, slope_se = slopes[name] = fit.coef(spec.slope), fit.se[spec.slope]
         lines.append(
             f"  {name:<14} direct {fit.coef(TREATED):9.4f} [{fit.se[TREATED]:.4f}]"
             f"   spillover {slope:9.4f} [{slope_se:.4f}]   n={fit.n_used}"

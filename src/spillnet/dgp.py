@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -102,12 +102,27 @@ def resolve_design(design: BuiltinDesign | DesignSpec, degrees: Iterable[int]) -
     return design
 
 
-def _lookup(table: Mapping[int, float], degree: np.ndarray) -> np.ndarray:
-    arr = np.zeros(int(degree.max()) + 1)
-    for g, val in table.items():
-        if g <= degree.max():
-            arr[g] = val
-    return arr[degree]
+def outcome_matrix(
+    specs: Sequence[DesignSpec], tr: TreatmentVector, profile: ExposureProfile,
+    noise: np.ndarray,
+) -> np.ndarray:
+    """Outcomes of every design for one draw, as the columns of an n x D matrix.
+
+    Column j is the partially linear form of ``specs[j]`` plus its
+    ``noise_sd`` times the shared standard-normal ``noise``. The designs
+    must cover every degree in ``profile``.
+    """
+    degree = profile.degree
+    tables = np.zeros((3, int(degree.max()) + 1, len(specs)))
+    for j, spec in enumerate(specs):
+        values = (spec.baseline, spec.direct_effect, spec.spillover_effect)
+        for table, by_degree in zip(tables, values):
+            for g, val in by_degree.items():
+                if g < table.shape[0]:
+                    table[g, j] = val
+    baseline, direct, spillover = tables[:, degree]
+    y = baseline + direct * tr.d[:, None] + spillover * profile.treated_neighbors[:, None]
+    return y + noise[:, None] * np.array([spec.noise_sd for spec in specs])
 
 
 def simulate_outcomes(
@@ -123,14 +138,8 @@ def simulate_outcomes(
     spec.require_degrees(np.unique(net.degree).tolist())
     if profile is None:
         profile = compute_exposure(net, tr)
-    y = (
-        _lookup(spec.baseline, profile.degree)
-        + _lookup(spec.direct_effect, profile.degree) * tr.d
-        + _lookup(spec.spillover_effect, profile.degree) * profile.treated_neighbors
-    )
-    if spec.noise_sd > 0:
-        y = y + spec.noise_sd * np.random.default_rng(seed).standard_normal(net.n)
-    return y
+    noise = np.random.default_rng(seed).standard_normal(net.n)
+    return outcome_matrix([spec], tr, profile, noise)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -163,7 +172,7 @@ def true_effect_deltas(spec: DesignSpec, summary: DegreeSummary) -> EffectGaps:
 
 def load_design_csv(path: str | Path, noise_sd: float) -> DesignSpec:
     """Load a tabulated design from a ``degree,theta00,mu_de,lambda_se`` CSV."""
-    columns, lines = read_table(
+    columns, lines, _ = read_table(
         path,
         {"degree": nonnegative_int, "theta00": float, "mu_de": float, "lambda_se": float},
         unique="degree",

@@ -13,6 +13,10 @@ class ParameterError(SpillnetError, ValueError):
     """An argument is outside its documented domain."""
 
 
+class TooFewUnitsError(ParameterError):
+    """A fit has too few usable units; in a simulation this marks a degenerate draw."""
+
+
 class IngestionError(SpillnetError, ValueError):
     """An input file is malformed or internally inconsistent."""
 

@@ -1,9 +1,11 @@
 """OLS core and the three spillover regression specifications.
 
 All fits report homoskedastic (iid) standard errors and 95% intervals built
-as coefficient +/- 1.96 * se. One thin SVD per fit gives the rank check, the
-coefficients and the standard errors; they agree with the normal equations to
-well below 1e-9 for the small, well-conditioned systems used here (<= 4 columns).
+as coefficient +/- 1.96 * se. One thin SVD per design matrix gives the rank
+check, the coefficients and the standard errors of every outcome column fitted
+on it; they agree with the normal equations to well below 1e-9 for the small,
+well-conditioned systems used here (<= 4 columns). ``SPECS`` describes the
+three specifications and ``design_matrix`` builds the columns of any of them.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySubsampleError, ParameterError, SingularModelError
+from .errors import EmptySubsampleError, ParameterError, SingularModelError, TooFewUnitsError
 from .exposure import ExposureProfile, TreatmentVector, compute_exposure
 from .graph import Network
 
@@ -67,27 +69,23 @@ def _collinear_columns(x: np.ndarray, names: tuple[str, ...]) -> tuple[str, ...]
     return tuple(flagged)
 
 
-def ols(design_matrix: np.ndarray, y: np.ndarray, names: tuple[str, ...],
-        spec_name: str = "ols") -> RegressionFit:
-    """Least squares of y on the given columns (leading column = constant).
+def least_squares(x: np.ndarray, ys: np.ndarray,
+                  names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least squares of every column of ``ys`` (n x D) on ``x`` (n x k).
 
-    Raises SingularModelError naming the collinear columns when the matrix is
-    rank deficient, and ParameterError when there are not more rows than
-    columns or an entry is not finite.
+    One thin SVD of x serves all D columns. Returns the coefficients and the
+    iid standard errors, both k x D, and the D residual sums of squares.
+    Raises SingularModelError naming the collinear columns when x is rank
+    deficient, and ParameterError when there are not more rows than columns
+    or an entry is not finite.
     """
-    x = np.asarray(design_matrix, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.size:
-        raise ParameterError("design matrix and outcome shapes do not match")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ParameterError("design matrix and outcome must be finite")
     n, k = x.shape
-    if len(names) != k:
-        raise ParameterError("need one name per design-matrix column")
     if n <= k:
         raise ParameterError(f"need more rows ({n}) than columns ({k})")
+    if not (np.isfinite(x).all() and np.isfinite(ys).all()):
+        raise ParameterError("design matrix and outcome must be finite")
 
-    # one thin SVD x = U diag(s) Vt gives the rank check, beta = V diag(1/s) U'y
+    # x = U diag(s) Vt gives the rank check, beta = V diag(1/s) U'y
     # and diag((x'x)^-1) = sum_j (V_ij / s_j)^2
     u_mat, s, vt = np.linalg.svd(x, full_matrices=False)
     if s[-1] <= RANK_RTOL * s[0]:
@@ -96,16 +94,31 @@ def ols(design_matrix: np.ndarray, y: np.ndarray, names: tuple[str, ...],
             f"design matrix is rank deficient; collinear columns: {', '.join(cols) or 'unknown'}",
             columns=cols,
         )
+    beta = vt.T @ (u_mat.T @ ys / s[:, None])
+    residuals = ys - x @ beta
+    rss = np.einsum("ij,ij->j", residuals, residuals)
+    se = np.sqrt(np.outer(np.sum((vt / s[:, None]) ** 2, axis=0), rss / (n - k)))
+    return beta, se, rss
 
-    beta = (u_mat.T @ y / s) @ vt
-    residuals = y - x @ beta
-    rss = float(residuals @ residuals)
-    sigma2 = rss / (n - k)
-    se = np.sqrt(sigma2 * np.sum((vt / s[:, None]) ** 2, axis=0))
+
+def ols(design_matrix: np.ndarray, y: np.ndarray, names: tuple[str, ...],
+        spec_name: str = "ols") -> RegressionFit:
+    """Least squares of y on the given columns (leading column = constant).
+
+    ``least_squares`` with one outcome column, so it raises the same errors.
+    """
+    x = np.asarray(design_matrix, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.size:
+        raise ParameterError("design matrix and outcome shapes do not match")
+    if len(names) != x.shape[1]:
+        raise ParameterError("need one name per design-matrix column")
+    beta, se, rss = least_squares(x, y[:, None], names)
+    n, k = x.shape
+    rss = float(rss[0])
     tss = float(np.sum((y - y.mean()) ** 2))
-    r_squared = 1.0 - rss / tss if tss > 0 else 0.0
-    coef = dict(zip(names, beta.tolist()))
-    se_map = dict(zip(names, se.tolist()))
+    coef = dict(zip(names, beta[:, 0].tolist()))
+    se_map = dict(zip(names, se[:, 0].tolist()))
     ci = {name: (coef[name] - Z95 * se_map[name], coef[name] + Z95 * se_map[name])
           for name in names}
     return RegressionFit(
@@ -114,75 +127,101 @@ def ols(design_matrix: np.ndarray, y: np.ndarray, names: tuple[str, ...],
         se=se_map,
         ci95=ci,
         n_used=n,
-        r_squared=r_squared,
+        r_squared=1.0 - rss / tss if tss > 0 else 0.0,
         rss=rss,
-        sigma2=sigma2,
+        sigma2=rss / (n - k),
     )
 
 
-def _profile(net: Network, tr: TreatmentVector,
-             profile: ExposureProfile | None) -> ExposureProfile:
-    return profile if profile is not None else compute_exposure(net, tr)
+@dataclass(frozen=True)
+class Specification:
+    """One spillover regression: its columns, the units it fits and its targets.
+
+    ``connected_only`` fits only the units with neighbors; ``min_units`` is
+    the fewest fitted units it accepts; ``oracle_fields`` names the
+    OracleReport fields of the population direct coefficient, of the
+    spillover target and of that target plus its bias.
+    """
+
+    function: str
+    columns: tuple[str, ...]
+    connected_only: bool
+    min_units: int
+    slope: str
+    oracle_fields: tuple[str, str, str]
+
+
+SPECS = {
+    "t_reg": Specification(
+        "t_regression", (CONST, TREATED, TREATED_NEIGHBORS, DEGREE), False, 5,
+        TREATED_NEIGHBORS, ("t_direct", "t_spillover", "t_spillover"),
+    ),
+    "dbar_reg": Specification(
+        "dbar_regression", (CONST, TREATED, DBAR), True, 4,
+        DBAR, ("dbar_direct", "dbar_spillover", "dbar_spillover"),
+    ),
+    "dbar_star_reg": Specification(
+        "dbar_star_regression", (CONST, TREATED, DBAR_STAR), False, 4,
+        DBAR_STAR, ("dbar_star_direct", "dbar_star_weighted", "dbar_star_total"),
+    ),
+}
+
+
+def design_matrix(spec_name: str, tr: TreatmentVector,
+                  prof: ExposureProfile) -> tuple[np.ndarray, np.ndarray | None]:
+    """The regressors of a specification and the units they cover (None: all).
+
+    Raises EmptySubsampleError when a connected-only fit has no units with
+    neighbors and TooFewUnitsError when it has fewer than ``min_units``.
+    """
+    spec = SPECS[spec_name]
+    rows = prof.positive if spec.connected_only else None
+    if rows is not None and rows.size == 0:
+        raise EmptySubsampleError(
+            "no units with neighbors; treated fraction is undefined everywhere"
+        )
+    size = prof.n if rows is None else rows.size
+    if size < spec.min_units:
+        subsample = " with neighbors" if spec.connected_only else ""
+        raise TooFewUnitsError(f"{spec.function} needs at least {spec.min_units} units{subsample}")
+    full = {TREATED: tr.d, TREATED_NEIGHBORS: prof.treated_neighbors, DEGREE: prof.degree,
+            DBAR_STAR: prof.dbar_star}
+    x = np.empty((size, len(spec.columns)))
+    for j, name in enumerate(spec.columns):
+        if name == CONST:
+            x[:, j] = 1.0
+        elif name == DBAR:
+            x[:, j] = prof.dbar  # exists only on the units with neighbors, this fit's rows
+        else:
+            x[:, j] = full[name] if rows is None else full[name][rows]
+    return x, rows
+
+
+def fit_specification(spec_name: str, net: Network, tr: TreatmentVector, y: np.ndarray, *,
+                      profile: ExposureProfile | None = None) -> RegressionFit:
+    """Fit one of the SPECS by name; the three functions below are this call."""
+    prof = profile if profile is not None else compute_exposure(net, tr)
+    x, rows = design_matrix(spec_name, tr, prof)
+    y = np.asarray(y, dtype=float)
+    return ols(x, y if rows is None else y[rows], SPECS[spec_name].columns, spec_name=spec_name)
 
 
 def t_regression(net: Network, tr: TreatmentVector, y: np.ndarray, *,
                  profile: ExposureProfile | None = None) -> RegressionFit:
     """Outcome on (1, own treatment, treated-neighbor count, degree), all units."""
-    if net.n < 5:
-        raise ParameterError("t_regression needs at least 5 units")
-    prof = _profile(net, tr, profile)
-    x = np.column_stack([
-        np.ones(net.n),
-        tr.d.astype(float),
-        prof.treated_neighbors.astype(float),
-        prof.degree.astype(float),
-    ])
-    return ols(x, y, (CONST, TREATED, TREATED_NEIGHBORS, DEGREE), spec_name="t_reg")
+    return fit_specification("t_reg", net, tr, y, profile=profile)
 
 
 def dbar_regression(net: Network, tr: TreatmentVector, y: np.ndarray, *,
                     profile: ExposureProfile | None = None) -> RegressionFit:
     """Outcome on (1, own treatment, treated fraction), positive-degree units only."""
-    prof = _profile(net, tr, profile)
-    pos = prof.positive
-    if pos.size == 0:
-        raise EmptySubsampleError("no units with neighbors; treated fraction is undefined everywhere")
-    if pos.size < 4:
-        raise ParameterError("dbar_regression needs at least 4 units with neighbors")
-    y = np.asarray(y, dtype=float)
-    x = np.column_stack([
-        np.ones(pos.size),
-        tr.d[pos].astype(float),
-        prof.dbar,
-    ])
-    return ols(x, y[pos], (CONST, TREATED, DBAR), spec_name="dbar_reg")
+    return fit_specification("dbar_reg", net, tr, y, profile=profile)
 
 
 def dbar_star_regression(net: Network, tr: TreatmentVector, y: np.ndarray, *,
                          profile: ExposureProfile | None = None) -> RegressionFit:
     """Outcome on (1, own treatment, zero-imputed treated fraction), all units."""
-    if net.n < 4:
-        raise ParameterError("dbar_star_regression needs at least 4 units")
-    prof = _profile(net, tr, profile)
-    x = np.column_stack([
-        np.ones(net.n),
-        tr.d.astype(float),
-        prof.dbar_star,
-    ])
-    return ols(x, y, (CONST, TREATED, DBAR_STAR), spec_name="dbar_star_reg")
-
-
-# The three specifications: name -> (fit function, spillover slope column, the
-# OracleReport fields of the population direct coefficient, of the spillover
-# target and of that target plus its bias).
-SPECS = {
-    "t_reg": (t_regression, TREATED_NEIGHBORS, ("t_direct", "t_spillover", "t_spillover")),
-    "dbar_reg": (dbar_regression, DBAR, ("dbar_direct", "dbar_spillover", "dbar_spillover")),
-    "dbar_star_reg": (
-        dbar_star_regression, DBAR_STAR,
-        ("dbar_star_direct", "dbar_star_weighted", "dbar_star_total"),
-    ),
-}
+    return fit_specification("dbar_star_reg", net, tr, y, profile=profile)
 
 
 @dataclass(frozen=True)
@@ -202,7 +241,7 @@ def stratified_regression(net: Network, tr: TreatmentVector, y: np.ndarray, *,
     since spillovers do not exist for nodes without neighbors. Strata that
     are too small or degenerate are skipped with a reason, never fatal.
     """
-    prof = _profile(net, tr, profile)
+    prof = profile if profile is not None else compute_exposure(net, tr)
     y = np.asarray(y, dtype=float)
     fits: dict[int, RegressionFit] = {}
     skipped: dict[int, str] = {}

@@ -373,7 +373,7 @@ def to_edge_list(net: Network) -> list[tuple[int, int]]:
 
 def read_table(
     path: str | Path, columns: Mapping[str, Callable[[str], Any]], unique: str | None = None
-) -> tuple[dict[str, list], list[int]]:
+) -> tuple[dict[str, list], list[int], dict[Any, int]]:
     """Read the named columns of a headed CSV file, one list per column.
 
     Columns are found by header name and other columns are ignored. Cells are
@@ -382,13 +382,13 @@ def read_table(
     A cell is bad when it is missing, its parser raises ValueError, it parses
     to a non-finite float, or it repeats an earlier value of the ``unique``
     column. Any bad cell raises IngestionError naming ``path:line`` and the
-    first 20 bad lines of each column. Returns the columns and the file line
-    of each row.
+    first 20 bad lines of each column. Returns the columns, the file line of
+    each row, and the row of each ``unique`` value (empty without ``unique``).
     """
     values: dict[str, list] = {name: [] for name in columns}
     bad: dict[str, tuple[str, list[int]]] = {}
     lines: list[int] = []
-    first_line: dict[Any, int] = {}
+    row_of: dict[Any, int] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = [cell.strip() for cell in next(reader, [])]
@@ -399,7 +399,7 @@ def read_table(
         for row in reader:
             if not any(cell.strip() for cell in row):
                 continue
-            line = reader.line_num
+            line, position = reader.line_num, len(lines)
             lines.append(line)
             for name, index, parse, out in slots:
                 try:
@@ -408,8 +408,9 @@ def read_table(
                     value = parse(row[index].strip())
                     if isinstance(value, float) and not math.isfinite(value):
                         raise ValueError(f"non-finite number {value!r}")
-                    if name == unique and first_line.setdefault(value, line) != line:
-                        raise ValueError(f"duplicate {value!r}, first on line {first_line[value]}")
+                    if name == unique and row_of.setdefault(value, position) != position:
+                        first = lines[row_of[value]]
+                        raise ValueError(f"duplicate {value!r}, first on line {first}")
                     out.append(value)
                 except ValueError as exc:
                     bad.setdefault(name, (str(exc), []))[1].append(line)
@@ -418,7 +419,7 @@ def read_table(
             f"{path}:{at[0]}: column {name!r}: {error}; bad lines {at[:20]}"
             for name, (error, at) in bad.items()
         ))
-    return values, lines
+    return values, lines, row_of
 
 
 def nonnegative_int(cell: str) -> int:
@@ -429,10 +430,19 @@ def nonnegative_int(cell: str) -> int:
     return value
 
 
-def read_edge_csv(path: str | Path) -> list[tuple[int, int]]:
-    """Read an edge-list CSV with columns ``src,dst`` holding 0-based node indices."""
-    columns, _ = read_table(path, {"src": nonnegative_int, "dst": nonnegative_int})
-    return list(zip(columns["src"], columns["dst"]))
+def read_edge_csv(path: str | Path, n: int) -> Network:
+    """Read an edge-list CSV with columns ``src,dst`` of 0-based node indices below n.
+
+    A self-link or an index of n or more raises IngestionError naming
+    ``path:line``; repeated rows and opposite orientations give one edge.
+    """
+    columns, lines, _ = read_table(path, {"src": nonnegative_int, "dst": nonnegative_int})
+    for i, j, line in zip(columns["src"], columns["dst"], lines):
+        if not (i < n and j < n):
+            raise IngestionError(f"{path}:{line}: index ({i}, {j}) out of range for n={n}")
+        if i == j:
+            raise IngestionError(f"{path}:{line}: self-link ({i}, {j}) not allowed")
+    return from_edge_list(zip(columns["src"], columns["dst"]), n)
 
 
 def write_edge_csv(net: Network, path: str | Path) -> None:

@@ -3,6 +3,7 @@
 Every repetition draws its own seeds from a documented mixing function, so
 runs are bit-reproducible from (config) alone, reps are independent, and the
 aggregate is identical whether reps execute serially or in a process pool.
+``run_study`` runs settings that differ only in design from one draw per rep.
 """
 
 from __future__ import annotations
@@ -11,16 +12,16 @@ import csv
 import hashlib
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
 
-from .dgp import BuiltinDesign, DesignSpec, resolve_design, simulate_outcomes
-from .errors import EmptySubsampleError, ParameterError, SingularModelError
-from .estimators import SPECS, TREATED
+from .dgp import BuiltinDesign, DesignSpec, outcome_matrix, resolve_design
+from .errors import EmptySubsampleError, ParameterError, SingularModelError, TooFewUnitsError
+from .estimators import SPECS, TREATED, design_matrix, least_squares
 from .exposure import assign_bernoulli, compute_exposure
 from .graph import WS_CALIBRATED, Network, generate_erdos_renyi, generate_watts_strogatz, summarize
 from .oracle import oracle_report
@@ -198,77 +199,55 @@ class AggregateReport:
         raise KeyError((spec_name, coef))
 
 
-def _simulate_rep(config: SimConfig, fixed: Network | None, rep: int):
-    """One repetition: returns {cell: (estimate, se, oracle_value, oracle_total)} or a failure reason.
+def _simulate_rep(configs: Sequence[SimConfig], fixed: Network | None, rep: int):
+    """One repetition of every setting, or the reason it is excluded.
 
-    ``fixed`` is the network shared by every rep, or None to draw one per rep.
+    Returns an array of shape (settings, len(CELLS), 4) holding each cell's
+    (estimate, se, oracle_value, oracle_total). ``fixed`` is the network
+    shared by every rep, or None to draw one per rep.
     """
+    first = configs[0]
     if fixed is None:
-        net = config.graph.generate(config.n, derive_seed(config.base_seed, rep, "graph"))
+        net = first.graph.generate(first.n, derive_seed(first.base_seed, rep, "graph"))
     else:
         net = fixed
-    tr = assign_bernoulli(config.n, config.p, derive_seed(config.base_seed, rep, "treatment"))
-    spec = resolve_design(config.design, np.unique(net.degree).tolist())
+    tr = assign_bernoulli(first.n, first.p, derive_seed(first.base_seed, rep, "treatment"))
+    summary = summarize(net)
+    specs = [resolve_design(config.design, summary.histogram) for config in configs]
     profile = compute_exposure(net, tr)
-    y = simulate_outcomes(net, tr, spec, derive_seed(config.base_seed, rep, "noise"), profile=profile)
+    noise_rng = np.random.default_rng(derive_seed(first.base_seed, rep, "noise"))
+    y = outcome_matrix(specs, tr, profile, noise_rng.standard_normal(first.n))
+    fits = []
     try:
-        fits = {
-            name: fit_fn(net, tr, y, profile=profile) for name, (fit_fn, _, _) in SPECS.items()
-        }
-    except (SingularModelError, EmptySubsampleError, ParameterError) as exc:
+        for name, spec in SPECS.items():
+            x, rows = design_matrix(name, tr, profile)
+            fits.append(least_squares(x, y if rows is None else y[rows], spec.columns))
+    except (SingularModelError, EmptySubsampleError, TooFewUnitsError) as exc:
         # degenerate draw (rank deficiency or unusable subsample): exclude the rep
         return str(exc)
 
-    report = oracle_report(spec, summarize(net), config.p)
-    out = {}
-    for name, fit in fits.items():
-        _, slope, oracle_fields = SPECS[name]
-        direct, value, total = (getattr(report, field) for field in oracle_fields)
-        out[(name, "direct")] = (fit.coef(TREATED), fit.se[TREATED], direct, direct)
-        out[(name, "spillover")] = (fit.coef(slope), fit.se[slope], value, total)
+    reports = [oracle_report(spec, summary, first.p) for spec in specs]
+    out = np.empty((len(configs), len(CELLS), 4))
+    cell = 0  # CELLS lists each spec's direct cell, then its spillover cell
+    for spec, (beta, se, _) in zip(SPECS.values(), fits):
+        direct, value, total = ([getattr(r, f) for r in reports] for f in spec.oracle_fields)
+        for column, target, with_bias in ((TREATED, direct, direct), (spec.slope, value, total)):
+            j = spec.columns.index(column)
+            out[:, cell] = np.column_stack([beta[j], se[j], target, with_bias])
+            cell += 1
     return out
 
 
-def run(config: SimConfig, workers: int = 1) -> AggregateReport:
-    """Execute the configured repetitions and aggregate every cell.
-
-    Reps whose fit raises a singularity (or an empty subsample) are excluded
-    and logged; more than 1% exclusions triggers a run-level warning. Without
-    ``regenerate_graph_each_rep`` the network is generated once per call and
-    shared by every rep. Deterministic given the config, including under
-    ``workers > 1``: aggregation order is fixed by rep index, not completion
-    order.
-    """
-    config.validate()
-    fixed = None
-    if not config.regenerate_graph_each_rep:
-        # Network is immutable, so every rep can share the one graph rep 0 would draw
-        fixed = config.graph.generate(config.n, derive_seed(config.base_seed, 0, "graph"))
-    rep_fn = partial(_simulate_rep, config, fixed)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(rep_fn, range(config.reps), chunksize=64))
-    else:
-        results = [rep_fn(rep) for rep in range(config.reps)]
-
+def _aggregate(config: SimConfig, results: list) -> AggregateReport:
+    """Summarize one setting's per-rep (len(CELLS), 4) arrays and exclusion reasons."""
     exclusions = tuple(
         (rep, res) for rep, res in enumerate(results) if isinstance(res, str)
     )
     completed = [res for res in results if not isinstance(res, str)]
-    if not completed:
-        raise EmptySubsampleError("every repetition failed; nothing to aggregate")
-    if len(exclusions) > 0.01 * config.reps:
-        warnings.warn(
-            f"{len(exclusions)} of {config.reps} repetitions were excluded",
-            stacklevel=2,
-        )
-
+    # cell -> (estimates, ses, oracle values, oracle totals), each contiguous over reps
+    per_cell = np.array(completed).transpose(1, 2, 0).copy()
     cells = []
-    for key in CELLS:
-        estimates = np.array([res[key][0] for res in completed])
-        ses = np.array([res[key][1] for res in completed])
-        oracle_values = np.array([res[key][2] for res in completed])
-        oracle_totals = np.array([res[key][3] for res in completed])
+    for (spec_name, coef), (estimates, ses, oracle_values, oracle_totals) in zip(CELLS, per_cell):
         covered = np.abs(estimates - oracle_values) <= 1.96 * ses
         r = estimates.size
         mean_estimate = float(estimates.mean())
@@ -281,8 +260,8 @@ def run(config: SimConfig, workers: int = 1) -> AggregateReport:
         oracle_value = float(oracle_values.mean())
         cells.append(
             CoefficientSummary(
-                spec_name=key[0],
-                coef=key[1],
+                spec_name=spec_name,
+                coef=coef,
                 mean_estimate=mean_estimate,
                 mc_se=mc_se,
                 mean_reported_se=float(ses.mean()),
@@ -300,6 +279,56 @@ def run(config: SimConfig, workers: int = 1) -> AggregateReport:
         exclusions=exclusions,
         config=config,
     )
+
+
+def run_study(configs: Sequence[SimConfig], workers: int = 1) -> list[AggregateReport]:
+    """Execute settings that differ only in ``design`` (else ParameterError).
+
+    Seeds ignore the design, so each rep draws its graph, treatment and noise
+    once for every setting, and each specification's design matrix is fitted
+    once for all their outcome columns. Reps whose fit meets a singularity,
+    an empty subsample or too few units are excluded and logged, with a
+    warning above 1%. Without ``regenerate_graph_each_rep`` one network is
+    generated per call and shared by every rep. ``workers > 1`` spreads reps
+    over a process pool with the same result, aggregated in rep order.
+    """
+    configs = tuple(configs)
+    if not configs:
+        raise ParameterError("a study needs at least one setting")
+    first = configs[0]
+    for config in configs:
+        config.validate()
+        differ = [f.name for f in fields(SimConfig)
+                  if f.name != "design" and getattr(config, f.name) != getattr(first, f.name)]
+        if differ:
+            raise ParameterError(
+                f"settings of one study may differ only in design, not in {differ}"
+            )
+    fixed = None
+    if not first.regenerate_graph_each_rep:
+        # Network is immutable, so every rep can share the one graph rep 0 would draw
+        fixed = first.graph.generate(first.n, derive_seed(first.base_seed, 0, "graph"))
+    rep_fn = partial(_simulate_rep, configs, fixed)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(rep_fn, range(first.reps), chunksize=64))
+    else:
+        results = [rep_fn(rep) for rep in range(first.reps)]
+
+    excluded = sum(isinstance(res, str) for res in results)
+    if excluded == first.reps:
+        raise EmptySubsampleError("every repetition failed; nothing to aggregate")
+    if excluded > 0.01 * first.reps:
+        warnings.warn(f"{excluded} of {first.reps} repetitions were excluded", stacklevel=2)
+    return [
+        _aggregate(config, [res if isinstance(res, str) else res[j] for res in results])
+        for j, config in enumerate(configs)
+    ]
+
+
+def run(config: SimConfig, workers: int = 1) -> AggregateReport:
+    """Execute one setting: ``run_study([config], workers)[0]``."""
+    return run_study([config], workers)[0]
 
 
 def write_results_csv(

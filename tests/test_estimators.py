@@ -15,6 +15,7 @@ from spillnet.estimators import (
     TREATED_NEIGHBORS,
     dbar_regression,
     dbar_star_regression,
+    least_squares,
     ols,
     stratified_regression,
     t_regression,
@@ -76,6 +77,20 @@ def test_ols_rejects_non_finite_inputs():
     x[5, 1] = np.inf
     with pytest.raises(ParameterError):
         ols(x, np.arange(20.0), ("const", "a"))
+
+
+def test_least_squares_fits_every_column_like_ols():
+    rng = np.random.default_rng(5)
+    x = np.column_stack([np.ones(60), rng.normal(size=60), rng.uniform(size=60)])
+    ys = rng.normal(size=(60, 4)) + x @ rng.normal(size=(3, 4))
+    names = ("const", "a", "b")
+    beta, se, rss = least_squares(x, ys, names)
+    assert beta.shape == se.shape == (3, 4) and rss.shape == (4,)
+    for j in range(4):
+        fit = ols(x, ys[:, j], names)
+        assert np.allclose(beta[:, j], list(fit.coefficients.values()), rtol=0, atol=1e-12)
+        assert np.allclose(se[:, j], list(fit.se.values()), rtol=0, atol=1e-12)
+        assert rss[j] == pytest.approx(fit.rss, rel=1e-12)
 
 
 def test_ci_is_exactly_plus_minus_1_96_se():

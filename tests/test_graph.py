@@ -16,6 +16,7 @@ from spillnet.graph import (
     generate_erdos_renyi,
     generate_watts_strogatz,
     read_edge_csv,
+    read_table,
     summarize,
     to_edge_list,
     write_edge_csv,
@@ -208,18 +209,44 @@ def test_edge_csv_round_trip(tmp_path):
     net = generate_erdos_renyi(60, 2.5, seed=11)
     path = tmp_path / "edges.csv"
     write_edge_csv(net, path)
-    assert from_edge_list(read_edge_csv(path), n=net.n) == net
+    assert read_edge_csv(path, n=net.n) == net
 
 
 def test_edge_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "edges.csv"
     path.write_text("a,b\n0,1\n")
     with pytest.raises(IngestionError):
-        read_edge_csv(path)
+        read_edge_csv(path, n=3)
     # a bad cell is reported at its file line, blank lines included
     path.write_text("src,dst\n0,1\n\n1,x\n2,-1\n")
     with pytest.raises(IngestionError, match=r"edges.csv:4: column 'dst': .*; bad lines \[4, 5\]"):
-        read_edge_csv(path)
+        read_edge_csv(path, n=3)
+
+
+def test_read_table_returns_the_row_of_each_unique_value(tmp_path):
+    path = tmp_path / "units.csv"
+    path.write_text("id,x\na,1\n\nb,2\nc,3\n")
+    columns, lines, index = read_table(path, {"id": str, "x": int}, unique="id")
+    assert columns == {"id": ["a", "b", "c"], "x": [1, 2, 3]}
+    assert lines == [2, 4, 5]
+    assert index == {"a": 0, "b": 1, "c": 2}
+    assert read_table(path, {"x": int})[2] == {}
+    path.write_text("id,x\na,1\n\nb,2\na,3\n")
+    with pytest.raises(IngestionError, match=(
+        r"units.csv:5: column 'id': duplicate 'a', first on line 2; bad lines \[5\]$"
+    )):
+        read_table(path, {"id": str, "x": int}, unique="id")
+
+
+def test_edge_csv_names_the_line_of_a_bad_node_index(tmp_path):
+    path = tmp_path / "edges.csv"
+    for text, message in (
+        ("src,dst\n0,1\n\n0,5\n", r"edges.csv:4: index \(0, 5\) out of range for n=3"),
+        ("src,dst\n\n0,1\n\n\n2,2\n", r"edges.csv:6: self-link \(2, 2\) not allowed"),
+    ):
+        path.write_text(text)
+        with pytest.raises(IngestionError, match=message):
+            read_edge_csv(path, n=3)
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,14 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spillnet import dgp, estimators, montecarlo
 from spillnet.dgp import BuiltinDesign, expand
-from spillnet.errors import EmptySubsampleError, ParameterError
+from spillnet.errors import EmptySubsampleError, ParameterError, TooFewUnitsError
 from spillnet.exposure import compute_exposure
 from spillnet.montecarlo import (
     CELLS,
@@ -14,6 +17,7 @@ from spillnet.montecarlo import (
     WattsStrogatzGraph,
     derive_seed,
     run,
+    run_study,
     write_results_csv,
 )
 
@@ -101,6 +105,14 @@ def test_fixed_graph_is_generated_once_per_run():
         assert model.calls == expected, regenerate
 
 
+def test_study_generates_each_graph_once_for_all_settings():
+    for regenerate, expected in ((False, 1), (True, SMALL.reps)):
+        model = CountingGraph()
+        base = dataclasses.replace(SMALL, graph=model, regenerate_graph_each_rep=regenerate)
+        run_study(study_settings(base))
+        assert model.calls == expected, regenerate
+
+
 def test_exposure_is_computed_once_per_rep(monkeypatch):
     calls = []
 
@@ -112,6 +124,107 @@ def test_exposure_is_computed_once_per_rep(monkeypatch):
         monkeypatch.setattr(module, "compute_exposure", counting)
     run(SMALL)
     assert len(calls) == SMALL.reps
+    calls.clear()
+    run_study(study_settings(SMALL))
+    assert len(calls) == SMALL.reps
+
+
+def study_settings(base, designs=(1, 2, 3), cs=(0.0, -0.5)):
+    return [dataclasses.replace(base, design=BuiltinDesign(d, c)) for d in designs for c in cs]
+
+
+def assert_reports_close(a, b, tol=1e-12):
+    assert a.config == b.config
+    assert (a.reps_requested, a.reps_completed) == (b.reps_requested, b.reps_completed)
+    assert a.exclusions == b.exclusions
+    for x, y in zip(a.cells, b.cells, strict=True):
+        assert (x.spec_name, x.coef, x.coverage) == (y.spec_name, y.coef, y.coverage)
+        for name in ("mean_estimate", "mean_reported_se", "oracle_value", "oracle_total", "bias"):
+            assert abs(getattr(x, name) - getattr(y, name)) <= tol, (x.spec_name, x.coef, name)
+        assert (x.mc_se is None) == (y.mc_se is None)
+        if x.mc_se is not None:
+            assert abs(x.mc_se - y.mc_se) <= tol
+            assert np.allclose(x.ci95_of_mean, y.ci95_of_mean, rtol=0, atol=tol)
+
+
+def outcome(fn):
+    """The reports ``fn`` returns, or the type of the error it raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return fn()
+        except EmptySubsampleError as exc:
+            return type(exc)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(10, 60),
+    reps=st.integers(1, 4),
+    seed=st.integers(0, 2**32),
+    designs=st.lists(st.sampled_from((1, 2, 3)), min_size=1, max_size=3, unique=True),
+    cs=st.lists(st.sampled_from((0.0, -0.5, 0.7)), min_size=1, max_size=2, unique=True),
+    graph=st.sampled_from((WattsStrogatzGraph(), WattsStrogatzGraph(k=4, beta=0.5, delete_prob=0.3),
+                           ErdosRenyiGraph(2.0), ErdosRenyiGraph(0.8))),
+    regenerate=st.booleans(),
+)
+def test_study_equals_separate_runs(n, reps, seed, designs, cs, graph, regenerate):
+    base = SimConfig(n=n, reps=reps, graph=graph, base_seed=seed,
+                     regenerate_graph_each_rep=regenerate)
+    configs = study_settings(base, designs, cs)
+    study = outcome(lambda: run_study(configs))
+    separate = outcome(lambda: [run(config) for config in configs])
+    if study is EmptySubsampleError or separate is EmptySubsampleError:
+        assert study is separate
+        return
+    for a, b in zip(study, separate, strict=True):
+        assert_reports_close(a, b)
+
+
+def test_study_matches_separate_runs_on_the_paper_settings():
+    configs = study_settings(SimConfig(n=300, reps=20, base_seed=17))
+    for a, b in zip(run_study(configs), [run(config) for config in configs], strict=True):
+        assert_reports_close(a, b)
+
+
+def test_parallel_study_matches_serial():
+    configs = study_settings(SMALL)
+    assert run_study(configs, workers=2) == run_study(configs)
+
+
+def test_study_rejects_settings_that_differ_beyond_design():
+    base = study_settings(SMALL)
+    for change in (
+        {"n": 81}, {"p": 0.4}, {"graph": ErdosRenyiGraph()}, {"base_seed": 4},
+        {"reps": 11}, {"regenerate_graph_each_rep": False},
+    ):
+        (field,) = change
+        with pytest.raises(ParameterError, match=field):
+            run_study(base + [dataclasses.replace(SMALL, **change)])
+    with pytest.raises(ParameterError):
+        run_study([])
+
+
+def test_only_degenerate_draws_are_excluded(monkeypatch):
+    real = montecarlo.least_squares
+
+    def failing_once(error):
+        calls = []
+
+        def fit(x, ys, names):
+            calls.append(1)
+            if len(calls) == 1:  # rep 0's first specification
+                raise error
+            return real(x, ys, names)
+        return fit
+
+    monkeypatch.setattr(montecarlo, "least_squares", failing_once(TooFewUnitsError("too few")))
+    with pytest.warns(UserWarning, match="excluded"):
+        assert run(SMALL).exclusions == ((0, "too few"),)
+    # any other ParameterError is a bug to report, not a rep to drop
+    monkeypatch.setattr(montecarlo, "least_squares", failing_once(ParameterError("bug")))
+    with pytest.raises(ParameterError, match="bug"):
+        run(SMALL)
 
 
 def test_estimates_match_oracle_within_three_mc_ses():
