@@ -8,7 +8,7 @@ from a degree distribution, and quantifying the bias introduced by imputing
 a zero treated fraction for isolated nodes.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from types import ModuleType as _ModuleType
 

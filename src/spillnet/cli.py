@@ -30,6 +30,7 @@ from .dgp import (
     true_effect_deltas,
 )
 from .errors import (
+    DEGENERATE_FIT_ERRORS,
     ConfigurationError,
     EmptySubsampleError,
     IngestionError,
@@ -412,7 +413,7 @@ def cmd_audit(args) -> int:
     for name, spec in SPECS.items():
         try:
             fit = fit_specification(name, net, tr, y, profile=profile)
-        except (SingularModelError, EmptySubsampleError, ParameterError):
+        except DEGENERATE_FIT_ERRORS:
             lines.append(f"  {name:<14} unavailable")
             continue
         slope, slope_se = slopes[name] = fit.coef(spec.slope), fit.se[spec.slope]

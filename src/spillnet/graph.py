@@ -11,8 +11,6 @@ from __future__ import annotations
 import csv
 import math
 import operator
-import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -161,45 +159,6 @@ def _network_from_keys(n: int, keys: np.ndarray) -> Network:
     return Network(n, *np.divmod(keys, n))
 
 
-class _WordStream:
-    """The 32-bit words that ``random.Random(seed)`` draws, fetched in bulk.
-
-    ``getrandbits(32 * count)`` returns the generator's next ``count`` words
-    with the first one least significant, so ``words[i]`` is the i-th
-    ``genrand_uint32`` output that ``random()`` and ``randrange()`` would
-    consume. A ``random()`` read at word i is ``x / 2**53`` with the 53-bit
-    numerator ``x = (w[i] >> 5) * 2**26 + (w[i + 1] >> 6)``, so comparing it
-    with a probability p is exactly comparing x with ``ceil(p * 2**53)``.
-    """
-
-    def __init__(self, seed: int, count: int) -> None:
-        self._rng = random.Random(seed)
-        self.words = np.empty(0, dtype=np.uint64)
-        self.reserve(count)
-
-    def reserve(self, count: int) -> None:
-        """Hold at least ``count`` words, at least doubling the buffer when it grows."""
-        if count > self.words.size:
-            more = max(count, 2 * self.words.size) - self.words.size
-            raw = self._rng.getrandbits(32 * more).to_bytes(4 * more, "little")
-            self.words = np.concatenate([self.words, np.frombuffer(raw, dtype="<u4")])
-
-    def coins(self, start: int, count: int) -> np.ndarray:
-        """The 53-bit numerators of ``count`` back-to-back ``random()`` calls from word ``start``."""
-        self.reserve(start + 2 * count)
-        w = self.words[start : start + 2 * count]
-        return (w[0::2] >> 5 << 26) | (w[1::2] >> 6)
-
-    def word(self, pos: int) -> int:
-        self.reserve(pos + 1)
-        return int(self.words[pos])
-
-
-def _below(p: float) -> int:
-    """The 53-bit numerator bound: ``random() < p`` iff the numerator is below it."""
-    return math.ceil(p * 2.0**53)
-
-
 def generate_watts_strogatz(
     n: int, k: int, beta: float, delete_prob: float, seed: int
 ) -> Network:
@@ -210,24 +169,29 @@ def generate_watts_strogatz(
     uniformly, rejecting self-links and duplicates), then deletes each
     surviving edge independently with probability ``delete_prob``. Plain
     rewiring never strands a node, so the deletion stage is what creates
-    isolated nodes. Deterministic given ``seed`` (Mersenne Twister).
+    isolated nodes. Deterministic given ``seed`` (PCG64).
 
-    The draws are those of ``random.Random(seed)`` in a sequential
-    implementation: a ``random()`` coin per lattice edge in lattice order
-    ``(i, i + j)``, ``randrange(n)`` until the target is legal for each
-    rewire, then a ``random()`` coin per surviving edge in sorted order. They
-    are replayed in numpy from the generator's 32-bit words: a ``random()``
-    is formed from two words as CPython forms it, and ``randrange(n)`` is the
-    first word w with ``w >> (32 - n.bit_length()) < n``, which holds only
-    while ``n.bit_length() <= 32`` (else ParameterError). The coins are
-    vectorised; only the rewires are walked in order, checking each target
-    against the lattice and the edges moved or created so far.
+    Lattice edge idx joins a = idx // (k/2) and b = (a + idx % (k/2) + 1) % n.
+    The draws are one ``rng.random()`` coin per lattice edge, then the claim
+    rounds, then one coin per surviving edge in sorted order. In each round
+    every unresolved rewire of an edge (a, b) draws a target
+    ``rng.integers(n)``. The claim is legal when the target c differs from a
+    and the pair (a, c) is free: neither a created edge nor a lattice pair
+    whose edge has not moved away (kept, unresolved, or (a, b) itself). Among
+    legal claims on one pair the lowest lattice index wins; the others draw
+    again next round. A rewire whose node has no free pair keeps its edge,
+    unless a lower-indexed unresolved rewire of one of that node's lattice
+    edges may still free one. The lowest unresolved rewire never waits, so
+    the rounds end. On sparse graphs this matches the sequential process,
+    which settles one rewire at a time, in distribution; on dense ones (k
+    close to n, as at n <= 12), where claims often collide, it differs
+    measurably.
     """
     n = operator.index(n)
     if n < 3:
         raise ParameterError("watts-strogatz requires n >= 3")
-    if n.bit_length() > 32:
-        raise ParameterError("watts-strogatz requires n < 2**32")
+    if n * n >= 2**63:
+        raise ParameterError("watts-strogatz requires n * n < 2**63")
     if k % 2 != 0 or k < 0:
         raise ParameterError("k must be a nonnegative even integer")
     if k >= n:
@@ -238,63 +202,54 @@ def generate_watts_strogatz(
         raise ParameterError("delete_prob must lie in [0, 1]")
 
     half = k // 2
-    m = n * half  # lattice edge idx joins a = idx // half and (a + idx % half + 1) % n
-    shift = 32 - n.bit_length()
-    # about twice the randrange words that the rewires are expected to take
-    draws = int(2 * beta * m * (1 << n.bit_length()) / (n - k))
-    stream = _WordStream(seed, 4 * m + draws + 64)  # two words per coin, two coins per edge
-
-    degree = [k] * n
-    moved = bytearray(m)  # 1 where a lattice edge's far end was redrawn
-    created: set[int] = set()  # keys u * n + v, u < v, of the edges they became
-    pos = drawn = span = 0  # next word; words spent on randrange so far
-    while True:
-        end = 2 * m + drawn  # just past the last coin of the rewiring stage
-        if end >= span:
-            # the coin positions below span that rewire, by parity and closed
-            # by a sentinel, and the first randrange draw after each
-            span = max(end + 1 + draws, 2 * span)
-            stream.reserve(span + 1)
-            hits, targets = [], []
-            for q in (0, 1):
-                at = np.flatnonzero(stream.coins(q, (span - q) // 2) < _below(beta)) * 2 + q
-                hits.append([*at.tolist(), span])
-                targets.append((stream.words[at + 2] >> shift).tolist())
-        parity = pos & 1
-        i = bisect_left(hits[parity], pos)
-        hit = hits[parity][i]
-        if hit >= end:
-            break
-        idx = (hit - drawn) >> 1
-        a, j = divmod(idx, half)
-        pos = hit + 2
-        if degree[a] >= n - 1:
-            continue  # no legal target left; keep the edge in place
-        c = targets[parity][i]
-        pos += 1
-        while True:
-            if c < n and c != a:
-                key = a * n + c if a < c else c * n + a
-                if key not in created:
-                    gap = (c - a) % n
-                    if half < gap < n - half:
-                        break  # not a lattice pair
-                    if moved[a * half + gap - 1 if gap <= half else c * half + n - gap - 1]:
-                        break  # a lattice pair whose edge was moved away
-            c = stream.word(pos) >> shift
-            pos += 1
-        drawn = pos - 2 * (idx + 1)
-        moved[idx] = 1
-        created.add(key)
-        degree[(a + j + 1) % n] -= 1
-        degree[c] += 1
-
+    m = n * half
     lo = np.repeat(np.arange(n, dtype=np.int64), half)
     hi = (lo + np.tile(np.arange(1, half + 1), n)) % n
-    lattice = np.minimum(lo, hi) * n + np.maximum(lo, hi)
-    kept = lattice[np.frombuffer(moved, dtype=np.uint8) == 0]
-    keys = np.sort(np.concatenate([kept, np.fromiter(created, np.int64, len(created))]))
-    return _network_from_keys(n, keys[stream.coins(end, m) >= _below(delete_prob)])
+    rng = np.random.default_rng(seed)
+    pending = rng.random(m) < beta  # lattice edges whose rewire is unresolved
+    moved = np.zeros(m, dtype=bool)
+    degree = np.full(n, k)
+    created = np.array([n * n])  # sorted created edge keys, closed by a sentinel
+    todo = np.flatnonzero(pending)
+    while todo.size:
+        a = todo // half
+        c = rng.integers(n, size=todo.size)
+        gap = (c - a) % n
+        key = np.minimum(a, c) * n + np.maximum(a, c)
+        # (a, c) is lattice edge a * half + gap - 1 when 0 < gap <= half, and
+        # c * half + n - gap - 1 when gap >= n - half
+        forward = gap <= half
+        on_lattice = forward | (gap >= n - half)
+        lattice = np.where(forward, a * half + gap - 1, c * half + n - gap - 1)
+        taken = ((on_lattice & ~moved[np.where(on_lattice, lattice, 0)])
+                 | (created[np.searchsorted(created, key)] == key))
+        full = degree[a] >= n - 1
+        legal = (gap > 0) & ~taken & ~full
+        claims = np.flatnonzero(legal)
+        order = np.argsort(key[claims], kind="stable")
+        sorted_keys = key[claims][order]
+        first = np.ones(claims.size, dtype=bool)
+        first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+        won = claims[order[first]]
+        done = todo[won]
+        if full.any():
+            # a full node keeps its edge unless a lower-indexed unresolved
+            # rewire among its lattice edges may still free a pair
+            first_pending = np.full(n, m)
+            np.minimum.at(first_pending, a, todo)
+            np.minimum.at(first_pending, hi[todo], todo)
+            keeps = todo[full & (first_pending[a] == todo)]
+            pending[keeps] = False
+        pending[done] = False
+        moved[done] = True
+        created = np.sort(np.concatenate([created, sorted_keys[first]]))
+        np.subtract.at(degree, hi[done], 1)
+        np.add.at(degree, c[won], 1)
+        todo = todo[pending[todo]]
+
+    lattice_keys = np.minimum(lo, hi) * n + np.maximum(lo, hi)
+    keys = np.sort(np.concatenate([lattice_keys[~moved], created[:-1]]))
+    return _network_from_keys(n, keys[rng.random(keys.size) >= delete_prob])
 
 
 def generate_erdos_renyi(n: int, mean_degree: float, seed: int) -> Network:

@@ -20,7 +20,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .dgp import BuiltinDesign, DesignSpec, outcome_matrix, resolve_design
-from .errors import EmptySubsampleError, ParameterError, SingularModelError, TooFewUnitsError
+from .errors import DEGENERATE_FIT_ERRORS, EmptySubsampleError, ParameterError
 from .estimators import SPECS, TREATED, design_matrix, least_squares
 from .exposure import assign_bernoulli, compute_exposure
 from .graph import WS_CALIBRATED, Network, generate_erdos_renyi, generate_watts_strogatz, summarize
@@ -222,7 +222,7 @@ def _simulate_rep(configs: Sequence[SimConfig], fixed: Network | None, rep: int)
         for name, spec in SPECS.items():
             x, rows = design_matrix(name, tr, profile)
             fits.append(least_squares(x, y if rows is None else y[rows], spec.columns))
-    except (SingularModelError, EmptySubsampleError, TooFewUnitsError) as exc:
+    except DEGENERATE_FIT_ERRORS as exc:
         # degenerate draw (rank deficiency or unusable subsample): exclude the rep
         return str(exc)
 

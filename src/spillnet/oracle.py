@@ -94,13 +94,8 @@ def true_t_coefficients(
     of spillover_effect, i.e. E[degree * spillover] / E[degree]. The
     spillover coefficient is None on an all-isolated network.
     """
-    _check_p(p)
-    spec.require_degrees(summary.histogram.keys())
-    direct = summary.expect(lambda g: spec.direct_effect[g])
-    if summary.mean_degree == 0:
-        return direct, None
-    spill = summary.expect(lambda g: g * spec.spillover_effect[g]) / summary.mean_degree
-    return direct, spill
+    report = oracle_report(spec, summary, p)
+    return report.t_direct, report.t_spillover
 
 
 def true_dbar_coefficients(
@@ -114,16 +109,8 @@ def true_dbar_coefficients(
     E[spillover | degree>0] / E[1/degree | degree>0]. None when the network
     has no positive-degree nodes.
     """
-    _check_p(p)
-    spec.require_degrees(summary.histogram.keys())
-    if summary.mean_inverse_degree_positive is None:
-        return None, None
-    direct = summary.expect(lambda g: spec.direct_effect[g], positive_only=True)
-    spill = (
-        summary.expect(lambda g: spec.spillover_effect[g], positive_only=True)
-        / summary.mean_inverse_degree_positive
-    )
-    return direct, spill
+    report = oracle_report(spec, summary, p)
+    return report.dbar_direct, report.dbar_spillover
 
 
 def _dbar_second_moment_factor(g: int, p: float, positive_share: float) -> float:
@@ -163,21 +150,8 @@ def true_dbar_star_coefficients(
     exact Binomial moments. Bias and weighted are None when every node is
     isolated (the imputed fraction is then identically zero).
     """
-    _check_p(p)
-    spec.require_degrees(summary.histogram.keys())
-    direct = summary.expect(lambda g: spec.direct_effect[g])
-    s = summary.positive_share
-    if s == 0.0:
-        return direct, None, None
-
-    factor = lambda g: _dbar_second_moment_factor(g, p, s)
-    weighted = (
-        summary.expect(lambda g: g * spec.spillover_effect[g] * factor(g), positive_only=True)
-        / summary.expect(factor, positive_only=True)
-    )
-    gaps = true_effect_deltas(spec, summary)
-    bias = imputation_bias(gaps.baseline, gaps.direct, p, s, summary.mean_inverse_degree_positive)
-    return direct, bias, weighted
+    report = oracle_report(spec, summary, p)
+    return report.dbar_star_direct, report.dbar_star_bias, report.dbar_star_weighted
 
 
 def dbar_star_moments(summary: DegreeSummary, p: float) -> tuple[float, float]:
@@ -196,27 +170,54 @@ def dbar_star_moments(summary: DegreeSummary, p: float) -> tuple[float, float]:
 
 
 def oracle_report(spec: DesignSpec, summary: DegreeSummary, p: float) -> OracleReport:
-    """Assemble every theoretical coefficient and intermediate in one record."""
-    t_direct, t_spill = true_t_coefficients(spec, summary, p)
-    dbar_direct, dbar_spill = true_dbar_coefficients(spec, summary, p)
-    star_direct, star_bias, star_weighted = true_dbar_star_coefficients(spec, summary, p)
-    gaps = true_effect_deltas(spec, summary)
+    """Assemble every theoretical coefficient and intermediate in one record.
+
+    Checks p and the design's coverage of the degrees once and takes the
+    effect gaps once; each ``true_*_coefficients`` function reads its values
+    from this record, where its docstring gives the formula.
+    """
+    _check_p(p)
+    gaps = true_effect_deltas(spec, summary)  # also checks the design covers every degree
+    s, inv_mean = summary.positive_share, summary.mean_inverse_degree_positive
+    direct = summary.expect(lambda g: spec.direct_effect[g])
+
+    t_spill = None
+    if summary.mean_degree != 0:
+        t_spill = summary.expect(lambda g: g * spec.spillover_effect[g]) / summary.mean_degree
+
+    dbar_direct = dbar_spill = None
+    if inv_mean is not None:
+        dbar_direct = summary.expect(lambda g: spec.direct_effect[g], positive_only=True)
+        dbar_spill = (
+            summary.expect(lambda g: spec.spillover_effect[g], positive_only=True) / inv_mean
+        )
+
+    star_bias = star_weighted = total = None
+    if s != 0.0:
+        factor = lambda g: _dbar_second_moment_factor(g, p, s)
+        star_weighted = (
+            summary.expect(lambda g: g * spec.spillover_effect[g] * factor(g), positive_only=True)
+            / summary.expect(factor, positive_only=True)
+        )
+        star_bias = imputation_bias(gaps.baseline, gaps.direct, p, s, inv_mean)
+        if star_bias is not None:
+            total = star_bias + star_weighted
+
     mean_star, var_star = dbar_star_moments(summary, p)
-    total = None if star_bias is None else star_bias + star_weighted
     return OracleReport(
-        t_direct=t_direct,
+        t_direct=direct,
         t_spillover=t_spill,
         dbar_direct=dbar_direct,
         dbar_spillover=dbar_spill,
-        dbar_star_direct=star_direct,
+        dbar_star_direct=direct,
         dbar_star_bias=star_bias,
         dbar_star_weighted=star_weighted,
         dbar_star_total=total,
         treated_prob=p,
-        positive_share=summary.positive_share,
+        positive_share=s,
         baseline_gap=gaps.baseline,
         direct_gap=gaps.direct,
-        mean_inverse_degree_positive=summary.mean_inverse_degree_positive,
+        mean_inverse_degree_positive=inv_mean,
         mean_dbar_star=mean_star,
         var_dbar_star=var_star,
     )

@@ -70,9 +70,10 @@ def reference_watts_strogatz(
 ) -> Network:
     """The sequential pure-Python Watts-Strogatz-with-deletion generator.
 
-    ``spillnet.graph.generate_watts_strogatz`` replays this function's
-    Mersenne Twister draws in numpy and must return the same network for
-    every argument tuple.
+    Rewires one lattice edge at a time on Mersenne Twister draws.
+    ``spillnet.graph.generate_watts_strogatz`` settles the rewires in claim
+    rounds on PCG64 instead, so the two agree in distribution on sparse
+    graphs, not seed by seed.
     """
     if n < 3:
         raise ParameterError("watts-strogatz requires n >= 3")

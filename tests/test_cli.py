@@ -1,13 +1,17 @@
 import csv
 import inspect
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spillnet
+import spillnet.cli
 from spillnet.cli import main
 from spillnet.dgp import BuiltinDesign, expand
+from spillnet.errors import ParameterError, TooFewUnitsError
 from spillnet.exposure import assign_bernoulli
 from spillnet.graph import generate_watts_strogatz, write_edge_csv
 from spillnet.montecarlo import WattsStrogatzGraph, config_from_dict, run
@@ -244,6 +248,30 @@ def test_audit_writes_report_file(tmp_path):
     assert "degree summary" in report_path.read_text()
 
 
+def test_audit_marks_only_degenerate_fits_unavailable(tmp_path, capsys, monkeypatch):
+    edges, data = _write_synthetic_dataset(tmp_path, design_id=3, c=0.0, n=400, seed=9)
+    fit = spillnet.cli.fit_specification
+
+    def failing(error):
+        def fit_or_fail(name, *args, **kwargs):
+            if name == "dbar_reg":
+                raise error
+            return fit(name, *args, **kwargs)
+        return fit_or_fail
+
+    monkeypatch.setattr(spillnet.cli, "fit_specification", failing(TooFewUnitsError("few")))
+    assert main(["audit", "--edges", str(edges), "--data", str(data)]) == 0
+    out = capsys.readouterr().out
+    assert "dbar_reg       unavailable" in out
+    assert "t_reg          direct" in out
+    # any other ParameterError is a fault, not a small sample: usage exit 2
+    monkeypatch.setattr(spillnet.cli, "fit_specification", failing(ParameterError("boom")))
+    assert main(["audit", "--edges", str(edges), "--data", str(data)]) == 2
+    captured = capsys.readouterr()
+    assert "spillnet: usage error: boom" in captured.err
+    assert "unavailable" not in captured.out
+
+
 def test_singularity_exit_code(tmp_path, capsys):
     # every rep fails on these near-empty graphs, which surfaces as a
     # numerical-singularity exit
@@ -258,12 +286,14 @@ def test_singularity_exit_code(tmp_path, capsys):
 def test_reduced_scale_design3_is_unbiased(tmp_path):
     out = tmp_path / "d3.csv"
     assert main([
-        "simulate", "--design", "3", "--c", "0", "--n", "300", "--reps", "150",
+        "simulate", "--design", "3", "--c", "0", "--n", "300", "--reps", "1500",
         "--seed", "6", "--out", str(out),
     ]) == 0
     rows = _read_csv(out)
     spillovers = [r for r in rows if r["coef"] == "spillover"]
     assert len(spillovers) == 3
+    # enough reps that the 0.02 bound is at least four Monte Carlo SEs
+    assert all(float(r["mc_se"]) <= 0.005 for r in spillovers)
     assert all(abs(float(r["bias"])) <= 0.02 for r in spillovers)
 
 
@@ -307,6 +337,13 @@ def test_version_flag(capsys):
         main(["--version"])
     assert err.value.code == 0
     assert "spillnet" in capsys.readouterr().out
+
+
+def test_package_and_project_versions_agree():
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    declared = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.MULTILINE)
+    assert declared is not None
+    assert declared.group(1) == spillnet.__version__
 
 
 def test_package_exports_names_not_submodules():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import spillnet.oracle as oracle_module
 from helpers import exact_dbar_star_moments
 from spillnet.dgp import BuiltinDesign, DesignSpec, expand
 from spillnet.errors import EmptySubsampleError, ParameterError, SingularModelError
@@ -165,6 +166,27 @@ def test_oracle_report_assembles_consistent_totals():
     )
     assert report.mean_dbar_star == pytest.approx(0.5 * report.positive_share)
     assert report.treated_prob == 0.5
+
+
+def test_oracle_report_takes_the_gaps_and_checks_coverage_once(monkeypatch):
+    summary = summarize(generate_erdos_renyi(300, 2.0, seed=4))
+    spec = expand(BuiltinDesign(2, -0.5), summary.histogram.keys())
+    calls = {"gaps": 0, "coverage": 0}
+    take_gaps, check_coverage = oracle_module.true_effect_deltas, DesignSpec.require_degrees
+
+    def counted_gaps(*args):
+        calls["gaps"] += 1
+        return take_gaps(*args)
+
+    def counted_coverage(*args):
+        calls["coverage"] += 1
+        return check_coverage(*args)
+
+    monkeypatch.setattr(oracle_module, "true_effect_deltas", counted_gaps)
+    monkeypatch.setattr(DesignSpec, "require_degrees", counted_coverage)
+    for n_reports in (1, 2, 3):
+        oracle_report(spec, summary, 0.5)
+        assert calls == {"gaps": n_reports, "coverage": n_reports}
 
 
 def test_reference_setting_oracle_matches_reported_values():
