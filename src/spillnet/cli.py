@@ -21,14 +21,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import __version__
-from .dgp import (
-    BuiltinDesign,
-    DesignSpec,
-    EffectGaps,
-    load_design_csv,
-    resolve_design,
-    true_effect_deltas,
-)
+from .dgp import BuiltinDesign, Design, EffectGaps, effect_gaps, load_design_csv
 from .errors import (
     DEGENERATE_FIT_ERRORS,
     ConfigurationError,
@@ -108,7 +101,7 @@ def _graph_model(args, cfg: dict[str, Any]):
     raise ParameterError(f"unknown graph kind {kind!r}; expected 'ws' or 'er'")
 
 
-def _design_from_args(args, cfg: dict[str, Any], c: float) -> BuiltinDesign | DesignSpec:
+def _design_from_args(args, cfg: dict[str, Any], c: float) -> Design:
     design_file = _pick(getattr(args, "design_file", None), cfg, "design_file", None)
     if design_file is not None:
         noise_sd = float(_pick(getattr(args, "noise_sd", None), cfg, "noise_sd", 1.0))
@@ -309,8 +302,7 @@ def cmd_oracle(args) -> int:
         source = f"realized graph (n={n}, seed={seed})"
 
     design = _design_from_args(args, cfg, c_values[0])
-    spec = resolve_design(design, summary.histogram.keys())
-    report = oracle_report(spec, summary, p)
+    report = oracle_report(design, summary, p)
     print(f"oracle from {source}")
     print(_format_oracle_text(report))
 
@@ -348,22 +340,13 @@ def _read_unit_data(path: str, id_col: str, treatment_col: str, outcome_col: str
 
 
 def _plug_in_gaps(strat: StratifiedResult, summary: DegreeSummary) -> EffectGaps:
-    """The baseline and direct-effect gaps of the fitted strata.
-
-    They are ``true_effect_deltas`` of the design whose tables hold each
-    fitted stratum's coefficients, over the degree counts of those strata.
-    """
+    """``effect_gaps`` of the fitted strata's coefficients, over those strata's degree counts."""
     if 0 not in strat.fits:
         return EffectGaps(baseline=None, direct=None)
-    fitted = DesignSpec(
-        baseline={g: fit.coef(CONST) for g, fit in strat.fits.items()},
-        direct_effect={g: fit.coef(TREATED) for g, fit in strat.fits.items()},
-        spillover_effect=dict.fromkeys(strat.fits, 0.0),  # the gaps do not read it
-        noise_sd=0.0,
-    )
-    return true_effect_deltas(
-        fitted, DegreeSummary.from_histogram({g: summary.histogram[g] for g in strat.fits})
-    )
+    degrees = np.fromiter(strat.fits, dtype=np.int64)  # ascending, as the strata are fitted
+    counts = summary.counts[np.searchsorted(summary.degrees, degrees)]
+    baseline, direct = np.array([(f.coef(CONST), f.coef(TREATED)) for f in strat.fits.values()]).T
+    return effect_gaps(DegreeSummary(degrees, counts), baseline, direct)
 
 
 def cmd_audit(args) -> int:

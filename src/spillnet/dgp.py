@@ -1,9 +1,10 @@
 """Degree-indexed outcome designs and outcome simulation.
 
-A design is three tabulated functions of degree -- the mean untreated
-baseline, the own-treatment (direct) effect, and the per-treated-neighbor
-(spillover) effect -- plus a Gaussian noise scale. Outcomes are simulated
-from the partially linear form
+A design is three functions of degree -- the mean untreated baseline, the
+own-treatment (direct) effect, and the per-treated-neighbor (spillover)
+effect -- plus a Gaussian noise scale; ``design.tables(degrees)`` evaluates
+them at an array of degrees. Outcomes are simulated from the partially
+linear form
 
     Y = baseline(degree) + direct(degree) * D + spillover(degree) * T + noise,
 
@@ -16,13 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, IngestionError, ParameterError
 from .exposure import ExposureProfile, TreatmentVector, compute_exposure
-from .graph import DegreeSummary, Network, nonnegative_int, read_table
+from .graph import DegreeSummary, Network, nonnegative_int, read_table, summarize
 
 DESIGN_IDS = (1, 2, 3)
 
@@ -32,8 +33,8 @@ class DesignSpec:
     """Tabulated degree-functions defining a data generating process.
 
     The maps must cover every degree present in the network a spec is applied
-    to; ``ConfigurationError`` is raised otherwise. Table values and the noise
-    scale must be finite (``ParameterError`` otherwise).
+    to; ``tables`` raises ``ConfigurationError`` otherwise. Table values and
+    the noise scale must be finite (``ParameterError`` otherwise).
     """
 
     baseline: Mapping[int, float]
@@ -48,13 +49,15 @@ class DesignSpec:
             if not all(map(math.isfinite, table.values())):
                 raise ParameterError("design table values must be finite")
 
-    def require_degrees(self, degrees: Iterable[int]) -> None:
-        missing = sorted(
-            {int(g) for g in degrees}
-            - (set(self.baseline) & set(self.direct_effect) & set(self.spillover_effect))
-        )
-        if missing:
-            raise ConfigurationError(f"design does not cover degrees {missing}")
+    def tables(self, degrees: np.ndarray) -> np.ndarray:
+        """The baseline, direct and spillover rows at ``degrees``, shape (3, len(degrees))."""
+        maps = (self.baseline, self.direct_effect, self.spillover_effect)
+        keys = np.asarray(degrees).tolist()
+        try:
+            return np.array([[table[g] for g in keys] for table in maps], dtype=float)
+        except KeyError:
+            missing = sorted({g for g in keys if not all(g in table for table in maps)})
+            raise ConfigurationError(f"design does not cover degrees {missing}") from None
 
 
 @dataclass(frozen=True)
@@ -64,69 +67,58 @@ class BuiltinDesign:
     All three share a unit direct effect and spillover c / (1 + degree); they
     differ only in how strongly the baseline depends on degree:
     design 1 baseline = 1 + degree, design 2 = 1 + 1{degree > 0},
-    design 3 = 1 (no degree dependence).
+    design 3 = 1 (no degree dependence). The noise scale is always 1.
     """
 
     design_id: int
     c: float = 0.0
+    noise_sd: ClassVar[float] = 1.0
 
     def __post_init__(self):
         if self.design_id not in DESIGN_IDS:
             raise ParameterError(f"unknown design_id {self.design_id}; expected one of {DESIGN_IDS}")
 
+    def tables(self, degrees: np.ndarray) -> np.ndarray:
+        """The baseline, direct and spillover rows at ``degrees``, shape (3, len(degrees))."""
+        g = np.asarray(degrees, dtype=float)
+        baseline = (1.0 + g, 1.0 + (g > 0), np.ones_like(g))[self.design_id - 1]
+        return np.array([baseline, np.ones_like(g), self.c / (1.0 + g)])
+
+
+Design = BuiltinDesign | DesignSpec
+
 
 def expand(builtin: BuiltinDesign, degrees: Iterable[int]) -> DesignSpec:
     """Tabulate a built-in design over the given degrees (noise_sd = 1)."""
-    degs = sorted({int(g) for g in degrees})
-    if any(g < 0 for g in degs):
+    degs = np.unique(np.fromiter(degrees, dtype=np.int64))
+    if degs.size and degs[0] < 0:
         raise ParameterError("degrees must be nonnegative")
-    if builtin.design_id == 1:
-        baseline = {g: 1.0 + g for g in degs}
-    elif builtin.design_id == 2:
-        baseline = {g: 1.0 + (1.0 if g > 0 else 0.0) for g in degs}
-    else:
-        baseline = {g: 1.0 for g in degs}
-    return DesignSpec(
-        baseline=baseline,
-        direct_effect={g: 1.0 for g in degs},
-        spillover_effect={g: builtin.c / (1.0 + g) for g in degs},
-        noise_sd=1.0,
-    )
-
-
-def resolve_design(design: BuiltinDesign | DesignSpec, degrees: Iterable[int]) -> DesignSpec:
-    """Expand a built-in design or validate a user spec against the degrees."""
-    if isinstance(design, BuiltinDesign):
-        return expand(design, degrees)
-    design.require_degrees(degrees)
-    return design
+    maps = (dict(zip(degs.tolist(), row)) for row in builtin.tables(degs).tolist())
+    return DesignSpec(*maps, noise_sd=builtin.noise_sd)
 
 
 def outcome_matrix(
-    specs: Sequence[DesignSpec], tr: TreatmentVector, profile: ExposureProfile,
-    noise: np.ndarray,
+    designs: Sequence[Design], summary: DegreeSummary, tr: TreatmentVector,
+    profile: ExposureProfile, noise: np.ndarray,
 ) -> np.ndarray:
     """Outcomes of every design for one draw, as the columns of an n x D matrix.
 
-    Column j is the partially linear form of ``specs[j]`` plus its
-    ``noise_sd`` times the shared standard-normal ``noise``. The designs
-    must cover every degree in ``profile``.
+    Column j is the partially linear form of ``designs[j]`` plus its
+    ``noise_sd`` times the shared standard-normal ``noise``. ``summary`` is
+    the degree summary of ``profile.degree``; each design is evaluated once
+    at its degrees, and must cover them all.
     """
-    degree = profile.degree
-    tables = np.zeros((3, int(degree.max()) + 1, len(specs)))
-    for j, spec in enumerate(specs):
-        values = (spec.baseline, spec.direct_effect, spec.spillover_effect)
-        for table, by_degree in zip(tables, values):
-            for g, val in by_degree.items():
-                if g < table.shape[0]:
-                    table[g, j] = val
-    baseline, direct, spillover = tables[:, degree]
+    # a node's degree is below n, so a table over 0..max degree is no larger than the outcomes
+    tables = np.zeros((3, summary.max_degree + 1, len(designs)))
+    for j, design in enumerate(designs):
+        tables[:, summary.degrees, j] = design.tables(summary.degrees)
+    baseline, direct, spillover = tables[:, profile.degree]
     y = baseline + direct * tr.d[:, None] + spillover * profile.treated_neighbors[:, None]
-    return y + noise[:, None] * np.array([spec.noise_sd for spec in specs])
+    return y + noise[:, None] * np.array([design.noise_sd for design in designs])
 
 
 def simulate_outcomes(
-    net: Network, tr: TreatmentVector, spec: DesignSpec, seed: int,
+    net: Network, tr: TreatmentVector, spec: Design, seed: int,
     profile: ExposureProfile | None = None,
 ) -> np.ndarray:
     """Simulate outcomes from the partially linear form.
@@ -135,11 +127,10 @@ def simulate_outcomes(
     and treatment; deterministic given ``seed``. A ``profile`` already
     computed for (net, tr) is used instead of recomputing it.
     """
-    spec.require_degrees(np.unique(net.degree).tolist())
     if profile is None:
         profile = compute_exposure(net, tr)
     noise = np.random.default_rng(seed).standard_normal(net.n)
-    return outcome_matrix([spec], tr, profile, noise)[:, 0]
+    return outcome_matrix([spec], summarize(net), tr, profile, noise)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -155,19 +146,21 @@ class EffectGaps:
     direct: float | None
 
 
-def true_effect_deltas(spec: DesignSpec, summary: DegreeSummary) -> EffectGaps:
-    """Baseline and direct-effect gaps driving the imputation bias."""
-    spec.require_degrees(summary.histogram.keys())
-    has_isolated = summary.isolated_fraction > 0
-    has_positive = summary.positive_share > 0
-    if not (has_isolated and has_positive):
+def effect_gaps(summary: DegreeSummary, baseline: np.ndarray, direct: np.ndarray) -> EffectGaps:
+    """Baseline and direct-effect gaps of arrays aligned with ``summary.degrees``."""
+    if summary.isolated_fraction == 0 or summary.n_positive == 0:
         return EffectGaps(baseline=None, direct=None)
-    baseline_gap = summary.expect(lambda g: spec.baseline[g], positive_only=True) - spec.baseline[0]
-    direct_gap = (
-        summary.expect(lambda g: spec.direct_effect[g], positive_only=True)
-        - spec.direct_effect[0]
+    pos = summary.positive
+    return EffectGaps(
+        baseline=summary.mean(baseline[pos], positive_only=True) - float(baseline[0]),
+        direct=summary.mean(direct[pos], positive_only=True) - float(direct[0]),
     )
-    return EffectGaps(baseline=baseline_gap, direct=direct_gap)
+
+
+def true_effect_deltas(spec: Design, summary: DegreeSummary) -> EffectGaps:
+    """Baseline and direct-effect gaps driving the imputation bias."""
+    baseline, direct, _ = spec.tables(summary.degrees)
+    return effect_gaps(summary, baseline, direct)
 
 
 def load_design_csv(path: str | Path, noise_sd: float) -> DesignSpec:

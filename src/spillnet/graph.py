@@ -14,6 +14,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -76,74 +77,104 @@ class Network:
             raise AssertionError("edges are unsorted or repeated")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegreeSummary:
-    """Empirical degree-distribution moments of a network.
+    """Empirical degree distribution of a network: its degrees and their counts.
 
+    ``degrees`` holds the distinct degrees present, sorted, and ``counts``
+    each one's positive node count; both are read-only int arrays. Every
+    moment is a dot product against ``counts``, so a summary costs
+    O(distinct degrees) whatever the largest degree.
     ``mean_degree_positive`` and ``mean_inverse_degree_positive`` are None
     when no node has a neighbor (the conditional moments are undefined).
     """
 
-    n: int
-    histogram: Mapping[int, int]
-    mean_degree: float
-    max_degree: int
-    isolated_fraction: float
-    mean_degree_positive: float | None
-    mean_inverse_degree_positive: float | None
+    degrees: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self) -> None:
+        degrees, counts = self.degrees, self.counts
+        if degrees.ndim != 1 or degrees.shape != counts.shape or degrees.size == 0:
+            raise ParameterError("a summary needs aligned, nonempty degree and count arrays")
+        if (degrees[0] < 0 or (np.diff(degrees) <= 0).any() or (counts <= 0).any()
+                or counts.sum(dtype=float) >= 2**63):
+            raise ParameterError("degrees must be distinct, sorted and nonnegative, and counts "
+                                 "positive with a sum below 2**63")
+        degrees.flags.writeable = False
+        counts.flags.writeable = False
+
+    @cached_property
+    def positive(self) -> slice:
+        """The entries of ``degrees`` and ``counts`` with degree > 0."""
+        return slice(int(self.degrees[0] == 0), None)
+
+    @cached_property
+    def n(self) -> int:
+        return int(self.counts.sum())
+
+    @cached_property
+    def n_positive(self) -> int:
+        return int(self.counts[self.positive].sum())
+
+    @property
+    def max_degree(self) -> int:
+        return int(self.degrees[-1])
+
+    @property
+    def histogram(self) -> Mapping[int, int]:
+        """Read-only mapping from each degree present to its count."""
+        return MappingProxyType(dict(zip(self.degrees.tolist(), self.counts.tolist())))
+
+    @cached_property
+    def mean_degree(self) -> float:
+        return self.mean(self.degrees)
+
+    @cached_property
+    def isolated_fraction(self) -> float:
+        return (self.n - self.n_positive) / self.n
 
     @property
     def positive_share(self) -> float:
         """Fraction of nodes with at least one neighbor."""
         return 1.0 - self.isolated_fraction
 
-    def expect(self, fn: Callable[[int], float], positive_only: bool = False) -> float:
-        """Average fn(degree) over the empirical degree distribution.
+    @cached_property
+    def mean_degree_positive(self) -> float | None:
+        if self.n_positive == 0:
+            return None
+        return self.mean(self.degrees[self.positive], positive_only=True)
 
-        With ``positive_only`` the average conditions on degree > 0; raises
+    @cached_property
+    def mean_inverse_degree_positive(self) -> float | None:
+        if self.n_positive == 0:
+            return None
+        return self.mean(1.0 / self.degrees[self.positive], positive_only=True)
+
+    def mean(self, values: np.ndarray, positive_only: bool = False) -> float:
+        """Average of ``values``, one per degree, over the empirical distribution.
+
+        ``values`` is aligned with ``degrees``, or with ``degrees[positive]``
+        under ``positive_only``, which conditions on degree > 0 and raises
         ParameterError when that stratum is empty.
         """
-        items = [(g, c) for g, c in self.histogram.items() if not positive_only or g > 0]
-        total = sum(c for _, c in items)
-        if total == 0:
-            raise ParameterError("empty degree stratum in expectation")
-        return sum(c * fn(g) for g, c in items) / total
+        counts, total = self.counts, self.n
+        if positive_only:
+            counts, total = counts[self.positive], self.n_positive
+            if total == 0:
+                raise ParameterError("empty degree stratum in expectation")
+        return float(np.asarray(values, dtype=float) @ counts) / total
 
     @staticmethod
     def from_degrees(degrees: Sequence[int] | np.ndarray) -> "DegreeSummary":
-        degrees = np.asarray(degrees, dtype=np.int64)
-        if degrees.size == 0:
-            raise ParameterError("cannot summarize an empty degree sequence")
-        if (degrees < 0).any():
-            raise ParameterError("degrees must be nonnegative")
-        values, counts = np.unique(degrees, return_counts=True)
-        return DegreeSummary.from_histogram(dict(zip(values.tolist(), counts.tolist())))
+        return DegreeSummary(*np.unique(np.asarray(degrees, dtype=np.int64), return_counts=True))
 
     @staticmethod
     def from_histogram(histogram: Mapping[int, int]) -> "DegreeSummary":
-        if not histogram or any(c <= 0 for c in histogram.values()):
-            raise ParameterError("histogram must have positive counts")
-        if any(g < 0 for g in histogram):
-            raise ParameterError("degrees must be nonnegative")
-        n = sum(histogram.values())
-        n_isolated = histogram.get(0, 0)
-        n_positive = n - n_isolated
-        mean = sum(g * c for g, c in histogram.items()) / n
-        if n_positive > 0:
-            mean_pos = sum(g * c for g, c in histogram.items() if g > 0) / n_positive
-            mean_inv_pos = sum(c / g for g, c in histogram.items() if g > 0) / n_positive
-        else:
-            mean_pos = None
-            mean_inv_pos = None
-        return DegreeSummary(
-            n=n,
-            histogram=dict(sorted(histogram.items())),
-            mean_degree=mean,
-            max_degree=max(histogram),
-            isolated_fraction=n_isolated / n,
-            mean_degree_positive=mean_pos,
-            mean_inverse_degree_positive=mean_inv_pos,
-        )
+        try:
+            pairs = np.array(sorted(histogram.items()), dtype=np.int64).reshape(-1, 2)
+        except OverflowError:
+            raise ParameterError("degrees and counts must be below 2**63") from None
+        return DegreeSummary(pairs[:, 0].copy(), pairs[:, 1].copy())
 
 
 def summarize(net: Network) -> DegreeSummary:

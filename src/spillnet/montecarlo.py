@@ -19,7 +19,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .dgp import BuiltinDesign, DesignSpec, outcome_matrix, resolve_design
+from .dgp import BuiltinDesign, Design, DesignSpec, outcome_matrix
 from .errors import DEGENERATE_FIT_ERRORS, EmptySubsampleError, ParameterError
 from .estimators import SPECS, TREATED, design_matrix, least_squares
 from .exposure import assign_bernoulli, compute_exposure
@@ -66,7 +66,7 @@ class SimConfig:
     n: int = 1000
     reps: int = 5000
     p: float = 0.5
-    design: BuiltinDesign | DesignSpec = field(default_factory=lambda: BuiltinDesign(3, 0.0))
+    design: Design = field(default_factory=lambda: BuiltinDesign(3, 0.0))
     graph: GraphModel = field(default_factory=WattsStrogatzGraph)
     base_seed: int = 0
     regenerate_graph_each_rep: bool = True
@@ -113,7 +113,7 @@ def config_to_dict(config: SimConfig) -> dict[str, Any]:
 def config_from_dict(data: dict[str, Any]) -> SimConfig:
     """Rebuild a SimConfig from its manifest serialization."""
     design_data = data["design"]
-    design: BuiltinDesign | DesignSpec
+    design: Design
     if "design_id" in design_data:
         design = BuiltinDesign(design_id=int(design_data["design_id"]), c=float(design_data["c"]))
     else:
@@ -213,10 +213,10 @@ def _simulate_rep(configs: Sequence[SimConfig], fixed: Network | None, rep: int)
         net = fixed
     tr = assign_bernoulli(first.n, first.p, derive_seed(first.base_seed, rep, "treatment"))
     summary = summarize(net)
-    specs = [resolve_design(config.design, summary.histogram) for config in configs]
+    designs = [config.design for config in configs]
     profile = compute_exposure(net, tr)
     noise_rng = np.random.default_rng(derive_seed(first.base_seed, rep, "noise"))
-    y = outcome_matrix(specs, tr, profile, noise_rng.standard_normal(first.n))
+    y = outcome_matrix(designs, summary, tr, profile, noise_rng.standard_normal(first.n))
     fits = []
     try:
         for name, spec in SPECS.items():
@@ -226,7 +226,7 @@ def _simulate_rep(configs: Sequence[SimConfig], fixed: Network | None, rep: int)
         # degenerate draw (rank deficiency or unusable subsample): exclude the rep
         return str(exc)
 
-    reports = [oracle_report(spec, summary, first.p) for spec in specs]
+    reports = [oracle_report(design, summary, first.p) for design in designs]
     out = np.empty((len(configs), len(CELLS), 4))
     cell = 0  # CELLS lists each spec's direct cell, then its spillover cell
     for spec, (beta, se, _) in zip(SPECS.values(), fits):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dgp import DesignSpec, true_effect_deltas
+from .dgp import Design, effect_gaps
 from .errors import EmptySubsampleError, ParameterError, SingularModelError
 from .estimators import CONST, DBAR, DBAR_STAR, DEGREE, SPECS, TREATED, TREATED_NEIGHBORS
 from .graph import DegreeSummary, Network
@@ -70,7 +70,7 @@ def t_weights(summary: DegreeSummary) -> dict[int, float]:
     """
     if summary.mean_degree == 0:
         raise ParameterError("weights undefined: no edges in the network")
-    return {g: g / summary.mean_degree for g in summary.histogram}
+    return dict(zip(summary.degrees.tolist(), (summary.degrees / summary.mean_degree).tolist()))
 
 
 def dbar_weights(summary: DegreeSummary) -> dict[int, float]:
@@ -82,11 +82,12 @@ def dbar_weights(summary: DegreeSummary) -> dict[int, float]:
     inv_mean = summary.mean_inverse_degree_positive
     if inv_mean is None:
         raise ParameterError("weights undefined: no nodes with neighbors")
-    return {g: (1.0 / g) / inv_mean for g in summary.histogram if g > 0}
+    positive = summary.degrees[summary.positive]
+    return dict(zip(positive.tolist(), ((1.0 / positive) / inv_mean).tolist()))
 
 
 def true_t_coefficients(
-    spec: DesignSpec, summary: DegreeSummary, p: float
+    spec: Design, summary: DegreeSummary, p: float
 ) -> tuple[float, float | None]:
     """Population (direct, spillover) coefficients of the count regression.
 
@@ -99,7 +100,7 @@ def true_t_coefficients(
 
 
 def true_dbar_coefficients(
-    spec: DesignSpec, summary: DegreeSummary, p: float
+    spec: Design, summary: DegreeSummary, p: float
 ) -> tuple[float | None, float | None]:
     """Population (direct, spillover) coefficients of the fraction regression.
 
@@ -111,11 +112,6 @@ def true_dbar_coefficients(
     """
     report = oracle_report(spec, summary, p)
     return report.dbar_direct, report.dbar_spillover
-
-
-def _dbar_second_moment_factor(g: int, p: float, positive_share: float) -> float:
-    # E[dbar * (dbar - E[dbar_star]) | degree = g] for a Binomial(g, p)/g fraction
-    return p * p + p * (1.0 - p) / g - p * p * positive_share
 
 
 def imputation_bias(
@@ -138,7 +134,7 @@ def imputation_bias(
 
 
 def true_dbar_star_coefficients(
-    spec: DesignSpec, summary: DegreeSummary, p: float
+    spec: Design, summary: DegreeSummary, p: float
 ) -> tuple[float, float | None, float | None]:
     """Population (direct, bias, weighted) parts of the zero-imputed regression.
 
@@ -169,35 +165,31 @@ def dbar_star_moments(summary: DegreeSummary, p: float) -> tuple[float, float]:
     return p * s, p * s * (p * (1.0 - s) + (1.0 - p) * inv_mean)
 
 
-def oracle_report(spec: DesignSpec, summary: DegreeSummary, p: float) -> OracleReport:
+def oracle_report(design: Design, summary: DegreeSummary, p: float) -> OracleReport:
     """Assemble every theoretical coefficient and intermediate in one record.
 
-    Checks p and the design's coverage of the degrees once and takes the
-    effect gaps once; each ``true_*_coefficients`` function reads its values
-    from this record, where its docstring gives the formula.
+    Evaluates the design (checking its coverage) and the effect gaps once;
+    each ``true_*_coefficients`` function reads its values from this record,
+    where its docstring gives the formula.
     """
     _check_p(p)
-    gaps = true_effect_deltas(spec, summary)  # also checks the design covers every degree
+    baseline, direct, spill = design.tables(summary.degrees)
+    gaps = effect_gaps(summary, baseline, direct)
     s, inv_mean = summary.positive_share, summary.mean_inverse_degree_positive
-    direct = summary.expect(lambda g: spec.direct_effect[g])
+    t_direct = summary.mean(direct)
 
-    t_spill = None
-    if summary.mean_degree != 0:
-        t_spill = summary.expect(lambda g: g * spec.spillover_effect[g]) / summary.mean_degree
-
-    dbar_direct = dbar_spill = None
-    if inv_mean is not None:
-        dbar_direct = summary.expect(lambda g: spec.direct_effect[g], positive_only=True)
-        dbar_spill = (
-            summary.expect(lambda g: spec.spillover_effect[g], positive_only=True) / inv_mean
-        )
-
-    star_bias = star_weighted = total = None
+    t_spill = dbar_direct = dbar_spill = star_bias = star_weighted = total = None
     if s != 0.0:
-        factor = lambda g: _dbar_second_moment_factor(g, p, s)
+        t_spill = summary.mean(summary.degrees * spill) / summary.mean_degree
+        pos = summary.positive
+        g = summary.degrees[pos]
+        dbar_direct = summary.mean(direct[pos], positive_only=True)
+        dbar_spill = summary.mean(spill[pos], positive_only=True) / inv_mean
+        # E[dbar * (dbar - E[dbar_star]) | degree = g] for a Binomial(g, p)/g fraction
+        factor = p * p + p * (1.0 - p) / g - p * p * s
         star_weighted = (
-            summary.expect(lambda g: g * spec.spillover_effect[g] * factor(g), positive_only=True)
-            / summary.expect(factor, positive_only=True)
+            summary.mean(g * spill[pos] * factor, positive_only=True)
+            / summary.mean(factor, positive_only=True)
         )
         star_bias = imputation_bias(gaps.baseline, gaps.direct, p, s, inv_mean)
         if star_bias is not None:
@@ -205,11 +197,11 @@ def oracle_report(spec: DesignSpec, summary: DegreeSummary, p: float) -> OracleR
 
     mean_star, var_star = dbar_star_moments(summary, p)
     return OracleReport(
-        t_direct=direct,
+        t_direct=t_direct,
         t_spillover=t_spill,
         dbar_direct=dbar_direct,
         dbar_spillover=dbar_spill,
-        dbar_star_direct=direct,
+        dbar_star_direct=t_direct,
         dbar_star_bias=star_bias,
         dbar_star_weighted=star_weighted,
         dbar_star_total=total,
@@ -224,7 +216,7 @@ def oracle_report(spec: DesignSpec, summary: DegreeSummary, p: float) -> OracleR
 
 
 def enumeration_population_ols(
-    net: Network, spec: DesignSpec, p: float, which: str
+    net: Network, spec: Design, p: float, which: str
 ) -> dict[str, float]:
     """Exact population projection coefficients by exhausting all treatments.
 
@@ -242,8 +234,7 @@ def enumeration_population_ols(
         raise ParameterError(
             f"enumeration limited to n <= {ENUMERATION_MAX_NODES} (got {n})"
         )
-    spec.require_degrees(np.unique(net.degree).tolist())
-
+    baseline, direct, spill = spec.tables(net.degree)
     degree = net.degree.astype(float)
     a_mat = np.zeros((n, n))
     u, v = net.edge_arrays
@@ -257,9 +248,6 @@ def enumeration_population_ols(
 
     t_mat = d_mat @ a_mat.T
 
-    baseline = np.array([spec.baseline[int(g)] for g in degree])
-    direct = np.array([spec.direct_effect[int(g)] for g in degree])
-    spill = np.array([spec.spillover_effect[int(g)] for g in degree])
     y = baseline[None, :] + direct[None, :] * d_mat + spill[None, :] * t_mat
 
     if which == "t_reg":

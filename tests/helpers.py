@@ -10,8 +10,10 @@ import random
 
 import numpy as np
 
+from spillnet.dgp import DesignSpec
 from spillnet.errors import ParameterError
 from spillnet.graph import Network
+from spillnet.oracle import OracleReport
 
 
 def enumerate_treatments(n: int, p: float):
@@ -119,3 +121,99 @@ def reference_watts_strogatz(
     pairs = sorted((a, b) for a in range(n) for b in adj[a] if a < b)
     u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     return Network(n, u, v)
+
+
+def reference_design(design_id: int, c: float, degrees) -> DesignSpec:
+    """A built-in design tabulated one degree at a time into dicts (noise_sd = 1)."""
+    degs = sorted({int(g) for g in degrees})
+    if design_id == 1:
+        baseline = {g: 1.0 + g for g in degs}
+    elif design_id == 2:
+        baseline = {g: 1.0 + (1.0 if g > 0 else 0.0) for g in degs}
+    else:
+        baseline = {g: 1.0 for g in degs}
+    return DesignSpec(
+        baseline=baseline,
+        direct_effect={g: 1.0 for g in degs},
+        spillover_effect={g: c / (1.0 + g) for g in degs},
+        noise_sd=1.0,
+    )
+
+
+def reference_oracle_report(spec: DesignSpec, histogram: dict[int, int], p: float) -> OracleReport:
+    """Every oracle formula as a sum over a {degree: count} dict, one lambda call per degree.
+
+    ``spillnet.oracle.oracle_report`` evaluates the same formulas as dot
+    products over the degrees present; the two agree to rounding.
+    """
+    if not 0.0 < p < 1.0:
+        raise ParameterError("treatment probability must lie strictly in (0, 1)")
+    histogram = dict(sorted(histogram.items()))
+    n = sum(histogram.values())
+    n_isolated = histogram.get(0, 0)
+    n_positive = n - n_isolated
+    mean_degree = sum(g * c for g, c in histogram.items()) / n
+    inv_mean = None
+    if n_positive > 0:
+        inv_mean = sum(c / g for g, c in histogram.items() if g > 0) / n_positive
+    s = 1.0 - n_isolated / n
+
+    def expect(fn, positive_only=False):
+        items = [(g, c) for g, c in histogram.items() if not positive_only or g > 0]
+        total = sum(c for _, c in items)
+        if total == 0:
+            raise ParameterError("empty degree stratum in expectation")
+        return sum(c * fn(g) for g, c in items) / total
+
+    baseline_gap = direct_gap = None
+    if n_isolated > 0 and n_positive > 0:
+        baseline_gap = expect(lambda g: spec.baseline[g], positive_only=True) - spec.baseline[0]
+        direct_gap = (
+            expect(lambda g: spec.direct_effect[g], positive_only=True) - spec.direct_effect[0]
+        )
+    direct = expect(lambda g: spec.direct_effect[g])
+
+    t_spill = None
+    if mean_degree != 0:
+        t_spill = expect(lambda g: g * spec.spillover_effect[g]) / mean_degree
+
+    dbar_direct = dbar_spill = None
+    if inv_mean is not None:
+        dbar_direct = expect(lambda g: spec.direct_effect[g], positive_only=True)
+        dbar_spill = expect(lambda g: spec.spillover_effect[g], positive_only=True) / inv_mean
+
+    star_bias = star_weighted = total = None
+    if s != 0.0:
+        factor = lambda g: p * p + p * (1.0 - p) / g - p * p * s  # noqa: E731
+        star_weighted = (
+            expect(lambda g: g * spec.spillover_effect[g] * factor(g), positive_only=True)
+            / expect(factor, positive_only=True)
+        )
+        if s == 1.0:
+            star_bias = 0.0
+        elif baseline_gap is not None and direct_gap is not None:
+            star_bias = ((baseline_gap + p * direct_gap) * (1.0 - s)
+                         / (p * (1.0 - s) + (1.0 - p) * inv_mean))
+        if star_bias is not None:
+            total = star_bias + star_weighted
+
+    mean_star = var_star = 0.0
+    if s != 0.0:
+        mean_star, var_star = p * s, p * s * (p * (1.0 - s) + (1.0 - p) * inv_mean)
+    return OracleReport(
+        t_direct=direct,
+        t_spillover=t_spill,
+        dbar_direct=dbar_direct,
+        dbar_spillover=dbar_spill,
+        dbar_star_direct=direct,
+        dbar_star_bias=star_bias,
+        dbar_star_weighted=star_weighted,
+        dbar_star_total=total,
+        treated_prob=p,
+        positive_share=s,
+        baseline_gap=baseline_gap,
+        direct_gap=direct_gap,
+        mean_inverse_degree_positive=inv_mean,
+        mean_dbar_star=mean_star,
+        var_dbar_star=var_star,
+    )

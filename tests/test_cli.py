@@ -125,6 +125,18 @@ def test_oracle_from_histogram_hand_bias(tmp_path, capsys):
     assert "bias 0.666667" in out
 
 
+def test_oracle_histogram_cost_follows_its_rows_not_its_largest_degree(tmp_path, capsys):
+    hist = tmp_path / "hist.csv"
+    hist.write_text("degree,count\n0,3\n2,5\n1000000000000,1\n")
+    assert main([
+        "oracle", "--design", "1", "--c", "-0.5", "--p", "0.5",
+        "--histogram", str(hist),
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "positive-degree share          0.666667" in out
+    assert "mean inverse degree (>0)       0.416667" in out
+
+
 def test_oracle_design3_bias_exactly_zero(tmp_path, capsys):
     hist = tmp_path / "hist.csv"
     hist.write_text("degree,count\n0,2\n1,3\n4,5\n")

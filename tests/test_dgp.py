@@ -8,6 +8,7 @@ from spillnet.dgp import (
     DesignSpec,
     expand,
     load_design_csv,
+    outcome_matrix,
     simulate_outcomes,
     true_effect_deltas,
 )
@@ -122,6 +123,15 @@ def test_design_must_cover_observed_degrees():
     tr = TreatmentVector(d=np.array([1, 0, 0]), p=0.5)
     with pytest.raises(ConfigurationError):
         simulate_outcomes(net, tr, spec, seed=0)
+
+
+def test_outcome_matrix_rejects_an_uncovered_degree():
+    net = from_edge_list([(0, 1), (0, 2)], n=4)  # degrees 2, 1, 1, 0
+    spec = DesignSpec(baseline={0: 1.0, 1: 2.0}, direct_effect={0: 1.0, 1: 1.0, 2: 1.0},
+                      spillover_effect={0: 0.0, 1: 0.5}, noise_sd=0.0)
+    tr = TreatmentVector(d=np.array([1, 0, 1, 0]), p=0.5)
+    with pytest.raises(ConfigurationError, match=r"degrees \[2\]"):
+        outcome_matrix([spec], summarize(net), tr, compute_exposure(net, tr), np.zeros(4))
 
 
 def test_effect_gaps_match_design_formulas():

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spillnet.oracle as oracle_module
-from helpers import exact_dbar_star_moments
+from helpers import exact_dbar_star_moments, reference_design, reference_oracle_report
 from spillnet.dgp import BuiltinDesign, DesignSpec, expand
 from spillnet.errors import EmptySubsampleError, ParameterError, SingularModelError
 from spillnet.graph import (
@@ -12,6 +16,7 @@ from spillnet.graph import (
     summarize,
 )
 from spillnet.oracle import (
+    OracleReport,
     dbar_star_moments,
     dbar_weights,
     enumeration_population_ols,
@@ -37,10 +42,11 @@ def test_weights_are_normalized_and_vanish_at_degree_zero():
     summary = DegreeSummary.from_degrees([0, 0, 1, 2, 2, 3, 5])
     wt = t_weights(summary)
     assert wt[0] == 0.0
-    assert summary.expect(lambda g: wt[g]) == pytest.approx(1.0, abs=1e-12)
+    assert summary.mean(np.array(list(wt.values()))) == pytest.approx(1.0, abs=1e-12)
     wd = dbar_weights(summary)
     assert 0 not in wd
-    assert summary.expect(lambda g: wd[g], positive_only=True) == pytest.approx(1.0, abs=1e-12)
+    mean_wd = summary.mean(np.array(list(wd.values())), positive_only=True)
+    assert mean_wd == pytest.approx(1.0, abs=1e-12)
     assert all(w >= 0 for w in wt.values())
     assert all(w >= 0 for w in wd.values())
     # degree-1 nodes get the single largest fraction-regression weight
@@ -172,7 +178,7 @@ def test_oracle_report_takes_the_gaps_and_checks_coverage_once(monkeypatch):
     summary = summarize(generate_erdos_renyi(300, 2.0, seed=4))
     spec = expand(BuiltinDesign(2, -0.5), summary.histogram.keys())
     calls = {"gaps": 0, "coverage": 0}
-    take_gaps, check_coverage = oracle_module.true_effect_deltas, DesignSpec.require_degrees
+    take_gaps, check_coverage = oracle_module.effect_gaps, DesignSpec.tables
 
     def counted_gaps(*args):
         calls["gaps"] += 1
@@ -182,8 +188,8 @@ def test_oracle_report_takes_the_gaps_and_checks_coverage_once(monkeypatch):
         calls["coverage"] += 1
         return check_coverage(*args)
 
-    monkeypatch.setattr(oracle_module, "true_effect_deltas", counted_gaps)
-    monkeypatch.setattr(DesignSpec, "require_degrees", counted_coverage)
+    monkeypatch.setattr(oracle_module, "effect_gaps", counted_gaps)
+    monkeypatch.setattr(DesignSpec, "tables", counted_coverage)
     for n_reports in (1, 2, 3):
         oracle_report(spec, summary, 0.5)
         assert calls == {"gaps": n_reports, "coverage": n_reports}
@@ -287,3 +293,34 @@ def test_oracle_rejects_out_of_range_probability():
     for p in (0.0, 1.0):
         with pytest.raises(ParameterError):
             true_t_coefficients(spec, summary, p)
+
+
+counts = st.integers(1, 1000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    histogram=st.one_of(
+        st.dictionaries(st.integers(0, 60), counts, min_size=1, max_size=30),
+        st.dictionaries(st.integers(1, 60), counts, min_size=1, max_size=30),
+        st.builds(lambda count: {0: count}, counts),
+    ),
+    design_id=st.sampled_from((1, 2, 3)),
+    c=st.one_of(st.just(0.0), st.just(-0.5), st.floats(-3.0, 3.0)),
+    p=st.floats(0.05, 0.95),
+)
+@example(histogram={0: 7}, design_id=1, c=-0.5, p=0.5)  # all isolated
+@example(histogram={1: 3, 60: 1}, design_id=2, c=-0.5, p=0.3)  # none isolated
+@example(histogram={0: 1000, 1: 1}, design_id=1, c=0.0, p=0.95)
+def test_array_oracle_equals_dict_oracle(histogram, design_id, c, p):
+    summary = DegreeSummary.from_histogram(histogram)
+    spec = reference_design(design_id, c, histogram)
+    ref = reference_oracle_report(spec, histogram, p)
+    for design in (BuiltinDesign(design_id, c), spec):
+        got = oracle_report(design, summary, p)
+        for field in dataclasses.fields(OracleReport):
+            want, value = getattr(ref, field.name), getattr(got, field.name)
+            if want is None:
+                assert value is None, field.name
+            else:
+                assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), field.name
