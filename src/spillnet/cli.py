@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -236,20 +237,33 @@ def cmd_scatter(args) -> int:
 # ---------------------------------------------------------------------------
 # oracle
 
+def _int64(value: int) -> int:
+    if value >= 2**63:
+        raise ValueError("integer out of range, must be below 2**63")
+    return value
+
+
+def _degree(cell: str) -> int:
+    return _int64(nonnegative_int(cell))
+
+
 def _positive_int(cell: str) -> int:
     value = int(cell)
     if value <= 0:
         raise ValueError(f"{value} is not positive")
-    return value
+    return _int64(value)
 
 
 def _read_histogram_csv(path: str) -> DegreeSummary:
     columns, lines, _ = read_table(
-        path, {"degree": nonnegative_int, "count": _positive_int}, unique="degree"
+        path, {"degree": _degree, "count": _positive_int}, unique="degree"
     )
     if not lines:
         raise IngestionError(f"{path}:1: histogram file has no rows")
-    return DegreeSummary.from_histogram(dict(zip(columns["degree"], columns["count"])))
+    try:
+        return DegreeSummary.from_histogram(dict(zip(columns["degree"], columns["count"])))
+    except ParameterError as exc:  # the cells are valid, so only their sum can be at fault
+        raise IngestionError(f"{path}: {exc}") from None
 
 
 def _format_oracle_text(report: OracleReport) -> str:
@@ -324,9 +338,11 @@ def cmd_oracle(args) -> int:
 # audit
 
 def _binary(cell: str) -> int:
-    if cell not in ("0", "1"):
-        raise ValueError(f"non-binary value {cell!r}")
-    return int(cell)
+    if cell == "0":
+        return 0
+    if cell == "1":
+        return 1
+    raise ValueError(f"non-binary value {cell!r}")
 
 
 def _read_unit_data(path: str, id_col: str, treatment_col: str, outcome_col: str):
@@ -352,18 +368,18 @@ def _plug_in_gaps(strat: StratifiedResult, summary: DegreeSummary) -> EffectGaps
 def cmd_audit(args) -> int:
     index, d, y = _read_unit_data(args.data, args.id_col, args.treatment_col, args.outcome_col)
     edges, edge_lines, _ = read_table(args.edges, {"src": str, "dst": str})
-    bad = [
-        f"{args.edges}:{line}: {a!r}-{b!r}"
-        for a, b, line in zip(edges["src"], edges["dst"], edge_lines)
-        if a not in index or b not in index or a == b
-    ]
-    if bad:
-        raise IngestionError(
-            f"edges must join two different ids of {args.data}: {', '.join(bad[:20])}"
+    pairs = np.column_stack([  # the unit row of each end, -1 for an unknown id
+        np.fromiter(map(index.get, edges[end], repeat(-1)), np.int64, len(edge_lines))
+        for end in ("src", "dst")
+    ])
+    bad = np.flatnonzero((pairs < 0).any(axis=1) | (pairs[:, 0] == pairs[:, 1]))
+    if bad.size:
+        shown = ", ".join(
+            f"{args.edges}:{edge_lines[k]}: {edges['src'][k]!r}-{edges['dst'][k]!r}"
+            for k in bad[:20].tolist()
         )
-    net = from_edge_list(
-        [(index[a], index[b]) for a, b in zip(edges["src"], edges["dst"])], n=len(index)
-    )
+        raise IngestionError(f"edges must join two different ids of {args.data}: {shown}")
+    net = from_edge_list(pairs, n=len(index))
 
     p_hat = float(d.mean())
     tr = TreatmentVector(d=d, p=p_hat)

@@ -96,10 +96,11 @@ class DegreeSummary:
         degrees, counts = self.degrees, self.counts
         if degrees.ndim != 1 or degrees.shape != counts.shape or degrees.size == 0:
             raise ParameterError("a summary needs aligned, nonempty degree and count arrays")
-        if (degrees[0] < 0 or (np.diff(degrees) <= 0).any() or (counts <= 0).any()
-                or counts.sum(dtype=float) >= 2**63):
-            raise ParameterError("degrees must be distinct, sorted and nonnegative, and counts "
-                                 "positive with a sum below 2**63")
+        if degrees[0] < 0 or (np.diff(degrees) <= 0).any() or (counts <= 0).any():
+            raise ParameterError("degrees must be distinct, sorted and nonnegative, "
+                                 "and counts positive")
+        if sum(counts.tolist()) >= 2**63:  # exact, where an int64 or float sum is not
+            raise ParameterError("counts must sum to less than 2**63")
         degrees.flags.writeable = False
         counts.flags.writeable = False
 
@@ -326,27 +327,39 @@ def generate_erdos_renyi(n: int, mean_degree: float, seed: int) -> Network:
     return _network_from_keys(n, i * n + pos - starts[i] + i + 1)
 
 
-def from_edge_list(rows: Iterable[tuple[int, int]], n: int) -> Network:
-    """Build a network from undirected edge rows.
+def from_edge_list(rows: Iterable[tuple[int, int]] | np.ndarray, n: int) -> Network:
+    """Build a network from undirected edge rows, pairs or an ``(m, 2)`` int array.
 
     Duplicate rows and opposite orientations collapse to a single edge.
-    Self-loops and out-of-range indices are rejected.
+    Self-loops and out-of-range indices are rejected, naming the edge row.
     """
     if n < 0:
         raise ParameterError("n must be nonnegative")
-    rows = list(rows)
+    if not isinstance(rows, np.ndarray):
+        rows = list(rows)
+    pairs = _index_array(rows).reshape(len(rows), 2)
+    return _network_from_pairs(pairs[:, 0], pairs[:, 1], n, "edge row {}".format)
+
+
+def _index_array(indices: Sequence | np.ndarray) -> np.ndarray:
+    """Node indices as an int64 array, or as an object array when one is 2**63 or more."""
     try:
-        pairs = np.array(rows, dtype=np.int64).reshape(len(rows), 2)
-    except OverflowError:  # an index beyond int64 is out of range; find its row below
-        pairs = np.array(rows, dtype=object).reshape(len(rows), 2)
-    i, j = pairs[:, 0], pairs[:, 1]
+        return np.asarray(indices, dtype=np.int64)
+    except OverflowError:  # such an index is out of range; _network_from_pairs names it
+        return np.asarray(indices, dtype=object)
+
+
+def _network_from_pairs(
+    i: np.ndarray, j: np.ndarray, n: int, where: Callable[[int], str]
+) -> Network:
+    """Build a network from endpoint arrays, rejecting the first bad edge at ``where(row)``."""
     bad = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j))
     if bad.size:
-        row_idx = int(bad[0])
-        i, j = rows[row_idx]
-        if not (0 <= i < n and 0 <= j < n):
-            raise IngestionError(f"edge row {row_idx}: index ({i}, {j}) out of range for n={n}")
-        raise IngestionError(f"edge row {row_idx}: self-link ({i}, {j}) not allowed")
+        row = int(bad[0])
+        a, b = int(i[row]), int(j[row])
+        if not (0 <= a < n and 0 <= b < n):
+            raise IngestionError(f"{where(row)}: index ({a}, {b}) out of range for n={n}")
+        raise IngestionError(f"{where(row)}: self-link ({a}, {b}) not allowed")
     i, j = i.astype(np.int64), j.astype(np.int64)
     return _network_from_keys(n, np.unique(np.minimum(i, j) * n + np.maximum(i, j)))
 
@@ -362,50 +375,80 @@ def read_table(
 ) -> tuple[dict[str, list], list[int], dict[Any, int]]:
     """Read the named columns of a headed CSV file, one list per column.
 
-    Columns are found by header name and other columns are ignored. Cells are
-    stripped and parsed by their column's parser; lines whose cells are all
-    blank are skipped.
+    Columns are found by header name and other columns are ignored. Lines
+    whose cells are all blank are skipped. Each column is parsed in one pass:
+    its cells are stripped and mapped through the column's parser.
     A cell is bad when it is missing, its parser raises ValueError, it parses
     to a non-finite float, or it repeats an earlier value of the ``unique``
-    column. Any bad cell raises IngestionError naming ``path:line`` and the
-    first 20 bad lines of each column. Returns the columns, the file line of
+    column. Only a column that has a bad cell is rescanned cell by cell, to
+    name its bad lines. Any bad cell raises IngestionError naming
+    ``path:line`` and the first 20 bad lines of each bad column, the columns
+    ordered by their first bad line. Returns the columns, the file line of
     each row, and the row of each ``unique`` value (empty without ``unique``).
     """
-    values: dict[str, list] = {name: [] for name in columns}
-    bad: dict[str, tuple[str, list[int]]] = {}
+    rows: list[list[str]] = []
     lines: list[int] = []
-    row_of: dict[Any, int] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = [cell.strip() for cell in next(reader, [])]
         missing = [name for name in columns if name not in header]
         if missing:
             raise IngestionError(f"{path}:1: missing columns {missing} in header {header}")
-        slots = [(name, header.index(name), parse, values[name]) for name, parse in columns.items()]
         for row in reader:
-            if not any(cell.strip() for cell in row):
-                continue
-            line, position = reader.line_num, len(lines)
-            lines.append(line)
-            for name, index, parse, out in slots:
-                try:
-                    if index >= len(row):
-                        raise ValueError("missing cell")
-                    value = parse(row[index].strip())
-                    if isinstance(value, float) and not math.isfinite(value):
-                        raise ValueError(f"non-finite number {value!r}")
-                    if name == unique and row_of.setdefault(value, position) != position:
-                        first = lines[row_of[value]]
-                        raise ValueError(f"duplicate {value!r}, first on line {first}")
-                    out.append(value)
-                except ValueError as exc:
-                    bad.setdefault(name, (str(exc), []))[1].append(line)
+            if "".join(row).strip():
+                rows.append(row)
+                lines.append(reader.line_num)
+    values: dict[str, list] = {}
+    bad: list[tuple[str, str, list[int]]] = []  # column, first error, bad lines
+    row_of: dict[Any, int] = {}
+    for name, parse in columns.items():
+        index = header.index(name)
+        try:
+            column = values[name] = _parse_column(rows, index, parse)
+            if name == unique:
+                row_of = dict(zip(column, range(len(column))))
+                if len(row_of) < len(column):
+                    raise ValueError("repeated value")
+        except (IndexError, ValueError):
+            bad.append((name, *_bad_cells(rows, lines, index, parse, name == unique)))
     if bad:
+        bad.sort(key=lambda item: item[2][0])  # stable: a tie keeps the columns' order
         raise IngestionError("; ".join(
             f"{path}:{at[0]}: column {name!r}: {error}; bad lines {at[:20]}"
-            for name, (error, at) in bad.items()
+            for name, error, at in bad
         ))
     return values, lines, row_of
+
+
+def _parse_column(rows: list[list[str]], index: int, parse: Callable[[str], Any]) -> list:
+    """Parse cell ``index`` of every row; raise on a missing, bad or non-finite cell."""
+    column = list(map(parse, map(str.strip, map(operator.itemgetter(index), rows))))
+    if not all(map(math.isfinite, filter(float.__instancecheck__, column))):
+        raise ValueError("non-finite number")
+    return column
+
+
+def _bad_cells(
+    rows: list[list[str]], lines: list[int], index: int, parse: Callable[[str], Any],
+    unique: bool,
+) -> tuple[str, list[int]]:
+    """Rescan one column cell by cell: the error of its first bad cell and its bad lines."""
+    error, at = "", []
+    first_line: dict[Any, int] = {}
+    for row, line in zip(rows, lines):
+        try:
+            if index >= len(row):
+                raise ValueError("missing cell")
+            value = parse(row[index].strip())
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"non-finite number {value!r}")
+            if unique and first_line.setdefault(value, line) != line:
+                raise ValueError(f"duplicate {value!r}, first on line {first_line[value]}")
+        except ValueError as exc:
+            if not at:
+                error = str(exc)
+            at.append(line)
+    return error, at
 
 
 def nonnegative_int(cell: str) -> int:
@@ -423,12 +466,10 @@ def read_edge_csv(path: str | Path, n: int) -> Network:
     ``path:line``; repeated rows and opposite orientations give one edge.
     """
     columns, lines, _ = read_table(path, {"src": nonnegative_int, "dst": nonnegative_int})
-    for i, j, line in zip(columns["src"], columns["dst"], lines):
-        if not (i < n and j < n):
-            raise IngestionError(f"{path}:{line}: index ({i}, {j}) out of range for n={n}")
-        if i == j:
-            raise IngestionError(f"{path}:{line}: self-link ({i}, {j}) not allowed")
-    return from_edge_list(zip(columns["src"], columns["dst"]), n)
+    return _network_from_pairs(
+        _index_array(columns["src"]), _index_array(columns["dst"]), n,
+        lambda row: f"{path}:{lines[row]}",
+    )
 
 
 def write_edge_csv(net: Network, path: str | Path) -> None:

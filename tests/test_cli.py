@@ -1,11 +1,15 @@
+import contextlib
 import csv
 import inspect
+import io
 import json
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import spillnet
 import spillnet.cli
@@ -161,6 +165,24 @@ def test_oracle_from_calibrated_graph_reference_bias(tmp_path):
     assert float(values["dbar_star_weighted"]) == 0.0
 
 
+def test_oracle_histogram_beyond_int64_is_an_input_error(tmp_path, capsys):
+    hist = tmp_path / "hist.csv"
+    for rows, message in (
+        ("0,1\n\n9223372036854775808,2\n", f"{hist}:4: column 'degree': integer out of range, "
+                                           "must be below 2**63; bad lines [4]"),
+        ("0,1\n1,9223372036854775808\n", f"{hist}:3: column 'count': integer out of range, "
+                                         "must be below 2**63; bad lines [3]"),
+        # every count fits, their sum does not
+        ("0,9223372036854775807\n1,1\n", f"{hist}: counts must sum to less than 2**63"),
+    ):
+        hist.write_text("degree,count\n" + rows)
+        assert main(["oracle", "--design", "1", "--histogram", str(hist)]) == 3
+        assert capsys.readouterr().err == f"spillnet: input error: {message}\n"
+    # a sum just below 2**63, which a float sum rounds up to it, is accepted
+    hist.write_text("degree,count\n0,9223372036854775806\n1,1\n")
+    assert main(["oracle", "--design", "1", "--histogram", str(hist)]) == 0
+
+
 def test_oracle_requires_single_c(capsys):
     assert main(["oracle", "--design", "1", "--c", "0,-0.5"]) == 2
 
@@ -240,6 +262,42 @@ def test_audit_rejects_unknown_edge_ids(tmp_path, capsys):
         edges.write_text("src,dst\n" + rows)
         assert main(["audit", "--edges", str(edges), "--data", str(data)]) == 3
         assert message in capsys.readouterr().err
+
+
+def _run_audit(edges, data):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["audit", "--edges", str(edges), "--data", str(data)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 60), data=st.data())
+def test_audit_report_ignores_row_order_and_repeated_or_reversed_edges(tmp_path, seed, n, data):
+    rng = np.random.default_rng(seed)
+    ids = [f"unit{k}" for k in range(n)]
+    units = [f"{i},{rng.integers(2)},{rng.normal()!r}\n" for i in ids]
+    pairs = {tuple(sorted(rng.choice(n, size=2, replace=False).tolist())) for _ in range(n)}
+    edges = [(ids[a], ids[b]) for a, b in sorted(pairs)]
+    edges_path, data_path = tmp_path / "edges.csv", tmp_path / "units.csv"
+
+    def audit(unit_rows, edge_rows):
+        data_path.write_text("id,treatment,outcome\n" + "".join(unit_rows))
+        edges_path.write_text("src,dst\n" + "".join(f"{a},{b}\n" for a, b in edge_rows))
+        return _run_audit(edges_path, data_path)
+
+    reference = audit(units, edges)
+    assert reference[0] == 0
+    order = data.draw(st.permutations(range(n)), label="unit order")
+    copies = data.draw(st.lists(st.integers(1, 3), min_size=len(edges), max_size=len(edges)),
+                       label="copies of each edge row")
+    flips = data.draw(st.lists(st.booleans(), min_size=sum(copies), max_size=sum(copies)),
+                      label="reversed rows")
+    rows = [edge for edge, k in zip(edges, copies) for _ in range(k)]
+    rows = [(b, a) if flip else (a, b) for (a, b), flip in zip(rows, flips)]
+    rows = [rows[k] for k in data.draw(st.permutations(range(len(rows))), label="edge order")]
+    assert audit([units[k] for k in order], rows) == reference
 
 
 def test_audit_rejects_missing_columns(tmp_path):

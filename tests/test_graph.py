@@ -255,6 +255,46 @@ def test_read_table_returns_the_row_of_each_unique_value(tmp_path):
         read_table(path, {"id": str, "x": int}, unique="id")
 
 
+def test_read_table_names_every_bad_column_in_order_of_its_first_bad_line(tmp_path):
+    path = tmp_path / "units.csv"
+    # a nan and an inf, a short row and a repeated id, each column in its own way
+    path.write_text("id,x,y\na,1.5,1\nb,nan,2\nc,2.5\n\na,3.0,4\nd,inf,5\n")
+    with pytest.raises(IngestionError) as info:
+        read_table(path, {"id": str, "x": float, "y": int}, unique="id")
+    assert str(info.value) == (
+        f"{path}:3: column 'x': non-finite number nan; bad lines [3, 7]; "
+        f"{path}:4: column 'y': missing cell; bad lines [4]; "
+        f"{path}:6: column 'id': duplicate 'a', first on line 2; bad lines [6]"
+    )
+    # the later column's bad cell comes first in the file, so it is named first
+    path.write_text("a,b\n1,x\n2,3\ny,4\n")
+    with pytest.raises(IngestionError) as info:
+        read_table(path, {"a": int, "b": int})
+    assert str(info.value) == (
+        f"{path}:2: column 'b': invalid literal for int() with base 10: 'x'; bad lines [2]; "
+        f"{path}:4: column 'a': invalid literal for int() with base 10: 'y'; bad lines [4]"
+    )
+
+
+def test_edge_csv_reports_an_index_beyond_int64_as_out_of_range(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.write_text("src,dst\n0,1\n\n9223372036854775808,1\n")
+    with pytest.raises(IngestionError) as info:
+        read_edge_csv(path, n=3)
+    assert str(info.value) == f"{path}:4: index (9223372036854775808, 1) out of range for n=3"
+
+
+def test_from_edge_list_takes_an_index_array():
+    rows = [(0, 1), (2, 1), (1, 0)]
+    net = from_edge_list(np.array(rows), n=4)
+    assert net == from_edge_list(rows, n=4)
+    assert to_edge_list(net) == [(0, 1), (1, 2)]
+    with pytest.raises(IngestionError, match=r"^edge row 2: self-link \(3, 3\) not allowed$"):
+        from_edge_list(np.array([(0, 1), (1, 2), (3, 3)]), n=4)
+    with pytest.raises(IngestionError, match=r"^edge row 1: index \(1, 4\) out of range for n=4$"):
+        from_edge_list(np.array([(0, 1), (1, 4)]), n=4)
+
+
 def test_edge_csv_names_the_line_of_a_bad_node_index(tmp_path):
     path = tmp_path / "edges.csv"
     for text, message in (
