@@ -19,7 +19,6 @@ from .dgp import (
     expand,
     load_design_csv,
     simulate_outcomes,
-    true_effect_deltas,
 )
 from .errors import (
     ConfigurationError,
@@ -33,11 +32,9 @@ from .errors import (
 from .estimators import (
     RegressionFit,
     StratifiedResult,
-    dbar_regression,
-    dbar_star_regression,
+    fit_specification,
     ols,
     stratified_regression,
-    t_regression,
 )
 from .exposure import (
     ExposureDiagnostics,
@@ -80,9 +77,6 @@ from .oracle import (
     imputation_bias,
     oracle_report,
     t_weights,
-    true_dbar_coefficients,
-    true_dbar_star_coefficients,
-    true_t_coefficients,
 )
 
 __all__ = [

@@ -1,8 +1,8 @@
 """Command-line front end: simulate, scatter, oracle, audit.
 
-Exit codes: 0 success, 2 usage/parameter problems, 3 input-data problems,
-4 numerical singularity, 5 I/O failures. Flags override values from an
-optional JSON config file (--config) whose keys mirror SimConfig fields.
+Exit codes: 0 success, 2 usage/parameter problems, 3 input-data problems
+(a --config value of the wrong type among them), 4 numerical singularity,
+5 I/O failures. Flags override the values of the JSON config file.
 Every file-producing run writes a ``<out>.manifest.json`` listing outputs
 and the fully resolved configuration, sufficient to reproduce the run.
 """
@@ -14,6 +14,7 @@ import csv
 import json
 import sys
 import time
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from itertools import repeat
 from pathlib import Path
@@ -63,51 +64,78 @@ from .oracle import OracleReport, imputation_bias, oracle_report
 # ---------------------------------------------------------------------------
 # config plumbing
 
-def _load_config(path: str | None) -> dict[str, Any]:
+@dataclass(frozen=True)
+class _Config:
+    """The values of a JSON config file (none without one), or of one of its sections."""
+
+    path: str | None
+    values: dict[str, Any]
+    prefix: str = ""
+
+    def pick(self, flag_value, key: str, default, parse=None):
+        """The flag if given, else the config value through ``parse``, else ``default``.
+
+        A value that ``parse`` rejects raises IngestionError naming the file and key.
+        """
+        if flag_value is not None:
+            return flag_value
+        if key not in self.values:
+            return default
+        try:
+            return self.values[key] if parse is None else parse(self.values[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise IngestionError(f"{self.path}: config key {self.prefix + key!r}: {exc}") from None
+
+    def section(self, key: str) -> "_Config":
+        values = self.values.get(key, {})
+        if not isinstance(values, dict):
+            raise IngestionError(f"{self.path}: config key {key!r} must be a JSON object")
+        return _Config(self.path, values, f"{key}.")
+
+
+def _load_config(path: str | None) -> _Config:
     if path is None:
-        return {}
+        return _Config(None, {})
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            values = json.load(fh)
     except json.JSONDecodeError as exc:
         raise IngestionError(f"{path}: invalid JSON config: {exc}") from exc
-    if not isinstance(cfg, dict):
+    if not isinstance(values, dict):
         raise IngestionError(f"{path}: config must be a JSON object")
-    return cfg
+    return _Config(path, values)
 
 
-def _pick(flag_value, cfg: dict[str, Any], key: str, default):
-    if flag_value is not None:
-        return flag_value
-    return cfg.get(key, default)
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
 
 
-def _graph_model(args, cfg: dict[str, Any]):
-    graph_cfg = cfg.get("graph", {})
-    kind = _pick(args.graph, graph_cfg, "kind", "ws")
+def _graph_model(args, cfg: _Config):
+    graph_cfg = cfg.section("graph")
+    kind = graph_cfg.pick(args.graph, "kind", "ws")
     if kind == "ws":
         return WattsStrogatzGraph(
-            k=int(_pick(args.ws_k, graph_cfg, "k", WattsStrogatzGraph.k)),
-            beta=float(_pick(args.ws_beta, graph_cfg, "beta", WattsStrogatzGraph.beta)),
-            delete_prob=float(
-                _pick(args.ws_delete_prob, graph_cfg, "delete_prob", WattsStrogatzGraph.delete_prob)
+            k=graph_cfg.pick(args.ws_k, "k", WattsStrogatzGraph.k, int),
+            beta=graph_cfg.pick(args.ws_beta, "beta", WattsStrogatzGraph.beta, float),
+            delete_prob=graph_cfg.pick(
+                args.ws_delete_prob, "delete_prob", WattsStrogatzGraph.delete_prob, float
             ),
         )
     if kind == "er":
-        return ErdosRenyiGraph(
-            mean_degree=float(
-                _pick(args.er_mean_degree, graph_cfg, "mean_degree", ErdosRenyiGraph.mean_degree)
-            )
-        )
+        return ErdosRenyiGraph(mean_degree=graph_cfg.pick(
+            args.er_mean_degree, "mean_degree", ErdosRenyiGraph.mean_degree, float
+        ))
     raise ParameterError(f"unknown graph kind {kind!r}; expected 'ws' or 'er'")
 
 
-def _design_from_args(args, cfg: dict[str, Any], c: float) -> Design:
-    design_file = _pick(getattr(args, "design_file", None), cfg, "design_file", None)
+def _design_from_args(args, cfg: _Config, c: float) -> Design:
+    design_file = cfg.pick(getattr(args, "design_file", None), "design_file", None)
     if design_file is not None:
-        noise_sd = float(_pick(getattr(args, "noise_sd", None), cfg, "noise_sd", 1.0))
+        noise_sd = cfg.pick(getattr(args, "noise_sd", None), "noise_sd", 1.0, float)
         return load_design_csv(design_file, noise_sd)
-    design = _pick(args.design, cfg, "design", None)
+    design = cfg.pick(args.design, "design", None)
     if design is None:
         raise ParameterError("a --design id or --design-file is required")
     try:
@@ -116,8 +144,8 @@ def _design_from_args(args, cfg: dict[str, Any], c: float) -> Design:
         raise ParameterError(f"--design must be 1, 2 or 3 here (got {design!r})") from exc
 
 
-def _design_ids(args, cfg: dict[str, Any]) -> list[str]:
-    design = str(_pick(args.design, cfg, "design", "all"))
+def _design_ids(args, cfg: _Config) -> list[str]:
+    design = str(cfg.pick(args.design, "design", "all"))
     if design == "all":
         return ["1", "2", "3"]
     if design not in {"1", "2", "3"}:
@@ -125,16 +153,21 @@ def _design_ids(args, cfg: dict[str, Any]) -> list[str]:
     return [design]
 
 
-def _c_values(args, cfg: dict[str, Any], default: str = "0,-0.5") -> list[float]:
-    raw = _pick(args.c, cfg, "c", default)
+def _parse_c(raw) -> list[float]:
     if isinstance(raw, (int, float)):
         return [float(raw)]
     if isinstance(raw, list):
         return [float(v) for v in raw]
+    return [float(tok) for tok in str(raw).split(",") if tok.strip() != ""]
+
+
+def _c_values(args, cfg: _Config, default: str = "0,-0.5") -> list[float]:
+    if args.c is None:
+        return cfg.pick(None, "c", _parse_c(default), _parse_c)
     try:
-        return [float(tok) for tok in str(raw).split(",") if tok.strip() != ""]
+        return _parse_c(args.c)
     except ValueError as exc:
-        raise ParameterError(f"could not parse --c value {raw!r}") from exc
+        raise ParameterError(f"could not parse --c value {args.c!r}") from exc
 
 
 def _write_manifest(command: str, out_path: Path, outputs: list[str],
@@ -159,20 +192,19 @@ def cmd_simulate(args) -> int:
     started = time.monotonic()
     cfg = _load_config(args.config)
     graph = _graph_model(args, cfg)
-    n = int(_pick(args.n, cfg, "n", 1000))
-    reps = int(_pick(args.reps, cfg, "reps", 5000))
-    p = float(_pick(args.p, cfg, "p", 0.5))
-    seed = int(_pick(args.seed, cfg, "base_seed", 0))
-    regenerate = bool(_pick(
-        (False if args.fixed_graph else None), cfg, "regenerate_graph_each_rep", True
-    ))
+    n = cfg.pick(args.n, "n", 1000, int)
+    reps = cfg.pick(args.reps, "reps", 5000, int)
+    p = cfg.pick(args.p, "p", 0.5, float)
+    seed = cfg.pick(args.seed, "base_seed", 0, int)
+    regenerate = cfg.pick(
+        (False if args.fixed_graph else None), "regenerate_graph_each_rep", True, _boolean
+    )
 
-    design_file = _pick(args.design_file, cfg, "design_file", None)
-    if design_file is not None:
+    if cfg.pick(args.design_file, "design_file", None) is not None:
         runs = [("custom", "", _design_from_args(args, cfg, 0.0))]
     else:
         runs = [
-            (design_id, _format_number(c), BuiltinDesign(design_id=int(design_id), c=c))
+            (design_id, f"{c:g}", BuiltinDesign(design_id=int(design_id), c=c))
             for design_id in _design_ids(args, cfg)
             for c in _c_values(args, cfg)
         ]
@@ -199,10 +231,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _format_number(x: float) -> str:
-    return f"{x:g}"
-
-
 # ---------------------------------------------------------------------------
 # scatter
 
@@ -210,9 +238,9 @@ def cmd_scatter(args) -> int:
     started = time.monotonic()
     cfg = _load_config(args.config)
     graph = _graph_model(args, cfg)
-    n = int(_pick(args.n, cfg, "n", 1000))
-    p = float(_pick(args.p, cfg, "p", 0.5))
-    seed = int(_pick(args.seed, cfg, "base_seed", 0))
+    n = cfg.pick(args.n, "n", 1000, int)
+    p = cfg.pick(args.p, "p", 0.5, float)
+    seed = cfg.pick(args.seed, "base_seed", 0, int)
 
     net = graph.generate(n, seed)
     tr = assign_bernoulli(n, p, seed + 1)
@@ -289,18 +317,10 @@ def _format_oracle_text(report: OracleReport) -> str:
     return "\n".join(lines)
 
 
-_ORACLE_CSV_FIELDS = (
-    "t_direct", "t_spillover", "dbar_direct", "dbar_spillover",
-    "dbar_star_direct", "dbar_star_bias", "dbar_star_weighted", "dbar_star_total",
-    "treated_prob", "positive_share", "baseline_gap", "direct_gap",
-    "mean_inverse_degree_positive", "mean_dbar_star", "var_dbar_star",
-)
-
-
 def cmd_oracle(args) -> int:
     started = time.monotonic()
     cfg = _load_config(args.config)
-    p = float(_pick(args.p, cfg, "p", 0.5))
+    p = cfg.pick(args.p, "p", 0.5, float)
     c_values = _c_values(args, cfg, default="0")
     if len(c_values) != 1:
         raise ParameterError("oracle takes a single --c value")
@@ -310,8 +330,8 @@ def cmd_oracle(args) -> int:
         source = f"histogram {args.histogram}"
     else:
         graph = _graph_model(args, cfg)
-        n = int(_pick(args.n, cfg, "n", 1000))
-        seed = int(_pick(args.seed, cfg, "base_seed", 0))
+        n = cfg.pick(args.n, "n", 1000, int)
+        seed = cfg.pick(args.seed, "base_seed", 0, int)
         summary = summarize(graph.generate(n, seed))
         source = f"realized graph (n={n}, seed={seed})"
 
@@ -325,8 +345,7 @@ def cmd_oracle(args) -> int:
         with out.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["quantity", "value"])
-            for field_name in _ORACLE_CSV_FIELDS:
-                value = getattr(report, field_name)
+            for field_name, value in asdict(report).items():
                 writer.writerow([field_name, "" if value is None else value])
         _write_manifest("oracle", out, [str(out)],
                         {"p": p, "source": source}, started)

@@ -157,12 +157,6 @@ def effect_gaps(summary: DegreeSummary, baseline: np.ndarray, direct: np.ndarray
     )
 
 
-def true_effect_deltas(spec: Design, summary: DegreeSummary) -> EffectGaps:
-    """Baseline and direct-effect gaps driving the imputation bias."""
-    baseline, direct, _ = spec.tables(summary.degrees)
-    return effect_gaps(summary, baseline, direct)
-
-
 def load_design_csv(path: str | Path, noise_sd: float) -> DesignSpec:
     """Load a tabulated design from a ``degree,theta00,mu_de,lambda_se`` CSV."""
     columns, lines, _ = read_table(

@@ -45,10 +45,6 @@ class RegressionFit:
     rss: float
     sigma2: float
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.coefficients)
-
     def coef(self, name: str) -> float:
         return self.coefficients[name]
 
@@ -143,7 +139,6 @@ class Specification:
     spillover target and of that target plus its bias.
     """
 
-    function: str
     columns: tuple[str, ...]
     connected_only: bool
     min_units: int
@@ -153,15 +148,15 @@ class Specification:
 
 SPECS = {
     "t_reg": Specification(
-        "t_regression", (CONST, TREATED, TREATED_NEIGHBORS, DEGREE), False, 5,
+        (CONST, TREATED, TREATED_NEIGHBORS, DEGREE), False, 5,
         TREATED_NEIGHBORS, ("t_direct", "t_spillover", "t_spillover"),
     ),
     "dbar_reg": Specification(
-        "dbar_regression", (CONST, TREATED, DBAR), True, 4,
+        (CONST, TREATED, DBAR), True, 4,
         DBAR, ("dbar_direct", "dbar_spillover", "dbar_spillover"),
     ),
     "dbar_star_reg": Specification(
-        "dbar_star_regression", (CONST, TREATED, DBAR_STAR), False, 4,
+        (CONST, TREATED, DBAR_STAR), False, 4,
         DBAR_STAR, ("dbar_star_direct", "dbar_star_weighted", "dbar_star_total"),
     ),
 }
@@ -183,7 +178,7 @@ def design_matrix(spec_name: str, tr: TreatmentVector,
     size = prof.n if rows is None else rows.size
     if size < spec.min_units:
         subsample = " with neighbors" if spec.connected_only else ""
-        raise TooFewUnitsError(f"{spec.function} needs at least {spec.min_units} units{subsample}")
+        raise TooFewUnitsError(f"{spec_name} needs at least {spec.min_units} units{subsample}")
     full = {TREATED: tr.d, TREATED_NEIGHBORS: prof.treated_neighbors, DEGREE: prof.degree,
             DBAR_STAR: prof.dbar_star}
     x = np.empty((size, len(spec.columns)))
@@ -199,29 +194,14 @@ def design_matrix(spec_name: str, tr: TreatmentVector,
 
 def fit_specification(spec_name: str, net: Network, tr: TreatmentVector, y: np.ndarray, *,
                       profile: ExposureProfile | None = None) -> RegressionFit:
-    """Fit one of the SPECS by name; the three functions below are this call."""
+    """Fit the specification ``SPECS[spec_name]`` of ``y`` on (net, tr).
+
+    ``profile``, the exposure of (net, tr), is computed when not given.
+    """
     prof = profile if profile is not None else compute_exposure(net, tr)
     x, rows = design_matrix(spec_name, tr, prof)
     y = np.asarray(y, dtype=float)
     return ols(x, y if rows is None else y[rows], SPECS[spec_name].columns, spec_name=spec_name)
-
-
-def t_regression(net: Network, tr: TreatmentVector, y: np.ndarray, *,
-                 profile: ExposureProfile | None = None) -> RegressionFit:
-    """Outcome on (1, own treatment, treated-neighbor count, degree), all units."""
-    return fit_specification("t_reg", net, tr, y, profile=profile)
-
-
-def dbar_regression(net: Network, tr: TreatmentVector, y: np.ndarray, *,
-                    profile: ExposureProfile | None = None) -> RegressionFit:
-    """Outcome on (1, own treatment, treated fraction), positive-degree units only."""
-    return fit_specification("dbar_reg", net, tr, y, profile=profile)
-
-
-def dbar_star_regression(net: Network, tr: TreatmentVector, y: np.ndarray, *,
-                         profile: ExposureProfile | None = None) -> RegressionFit:
-    """Outcome on (1, own treatment, zero-imputed treated fraction), all units."""
-    return fit_specification("dbar_star_reg", net, tr, y, profile=profile)
 
 
 @dataclass(frozen=True)

@@ -75,10 +75,9 @@ def compute_exposure(net: Network, tr: TreatmentVector) -> ExposureProfile:
     if tr.n != net.n:
         raise ParameterError(f"treatment length {tr.n} does not match n={net.n}")
     degree = net.degree
-    u, v = net.edge_arrays
     # each edge counts the far end's treatment at both ends; float sums of 0/1 are exact
-    weights = tr.d[np.concatenate([v, u])].astype(float)
-    t = np.bincount(np.concatenate([u, v]), weights=weights, minlength=net.n).astype(np.int64)
+    weights = tr.d[np.concatenate([net.v, net.u])].astype(float)
+    t = np.bincount(np.concatenate([net.u, net.v]), weights=weights, minlength=net.n).astype(np.int64)
     positive = np.flatnonzero(degree > 0)
     dbar = t[positive] / degree[positive]
     dbar_star = np.zeros(net.n, dtype=float)

@@ -61,11 +61,6 @@ class Network:
         degree.flags.writeable = False
         return degree
 
-    @property
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge endpoints (u, v) with u < v, sorted lexicographically."""
-        return self.u, self.v
-
     def check_invariants(self) -> None:
         """Assert endpoints in range, u < v, and edges sorted without repeats."""
         if self.u.shape != self.v.shape or self.u.ndim != 1:
@@ -331,7 +326,8 @@ def from_edge_list(rows: Iterable[tuple[int, int]] | np.ndarray, n: int) -> Netw
     """Build a network from undirected edge rows, pairs or an ``(m, 2)`` int array.
 
     Duplicate rows and opposite orientations collapse to a single edge.
-    Self-loops and out-of-range indices are rejected, naming the edge row.
+    Self-loops and out-of-range or non-integer indices are rejected, naming
+    the edge row.
     """
     if n < 0:
         raise ParameterError("n must be nonnegative")
@@ -342,20 +338,28 @@ def from_edge_list(rows: Iterable[tuple[int, int]] | np.ndarray, n: int) -> Netw
 
 
 def _index_array(indices: Sequence | np.ndarray) -> np.ndarray:
-    """Node indices as an int64 array, or as an object array when one is 2**63 or more."""
+    """Node indices as an int64 array, or as given in an object array when one
+    is not an integer below 2**63; _network_from_pairs names such an index."""
     try:
-        return np.asarray(indices, dtype=np.int64)
-    except OverflowError:  # such an index is out of range; _network_from_pairs names it
-        return np.asarray(indices, dtype=object)
+        array = np.asarray(indices, dtype=np.int64)
+        if np.array_equal(array, indices):  # the cast truncates fractions
+            return array
+    except (OverflowError, ValueError):
+        pass
+    return np.asarray(indices, dtype=object)
 
 
 def _network_from_pairs(
     i: np.ndarray, j: np.ndarray, n: int, where: Callable[[int], str]
 ) -> Network:
     """Build a network from endpoint arrays, rejecting the first bad edge at ``where(row)``."""
-    bad = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j))
+    with np.errstate(invalid="ignore"):  # a nan index is flagged, not warned about
+        bad = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j)
+                             | (i % 1 != 0) | (j % 1 != 0))
     if bad.size:
         row = int(bad[0])
+        if i[row] % 1 != 0 or j[row] % 1 != 0:
+            raise IngestionError(f"{where(row)}: index ({i[row]}, {j[row]}) is not an integer")
         a, b = int(i[row]), int(j[row])
         if not (0 <= a < n and 0 <= b < n):
             raise IngestionError(f"{where(row)}: index ({a}, {b}) out of range for n={n}")
@@ -366,8 +370,7 @@ def _network_from_pairs(
 
 def to_edge_list(net: Network) -> list[tuple[int, int]]:
     """All edges as (i, j) pairs with i < j, sorted."""
-    u, v = net.edge_arrays
-    return list(zip(u.tolist(), v.tolist()))
+    return list(zip(net.u.tolist(), net.v.tolist()))
 
 
 def read_table(

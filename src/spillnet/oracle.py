@@ -25,19 +25,27 @@ from .graph import DegreeSummary, Network
 
 ENUMERATION_MAX_NODES = 12
 
-SPEC_NAMES = tuple(SPECS)
-
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Theoretical coefficients for all three specifications, plus intermediates.
+    """Population coefficients of the three specifications, plus intermediates.
 
-    ``dbar_star_weighted`` is the weighted average of degree-scaled spillover
-    effects that the zero-imputed regression is *meant* to estimate -- the
-    value reported as the true coefficient -- while ``dbar_star_bias`` is the
-    contamination term added on top of it; their sum is the actual population
-    coefficient. Fields are None where undefined (e.g. no positive-degree
-    nodes).
+    Each spillover coefficient is a weighted average of degree-specific
+    effects over the empirical degree distribution. ``t_spillover`` averages
+    spillover(degree) with ``t_weights``: E[degree * spillover] / E[degree].
+    The fraction regression fits the units with neighbors only:
+    ``dbar_direct`` = E[direct | degree>0], and ``dbar_spillover`` averages
+    degree * spillover(degree) with ``dbar_weights``: E[spillover |
+    degree>0] / E[1/degree | degree>0]. ``t_direct`` = ``dbar_star_direct``
+    = E[direct]. The zero-imputed slope ``dbar_star_total`` is
+    ``dbar_star_weighted + dbar_star_bias``. The weighted part, the value
+    that regression is *meant* to estimate and reported as its true
+    coefficient, averages degree * spillover(degree) with weights
+    proportional to E[dbar * (dbar - E[dbar_star]) | degree] (exact Binomial
+    moments). The bias is ``imputation_bias`` of the two gaps: exactly 0
+    without isolated nodes or when both gaps are 0. ``dbar_direct`` and the
+    spillover fields are None when no node has a neighbor, the gaps when
+    either stratum is empty.
     """
 
     t_direct: float
@@ -62,56 +70,28 @@ def _check_p(p: float) -> None:
         raise ParameterError("treatment probability must lie strictly in (0, 1)")
 
 
-def t_weights(summary: DegreeSummary) -> dict[int, float]:
+def t_weights(summary: DegreeSummary) -> np.ndarray:
     """Weights degree / E(degree) applied to spillovers by the count regression.
 
-    Nonnegative, mean one under the degree distribution, and zero at degree
-    zero: nodes without neighbors do not contribute.
+    Aligned with ``summary.degrees``; nonnegative, mean one under the degree
+    distribution, and zero at degree zero: nodes without neighbors do not
+    contribute.
     """
     if summary.mean_degree == 0:
         raise ParameterError("weights undefined: no edges in the network")
-    return dict(zip(summary.degrees.tolist(), (summary.degrees / summary.mean_degree).tolist()))
+    return summary.degrees / summary.mean_degree
 
 
-def dbar_weights(summary: DegreeSummary) -> dict[int, float]:
+def dbar_weights(summary: DegreeSummary) -> np.ndarray:
     """Weights (1/degree) / E(1/degree | degree>0) used by the fraction regression.
 
-    Defined over positive degrees only; mean one under the conditional
-    distribution, largest for degree-1 nodes.
+    Aligned with the positive degrees, ``summary.degrees[summary.positive]``;
+    mean one under the conditional distribution, largest for degree-1 nodes.
     """
     inv_mean = summary.mean_inverse_degree_positive
     if inv_mean is None:
         raise ParameterError("weights undefined: no nodes with neighbors")
-    positive = summary.degrees[summary.positive]
-    return dict(zip(positive.tolist(), ((1.0 / positive) / inv_mean).tolist()))
-
-
-def true_t_coefficients(
-    spec: Design, summary: DegreeSummary, p: float
-) -> tuple[float, float | None]:
-    """Population (direct, spillover) coefficients of the count regression.
-
-    direct = E[direct_effect(degree)]; spillover = the degree-weighted mean
-    of spillover_effect, i.e. E[degree * spillover] / E[degree]. The
-    spillover coefficient is None on an all-isolated network.
-    """
-    report = oracle_report(spec, summary, p)
-    return report.t_direct, report.t_spillover
-
-
-def true_dbar_coefficients(
-    spec: Design, summary: DegreeSummary, p: float
-) -> tuple[float | None, float | None]:
-    """Population (direct, spillover) coefficients of the fraction regression.
-
-    Both condition on degree > 0 (isolated nodes are excluded from the fit):
-    direct = E[direct_effect | degree>0], spillover = the inverse-degree
-    weighted mean of degree * spillover_effect, which reduces to
-    E[spillover | degree>0] / E[1/degree | degree>0]. None when the network
-    has no positive-degree nodes.
-    """
-    report = oracle_report(spec, summary, p)
-    return report.dbar_direct, report.dbar_spillover
+    return (1.0 / summary.degrees[summary.positive]) / inv_mean
 
 
 def imputation_bias(
@@ -133,23 +113,6 @@ def imputation_bias(
     return (baseline_gap + p * direct_gap) * (1.0 - s) / (p * (1.0 - s) + (1.0 - p) * inv_mean)
 
 
-def true_dbar_star_coefficients(
-    spec: Design, summary: DegreeSummary, p: float
-) -> tuple[float, float | None, float | None]:
-    """Population (direct, bias, weighted) parts of the zero-imputed regression.
-
-    The spillover coefficient decomposes into ``bias + weighted``. The bias
-    is ``imputation_bias`` of the design's gaps; it vanishes exactly when
-    s = 1 or when both gaps are zero. The weighted part averages
-    degree * spillover_effect with weights proportional to
-    E[dbar * (dbar - mean of the imputed fraction) | degree], evaluated with
-    exact Binomial moments. Bias and weighted are None when every node is
-    isolated (the imputed fraction is then identically zero).
-    """
-    report = oracle_report(spec, summary, p)
-    return report.dbar_star_direct, report.dbar_star_bias, report.dbar_star_weighted
-
-
 def dbar_star_moments(summary: DegreeSummary, p: float) -> tuple[float, float]:
     """Exact mean and variance of the zero-imputed treated fraction.
 
@@ -169,8 +132,7 @@ def oracle_report(design: Design, summary: DegreeSummary, p: float) -> OracleRep
     """Assemble every theoretical coefficient and intermediate in one record.
 
     Evaluates the design (checking its coverage) and the effect gaps once;
-    each ``true_*_coefficients`` function reads its values from this record,
-    where its docstring gives the formula.
+    ``OracleReport`` gives the formula of each field.
     """
     _check_p(p)
     baseline, direct, spill = design.tables(summary.degrees)
@@ -180,11 +142,11 @@ def oracle_report(design: Design, summary: DegreeSummary, p: float) -> OracleRep
 
     t_spill = dbar_direct = dbar_spill = star_bias = star_weighted = total = None
     if s != 0.0:
-        t_spill = summary.mean(summary.degrees * spill) / summary.mean_degree
+        t_spill = summary.mean(t_weights(summary) * spill)
         pos = summary.positive
         g = summary.degrees[pos]
         dbar_direct = summary.mean(direct[pos], positive_only=True)
-        dbar_spill = summary.mean(spill[pos], positive_only=True) / inv_mean
+        dbar_spill = summary.mean(dbar_weights(summary) * g * spill[pos], positive_only=True)
         # E[dbar * (dbar - E[dbar_star]) | degree = g] for a Binomial(g, p)/g fraction
         factor = p * p + p * (1.0 - p) / g - p * p * s
         star_weighted = (
@@ -221,14 +183,15 @@ def enumeration_population_ols(
     """Exact population projection coefficients by exhausting all treatments.
 
     Enumerates every treatment vector with its Bernoulli probability, draws
-    the node uniformly (conditioned on degree > 0 for ``dbar_reg``), builds
-    the exact moment matrices of the chosen specification's regressors
-    against the noise-free outcome, and solves the projection. Limited to
-    n <= 12 (2^n vectors).
+    the node uniformly (among the units with neighbors for a
+    ``connected_only`` specification), builds the exact moment matrices of
+    the regressors of ``SPECS[which]`` against the noise-free outcome, and
+    solves the projection. Limited to n <= 12 (2^n vectors).
     """
     _check_p(p)
-    if which not in SPEC_NAMES:
-        raise ParameterError(f"unknown specification {which!r}; expected one of {SPEC_NAMES}")
+    if which not in SPECS:
+        raise ParameterError(f"unknown specification {which!r}; expected one of {tuple(SPECS)}")
+    regression = SPECS[which]
     n = net.n
     if n > ENUMERATION_MAX_NODES:
         raise ParameterError(
@@ -237,8 +200,7 @@ def enumeration_population_ols(
     baseline, direct, spill = spec.tables(net.degree)
     degree = net.degree.astype(float)
     a_mat = np.zeros((n, n))
-    u, v = net.edge_arrays
-    a_mat[u, v] = a_mat[v, u] = 1.0
+    a_mat[net.u, net.v] = a_mat[net.v, net.u] = 1.0
 
     codes = np.arange(2**n, dtype=np.uint64)
     d_mat = ((codes[:, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(float)
@@ -250,26 +212,15 @@ def enumeration_population_ols(
 
     y = baseline[None, :] + direct[None, :] * d_mat + spill[None, :] * t_mat
 
-    if which == "t_reg":
-        names = (CONST, TREATED, TREATED_NEIGHBORS, DEGREE)
-        cols = [np.ones_like(d_mat), d_mat, t_mat, np.broadcast_to(degree, d_mat.shape)]
-        unit_mask = np.ones(n, dtype=bool)
-    elif which == "dbar_reg":
-        unit_mask = net.degree > 0
-        if not unit_mask.any():
-            raise EmptySubsampleError("no units with neighbors to condition on")
-        names = (CONST, TREATED, DBAR)
-        dbar = t_mat[:, unit_mask] / degree[unit_mask]
-        cols = [np.ones_like(dbar), d_mat[:, unit_mask], dbar]
-    else:
-        names = (CONST, TREATED, DBAR_STAR)
-        dbar_star = np.zeros_like(t_mat)
-        pos = net.degree > 0
-        dbar_star[:, pos] = t_mat[:, pos] / degree[pos]
-        cols = [np.ones_like(d_mat), d_mat, dbar_star]
-        unit_mask = np.ones(n, dtype=bool)
-
-    w = np.stack([c[:, unit_mask] if c.shape[1] == n else c for c in cols], axis=-1)
+    pos = net.degree > 0
+    unit_mask = pos if regression.connected_only else np.ones(n, dtype=bool)
+    if not unit_mask.any():
+        raise EmptySubsampleError("no units with neighbors to condition on")
+    fraction = np.zeros_like(t_mat)  # the treated fraction, imputed as zero where degree = 0
+    fraction[:, pos] = t_mat[:, pos] / degree[pos]
+    column = {CONST: np.ones_like(d_mat), TREATED: d_mat, TREATED_NEIGHBORS: t_mat,
+              DEGREE: np.broadcast_to(degree, d_mat.shape), DBAR: fraction, DBAR_STAR: fraction}
+    w = np.stack([column[name][:, unit_mask] for name in regression.columns], axis=-1)
     y_used = y[:, unit_mask]
     m_units = int(unit_mask.sum())
     weights = prob / m_units
@@ -280,7 +231,7 @@ def enumeration_population_ols(
     eigvals = np.linalg.eigvalsh(moment)
     if eigvals[0] <= 1e-12 * max(eigvals[-1], 1e-300):
         raise SingularModelError(
-            f"population moment matrix for {which} is singular", columns=names
+            f"population moment matrix for {which} is singular", columns=regression.columns
         )
     beta = np.linalg.solve(moment, target)
-    return dict(zip(names, beta.tolist()))
+    return dict(zip(regression.columns, beta.tolist()))

@@ -16,8 +16,7 @@ from spillnet.dgp import BuiltinDesign, expand, simulate_outcomes
 from spillnet.errors import EmptySubsampleError, SingularModelError
 from spillnet.estimators import (
     TREATED_NEIGHBORS,
-    dbar_regression,
-    dbar_star_regression,
+    fit_specification,
     stratified_regression,
 )
 from spillnet.exposure import (
@@ -285,8 +284,8 @@ def test_criterion_8_equivalence_without_isolation():
     tr = assign_bernoulli(300, 0.5, seed=18)
     spec = expand(BuiltinDesign(1, -0.5), np.unique(net.degree))
     y = simulate_outcomes(net, tr, spec, seed=19)
-    a = dbar_regression(net, tr, y)
-    b = dbar_star_regression(net, tr, y)
+    a = fit_specification("dbar_reg", net, tr, y)
+    b = fit_specification("dbar_star_reg", net, tr, y)
     identical = (
         list(a.coefficients.values()) == list(b.coefficients.values())
         and list(a.se.values()) == list(b.se.values())

@@ -85,6 +85,24 @@ def test_simulate_config_file_with_flag_override(tmp_path):
     assert stored["graph"] == {"kind": "er", "mean_degree": 3.0}
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"n": "abc"}, "'n'"),
+    ({"graph": {"kind": "ws", "k": "x"}}, "'graph.k'"),
+    ({"p": None}, "'p'"),
+    ({"graph": "er"}, "'graph'"),
+    ({"base_seed": float("inf")}, "'base_seed'"),
+    ({"regenerate_graph_each_rep": 0}, "'regenerate_graph_each_rep'"),
+])
+def test_simulate_config_bad_value_is_an_input_error(tmp_path, capsys, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(cfg), "--reps", "2", "--out",
+                 str(tmp_path / "o.csv")]) == 3
+    err = capsys.readouterr().err
+    assert f"{cfg}: config key {key}" in err
+    assert "Traceback" not in err
+
+
 def test_scatter_is_byte_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
@@ -149,7 +167,14 @@ def test_oracle_design3_bias_exactly_zero(tmp_path, capsys):
         "oracle", "--design", "3", "--c", "-0.5", "--p", "0.5",
         "--histogram", str(hist), "--out", str(out_csv),
     ]) == 0
-    values = {r["quantity"]: r["value"] for r in _read_csv(out_csv)}
+    rows = _read_csv(out_csv)
+    assert [r["quantity"] for r in rows] == [
+        "t_direct", "t_spillover", "dbar_direct", "dbar_spillover",
+        "dbar_star_direct", "dbar_star_bias", "dbar_star_weighted", "dbar_star_total",
+        "treated_prob", "positive_share", "baseline_gap", "direct_gap",
+        "mean_inverse_degree_positive", "mean_dbar_star", "var_dbar_star",
+    ]
+    values = {r["quantity"]: r["value"] for r in rows}
     assert float(values["dbar_star_bias"]) == 0.0
     assert (tmp_path / "oracle.csv.manifest.json").exists()
 
@@ -410,10 +435,12 @@ def test_version_flag(capsys):
 
 
 def test_package_and_project_versions_agree():
-    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
-    declared = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.MULTILINE)
-    assert declared is not None
-    assert declared.group(1) == spillnet.__version__
+    # the project takes its version from the package, so the two cannot differ
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    assert re.search(r'^dynamic = \["version"\]$', pyproject, re.MULTILINE)
+    assert re.search(r'^version = \{attr = "spillnet.__version__"\}$', pyproject, re.MULTILINE)
+    assert not re.search(r'^version = "', pyproject, re.MULTILINE)
+    assert re.fullmatch(r"\d+\.\d+\.\d+", spillnet.__version__)
 
 
 def test_package_exports_names_not_submodules():

@@ -6,11 +6,11 @@ import pytest
 from spillnet.dgp import (
     BuiltinDesign,
     DesignSpec,
+    effect_gaps,
     expand,
     load_design_csv,
     outcome_matrix,
     simulate_outcomes,
-    true_effect_deltas,
 )
 from spillnet.errors import ConfigurationError, IngestionError, ParameterError
 from spillnet.exposure import TreatmentVector, assign_bernoulli, compute_exposure
@@ -139,7 +139,7 @@ def test_effect_gaps_match_design_formulas():
     mean_pos = (1 + 2 + 2 + 5) / 4
     for design_id, expected in ((1, mean_pos), (2, 1.0), (3, 0.0)):
         spec = expand(BuiltinDesign(design_id, -0.5), summary.histogram.keys())
-        gaps = true_effect_deltas(spec, summary)
+        gaps = effect_gaps(summary, *spec.tables(summary.degrees)[:2])
         assert gaps.baseline == pytest.approx(expected)
         assert gaps.direct == pytest.approx(0.0)
 
@@ -147,9 +147,9 @@ def test_effect_gaps_match_design_formulas():
 def test_effect_gaps_undefined_without_both_strata():
     spec = expand(BuiltinDesign(1, 0.0), [0, 1, 2])
     no_isolated = DegreeSummary.from_degrees([1, 2, 2])
-    assert true_effect_deltas(spec, no_isolated).baseline is None
+    assert effect_gaps(no_isolated, *spec.tables(no_isolated.degrees)[:2]).baseline is None
     all_isolated = DegreeSummary.from_degrees([0, 0])
-    assert true_effect_deltas(spec, all_isolated).baseline is None
+    assert effect_gaps(all_isolated, *spec.tables(all_isolated.degrees)[:2]).baseline is None
 
 
 def test_design_csv_round_trip(tmp_path):

@@ -13,12 +13,10 @@ from spillnet.estimators import (
     DEGREE,
     TREATED,
     TREATED_NEIGHBORS,
-    dbar_regression,
-    dbar_star_regression,
+    fit_specification,
     least_squares,
     ols,
     stratified_regression,
-    t_regression,
 )
 from spillnet.exposure import TreatmentVector, assign_bernoulli
 from spillnet.graph import from_edge_list, generate_erdos_renyi, generate_watts_strogatz
@@ -107,8 +105,8 @@ def test_shifting_outcome_moves_only_the_intercept():
     net = generate_watts_strogatz(120, 4, 0.3, 0.4, seed=4)
     tr = assign_bernoulli(120, 0.5, seed=5)
     y = np.random.default_rng(6).normal(size=120)
-    base = t_regression(net, tr, y)
-    shifted = t_regression(net, tr, y + 5.0)
+    base = fit_specification("t_reg", net, tr, y)
+    shifted = fit_specification("t_reg", net, tr, y + 5.0)
     assert shifted.coef(CONST) == pytest.approx(base.coef(CONST) + 5.0, abs=1e-10)
     for name in (TREATED, TREATED_NEIGHBORS, DEGREE):
         assert shifted.coef(name) == pytest.approx(base.coef(name), abs=1e-10)
@@ -126,7 +124,7 @@ def test_t_regression_exact_when_correctly_specified():
         noise_sd=0.0,
     )
     y = simulate_outcomes(net, tr, spec, seed=16)
-    fit = t_regression(net, tr, y)
+    fit = fit_specification("t_reg", net, tr, y)
     assert fit.coef(TREATED) == pytest.approx(1.25, abs=1e-9)
     assert fit.coef(TREATED_NEIGHBORS) == pytest.approx(-0.4, abs=1e-9)
     assert fit.coef(DEGREE) == pytest.approx(2.0, abs=1e-9)
@@ -136,14 +134,14 @@ def test_t_regression_exact_when_correctly_specified():
 def test_t_regression_needs_five_units():
     net = from_edge_list([(0, 1)], n=4)
     tr = TreatmentVector(d=np.array([1, 0, 1, 0]), p=0.5)
-    with pytest.raises(ParameterError):
-        t_regression(net, tr, np.zeros(4))
+    with pytest.raises(ParameterError, match="t_reg needs at least 5 units"):
+        fit_specification("t_reg", net, tr, np.zeros(4))
 
 
 def test_dbar_regression_uses_positive_subsample_only():
     net = from_edge_list([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], n=7)
     tr = assign_bernoulli(7, 0.5, seed=3)
-    fit = dbar_regression(net, tr, np.arange(7.0))
+    fit = fit_specification("dbar_reg", net, tr, np.arange(7.0))
     assert fit.n_used == 5
     assert fit.spec_name == "dbar_reg"
 
@@ -152,10 +150,10 @@ def test_dbar_regression_subsample_errors():
     empty = from_edge_list([], n=6)
     tr = assign_bernoulli(6, 0.5, seed=0)
     with pytest.raises(EmptySubsampleError):
-        dbar_regression(empty, tr, np.zeros(6))
+        fit_specification("dbar_reg", empty, tr, np.zeros(6))
     tiny = from_edge_list([(0, 1)], n=6)
     with pytest.raises(ParameterError):
-        dbar_regression(tiny, tr, np.zeros(6))
+        fit_specification("dbar_reg", tiny, tr, np.zeros(6))
 
 
 def test_degree_one_subsample_recovers_spillover_exactly():
@@ -170,7 +168,7 @@ def test_degree_one_subsample_recovers_spillover_exactly():
         noise_sd=0.0,
     )
     y = simulate_outcomes(net, tr, spec, seed=20)
-    fit = dbar_regression(net, tr, y)
+    fit = fit_specification("dbar_reg", net, tr, y)
     assert fit.coef(DBAR) == pytest.approx(-0.37, abs=1e-9)
 
 
@@ -178,7 +176,7 @@ def test_dbar_star_regression_minimum_size():
     net = from_edge_list([(0, 1)], n=3)
     tr = TreatmentVector(d=np.array([1, 0, 1]), p=0.5)
     with pytest.raises(ParameterError):
-        dbar_star_regression(net, tr, np.zeros(3))
+        fit_specification("dbar_star_reg", net, tr, np.zeros(3))
 
 
 def test_dbar_and_dbar_star_identical_without_isolated_nodes():
@@ -186,8 +184,8 @@ def test_dbar_and_dbar_star_identical_without_isolated_nodes():
     assert (net.degree > 0).all(), "seed chosen to give no isolated nodes"
     tr = assign_bernoulli(80, 0.5, seed=24)
     y = np.random.default_rng(25).normal(size=80)
-    a = dbar_regression(net, tr, y)
-    b = dbar_star_regression(net, tr, y)
+    a = fit_specification("dbar_reg", net, tr, y)
+    b = fit_specification("dbar_star_reg", net, tr, y)
     # bit-identical, not merely close
     assert list(a.coefficients.values()) == list(b.coefficients.values())
     assert list(a.se.values()) == list(b.se.values())
@@ -235,4 +233,4 @@ def test_all_treated_design_matrix_is_singular():
     net = generate_watts_strogatz(30, 2, 0.0, 0.0, seed=1)
     tr = TreatmentVector(d=np.ones(30, dtype=np.int64), p=0.5)
     with pytest.raises(SingularModelError):
-        t_regression(net, tr, np.zeros(30))
+        fit_specification("t_reg", net, tr, np.zeros(30))

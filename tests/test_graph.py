@@ -142,7 +142,7 @@ def test_er_links_every_pair_at_rate_p():
     counts = dict.fromkeys(pairs, 0)
     for seed in range(n_seeds):
         net = generate_erdos_renyi(n, mean_degree, seed=seed)
-        for pair in zip(*(a.tolist() for a in net.edge_arrays)):
+        for pair in zip(net.u.tolist(), net.v.tolist()):
             counts[pair] += 1  # a KeyError here is a pair outside i < j < n
     bound = 4.5 * math.sqrt(n_seeds * p_edge * (1 - p_edge))
     # the first and last pair positions, where an off-by-one in the
@@ -159,7 +159,7 @@ def test_er_at_200k_nodes_has_binomial_edge_count():
     net = generate_erdos_renyi(n, mean_degree, seed=8)
     pairs = n * (n - 1) / 2
     p_edge = mean_degree / (n - 1)
-    edges = net.edge_arrays[0].size
+    edges = net.u.size
     assert abs(edges - pairs * p_edge) <= 5 * math.sqrt(pairs * p_edge * (1 - p_edge))
     assert int(net.degree.sum()) == 2 * edges
 
@@ -215,6 +215,9 @@ def test_from_edge_list_rejects_self_loops_and_bad_indices():
         from_edge_list([(0, 5)], n=3)
     with pytest.raises(IngestionError):
         from_edge_list([(-1, 0)], n=3)
+    for rows in ([(0.9, 2.5)], np.array([[0.5, 1.7]]), [(0, 1), (1, 2.5)]):
+        with pytest.raises(IngestionError, match=f"edge row {len(rows) - 1}: .* not an integer"):
+            from_edge_list(rows, n=3)
 
 
 def test_edge_list_round_trip():

@@ -22,9 +22,6 @@ from spillnet.oracle import (
     enumeration_population_ols,
     oracle_report,
     t_weights,
-    true_dbar_coefficients,
-    true_dbar_star_coefficients,
-    true_t_coefficients,
 )
 
 
@@ -40,59 +37,60 @@ def _flat_spec(degrees, spillover, direct=1.0, baseline=None):
 
 def test_weights_are_normalized_and_vanish_at_degree_zero():
     summary = DegreeSummary.from_degrees([0, 0, 1, 2, 2, 3, 5])
-    wt = t_weights(summary)
+    assert summary.degrees.tolist() == [0, 1, 2, 3, 5]
+    wt = t_weights(summary)  # aligned with summary.degrees
     assert wt[0] == 0.0
-    assert summary.mean(np.array(list(wt.values()))) == pytest.approx(1.0, abs=1e-12)
-    wd = dbar_weights(summary)
-    assert 0 not in wd
-    mean_wd = summary.mean(np.array(list(wd.values())), positive_only=True)
+    assert summary.mean(wt) == pytest.approx(1.0, abs=1e-12)
+    wd = dbar_weights(summary)  # aligned with the positive degrees (1, 2, 3, 5)
+    assert wd.shape == summary.degrees[summary.positive].shape == (4,)
+    mean_wd = summary.mean(wd, positive_only=True)
     assert mean_wd == pytest.approx(1.0, abs=1e-12)
-    assert all(w >= 0 for w in wt.values())
-    assert all(w >= 0 for w in wd.values())
+    assert all(w >= 0 for w in wt)
+    assert all(w >= 0 for w in wd)
     # degree-1 nodes get the single largest fraction-regression weight
-    assert wd[1] == max(wd.values())
+    assert wd[0] == max(wd)
 
 
 def test_t_coefficients_hand_arithmetic():
     summary = DegreeSummary.from_degrees([1, 2, 3])
     spec = _flat_spec([1, 2, 3], spillover=lambda g: float(g))
-    direct, spill = true_t_coefficients(spec, summary, 0.5)
-    assert direct == pytest.approx(1.0)
-    assert spill == pytest.approx(14 / 6)
+    report = oracle_report(spec, summary, 0.5)
+    assert report.t_direct == pytest.approx(1.0)
+    assert report.t_spillover == pytest.approx(14 / 6)
 
 
 def test_t_spillover_zero_when_spillovers_vanish():
     summary = DegreeSummary.from_degrees([0, 1, 4])
     spec = _flat_spec([1, 4], spillover=lambda g: 0.0)
-    assert true_t_coefficients(spec, summary, 0.3)[1] == 0.0
+    assert oracle_report(spec, summary, 0.3).t_spillover == 0.0
 
 
 def test_t_spillover_undefined_on_edgeless_network():
     summary = DegreeSummary.from_degrees([0, 0])
     spec = _flat_spec([0], spillover=lambda g: 0.0)
-    assert true_t_coefficients(spec, summary, 0.5)[1] is None
+    assert oracle_report(spec, summary, 0.5).t_spillover is None
 
 
 def test_dbar_coefficients_hand_arithmetic():
     summary = DegreeSummary.from_degrees([1, 2])
     spec = _flat_spec([1, 2], spillover=lambda g: float(g))
-    direct, spill = true_dbar_coefficients(spec, summary, 0.5)
-    assert direct == pytest.approx(1.0)
-    assert spill == pytest.approx(2.0)
+    report = oracle_report(spec, summary, 0.5)
+    assert report.dbar_direct == pytest.approx(1.0)
+    assert report.dbar_spillover == pytest.approx(2.0)
 
 
 def test_dbar_weights_cancel_inverse_degree_spillovers():
     summary = DegreeSummary.from_degrees([0, 1, 2, 4, 4])
     k = 0.7
     spec = _flat_spec([1, 2, 4], spillover=lambda g: k / g if g else 0.0)
-    _, spill = true_dbar_coefficients(spec, summary, 0.5)
-    assert spill == pytest.approx(k, abs=1e-12)
+    assert oracle_report(spec, summary, 0.5).dbar_spillover == pytest.approx(k, abs=1e-12)
 
 
 def test_dbar_coefficients_undefined_without_positive_degrees():
     summary = DegreeSummary.from_degrees([0, 0, 0])
     spec = _flat_spec([0], spillover=lambda g: 0.0)
-    assert true_dbar_coefficients(spec, summary, 0.5) == (None, None)
+    report = oracle_report(spec, summary, 0.5)
+    assert (report.dbar_direct, report.dbar_spillover) == (None, None)
 
 
 def test_dbar_star_bias_hand_value():
@@ -100,9 +98,9 @@ def test_dbar_star_bias_hand_value():
     summary = DegreeSummary.from_histogram({0: 1, 1: 1})
     spec = _flat_spec([0, 1], spillover=lambda g: 0.0,
                       baseline=lambda g: 1.0 if g > 0 else 0.0)
-    _, bias, weighted = true_dbar_star_coefficients(spec, summary, 0.5)
-    assert bias == pytest.approx(2 / 3)
-    assert weighted == pytest.approx(0.0)
+    report = oracle_report(spec, summary, 0.5)
+    assert report.dbar_star_bias == pytest.approx(2 / 3)
+    assert report.dbar_star_weighted == pytest.approx(0.0)
 
 
 def test_dbar_star_bias_hand_value_matches_enumeration():
@@ -110,27 +108,28 @@ def test_dbar_star_bias_hand_value_matches_enumeration():
     spec = _flat_spec([0, 1], spillover=lambda g: 0.0,
                       baseline=lambda g: 1.0 if g > 0 else 0.0)
     summary = summarize(net)
-    _, bias, weighted = true_dbar_star_coefficients(spec, summary, 0.5)
-    assert bias == pytest.approx(2 / 3)
+    report = oracle_report(spec, summary, 0.5)
+    assert report.dbar_star_bias == pytest.approx(2 / 3)
     coefs = enumeration_population_ols(net, spec, 0.5, "dbar_star_reg")
-    assert coefs["dbar_star"] == pytest.approx(bias + weighted, abs=1e-12)
+    assert coefs["dbar_star"] == pytest.approx(
+        report.dbar_star_bias + report.dbar_star_weighted, abs=1e-12
+    )
 
 
 def test_dbar_star_reduces_to_dbar_without_isolation():
     summary = DegreeSummary.from_degrees([1, 2, 3, 3])
     spec = _flat_spec([1, 2, 3], spillover=lambda g: -0.5 / (1 + g))
-    _, bias, weighted = true_dbar_star_coefficients(spec, summary, 0.4)
-    assert bias == 0.0
-    _, dbar_spill = true_dbar_coefficients(spec, summary, 0.4)
-    assert weighted == pytest.approx(dbar_spill, abs=1e-12)
+    report = oracle_report(spec, summary, 0.4)
+    assert report.dbar_star_bias == 0.0
+    assert report.dbar_star_weighted == pytest.approx(report.dbar_spillover, abs=1e-12)
 
 
 def test_dbar_star_undefined_when_all_isolated():
     summary = DegreeSummary.from_degrees([0, 0])
     spec = _flat_spec([0], spillover=lambda g: 0.0)
-    direct, bias, weighted = true_dbar_star_coefficients(spec, summary, 0.5)
-    assert direct == pytest.approx(1.0)
-    assert bias is None and weighted is None
+    report = oracle_report(spec, summary, 0.5)
+    assert report.dbar_star_direct == pytest.approx(1.0)
+    assert report.dbar_star_bias is None and report.dbar_star_weighted is None
 
 
 def test_bias_magnitude_decreases_as_isolation_vanishes():
@@ -138,13 +137,12 @@ def test_bias_magnitude_decreases_as_isolation_vanishes():
     last = None
     for isolated in (8, 4, 2, 1):
         summary = DegreeSummary.from_histogram({0: isolated, 1: 5, 2: 5})
-        _, bias, _ = true_dbar_star_coefficients(spec, summary, 0.5)
+        bias = oracle_report(spec, summary, 0.5).dbar_star_bias
         if last is not None:
             assert abs(bias) < abs(last)
         last = bias
     summary = DegreeSummary.from_histogram({1: 5, 2: 5})
-    _, bias, _ = true_dbar_star_coefficients(spec, summary, 0.5)
-    assert bias == 0.0
+    assert oracle_report(spec, summary, 0.5).dbar_star_bias == 0.0
 
 
 @pytest.mark.parametrize("p", [0.3, 0.5])
@@ -292,7 +290,7 @@ def test_oracle_rejects_out_of_range_probability():
     spec = _flat_spec([0, 1], spillover=lambda g: 0.0)
     for p in (0.0, 1.0):
         with pytest.raises(ParameterError):
-            true_t_coefficients(spec, summary, p)
+            oracle_report(spec, summary, p)
 
 
 counts = st.integers(1, 1000)
