@@ -16,6 +16,7 @@ from .dgp import (
     BuiltinDesign,
     DesignSpec,
     EffectGaps,
+    design_stack,
     expand,
     load_design_csv,
     simulate_outcomes,
@@ -75,6 +76,7 @@ from .oracle import (
     dbar_weights,
     enumeration_population_ols,
     imputation_bias,
+    oracle_columns,
     oracle_report,
     t_weights,
 )

@@ -23,7 +23,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import __version__
-from .dgp import BuiltinDesign, Design, EffectGaps, effect_gaps, load_design_csv
+from .dgp import DESIGN_IDS, BuiltinDesign, Design, EffectGaps, effect_gaps, load_design_csv
 from .errors import (
     DEGENERATE_FIT_ERRORS,
     ConfigurationError,
@@ -112,20 +112,32 @@ def _boolean(value) -> bool:
     return value
 
 
+def _number(value) -> float:
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _graph_model(args, cfg: _Config):
     graph_cfg = cfg.section("graph")
     kind = graph_cfg.pick(args.graph, "kind", "ws")
     if kind == "ws":
         return WattsStrogatzGraph(
-            k=graph_cfg.pick(args.ws_k, "k", WattsStrogatzGraph.k, int),
-            beta=graph_cfg.pick(args.ws_beta, "beta", WattsStrogatzGraph.beta, float),
+            k=graph_cfg.pick(args.ws_k, "k", WattsStrogatzGraph.k, _integer),
+            beta=graph_cfg.pick(args.ws_beta, "beta", WattsStrogatzGraph.beta, _number),
             delete_prob=graph_cfg.pick(
-                args.ws_delete_prob, "delete_prob", WattsStrogatzGraph.delete_prob, float
+                args.ws_delete_prob, "delete_prob", WattsStrogatzGraph.delete_prob, _number
             ),
         )
     if kind == "er":
         return ErdosRenyiGraph(mean_degree=graph_cfg.pick(
-            args.er_mean_degree, "mean_degree", ErdosRenyiGraph.mean_degree, float
+            args.er_mean_degree, "mean_degree", ErdosRenyiGraph.mean_degree, _number
         ))
     raise ParameterError(f"unknown graph kind {kind!r}; expected 'ws' or 'er'")
 
@@ -133,15 +145,18 @@ def _graph_model(args, cfg: _Config):
 def _design_from_args(args, cfg: _Config, c: float) -> Design:
     design_file = cfg.pick(getattr(args, "design_file", None), "design_file", None)
     if design_file is not None:
-        noise_sd = cfg.pick(getattr(args, "noise_sd", None), "noise_sd", 1.0, float)
+        noise_sd = cfg.pick(getattr(args, "noise_sd", None), "noise_sd", 1.0, _number)
         return load_design_csv(design_file, noise_sd)
     design = cfg.pick(args.design, "design", None)
     if design is None:
         raise ParameterError("a --design id or --design-file is required")
     try:
-        return BuiltinDesign(design_id=int(design), c=c)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"--design must be 1, 2 or 3 here (got {design!r})") from exc
+        design_id = int(design)
+    except (TypeError, ValueError):
+        design_id = None
+    if design_id not in DESIGN_IDS:
+        raise ParameterError(f"--design must be 1, 2 or 3 here (got {design!r})")
+    return BuiltinDesign(design_id=design_id, c=c)
 
 
 def _design_ids(args, cfg: _Config) -> list[str]:
@@ -154,10 +169,10 @@ def _design_ids(args, cfg: _Config) -> list[str]:
 
 
 def _parse_c(raw) -> list[float]:
-    if isinstance(raw, (int, float)):
-        return [float(raw)]
     if isinstance(raw, list):
-        return [float(v) for v in raw]
+        return [_number(v) for v in raw]
+    if isinstance(raw, (int, float)):
+        return [_number(raw)]
     return [float(tok) for tok in str(raw).split(",") if tok.strip() != ""]
 
 
@@ -192,10 +207,10 @@ def cmd_simulate(args) -> int:
     started = time.monotonic()
     cfg = _load_config(args.config)
     graph = _graph_model(args, cfg)
-    n = cfg.pick(args.n, "n", 1000, int)
-    reps = cfg.pick(args.reps, "reps", 5000, int)
-    p = cfg.pick(args.p, "p", 0.5, float)
-    seed = cfg.pick(args.seed, "base_seed", 0, int)
+    n = cfg.pick(args.n, "n", 1000, _integer)
+    reps = cfg.pick(args.reps, "reps", 5000, _integer)
+    p = cfg.pick(args.p, "p", 0.5, _number)
+    seed = cfg.pick(args.seed, "base_seed", 0, _integer)
     regenerate = cfg.pick(
         (False if args.fixed_graph else None), "regenerate_graph_each_rep", True, _boolean
     )
@@ -238,9 +253,9 @@ def cmd_scatter(args) -> int:
     started = time.monotonic()
     cfg = _load_config(args.config)
     graph = _graph_model(args, cfg)
-    n = cfg.pick(args.n, "n", 1000, int)
-    p = cfg.pick(args.p, "p", 0.5, float)
-    seed = cfg.pick(args.seed, "base_seed", 0, int)
+    n = cfg.pick(args.n, "n", 1000, _integer)
+    p = cfg.pick(args.p, "p", 0.5, _number)
+    seed = cfg.pick(args.seed, "base_seed", 0, _integer)
 
     net = graph.generate(n, seed)
     tr = assign_bernoulli(n, p, seed + 1)
@@ -320,7 +335,7 @@ def _format_oracle_text(report: OracleReport) -> str:
 def cmd_oracle(args) -> int:
     started = time.monotonic()
     cfg = _load_config(args.config)
-    p = cfg.pick(args.p, "p", 0.5, float)
+    p = cfg.pick(args.p, "p", 0.5, _number)
     c_values = _c_values(args, cfg, default="0")
     if len(c_values) != 1:
         raise ParameterError("oracle takes a single --c value")
@@ -330,8 +345,8 @@ def cmd_oracle(args) -> int:
         source = f"histogram {args.histogram}"
     else:
         graph = _graph_model(args, cfg)
-        n = cfg.pick(args.n, "n", 1000, int)
-        seed = cfg.pick(args.seed, "base_seed", 0, int)
+        n = cfg.pick(args.n, "n", 1000, _integer)
+        seed = cfg.pick(args.seed, "base_seed", 0, _integer)
         summary = summarize(graph.generate(n, seed))
         source = f"realized graph (n={n}, seed={seed})"
 

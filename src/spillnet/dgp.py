@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, IngestionError, ParameterError
 from .exposure import ExposureProfile, TreatmentVector, compute_exposure
-from .graph import DegreeSummary, Network, nonnegative_int, read_table, summarize
+from .graph import DegreeSummary, Network, nonnegative_int, read_table, seeded_rng, summarize
 
 DESIGN_IDS = (1, 2, 3)
 
@@ -77,12 +77,19 @@ class BuiltinDesign:
     def __post_init__(self):
         if self.design_id not in DESIGN_IDS:
             raise ParameterError(f"unknown design_id {self.design_id}; expected one of {DESIGN_IDS}")
+        if not math.isfinite(self.c):
+            raise ParameterError(f"spillover constant c must be finite (got {self.c})")
 
     def tables(self, degrees: np.ndarray) -> np.ndarray:
         """The baseline, direct and spillover rows at ``degrees``, shape (3, len(degrees))."""
         g = np.asarray(degrees, dtype=float)
-        baseline = (1.0 + g, 1.0 + (g > 0), np.ones_like(g))[self.design_id - 1]
-        return np.array([baseline, np.ones_like(g), self.c / (1.0 + g)])
+        rows = np.ones((3, g.size))
+        if self.design_id == 1:
+            rows[0] += g
+        elif self.design_id == 2:
+            rows[0] += g > 0
+        rows[2] = self.c / (1.0 + g)
+        return rows
 
 
 Design = BuiltinDesign | DesignSpec
@@ -97,24 +104,35 @@ def expand(builtin: BuiltinDesign, degrees: Iterable[int]) -> DesignSpec:
     return DesignSpec(*maps, noise_sd=builtin.noise_sd)
 
 
-def outcome_matrix(
-    designs: Sequence[Design], summary: DegreeSummary, tr: TreatmentVector,
-    profile: ExposureProfile, noise: np.ndarray,
-) -> np.ndarray:
-    """Outcomes of every design for one draw, as the columns of an n x D matrix.
+def design_stack(designs: Sequence[Design], degrees: np.ndarray) -> np.ndarray:
+    """Every design's ``tables(degrees)`` in one array of shape (3, len(designs), len(degrees)).
 
-    Column j is the partially linear form of ``designs[j]`` plus its
-    ``noise_sd`` times the shared standard-normal ``noise``. ``summary`` is
-    the degree summary of ``profile.degree``; each design is evaluated once
-    at its degrees, and must cover them all.
+    Row [:, j] holds the baseline, direct and spillover values of
+    ``designs[j]``; each design is evaluated once and must cover ``degrees``.
+    """
+    stack = np.empty((3, len(designs), len(degrees)))
+    for j, design in enumerate(designs):
+        stack[:, j] = design.tables(degrees)
+    return stack
+
+
+def outcome_matrix(
+    stack: np.ndarray, noise_sd: Sequence[float], summary: DegreeSummary,
+    tr: TreatmentVector, profile: ExposureProfile, noise: np.ndarray,
+) -> np.ndarray:
+    """Outcomes of D designs for one draw, as the columns of an n x D matrix.
+
+    ``stack`` is the designs' ``design_stack`` at ``summary.degrees``, where
+    ``summary`` is the degree summary of ``profile.degree``. Column j is the
+    partially linear form of ``stack[:, j]`` plus ``noise_sd[j]`` times the
+    shared standard-normal ``noise``.
     """
     # a node's degree is below n, so a table over 0..max degree is no larger than the outcomes
-    tables = np.zeros((3, summary.max_degree + 1, len(designs)))
-    for j, design in enumerate(designs):
-        tables[:, summary.degrees, j] = design.tables(summary.degrees)
-    baseline, direct, spillover = tables[:, profile.degree]
+    tables = np.zeros((3, summary.max_degree + 1, stack.shape[1]))
+    tables[:, summary.degrees] = stack.transpose(0, 2, 1)
+    baseline, direct, spillover = tables.take(profile.degree, axis=1)
     y = baseline + direct * tr.d[:, None] + spillover * profile.treated_neighbors[:, None]
-    return y + noise[:, None] * np.array([design.noise_sd for design in designs])
+    return y + noise[:, None] * np.asarray(noise_sd, dtype=float)
 
 
 def simulate_outcomes(
@@ -129,8 +147,10 @@ def simulate_outcomes(
     """
     if profile is None:
         profile = compute_exposure(net, tr)
-    noise = np.random.default_rng(seed).standard_normal(net.n)
-    return outcome_matrix([spec], summarize(net), tr, profile, noise)[:, 0]
+    noise = seeded_rng(seed).standard_normal(net.n)
+    summary = summarize(net)
+    stack = design_stack([spec], summary.degrees)
+    return outcome_matrix(stack, [spec.noise_sd], summary, tr, profile, noise)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -139,22 +159,25 @@ class EffectGaps:
 
     ``baseline`` is E[baseline(degree) | degree>0] - baseline(0), and
     ``direct`` likewise for the direct effect, both against the empirical
-    degree distribution. None when either stratum is empty.
+    degree distribution: floats for tables over the degrees, arrays for
+    tables with leading axes. None when either stratum is empty.
     """
 
-    baseline: float | None
-    direct: float | None
+    baseline: float | np.ndarray | None
+    direct: float | np.ndarray | None
 
 
 def effect_gaps(summary: DegreeSummary, baseline: np.ndarray, direct: np.ndarray) -> EffectGaps:
-    """Baseline and direct-effect gaps of arrays aligned with ``summary.degrees``."""
+    """Baseline and direct-effect gaps of tables whose last axis is ``summary.degrees``."""
     if summary.isolated_fraction == 0 or summary.n_positive == 0:
         return EffectGaps(baseline=None, direct=None)
     pos = summary.positive
-    return EffectGaps(
-        baseline=summary.mean(baseline[pos], positive_only=True) - float(baseline[0]),
-        direct=summary.mean(direct[pos], positive_only=True) - float(direct[0]),
-    )
+
+    def gap(values: np.ndarray) -> float | np.ndarray:
+        gap = summary.mean(values[..., pos], positive_only=True) - values[..., 0]
+        return float(gap) if np.ndim(gap) == 0 else gap
+
+    return EffectGaps(baseline=gap(baseline), direct=gap(direct))
 
 
 def load_design_csv(path: str | Path, noise_sd: float) -> DesignSpec:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError
-from .graph import DegreeSummary, Network
+from .graph import DegreeSummary, Network, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ def assign_bernoulli(n: int, p: float, seed: int) -> TreatmentVector:
         raise ParameterError("need at least one unit")
     if not 0.0 < p < 1.0:
         raise ParameterError("treatment probability must lie strictly in (0, 1)")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     d = (rng.random(n) < p).astype(np.int64)
     return TreatmentVector(d=d, p=p)
 

@@ -146,19 +146,22 @@ class DegreeSummary:
             return None
         return self.mean(1.0 / self.degrees[self.positive], positive_only=True)
 
-    def mean(self, values: np.ndarray, positive_only: bool = False) -> float:
+    def mean(self, values: np.ndarray, positive_only: bool = False) -> float | np.ndarray:
         """Average of ``values``, one per degree, over the empirical distribution.
 
-        ``values`` is aligned with ``degrees``, or with ``degrees[positive]``
-        under ``positive_only``, which conditions on degree > 0 and raises
-        ParameterError when that stratum is empty.
+        ``values`` is aligned with ``degrees`` along its last axis, or with
+        ``degrees[positive]`` under ``positive_only``, which conditions on
+        degree > 0 and raises ParameterError when that stratum is empty. A
+        1-D ``values`` gives a float; leading axes (one row per design, say)
+        give an array of means over them.
         """
         counts, total = self.counts, self.n
         if positive_only:
             counts, total = counts[self.positive], self.n_positive
             if total == 0:
                 raise ParameterError("empty degree stratum in expectation")
-        return float(np.asarray(values, dtype=float) @ counts) / total
+        mean = (np.asarray(values, dtype=float) @ counts) / total
+        return float(mean) if mean.ndim == 0 else mean
 
     @staticmethod
     def from_degrees(degrees: Sequence[int] | np.ndarray) -> "DegreeSummary":
@@ -171,6 +174,16 @@ class DegreeSummary:
         except OverflowError:
             raise ParameterError("degrees and counts must be below 2**63") from None
         return DegreeSummary(pairs[:, 0].copy(), pairs[:, 1].copy())
+
+
+def seeded_rng(seed: int) -> np.random.Generator:
+    """``np.random.default_rng(seed)`` (PCG64) for a nonnegative integer seed.
+
+    Raises ParameterError naming the seed when it is negative.
+    """
+    if seed < 0:
+        raise ParameterError(f"seed must be a nonnegative integer (got {seed})")
+    return np.random.default_rng(seed)
 
 
 def summarize(net: Network) -> DegreeSummary:
@@ -232,7 +245,7 @@ def generate_watts_strogatz(
     m = n * half
     lo = np.repeat(np.arange(n, dtype=np.int64), half)
     hi = (lo + np.tile(np.arange(1, half + 1), n)) % n
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     pending = rng.random(m) < beta  # lattice edges whose rewire is unresolved
     moved = np.zeros(m, dtype=bool)
     degree = np.full(n, k)
@@ -301,7 +314,7 @@ def generate_erdos_renyi(n: int, mean_degree: float, seed: int) -> Network:
 
     p_edge = mean_degree / (n - 1)
     pairs = n * (n - 1) // 2
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     found = [np.empty(0, dtype=np.int64)]
     last = -1  # position of the last linked pair drawn so far
     # p_edge can underflow to 0 for a tiny mean_degree; that links no pair

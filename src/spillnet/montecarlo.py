@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -19,12 +18,14 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .dgp import BuiltinDesign, Design, DesignSpec, outcome_matrix
+from .dgp import BuiltinDesign, Design, DesignSpec, design_stack, outcome_matrix
 from .errors import DEGENERATE_FIT_ERRORS, EmptySubsampleError, ParameterError
 from .estimators import SPECS, TREATED, design_matrix, least_squares
 from .exposure import assign_bernoulli, compute_exposure
-from .graph import WS_CALIBRATED, Network, generate_erdos_renyi, generate_watts_strogatz, summarize
-from .oracle import oracle_report
+from .graph import (
+    WS_CALIBRATED, DegreeSummary, Network, generate_erdos_renyi, generate_watts_strogatz, summarize,
+)
+from .oracle import oracle_columns
 
 CELLS = tuple((spec_name, coef) for spec_name in SPECS for coef in ("direct", "spillover"))
 
@@ -199,24 +200,41 @@ class AggregateReport:
         raise KeyError((spec_name, coef))
 
 
-def _simulate_rep(configs: Sequence[SimConfig], fixed: Network | None, rep: int):
+@dataclass(frozen=True)
+class _GraphState:
+    """What a rep derives from its network alone: the degree summary, and the
+    settings' design stack and oracle columns at its degrees."""
+
+    net: Network
+    summary: DegreeSummary
+    stack: np.ndarray
+    oracle: dict[str, np.ndarray | None]
+
+
+def _graph_state(configs: Sequence[SimConfig], net: Network) -> _GraphState:
+    summary = summarize(net)
+    stack = design_stack([config.design for config in configs], summary.degrees)
+    return _GraphState(net, summary, stack, oracle_columns(stack, summary, configs[0].p))
+
+
+def _simulate_rep(configs: Sequence[SimConfig], fixed: _GraphState | None, rep: int):
     """One repetition of every setting, or the reason it is excluded.
 
     Returns an array of shape (settings, len(CELLS), 4) holding each cell's
-    (estimate, se, oracle_value, oracle_total). ``fixed`` is the network
-    shared by every rep, or None to draw one per rep.
+    (estimate, se, oracle_value, oracle_total). ``fixed`` is the state of
+    the network shared by every rep, or None to draw one per rep.
     """
     first = configs[0]
     if fixed is None:
         net = first.graph.generate(first.n, derive_seed(first.base_seed, rep, "graph"))
+        state = _graph_state(configs, net)
     else:
-        net = fixed
+        state = fixed
     tr = assign_bernoulli(first.n, first.p, derive_seed(first.base_seed, rep, "treatment"))
-    summary = summarize(net)
-    designs = [config.design for config in configs]
-    profile = compute_exposure(net, tr)
+    profile = compute_exposure(state.net, tr)
     noise_rng = np.random.default_rng(derive_seed(first.base_seed, rep, "noise"))
-    y = outcome_matrix(designs, summary, tr, profile, noise_rng.standard_normal(first.n))
+    y = outcome_matrix(state.stack, [config.design.noise_sd for config in configs], state.summary,
+                       tr, profile, noise_rng.standard_normal(first.n))
     fits = []
     try:
         for name, spec in SPECS.items():
@@ -226,71 +244,71 @@ def _simulate_rep(configs: Sequence[SimConfig], fixed: Network | None, rep: int)
         # degenerate draw (rank deficiency or unusable subsample): exclude the rep
         return str(exc)
 
-    reports = [oracle_report(design, summary, first.p) for design in designs]
     out = np.empty((len(configs), len(CELLS), 4))
     cell = 0  # CELLS lists each spec's direct cell, then its spillover cell
     for spec, (beta, se, _) in zip(SPECS.values(), fits):
-        direct, value, total = ([getattr(r, f) for r in reports] for f in spec.oracle_fields)
+        direct, value, total = (state.oracle[f] for f in spec.oracle_fields)
         for column, target, with_bias in ((TREATED, direct, direct), (spec.slope, value, total)):
             j = spec.columns.index(column)
-            out[:, cell] = np.column_stack([beta[j], se[j], target, with_bias])
+            out[:, cell, 0] = beta[j]
+            out[:, cell, 1] = se[j]
+            out[:, cell, 2] = target
+            out[:, cell, 3] = with_bias
             cell += 1
     return out
 
 
-def _aggregate(config: SimConfig, results: list) -> AggregateReport:
-    """Summarize one setting's per-rep (len(CELLS), 4) arrays and exclusion reasons."""
+def _aggregate(configs: Sequence[SimConfig], results: list) -> list[AggregateReport]:
+    """Summarize every setting's per-rep (settings, len(CELLS), 4) arrays and exclusion reasons."""
     exclusions = tuple(
         (rep, res) for rep, res in enumerate(results) if isinstance(res, str)
     )
-    completed = [res for res in results if not isinstance(res, str)]
-    # cell -> (estimates, ses, oracle values, oracle totals), each contiguous over reps
-    per_cell = np.array(completed).transpose(1, 2, 0).copy()
-    cells = []
-    for (spec_name, coef), (estimates, ses, oracle_values, oracle_totals) in zip(CELLS, per_cell):
-        covered = np.abs(estimates - oracle_values) <= 1.96 * ses
-        r = estimates.size
-        mean_estimate = float(estimates.mean())
-        if r > 1:
-            mc_se = float(estimates.std(ddof=1) / np.sqrt(r))
-            ci_of_mean = (mean_estimate - 1.96 * mc_se, mean_estimate + 1.96 * mc_se)
-        else:
-            mc_se = None
-            ci_of_mean = None
-        oracle_value = float(oracle_values.mean())
-        cells.append(
-            CoefficientSummary(
-                spec_name=spec_name,
-                coef=coef,
-                mean_estimate=mean_estimate,
-                mc_se=mc_se,
-                mean_reported_se=float(ses.mean()),
-                ci95_of_mean=ci_of_mean,
-                oracle_value=oracle_value,
-                oracle_total=float(oracle_totals.mean()),
-                bias=mean_estimate - oracle_value,
-                coverage=float(covered.mean()),
-            )
+    # (settings, cells, 4, reps): every reduction runs over the contiguous last
+    # axis, so each sum keeps the order it has over one cell's reps
+    per_cell = np.stack([res for res in results if not isinstance(res, str)], axis=-1)
+    estimates, ses, oracle_values, oracle_totals = per_cell.transpose(2, 0, 1, 3)
+    r = per_cell.shape[-1]
+    mean = estimates.mean(axis=-1)
+    oracle_value = oracle_values.mean(axis=-1)
+    # with one rep there is no spread; the zeros stand in for the None reported
+    mc_se = estimates.std(axis=-1, ddof=1) / np.sqrt(r) if r > 1 else np.zeros_like(mean)
+    covered = np.abs(estimates - oracle_values) <= 1.96 * ses
+    stats = np.stack([
+        mean, mc_se, ses.mean(axis=-1), mean - 1.96 * mc_se, mean + 1.96 * mc_se,
+        oracle_value, oracle_totals.mean(axis=-1), mean - oracle_value, covered.mean(axis=-1),
+    ], axis=-1).tolist()
+    return [
+        AggregateReport(
+            cells=tuple(
+                CoefficientSummary(
+                    spec_name, coef, m, se if r > 1 else None, reported,
+                    (low, high) if r > 1 else None, value, total, bias, coverage,
+                )
+                for (spec_name, coef), (m, se, reported, low, high, value, total, bias, coverage)
+                in zip(CELLS, setting)
+            ),
+            reps_requested=config.reps,
+            reps_completed=r,
+            exclusions=exclusions,
+            config=config,
         )
-    return AggregateReport(
-        cells=tuple(cells),
-        reps_requested=config.reps,
-        reps_completed=len(completed),
-        exclusions=exclusions,
-        config=config,
-    )
+        for config, setting in zip(configs, stats)
+    ]
 
 
 def run_study(configs: Sequence[SimConfig], workers: int = 1) -> list[AggregateReport]:
     """Execute settings that differ only in ``design`` (else ParameterError).
 
     Seeds ignore the design, so each rep draws its graph, treatment and noise
-    once for every setting, and each specification's design matrix is fitted
-    once for all their outcome columns. Reps whose fit meets a singularity,
-    an empty subsample or too few units are excluded and logged, with a
-    warning above 1%. Without ``regenerate_graph_each_rep`` one network is
-    generated per call and shared by every rep. ``workers > 1`` spreads reps
-    over a process pool with the same result, aggregated in rep order.
+    once for every setting, evaluates every setting's design once into one
+    stack, computes all their oracles in one pass, and fits each
+    specification's design matrix once for all their outcome columns. Reps
+    whose fit meets a singularity, an empty subsample or too few units are
+    excluded and logged, with a warning above 1%. Without
+    ``regenerate_graph_each_rep`` one network, with its summary, stack and
+    oracle, is built per call and shared by every rep. ``workers > 1``
+    spreads reps over a process pool with the same result, aggregated in rep
+    order.
     """
     configs = tuple(configs)
     if not configs:
@@ -306,10 +324,14 @@ def run_study(configs: Sequence[SimConfig], workers: int = 1) -> list[AggregateR
             )
     fixed = None
     if not first.regenerate_graph_each_rep:
-        # Network is immutable, so every rep can share the one graph rep 0 would draw
-        fixed = first.graph.generate(first.n, derive_seed(first.base_seed, 0, "graph"))
+        # Network is immutable and the seeds ignore the design, so every rep
+        # can share the graph rep 0 would draw and all that derives from it
+        net = first.graph.generate(first.n, derive_seed(first.base_seed, 0, "graph"))
+        fixed = _graph_state(configs, net)
     rep_fn = partial(_simulate_rep, configs, fixed)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(rep_fn, range(first.reps), chunksize=64))
     else:
@@ -320,10 +342,7 @@ def run_study(configs: Sequence[SimConfig], workers: int = 1) -> list[AggregateR
         raise EmptySubsampleError("every repetition failed; nothing to aggregate")
     if excluded > 0.01 * first.reps:
         warnings.warn(f"{excluded} of {first.reps} repetitions were excluded", stacklevel=2)
-    return [
-        _aggregate(config, [res if isinstance(res, str) else res[j] for res in results])
-        for j, config in enumerate(configs)
-    ]
+    return _aggregate(configs, results)
 
 
 def run(config: SimConfig, workers: int = 1) -> AggregateReport:

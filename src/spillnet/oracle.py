@@ -95,15 +95,15 @@ def dbar_weights(summary: DegreeSummary) -> np.ndarray:
 
 
 def imputation_bias(
-    baseline_gap: float | None, direct_gap: float | None, p: float,
+    baseline_gap: float | np.ndarray | None, direct_gap: float | np.ndarray | None, p: float,
     positive_share: float, mean_inverse_degree_positive: float | None,
-) -> float | None:
+) -> float | np.ndarray | None:
     """Bias of the zero-imputed spillover slope from the isolated nodes.
 
     (baseline_gap + p * direct_gap) * (1 - s) / (p * (1 - s) + (1 - p) *
     E[1/degree | degree>0]), with s the positive-degree share and the gaps
-    taken between connected and isolated nodes. Exactly 0 when s = 1; None
-    when the gaps are undefined.
+    taken between connected and isolated nodes; array gaps (one per design)
+    give an array. Exactly 0 when s = 1; None when the gaps are undefined.
     """
     if positive_share == 1.0:
         return 0.0
@@ -128,14 +128,20 @@ def dbar_star_moments(summary: DegreeSummary, p: float) -> tuple[float, float]:
     return p * s, p * s * (p * (1.0 - s) + (1.0 - p) * inv_mean)
 
 
-def oracle_report(design: Design, summary: DegreeSummary, p: float) -> OracleReport:
-    """Assemble every theoretical coefficient and intermediate in one record.
+def oracle_columns(
+    stack: np.ndarray, summary: DegreeSummary, p: float
+) -> dict[str, np.ndarray | None]:
+    """Every ``OracleReport`` field for D designs at once, keyed by field name.
 
-    Evaluates the design (checking its coverage) and the effect gaps once;
-    ``OracleReport`` gives the formula of each field.
+    ``stack`` holds the designs' tables at ``summary.degrees``, shape
+    (3, D, len(degrees)) as ``dgp.design_stack`` builds it. Each field is an
+    array over the D designs; the weights, the effect gaps and the bias
+    broadcast over that axis. A field that is undefined for the summary (no
+    node with a neighbor, or an empty stratum) is undefined for every design
+    and is None. ``OracleReport`` gives the formula of each field.
     """
     _check_p(p)
-    baseline, direct, spill = design.tables(summary.degrees)
+    baseline, direct, spill = stack
     gaps = effect_gaps(summary, baseline, direct)
     s, inv_mean = summary.positive_share, summary.mean_inverse_degree_positive
     t_direct = summary.mean(direct)
@@ -145,12 +151,12 @@ def oracle_report(design: Design, summary: DegreeSummary, p: float) -> OracleRep
         t_spill = summary.mean(t_weights(summary) * spill)
         pos = summary.positive
         g = summary.degrees[pos]
-        dbar_direct = summary.mean(direct[pos], positive_only=True)
-        dbar_spill = summary.mean(dbar_weights(summary) * g * spill[pos], positive_only=True)
+        dbar_direct = summary.mean(direct[:, pos], positive_only=True)
+        dbar_spill = summary.mean(dbar_weights(summary) * g * spill[:, pos], positive_only=True)
         # E[dbar * (dbar - E[dbar_star]) | degree = g] for a Binomial(g, p)/g fraction
         factor = p * p + p * (1.0 - p) / g - p * p * s
         star_weighted = (
-            summary.mean(g * spill[pos] * factor, positive_only=True)
+            summary.mean(g * spill[:, pos] * factor, positive_only=True)
             / summary.mean(factor, positive_only=True)
         )
         star_bias = imputation_bias(gaps.baseline, gaps.direct, p, s, inv_mean)
@@ -158,7 +164,7 @@ def oracle_report(design: Design, summary: DegreeSummary, p: float) -> OracleRep
             total = star_bias + star_weighted
 
     mean_star, var_star = dbar_star_moments(summary, p)
-    return OracleReport(
+    values = dict(
         t_direct=t_direct,
         t_spillover=t_spill,
         dbar_direct=dbar_direct,
@@ -175,6 +181,24 @@ def oracle_report(design: Design, summary: DegreeSummary, p: float) -> OracleRep
         mean_dbar_star=mean_star,
         var_dbar_star=var_star,
     )
+    d = stack.shape[1]
+    return {
+        name: v if v is None or isinstance(v, np.ndarray) else np.full(d, v)
+        for name, v in values.items()
+    }
+
+
+def oracle_report(design: Design, summary: DegreeSummary, p: float) -> OracleReport:
+    """Assemble every theoretical coefficient and intermediate in one record.
+
+    The one-design view of ``oracle_columns``: evaluates the design
+    (checking its coverage) and the effect gaps once.
+    """
+    _check_p(p)
+    columns = oracle_columns(design.tables(summary.degrees)[:, None], summary, p)
+    return OracleReport(**{
+        name: None if column is None else float(column[0]) for name, column in columns.items()
+    })
 
 
 def enumeration_population_ols(

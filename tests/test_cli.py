@@ -92,11 +92,20 @@ def test_simulate_config_file_with_flag_override(tmp_path):
     ({"graph": "er"}, "'graph'"),
     ({"base_seed": float("inf")}, "'base_seed'"),
     ({"regenerate_graph_each_rep": 0}, "'regenerate_graph_each_rep'"),
+    ({"reps": 2.9}, "'reps'"),
+    ({"n": 50.7}, "'n'"),
+    ({"c": True}, "'c'"),
+    ({"reps": 2.9, "n": 50.7, "c": True}, "'n'"),
+    ({"p": True}, "'p'"),
+    ({"c": [0, False]}, "'c'"),
+    ({"graph": {"kind": "ws", "k": 8.5}}, "'graph.k'"),
+    ({"graph": {"kind": "er", "mean_degree": True}}, "'graph.mean_degree'"),
 ])
 def test_simulate_config_bad_value_is_an_input_error(tmp_path, capsys, config, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    assert main(["simulate", "--config", str(cfg), "--reps", "2", "--out",
+    reps = [] if "reps" in config else ["--reps", "2"]  # a flag would override the config value
+    assert main(["simulate", "--config", str(cfg), *reps, "--out",
                  str(tmp_path / "o.csv")]) == 3
     err = capsys.readouterr().err
     assert f"{cfg}: config key {key}" in err
@@ -210,6 +219,31 @@ def test_oracle_histogram_beyond_int64_is_an_input_error(tmp_path, capsys):
 
 def test_oracle_requires_single_c(capsys):
     assert main(["oracle", "--design", "1", "--c", "0,-0.5"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["scatter", "--n", "50", "--seed", "-1", "--out", "{tmp}/s.csv"],
+    ["oracle", "--design", "1", "--n", "50", "--seed", "-3"],
+    ["oracle", "--design", "1", "--n", "50", "--graph", "er", "--seed", "-3"],
+])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be a nonnegative integer (got -" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--design", "1", "--c", "inf", "--n", "50"],
+    ["oracle", "--design", "2", "--c", "nan", "--n", "50"],
+    ["simulate", "--design", "1", "--c", "0,inf", "--n", "50", "--reps", "2",
+     "--out", "{tmp}/o.csv"],
+])
+def test_non_finite_c_is_a_usage_error(tmp_path, capsys, argv):
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert "spillover constant c must be finite" in captured.err
+    assert "undefined" not in captured.out and "nan" not in captured.out
 
 
 def _write_synthetic_dataset(tmp_path, design_id, c, n=2000, seed=50):

@@ -6,6 +6,7 @@ import pytest
 from spillnet.dgp import (
     BuiltinDesign,
     DesignSpec,
+    design_stack,
     effect_gaps,
     expand,
     load_design_csv,
@@ -14,7 +15,13 @@ from spillnet.dgp import (
 )
 from spillnet.errors import ConfigurationError, IngestionError, ParameterError
 from spillnet.exposure import TreatmentVector, assign_bernoulli, compute_exposure
-from spillnet.graph import DegreeSummary, from_edge_list, generate_watts_strogatz, summarize
+from spillnet.graph import (
+    DegreeSummary,
+    from_edge_list,
+    generate_erdos_renyi,
+    generate_watts_strogatz,
+    summarize,
+)
 
 
 def test_expand_design1_values():
@@ -42,6 +49,12 @@ def test_expand_design2_indicator_at_zero():
 def test_unknown_design_id_rejected():
     with pytest.raises(ParameterError):
         BuiltinDesign(4, c=0.0)
+
+
+@pytest.mark.parametrize("c", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_spillover_constant_rejected(c):
+    with pytest.raises(ParameterError, match="spillover constant c must be finite"):
+        BuiltinDesign(1, c=c)
 
 
 def test_negative_noise_sd_rejected():
@@ -102,6 +115,19 @@ def test_outcomes_depend_only_on_exposure_statistics():
     assert y1[0] == y2[0]
 
 
+def test_seeded_functions_reject_negative_seeds():
+    net = generate_watts_strogatz(20, 4, 0.2, 0.1, seed=1)
+    tr = assign_bernoulli(20, 0.5, seed=2)
+    for call in (
+        lambda: generate_watts_strogatz(20, 4, 0.2, 0.1, seed=-1),
+        lambda: generate_erdos_renyi(20, 2.0, seed=-1),
+        lambda: assign_bernoulli(20, 0.5, seed=-1),
+        lambda: simulate_outcomes(net, tr, BuiltinDesign(1, 0.0), seed=-1),
+    ):
+        with pytest.raises(ParameterError, match=r"seed must be a nonnegative integer \(got -1\)"):
+            call()
+
+
 def test_simulation_is_deterministic_given_seed():
     net = generate_watts_strogatz(30, 2, 0.1, 0.2, seed=5)
     tr = assign_bernoulli(30, 0.5, seed=6)
@@ -130,8 +156,10 @@ def test_outcome_matrix_rejects_an_uncovered_degree():
     spec = DesignSpec(baseline={0: 1.0, 1: 2.0}, direct_effect={0: 1.0, 1: 1.0, 2: 1.0},
                       spillover_effect={0: 0.0, 1: 0.5}, noise_sd=0.0)
     tr = TreatmentVector(d=np.array([1, 0, 1, 0]), p=0.5)
+    summary = summarize(net)
     with pytest.raises(ConfigurationError, match=r"degrees \[2\]"):
-        outcome_matrix([spec], summarize(net), tr, compute_exposure(net, tr), np.zeros(4))
+        outcome_matrix(design_stack([spec], summary.degrees), [spec.noise_sd], summary, tr,
+                       compute_exposure(net, tr), np.zeros(4))
 
 
 def test_effect_gaps_match_design_formulas():

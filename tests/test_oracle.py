@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import spillnet.oracle as oracle_module
 from helpers import exact_dbar_star_moments, reference_design, reference_oracle_report
-from spillnet.dgp import BuiltinDesign, DesignSpec, expand
+from spillnet.dgp import BuiltinDesign, DesignSpec, design_stack, expand
 from spillnet.errors import EmptySubsampleError, ParameterError, SingularModelError
 from spillnet.graph import (
     DegreeSummary,
@@ -20,6 +20,7 @@ from spillnet.oracle import (
     dbar_star_moments,
     dbar_weights,
     enumeration_population_ols,
+    oracle_columns,
     oracle_report,
     t_weights,
 )
@@ -322,3 +323,32 @@ def test_array_oracle_equals_dict_oracle(histogram, design_id, c, p):
                 assert value is None, field.name
             else:
                 assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), field.name
+
+
+@pytest.mark.parametrize("histogram", [
+    {0: 7},  # all isolated
+    {1: 3, 2: 5, 4: 2},  # no isolated node
+    {3: 10},  # a single positive degree, no isolated node
+    {0: 4, 2: 6},  # a single positive degree beside the isolated nodes
+    {0: 17, 1: 40, 2: 33, 3: 12, 7: 2},
+])
+@pytest.mark.parametrize("p", [0.3, 0.5])
+def test_stacked_oracle_rows_equal_single_design_reports(histogram, p):
+    summary = DegreeSummary.from_histogram(histogram)
+    designs = [BuiltinDesign(d, c) for d in (1, 2, 3) for c in (0.0, -0.5)]
+    designs += [reference_design(2, 0.7, histogram),
+                DesignSpec(baseline={g: 0.5 - 0.25 * g for g in histogram},
+                           direct_effect={g: 1.0 + 0.1 * g for g in histogram},
+                           spillover_effect={g: 0.3 * (-1) ** g for g in histogram},
+                           noise_sd=0.0)]
+    columns = oracle_columns(design_stack(designs, summary.degrees), summary, p)
+    assert list(columns) == [field.name for field in dataclasses.fields(OracleReport)]
+    for j, design in enumerate(designs):
+        report = oracle_report(design, summary, p)
+        for name, column in columns.items():
+            want = getattr(report, name)
+            if want is None:
+                assert column is None, name
+            else:
+                assert column.shape == (len(designs),), name
+                assert abs(column[j] - want) <= 1e-15, (j, name)
