@@ -97,9 +97,9 @@ def _load_config(path: str | None) -> _Config:
     if path is None:
         return _Config(None, {})
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             values = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise IngestionError(f"{path}: invalid JSON config: {exc}") from exc
     if not isinstance(values, dict):
         raise IngestionError(f"{path}: config must be a JSON object")

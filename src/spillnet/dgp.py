@@ -23,7 +23,9 @@ import numpy as np
 
 from .errors import ConfigurationError, IngestionError, ParameterError
 from .exposure import ExposureProfile, TreatmentVector, compute_exposure
-from .graph import DegreeSummary, Network, nonnegative_int, read_table, seeded_rng, summarize
+from .graph import (
+    DegreeSummary, Network, distinct, nonnegative_int, read_table, seeded_rng, summarize,
+)
 
 DESIGN_IDS = (1, 2, 3)
 
@@ -97,7 +99,7 @@ Design = BuiltinDesign | DesignSpec
 
 def expand(builtin: BuiltinDesign, degrees: Iterable[int]) -> DesignSpec:
     """Tabulate a built-in design over the given degrees (noise_sd = 1)."""
-    degs = np.unique(np.fromiter(degrees, dtype=np.int64))
+    degs = distinct(np.fromiter(degrees, dtype=np.int64))
     if degs.size and degs[0] < 0:
         raise ParameterError("degrees must be nonnegative")
     maps = (dict(zip(degs.tolist(), row)) for row in builtin.tables(degs).tolist())

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EmptySubsampleError, ParameterError, SingularModelError, TooFewUnitsError
 from .exposure import ExposureProfile, TreatmentVector, compute_exposure
-from .graph import Network
+from .graph import Network, distinct
 
 # Coefficient (column) names shared across specifications.
 CONST = "const"
@@ -225,7 +225,7 @@ def stratified_regression(net: Network, tr: TreatmentVector, y: np.ndarray, *,
     y = np.asarray(y, dtype=float)
     fits: dict[int, RegressionFit] = {}
     skipped: dict[int, str] = {}
-    for g in np.unique(prof.degree).tolist():
+    for g in distinct(prof.degree).tolist():
         idx = np.flatnonzero(prof.degree == g)
         if g == 0:
             names = (CONST, TREATED)

@@ -13,6 +13,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, compress
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -109,6 +110,13 @@ class DegreeSummary:
         return int(self.counts.sum())
 
     @cached_property
+    def _weights(self) -> np.ndarray:
+        """``counts`` as a read-only float array, converted once for every ``mean``."""
+        weights = self.counts.astype(float)
+        weights.flags.writeable = False
+        return weights
+
+    @cached_property
     def n_positive(self) -> int:
         return int(self.counts[self.positive].sum())
 
@@ -155,12 +163,12 @@ class DegreeSummary:
         1-D ``values`` gives a float; leading axes (one row per design, say)
         give an array of means over them.
         """
-        counts, total = self.counts, self.n
+        weights, total = self._weights, self.n
         if positive_only:
-            counts, total = counts[self.positive], self.n_positive
+            weights, total = weights[self.positive], self.n_positive
             if total == 0:
                 raise ParameterError("empty degree stratum in expectation")
-        mean = (np.asarray(values, dtype=float) @ counts) / total
+        mean = (np.asarray(values, dtype=float) @ weights) / total
         return float(mean) if mean.ndim == 0 else mean
 
     @staticmethod
@@ -189,6 +197,20 @@ def seeded_rng(seed: int) -> np.random.Generator:
 def summarize(net: Network) -> DegreeSummary:
     """Exact empirical degree moments of a network."""
     return DegreeSummary.from_degrees(net.degree)
+
+
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a 1-D array.
+
+    Equal to ``np.unique(values)``, by a sort and an adjacent difference.
+    numpy's hash-based ``unique`` imports ``numpy.ma`` on its first call,
+    ~15 ms, which is more than a short command spends on the sort.
+    """
+    values = np.sort(values)
+    first = np.empty(values.size, dtype=bool)
+    first[:1] = True
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
 
 
 def _network_from_keys(n: int, keys: np.ndarray) -> Network:
@@ -378,7 +400,7 @@ def _network_from_pairs(
             raise IngestionError(f"{where(row)}: index ({a}, {b}) out of range for n={n}")
         raise IngestionError(f"{where(row)}: self-link ({a}, {b}) not allowed")
     i, j = i.astype(np.int64), j.astype(np.int64)
-    return _network_from_keys(n, np.unique(np.minimum(i, j) * n + np.maximum(i, j)))
+    return _network_from_keys(n, distinct(np.minimum(i, j) * n + np.maximum(i, j)))
 
 
 def to_edge_list(net: Network) -> list[tuple[int, int]]:
@@ -391,29 +413,40 @@ def read_table(
 ) -> tuple[dict[str, list], list[int], dict[Any, int]]:
     """Read the named columns of a headed CSV file, one list per column.
 
-    Columns are found by header name and other columns are ignored. Lines
-    whose cells are all blank are skipped. Each column is parsed in one pass:
-    its cells are stripped and mapped through the column's parser.
+    The file is UTF-8, with or without a byte-order mark; undecodable text or
+    a malformed CSV row (a field over ``csv.field_size_limit()``, say) raises
+    IngestionError naming ``path:line``. The rows are read in one pass of
+    ``csv.reader``. Columns are found by header name and other columns are
+    ignored. Lines whose cells are all blank are skipped. Each column is
+    parsed in one pass: its cells are stripped and mapped through the
+    column's parser.
     A cell is bad when it is missing, its parser raises ValueError, it parses
     to a non-finite float, or it repeats an earlier value of the ``unique``
     column. Only a column that has a bad cell is rescanned cell by cell, to
     name its bad lines. Any bad cell raises IngestionError naming
     ``path:line`` and the first 20 bad lines of each bad column, the columns
     ordered by their first bad line. Returns the columns, the file line of
-    each row, and the row of each ``unique`` value (empty without ``unique``).
+    each row (a row that spans lines is at its last line), and the row of
+    each ``unique`` value (empty without ``unique``).
     """
-    rows: list[list[str]] = []
-    lines: list[int] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = [cell.strip() for cell in next(reader, [])]
-        missing = [name for name in columns if name not in header]
-        if missing:
-            raise IngestionError(f"{path}:1: missing columns {missing} in header {header}")
-        for row in reader:
-            if "".join(row).strip():
-                rows.append(row)
-                lines.append(reader.line_num)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = [cell.strip() for cell in next(reader, [])]
+            missing = [name for name in columns if name not in header]
+            if missing:
+                raise IngestionError(f"{path}:1: missing columns {missing} in header {header}")
+            first = reader.line_num
+            rows = list(reader)
+    except csv.Error as exc:
+        raise IngestionError(f"{path}:{reader.line_num}: malformed CSV: {exc}") from None
+    except UnicodeDecodeError:
+        raise IngestionError(_decode_error(path)) from None
+    # a row of blank cells joins to a blank string; holding flags rather than the joined
+    # strings keeps ~1.5 MB per 20,000 rows off the peak memory
+    keep = list(map(bool, map(str.strip, map("".join, rows))))
+    lines = list(compress(_row_lines(rows, first, reader.line_num), keep))
+    rows = list(compress(rows, keep))
     values: dict[str, list] = {}
     bad: list[tuple[str, str, list[int]]] = []  # column, first error, bad lines
     row_of: dict[Any, int] = {}
@@ -436,10 +469,43 @@ def read_table(
     return values, lines, row_of
 
 
+def _line_breaks(text: str) -> int:
+    """Line breaks in ``text``, each of ``\\n``, ``\\r`` and ``\\r\\n`` counting once."""
+    return text.count("\n") + text.count("\r") - text.count("\r\n")
+
+
+def _row_lines(rows: list[list[str]], first: int, last: int) -> Sequence[int]:
+    """The file line on which each row ends, from the lines the reader consumed.
+
+    ``rows`` were read after line ``first`` up to line ``last``. A row takes
+    one line, plus one for each line break inside its quoted cells; only the
+    last row can end on a break inside a cell, at the end of a file whose
+    quote is never closed.
+    """
+    if last - first == len(rows):  # no quoted cell holds a line break
+        return range(first + 1, last + 1)
+    breaks = map(_line_breaks, map("".join, rows))
+    lines = list(accumulate(breaks, lambda at, n: at + 1 + n, initial=first))[1:]
+    lines[-1] = last
+    return lines
+
+
+def _decode_error(path: str | Path) -> str:
+    """Name the line of the first byte that is not UTF-8, rescanning the file as bytes."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")  # a byte-order mark is valid UTF-8, so offsets stay exact
+    except UnicodeDecodeError as exc:
+        line = 1 + _line_breaks(data[:exc.start].decode("utf-8"))
+        return f"{path}:{line}: not UTF-8 text ({exc.reason}: {data[exc.start:exc.end]!r})"
+    return f"{path}: not UTF-8 text"  # the file changed after the failed read
+
+
 def _parse_column(rows: list[list[str]], index: int, parse: Callable[[str], Any]) -> list:
     """Parse cell ``index`` of every row; raise on a missing, bad or non-finite cell."""
     column = list(map(parse, map(str.strip, map(operator.itemgetter(index), rows))))
-    if not all(map(math.isfinite, filter(float.__instancecheck__, column))):
+    # str never returns a float, so a column of strings needs no finiteness scan
+    if parse is not str and not all(map(math.isfinite, filter(float.__instancecheck__, column))):
         raise ValueError("non-finite number")
     return column
 

@@ -6,12 +6,15 @@ normal equations) so that agreement with the library is meaningful.
 
 from __future__ import annotations
 
+import csv
+import math
+import operator
 import random
 
 import numpy as np
 
 from spillnet.dgp import DesignSpec
-from spillnet.errors import ParameterError
+from spillnet.errors import IngestionError, ParameterError
 from spillnet.graph import Network
 from spillnet.oracle import OracleReport
 
@@ -217,3 +220,63 @@ def reference_oracle_report(spec: DesignSpec, histogram: dict[int, int], p: floa
         mean_dbar_star=mean_star,
         var_dbar_star=var_star,
     )
+
+
+def reference_read_table(path, columns, unique=None):
+    """``spillnet.graph.read_table`` as a per-row loop that asks the reader for each line.
+
+    Appends each non-blank row and ``reader.line_num`` as it goes, instead of
+    reading every row at once and deriving the lines from the line breaks in
+    quoted cells. The file is read as UTF-8 with an optional byte-order mark;
+    column parsing, the bad-cell rescan and every error text are the same.
+    """
+    rows, lines = [], []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = [cell.strip() for cell in next(reader, [])]
+        missing = [name for name in columns if name not in header]
+        if missing:
+            raise IngestionError(f"{path}:1: missing columns {missing} in header {header}")
+        for row in reader:
+            if "".join(row).strip():
+                rows.append(row)
+                lines.append(reader.line_num)
+    values, bad, row_of = {}, [], {}
+    for name, parse in columns.items():
+        index = header.index(name)
+        try:
+            column = values[name] = list(
+                map(parse, map(str.strip, map(operator.itemgetter(index), rows))))
+            if not all(map(math.isfinite, filter(float.__instancecheck__, column))):
+                raise ValueError("non-finite number")
+            if name == unique:
+                row_of = dict(zip(column, range(len(column))))
+                if len(row_of) < len(column):
+                    raise ValueError("repeated value")
+        except (IndexError, ValueError):
+            bad.append((name, *_reference_bad_cells(rows, lines, index, parse, name == unique)))
+    if bad:
+        bad.sort(key=lambda item: item[2][0])
+        raise IngestionError("; ".join(
+            f"{path}:{at[0]}: column {name!r}: {error}; bad lines {at[:20]}"
+            for name, error, at in bad
+        ))
+    return values, lines, row_of
+
+
+def _reference_bad_cells(rows, lines, index, parse, unique):
+    error, at, first_line = "", [], {}
+    for row, line in zip(rows, lines):
+        try:
+            if index >= len(row):
+                raise ValueError("missing cell")
+            value = parse(row[index].strip())
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"non-finite number {value!r}")
+            if unique and first_line.setdefault(value, line) != line:
+                raise ValueError(f"duplicate {value!r}, first on line {first_line[value]}")
+        except ValueError as exc:
+            if not at:
+                error = str(exc)
+            at.append(line)
+    return error, at

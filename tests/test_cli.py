@@ -3,7 +3,10 @@ import csv
 import inspect
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 
 import spillnet
 import spillnet.cli
+from audit_dataset import write_audit_dataset
 from spillnet.cli import main
 from spillnet.dgp import BuiltinDesign, expand
 from spillnet.errors import ParameterError, TooFewUnitsError
@@ -110,6 +114,17 @@ def test_simulate_config_bad_value_is_an_input_error(tmp_path, capsys, config, k
     err = capsys.readouterr().err
     assert f"{cfg}: config key {key}" in err
     assert "Traceback" not in err
+
+
+def test_config_file_is_utf8_with_an_optional_byte_order_mark(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]
+    cfg.write_bytes(b'\xef\xbb\xbf{"n": 40, "reps": 2, "design": "3", "c": 0}')
+    assert main(argv) == 0
+    cfg.write_bytes(b'{"n": 40, "reps": 2, "design": "\xff"}')
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"{cfg}: invalid JSON config: 'utf-8' codec can't decode byte 0xff" in err
 
 
 def test_scatter_is_byte_deterministic(tmp_path, capsys):
@@ -323,11 +338,15 @@ def test_audit_rejects_unknown_edge_ids(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
-def _run_audit(edges, data):
+def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["audit", "--edges", str(edges), "--data", str(data)])
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def _run_audit(edges, data):
+    return _run(["audit", "--edges", str(edges), "--data", str(data)])
 
 
 @settings(max_examples=25, deadline=None,
@@ -365,6 +384,78 @@ def test_audit_rejects_missing_columns(tmp_path):
     data = tmp_path / "units.csv"
     data.write_text("id,outcome\na,1.0\n")
     assert main(["audit", "--edges", str(edges), "--data", str(data)]) == 3
+
+
+# one valid table for each command that reads one, in CRLF and LF line endings
+_TABLES = {
+    "audit": "id,treatment,outcome\r\n"
+             + "".join(f"u{k},{k % 2},{k / 7!r}\r\n" for k in range(12)),
+    "oracle": "degree,count\n0,2\n1,3\n2,1\n",
+    "simulate": "degree,theta00,mu_de,lambda_se\n"
+                + "".join(f"{g},1.0,1.0,{-0.5 / (1 + g)!r}\n" for g in range(40)),
+}
+
+
+def _read_table_argv(tmp_path, command, table):
+    if command == "audit":
+        edges = tmp_path / "edges.csv"
+        edges.write_text("src,dst\n" + "".join(f"u{k},u{(k + 1) % 12}\n" for k in range(12)))
+        return ["audit", "--edges", str(edges), "--data", str(table)]
+    if command == "oracle":
+        return ["oracle", "--design", "1", "--histogram", str(table)]
+    return ["simulate", "--design-file", str(table), "--n", "40", "--reps", "2",
+            "--out", str(tmp_path / "o.csv")]
+
+
+@pytest.mark.parametrize("command", sorted(_TABLES))
+def test_table_with_a_byte_order_mark_reads_as_without(tmp_path, command):
+    table = tmp_path / "table.csv"
+    argv = _read_table_argv(tmp_path, command, table)
+    table.write_bytes(_TABLES[command].encode())
+    plain = _run(argv)
+    assert plain[0] == 0
+    table.write_bytes(b"\xef\xbb\xbf" + _TABLES[command].encode())
+    assert _run(argv) == plain
+
+
+@pytest.mark.parametrize("command", sorted(_TABLES))
+def test_undecodable_table_is_an_input_error_naming_its_line(tmp_path, command):
+    table = tmp_path / "table.csv"
+    argv = _read_table_argv(tmp_path, command, table)
+    lines = _TABLES[command].encode().splitlines(keepends=True)
+    lines[2] = lines[2][:1] + b"\xff" + lines[2][1:]
+    table.write_bytes(b"".join(lines))
+    code, _, err = _run(argv)
+    assert code == 3
+    assert f"{table}:3: not UTF-8 text (invalid start byte: b'\\xff')" in err
+
+
+@pytest.mark.parametrize("command", sorted(_TABLES))
+def test_oversized_cell_is_an_input_error_naming_its_line(tmp_path, command):
+    table = tmp_path / "table.csv"
+    argv = _read_table_argv(tmp_path, command, table)
+    text = _TABLES[command]
+    table.write_text(text + '"' + "x" * 140_000 + '"\n', newline="")
+    code, _, err = _run(argv)
+    assert code == 3
+    line = text.count("\n") + 1
+    assert f"{table}:{line}: malformed CSV: field larger than field limit" in err
+
+
+def test_audit_does_not_import_numpy_ma(tmp_path):
+    # numpy's hash-based unique imports numpy.ma, ~15 ms of a short command
+    edges, data = tmp_path / "edges.csv", tmp_path / "units.csv"
+    write_audit_dataset(300, 2, edges, data)
+    script = (
+        "import sys\n"
+        "from spillnet.cli import main\n"
+        f"assert main(['audit', '--edges', {str(edges)!r}, '--data', {str(data)!r}]) == 0\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    src = str(Path(spillnet.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_audit_writes_report_file(tmp_path):

@@ -3,8 +3,8 @@
 The record ``tests/golden/<version>.json`` pins what each seed maps to. A
 change that alters that mapping must bump ``spillnet.__version__`` and write
 the new version's record with ``tests/write_golden.py``. Counts, exclusions
-and text compare exactly; floats to 1e-12 relative, since the last bits of an
-SVD may differ between BLAS builds.
+and text (``audit`` stdout among it) compare exactly; floats to 1e-12
+relative, since the last bits of an SVD may differ between BLAS builds.
 """
 
 import json
@@ -13,7 +13,7 @@ import math
 import pytest
 
 import spillnet
-from write_golden import golden_path, record
+from write_golden import audit_stdout, golden_path, record
 
 
 def assert_matches(got, want, where="record"):
@@ -44,3 +44,8 @@ def test_seeded_studies_match_the_golden_record_of_this_version():
     assert_matches(record(), want["studies"], "studies")
     # the sparse study is there to pin exclusions, so it must have some
     assert all(setting["exclusions"] for setting in want["studies"]["sparse"])
+
+
+def test_audit_stdout_matches_the_golden_record_of_this_version():
+    want = json.loads(golden_path().read_text())
+    assert audit_stdout() == want["audit"]

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import neighbor_lists, reference_watts_strogatz
+from helpers import neighbor_lists, reference_read_table, reference_watts_strogatz
 from spillnet.errors import IngestionError, ParameterError
 from spillnet.graph import (
     WS_CALIBRATED,
     DegreeSummary,
     Network,
+    distinct,
     from_edge_list,
     generate_erdos_renyi,
     generate_watts_strogatz,
@@ -279,6 +280,60 @@ def test_read_table_names_every_bad_column_in_order_of_its_first_bad_line(tmp_pa
     )
 
 
+def test_read_table_puts_a_row_that_spans_lines_at_its_last_line(tmp_path):
+    path = tmp_path / "units.csv"
+    # quoted cells break lines with \n, \r\n and \r; a break in the header counts too
+    path.write_bytes(b'id,"x\r\n"\r\n"a\nb",1\r\nc,2\r\n\r\n"d\r\ne\r",3\n')
+    columns, lines, _ = read_table(path, {"id": str, "x": int}, unique="id")
+    assert columns == {"id": ["a\nb", "c", "d\r\ne"], "x": [1, 2, 3]}
+    assert lines == [4, 5, 9]
+    # a quote left open at the end of the file holds the last line break
+    path.write_bytes(b'id,x\n"a\nb",1\nc,"2\n')
+    assert read_table(path, {"id": str, "x": int})[:2] == (
+        {"id": ["a\nb", "c"], "x": [1, 2]}, [3, 4])
+    path.write_bytes(b'id,x\nc,"2\n')
+    assert read_table(path, {"x": int})[1] == [2]
+
+
+_CELLS = ["a", "b", " c ", "1", " 2", "-3", "2.5", "nan", "inf", "x", "", "  ", '"q,1"', '"7"',
+          '"a\nb"', '"a\r\nb"', '"a\rb"', '" 4\r\n"', '"a""b"', '"\n"']
+_BLANK_LINES = ["", "   ", ",,", " , ,"]
+_HEADERS = ["", "id,x,y", " y , id ,x,extra", "id,x", '"id",x,"y"', "\ufeffid,x,y", 'id,"x\r\n",y',
+            '"i\nd",x,y']
+_COLUMNS = [({"id": str, "x": int, "y": float}, "id"), ({"id": str, "x": int}, None),
+            ({"y": float, "id": str}, "id"), ({"x": int}, "x")]
+
+
+@st.composite
+def csv_texts(draw):
+    """A headed CSV text with quoted line breaks, mixed line endings, blank and short rows."""
+    endings = st.sampled_from(["\n", "\r\n", "\r"])
+    line = st.one_of(st.lists(st.sampled_from(_CELLS), min_size=1, max_size=4).map(",".join),
+                     st.sampled_from(_BLANK_LINES))
+    parts = [draw(st.sampled_from(_HEADERS)), draw(endings)]
+    for text, ending in draw(st.lists(st.tuples(line, endings), max_size=12)):
+        parts += [text, ending]
+    if draw(st.booleans()):
+        parts.pop()  # no line break after the last row
+    parts.append(draw(st.sampled_from(["", '9,"open', '9,"open\n', '"open\r\n'])))
+    return "".join(parts)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=csv_texts(), columns=st.sampled_from(_COLUMNS))
+def test_read_table_equals_a_per_row_reader(tmp_path_factory, text, columns):
+    path = tmp_path_factory.getbasetemp() / "table.csv"
+    path.write_bytes(text.encode("utf-8"))
+
+    def outcome(read):
+        try:
+            return read(path, *columns)
+        except IngestionError as exc:
+            return str(exc)
+
+    assert outcome(read_table) == outcome(reference_read_table)
+
+
 def test_edge_csv_reports_an_index_beyond_int64_as_out_of_range(tmp_path):
     path = tmp_path / "edges.csv"
     path.write_text("src,dst\n0,1\n\n9223372036854775808,1\n")
@@ -307,6 +362,19 @@ def test_edge_csv_names_the_line_of_a_bad_node_index(tmp_path):
         path.write_text(text)
         with pytest.raises(IngestionError, match=message):
             read_edge_csv(path, n=3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1), m=st.integers(0, 60))
+def test_distinct_and_network_keys_equal_np_unique(n, seed, m):
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, n, size=(m, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    keys = np.minimum(pairs[:, 0], pairs[:, 1]) * n + np.maximum(pairs[:, 0], pairs[:, 1])
+    assert np.array_equal(distinct(keys), np.unique(keys))
+    assert distinct(keys).dtype == keys.dtype
+    net = from_edge_list(pairs, n)
+    assert np.array_equal(net.u * n + net.v, np.unique(keys))
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,9 @@
 OUT defaults to ``tests/golden/<spillnet.__version__>.json``. The record holds
 every cell and the exclusions of three six-setting ``run_study`` calls: the
 paper's settings at reps = 50 with a new graph per rep and with a fixed
-graph, and a sparse small-n setting whose reps are often excluded.
+graph, and a sparse small-n setting whose reps are often excluded. It also
+holds the stdout of ``spillnet audit`` on the seeded dataset of
+``audit_dataset.py`` (2,000 units).
 ``test_golden.py`` compares a fresh run against the file of the running
 version, so a change that alters the mapping from seed to output must bump
 ``__version__`` and write a new file with this script.
@@ -13,13 +15,18 @@ version, so a change that alters the mapping from seed to output must bump
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import spillnet
+from audit_dataset import write_audit_dataset
+from spillnet.cli import main as cli_main
 from spillnet.dgp import BuiltinDesign
 from spillnet.montecarlo import ErdosRenyiGraph, SimConfig, run_study
 
@@ -59,10 +66,22 @@ def record() -> dict:
     return json.loads(json.dumps(out))
 
 
+def audit_stdout(units: int = 2000, seed: int = 11) -> str:
+    """``spillnet audit`` stdout on the seeded dataset, its files named without their folder."""
+    with tempfile.TemporaryDirectory() as tmp:
+        edges, data = Path(tmp, "edges.csv"), Path(tmp, "units.csv")
+        write_audit_dataset(units, seed, edges, data)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = cli_main(["audit", "--edges", str(edges), "--data", str(data)])
+        assert rc == 0, rc
+    return out.getvalue().replace(str(edges), edges.name).replace(str(data), data.name)
+
+
 def main(argv: list[str]) -> int:
     path = Path(argv[0]) if argv else golden_path()
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"version": spillnet.__version__, "studies": record()}
+    payload = {"version": spillnet.__version__, "studies": record(), "audit": audit_stdout()}
     path.write_text(json.dumps(payload, indent=1) + "\n")
     print(f"wrote {path}")
     return 0
