@@ -37,6 +37,7 @@ from .estimators import (
     SPECS,
     TREATED,
     StratifiedResult,
+    cell_table,
     fit_specification,
     stratified_regression,
 )
@@ -420,6 +421,7 @@ def cmd_audit(args) -> int:
     summary = summarize(net)
     profile = compute_exposure(net, tr)
     diag = empirical_exposure_diagnostics(profile)
+    cells = cell_table(tr, profile, y)
 
     def opt(v):
         return "undefined" if v is None else f"{v:.4f}"
@@ -445,7 +447,7 @@ def cmd_audit(args) -> int:
     slopes: dict[str, tuple[float, float]] = {}  # spec name -> spillover coefficient, se
     for name, spec in SPECS.items():
         try:
-            fit = fit_specification(name, net, tr, y, profile=profile)
+            fit = fit_specification(name, net, tr, y, cells=cells)
         except DEGENERATE_FIT_ERRORS:
             lines.append(f"  {name:<14} unavailable")
             continue
@@ -455,7 +457,7 @@ def cmd_audit(args) -> int:
             f"   spillover {slope:9.4f} [{slope_se:.4f}]   n={fit.n_used}"
         )
 
-    strat = stratified_regression(net, tr, y, profile=profile)
+    strat = stratified_regression(net, tr, y, cells=cells)
     gaps = _plug_in_gaps(strat, summary)
     implied_bias = imputation_bias(
         gaps.baseline, gaps.direct, p_hat,

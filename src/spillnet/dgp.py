@@ -15,13 +15,14 @@ own-by-neighbor interaction, and a constant per-neighbor increment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, IngestionError, ParameterError
+from .estimators import CellTable
 from .exposure import ExposureProfile, TreatmentVector, compute_exposure
 from .graph import (
     DegreeSummary, Network, distinct, nonnegative_int, read_table, seeded_rng, summarize,
@@ -135,6 +136,25 @@ def outcome_matrix(
     baseline, direct, spillover = tables.take(profile.degree, axis=1)
     y = baseline + direct * tr.d[:, None] + spillover * profile.treated_neighbors[:, None]
     return y + noise[:, None] * np.asarray(noise_sd, dtype=float)
+
+
+def outcome_cells(
+    stack: np.ndarray, noise_sd: Sequence[float], summary: DegreeSummary, noise: CellTable,
+) -> CellTable:
+    """The cell table of D designs' outcomes for one draw, one column per design.
+
+    ``noise`` is the ``cell_table`` of the draw's shared standard-normal
+    noise, and ``stack`` the designs' ``design_stack`` at ``summary.degrees``,
+    which must hold every cell degree. Within a cell the design part
+    baseline + direct * d + spillover * t is constant, so column j's cell
+    mean is that part plus ``noise_sd[j]`` times the noise mean, and its
+    within-cell sum of squares is ``noise_sd[j]**2`` times the noise's.
+    Raises ParameterError when a cell mean is not finite.
+    """
+    sd = np.asarray(noise_sd, dtype=float)
+    baseline, direct, spillover = stack[:, :, np.searchsorted(summary.degrees, noise.degree)]
+    part = baseline + direct * noise.treated + spillover * noise.treated_neighbors
+    return replace(noise, mean=part.T + noise.mean * sd, within=noise.within * sd**2)
 
 
 def simulate_outcomes(

@@ -1,11 +1,15 @@
-"""OLS core and the three spillover regression specifications.
+"""Exposure cells, the OLS core and the three spillover regression specifications.
 
-All fits report homoskedastic (iid) standard errors and 95% intervals built
-as coefficient +/- 1.96 * se. One thin SVD per design matrix gives the rank
-check, the coefficients and the standard errors of every outcome column fitted
-on it; they agree with the normal equations to well below 1e-9 for the small,
-well-conditioned systems used here (<= 4 columns). ``SPECS`` describes the
-three specifications and ``design_matrix`` builds the columns of any of them.
+Every regressor of the three specifications is a function of a unit's own
+treatment d, its treated-neighbour count t and its degree g, so OLS on the
+units is weighted least squares on the occupied (g, t, d) cells:
+``cell_table`` groups the units into those cells with each cell's unit
+count, mean outcome and within-cell sum of squares, and every fit solves
+that small system, whatever the number of units. ``least_squares`` is the
+one solver: one thin SVD of the weighted rows gives the rank check, the
+coefficients and the iid standard errors of every outcome column, with
+95% intervals built as coefficient +/- 1.96 * se. ``SPECS`` describes the
+three specifications and ``cell_design`` builds the columns of any of them.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from .errors import EmptySubsampleError, ParameterError, SingularModelError, TooFewUnitsError
 from .exposure import ExposureProfile, TreatmentVector, compute_exposure
-from .graph import Network, distinct
+from .graph import Network
 
 # Coefficient (column) names shared across specifications.
 CONST = "const"
@@ -49,6 +53,81 @@ class RegressionFit:
         return self.coefficients[name]
 
 
+# Column of each regressor in ``CellTable.regressors``. One treated-fraction
+# column serves both fractions: it is t/g where g > 0, and 0 where g = 0.
+CELL_COLUMNS = {CONST: 0, TREATED: 1, TREATED_NEIGHBORS: 2, DEGREE: 3, DBAR: 4, DBAR_STAR: 4}
+
+
+@dataclass(frozen=True)
+class CellTable:
+    """Units grouped by (degree, treated-neighbour count, own treatment).
+
+    Cell c holds ``count[c]`` units of degree ``degree[c]``; row c of
+    ``regressors`` holds their regressors (1, d, t, g, t/g), laid out by
+    ``CELL_COLUMNS``. ``mean[c]`` is their mean outcome and ``within[c]``
+    the sum of squared deviations from it, one column per outcome
+    (cells x D). Only occupied cells appear, sorted by (degree, treated
+    neighbours, treatment). Raises ParameterError when a mean or sum of
+    squares is not finite.
+    """
+
+    degree: np.ndarray
+    regressors: np.ndarray
+    count: np.ndarray
+    mean: np.ndarray
+    within: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.within).all()):
+            raise ParameterError("outcome must be finite")
+
+    @property
+    def treated(self) -> np.ndarray:
+        """Each cell's own treatment d."""
+        return self.regressors[:, CELL_COLUMNS[TREATED]]
+
+    @property
+    def treated_neighbors(self) -> np.ndarray:
+        """Each cell's treated-neighbour count t."""
+        return self.regressors[:, CELL_COLUMNS[TREATED_NEIGHBORS]]
+
+
+def cell_table(tr: TreatmentVector, profile: ExposureProfile, y: np.ndarray) -> CellTable:
+    """The exposure cells of (tr, profile) and the outcome ``y`` in them (one column).
+
+    One ``bincount`` over a dense key counts the cells: each degree present
+    gets a block of 2 (degree + 1) keys, one per (treated neighbours,
+    treatment), so the key range is at most 2 (n + 2 |E|).
+    """
+    y = np.asarray(y, dtype=float)
+    if y.shape != (profile.n,) or tr.n != profile.n or profile.n == 0:
+        raise ParameterError("treatment, exposure and outcome must cover the same units")
+    if not ((tr.d == 0) | (tr.d == 1)).all():
+        raise ParameterError("treatment must be 0 or 1")
+    # degree g's block starts at start[g]; an absent degree's block is empty
+    present = np.bincount(profile.degree) > 0
+    block = np.where(present, 2 * np.arange(1, present.size + 1), 0)
+    end = np.cumsum(block)
+    start = end - block
+    d = tr.d.astype(np.int64, copy=False)
+    key = start[profile.degree] + 2 * profile.treated_neighbors + d
+    count = np.bincount(key, minlength=end[-1])
+    occupied = np.flatnonzero(count)
+    degree = np.searchsorted(end, occupied, side="right")
+    local = occupied - start[degree]
+    t = local >> 1
+    regressors = np.column_stack([np.ones(occupied.size), local & 1, t, degree,
+                                  t / np.maximum(degree, 1)])
+    rank = np.zeros(end[-1], dtype=np.int64)  # each key's index among the occupied cells
+    rank[occupied] = np.arange(occupied.size)
+    cell = rank[key]
+    count = count[occupied]
+    mean = np.bincount(cell, weights=y, minlength=count.size) / count
+    deviation = y - mean[cell]
+    within = np.bincount(cell, weights=deviation * deviation, minlength=count.size)
+    return CellTable(degree, regressors, count, mean[:, None], within[:, None])
+
+
 def _collinear_columns(x: np.ndarray, names: tuple[str, ...]) -> tuple[str, ...]:
     # a column is flagged when the others reproduce it (relative residual ~ 0)
     flagged = []
@@ -65,54 +144,52 @@ def _collinear_columns(x: np.ndarray, names: tuple[str, ...]) -> tuple[str, ...]
     return tuple(flagged)
 
 
-def least_squares(x: np.ndarray, ys: np.ndarray,
-                  names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Least squares of every column of ``ys`` (n x D) on ``x`` (n x k).
+def least_squares(x: np.ndarray, ys: np.ndarray, names: tuple[str, ...], weights: np.ndarray,
+                  within: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted least squares of every column of ``ys`` (c x D) on ``x`` (c x k).
 
-    One thin SVD of x serves all D columns. Returns the coefficients and the
-    iid standard errors, both k x D, and the D residual sums of squares.
-    Raises SingularModelError naming the collinear columns when x is rank
-    deficient, and ParameterError when there are not more rows than columns
-    or an entry is not finite.
+    Row i stands for ``weights[i]`` units that share the regressors ``x[i]``,
+    whose outcomes have mean ``ys[i]`` and sum of squared deviations
+    ``within[i]``; a unit row has weight 1 and within 0. The rows sqrt(w) x
+    have the singular values of the unit rows, so one thin SVD of them serves
+    all D columns as if the n = sum(weights) units were fitted. Returns the
+    coefficients and the iid standard errors, both k x D, and the D residual
+    sums of squares. Raises ParameterError when there are not more units than
+    columns, and SingularModelError naming the collinear columns when there
+    are fewer rows than columns or the rows are rank deficient. The caller
+    checks that the inputs are finite.
     """
-    n, k = x.shape
+    c, k = x.shape
+    n = int(weights.sum())
     if n <= k:
         raise ParameterError(f"need more rows ({n}) than columns ({k})")
-    if not (np.isfinite(x).all() and np.isfinite(ys).all()):
-        raise ParameterError("design matrix and outcome must be finite")
-
-    # x = U diag(s) Vt gives the rank check, beta = V diag(1/s) U'y
-    # and diag((x'x)^-1) = sum_j (V_ij / s_j)^2
-    u_mat, s, vt = np.linalg.svd(x, full_matrices=False)
-    if s[-1] <= RANK_RTOL * s[0]:
-        cols = _collinear_columns(x, names)
+    root = np.sqrt(weights)[:, None]
+    rows = root * x
+    # rows = U diag(s) Vt gives the rank check, beta = V diag(1/s) U'(root ys)
+    # and diag((x'Wx)^-1) = sum_j (V_ij / s_j)^2
+    u_mat, s, vt = np.linalg.svd(rows, full_matrices=False)
+    if c < k or s[-1] <= RANK_RTOL * s[0]:
+        cols = _collinear_columns(rows, names)
         raise SingularModelError(
             f"design matrix is rank deficient; collinear columns: {', '.join(cols) or 'unknown'}",
             columns=cols,
         )
-    beta = vt.T @ (u_mat.T @ ys / s[:, None])
-    residuals = ys - x @ beta
-    rss = np.einsum("ij,ij->j", residuals, residuals)
+    targets = root * ys
+    beta = vt.T @ (u_mat.T @ targets / s[:, None])
+    residuals = targets - rows @ beta
+    rss = within.sum(axis=0) + np.einsum("ij,ij->j", residuals, residuals)
     se = np.sqrt(np.outer(np.sum((vt / s[:, None]) ** 2, axis=0), rss / (n - k)))
     return beta, se, rss
 
 
-def ols(design_matrix: np.ndarray, y: np.ndarray, names: tuple[str, ...],
-        spec_name: str = "ols") -> RegressionFit:
-    """Least squares of y on the given columns (leading column = constant).
-
-    ``least_squares`` with one outcome column, so it raises the same errors.
-    """
-    x = np.asarray(design_matrix, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.size:
-        raise ParameterError("design matrix and outcome shapes do not match")
-    if len(names) != x.shape[1]:
-        raise ParameterError("need one name per design-matrix column")
-    beta, se, rss = least_squares(x, y[:, None], names)
-    n, k = x.shape
+def _fit(spec_name: str, names: tuple[str, ...], x: np.ndarray, weights: np.ndarray,
+         y: np.ndarray, within: np.ndarray) -> RegressionFit:
+    """``least_squares`` of one outcome column (c x 1), as a RegressionFit."""
+    beta, se, rss = least_squares(x, y, names, weights, within)
+    n, k = int(weights.sum()), x.shape[1]
     rss = float(rss[0])
-    tss = float(np.sum((y - y.mean()) ** 2))
+    y = y[:, 0]
+    tss = float(within.sum() + weights @ (y - weights @ y / n) ** 2)
     coef = dict(zip(names, beta[:, 0].tolist()))
     se_map = dict(zip(names, se[:, 0].tolist()))
     ci = {name: (coef[name] - Z95 * se_map[name], coef[name] + Z95 * se_map[name])
@@ -127,6 +204,25 @@ def ols(design_matrix: np.ndarray, y: np.ndarray, names: tuple[str, ...],
         rss=rss,
         sigma2=rss / (n - k),
     )
+
+
+def ols(design_matrix: np.ndarray, y: np.ndarray, names: tuple[str, ...],
+        spec_name: str = "ols") -> RegressionFit:
+    """Least squares of y on the given columns (leading column = constant).
+
+    ``least_squares`` on unit rows, so it raises the same errors, and
+    ParameterError when an entry is not finite.
+    """
+    x = np.asarray(design_matrix, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.size:
+        raise ParameterError("design matrix and outcome shapes do not match")
+    if len(names) != x.shape[1]:
+        raise ParameterError("need one name per design-matrix column")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ParameterError("design matrix and outcome must be finite")
+    return _fit(spec_name, names, x, np.ones(y.size, dtype=np.int64), y[:, None],
+                np.zeros((y.size, 1)))
 
 
 @dataclass(frozen=True)
@@ -162,46 +258,46 @@ SPECS = {
 }
 
 
-def design_matrix(spec_name: str, tr: TreatmentVector,
-                  prof: ExposureProfile) -> tuple[np.ndarray, np.ndarray | None]:
-    """The regressors of a specification and the units they cover (None: all).
+def _regressors(cells: CellTable, rows: slice, names: tuple[str, ...]) -> np.ndarray:
+    """The named regressors on the cells ``rows``, one column per name."""
+    return cells.regressors[rows, [CELL_COLUMNS[name] for name in names]]
+
+
+def cell_design(spec_name: str, cells: CellTable) -> tuple[np.ndarray, slice]:
+    """The regressors of a specification on the cells it covers, and those cells.
 
     Raises EmptySubsampleError when a connected-only fit has no units with
     neighbors and TooFewUnitsError when it has fewer than ``min_units``.
     """
     spec = SPECS[spec_name]
-    rows = prof.positive if spec.connected_only else None
-    if rows is not None and rows.size == 0:
+    # cells are sorted by degree, so the units with neighbors are a suffix
+    rows = slice(int(np.searchsorted(cells.degree, 1)) if spec.connected_only else 0, None)
+    count = cells.count[rows]
+    if count.size == 0:
         raise EmptySubsampleError(
             "no units with neighbors; treated fraction is undefined everywhere"
         )
-    size = prof.n if rows is None else rows.size
-    if size < spec.min_units:
+    if count.sum() < spec.min_units:
         subsample = " with neighbors" if spec.connected_only else ""
         raise TooFewUnitsError(f"{spec_name} needs at least {spec.min_units} units{subsample}")
-    full = {TREATED: tr.d, TREATED_NEIGHBORS: prof.treated_neighbors, DEGREE: prof.degree,
-            DBAR_STAR: prof.dbar_star}
-    x = np.empty((size, len(spec.columns)))
-    for j, name in enumerate(spec.columns):
-        if name == CONST:
-            x[:, j] = 1.0
-        elif name == DBAR:
-            x[:, j] = prof.dbar  # exists only on the units with neighbors, this fit's rows
-        else:
-            x[:, j] = full[name] if rows is None else full[name][rows]
-    return x, rows
+    return _regressors(cells, rows, spec.columns), rows
+
+
+def _cells(net: Network, tr: TreatmentVector, y: np.ndarray, cells: CellTable | None) -> CellTable:
+    return cells if cells is not None else cell_table(tr, compute_exposure(net, tr), y)
 
 
 def fit_specification(spec_name: str, net: Network, tr: TreatmentVector, y: np.ndarray, *,
-                      profile: ExposureProfile | None = None) -> RegressionFit:
+                      cells: CellTable | None = None) -> RegressionFit:
     """Fit the specification ``SPECS[spec_name]`` of ``y`` on (net, tr).
 
-    ``profile``, the exposure of (net, tr), is computed when not given.
+    ``cells``, the ``cell_table`` of (tr, the exposure of (net, tr), y), is
+    computed when not given.
     """
-    prof = profile if profile is not None else compute_exposure(net, tr)
-    x, rows = design_matrix(spec_name, tr, prof)
-    y = np.asarray(y, dtype=float)
-    return ols(x, y if rows is None else y[rows], SPECS[spec_name].columns, spec_name=spec_name)
+    cells = _cells(net, tr, y, cells)
+    x, rows = cell_design(spec_name, cells)
+    return _fit(spec_name, SPECS[spec_name].columns, x, cells.count[rows], cells.mean[rows],
+                cells.within[rows])
 
 
 @dataclass(frozen=True)
@@ -213,35 +309,30 @@ class StratifiedResult:
 
 
 def stratified_regression(net: Network, tr: TreatmentVector, y: np.ndarray, *,
-                          profile: ExposureProfile | None = None) -> StratifiedResult:
-    """Separate OLS per degree stratum.
+                          cells: CellTable | None = None) -> StratifiedResult:
+    """Separate OLS per degree stratum, each fitted from that degree's cells.
 
     Positive-degree strata regress the outcome on (1, own treatment,
     treated-neighbor count); the degree-0 stratum omits the neighbor count,
     since spillovers do not exist for nodes without neighbors. Strata that
     are too small or degenerate are skipped with a reason, never fatal.
+    ``cells`` is computed when not given, as in ``fit_specification``.
     """
-    prof = profile if profile is not None else compute_exposure(net, tr)
-    y = np.asarray(y, dtype=float)
+    cells = _cells(net, tr, y, cells)
     fits: dict[int, RegressionFit] = {}
     skipped: dict[int, str] = {}
-    for g in distinct(prof.degree).tolist():
-        idx = np.flatnonzero(prof.degree == g)
-        if g == 0:
-            names = (CONST, TREATED)
-            x = np.column_stack([np.ones(idx.size), tr.d[idx].astype(float)])
-        else:
-            names = (CONST, TREATED, TREATED_NEIGHBORS)
-            x = np.column_stack([
-                np.ones(idx.size),
-                tr.d[idx].astype(float),
-                prof.treated_neighbors[idx].astype(float),
-            ])
-        if idx.size < len(names) + 2:
-            skipped[g] = f"only {idx.size} units; need at least {len(names) + 2}"
+    bounds = np.flatnonzero(np.diff(cells.degree)) + 1
+    for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), cells.degree.size]):
+        g = int(cells.degree[lo])
+        names = (CONST, TREATED) if g == 0 else (CONST, TREATED, TREATED_NEIGHBORS)
+        rows = slice(lo, hi)
+        size = int(cells.count[rows].sum())
+        if size < len(names) + 2:
+            skipped[g] = f"only {size} units; need at least {len(names) + 2}"
             continue
         try:
-            fits[g] = ols(x, y[idx], names, spec_name="stratified")
+            fits[g] = _fit("stratified", names, _regressors(cells, rows, names),
+                           cells.count[rows], cells.mean[rows], cells.within[rows])
         except SingularModelError as exc:
             if TREATED in exc.columns:
                 skipped[g] = "no treatment variation"

@@ -18,9 +18,9 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .dgp import BuiltinDesign, Design, DesignSpec, design_stack, outcome_matrix
+from .dgp import BuiltinDesign, Design, DesignSpec, design_stack, outcome_cells
 from .errors import DEGENERATE_FIT_ERRORS, EmptySubsampleError, ParameterError
-from .estimators import SPECS, TREATED, design_matrix, least_squares
+from .estimators import SPECS, TREATED, cell_design, cell_table, least_squares
 from .exposure import assign_bernoulli, compute_exposure
 from .graph import (
     WS_CALIBRATED, DegreeSummary, Network, generate_erdos_renyi, generate_watts_strogatz, summarize,
@@ -233,13 +233,16 @@ def _simulate_rep(configs: Sequence[SimConfig], fixed: _GraphState | None, rep: 
     tr = assign_bernoulli(first.n, first.p, derive_seed(first.base_seed, rep, "treatment"))
     profile = compute_exposure(state.net, tr)
     noise_rng = np.random.default_rng(derive_seed(first.base_seed, rep, "noise"))
-    y = outcome_matrix(state.stack, [config.design.noise_sd for config in configs], state.summary,
-                       tr, profile, noise_rng.standard_normal(first.n))
+    noise = cell_table(tr, profile, noise_rng.standard_normal(first.n))
+    # every setting's cell means and sums of squares; raises if a mean is not finite
+    cells = outcome_cells(state.stack, [config.design.noise_sd for config in configs],
+                          state.summary, noise)
     fits = []
     try:
         for name, spec in SPECS.items():
-            x, rows = design_matrix(name, tr, profile)
-            fits.append(least_squares(x, y if rows is None else y[rows], spec.columns))
+            x, rows = cell_design(name, cells)
+            fits.append(least_squares(x, cells.mean[rows], spec.columns, cells.count[rows],
+                                      cells.within[rows]))
     except DEGENERATE_FIT_ERRORS as exc:
         # degenerate draw (rank deficiency or unusable subsample): exclude the rep
         return str(exc)
@@ -301,15 +304,18 @@ def run_study(configs: Sequence[SimConfig], workers: int = 1) -> list[AggregateR
 
     Seeds ignore the design, so each rep draws its graph, treatment and noise
     once for every setting, evaluates every setting's design once into one
-    stack, computes all their oracles in one pass, and fits each
-    specification's design matrix once for all their outcome columns. Reps
-    whose fit meets a singularity, an empty subsample or too few units are
-    excluded and logged, with a warning above 1%. Without
+    stack, computes all their oracles in one pass, groups the noise into
+    exposure cells once, derives every setting's cell means from it
+    (``outcome_cells``), and fits each specification once for all settings
+    on those cells. Reps whose fit meets a singularity, an empty subsample
+    or too few units are excluded and logged, with a warning above 1%. Without
     ``regenerate_graph_each_rep`` one network, with its summary, stack and
     oracle, is built per call and shared by every rep. ``workers > 1``
     spreads reps over a process pool with the same result, aggregated in rep
-    order.
+    order; fewer than one worker is a ParameterError.
     """
+    if workers < 1:
+        raise ParameterError(f"workers must be at least 1 (got {workers})")
     configs = tuple(configs)
     if not configs:
         raise ParameterError("a study needs at least one setting")

@@ -14,7 +14,14 @@ import random
 import numpy as np
 
 from spillnet.dgp import DesignSpec
-from spillnet.errors import IngestionError, ParameterError
+from spillnet.errors import (
+    EmptySubsampleError, IngestionError, ParameterError, SingularModelError, TooFewUnitsError,
+)
+from spillnet.estimators import (
+    CONST, DBAR, DBAR_STAR, DEGREE, RANK_RTOL, SPECS, TREATED, TREATED_NEIGHBORS, Z95,
+    RegressionFit, StratifiedResult,
+)
+from spillnet.exposure import ExposureProfile, TreatmentVector
 from spillnet.graph import Network
 from spillnet.oracle import OracleReport
 
@@ -280,3 +287,120 @@ def _reference_bad_cells(rows, lines, index, parse, unique):
                 error = str(exc)
             at.append(line)
     return error, at
+
+
+def _reference_collinear_columns(x: np.ndarray, names: tuple[str, ...]) -> tuple[str, ...]:
+    flagged = []
+    for j in range(x.shape[1]):
+        others = np.delete(x, j, axis=1)
+        col = x[:, j]
+        if others.shape[1] == 0:
+            fitted = np.zeros_like(col)
+        else:
+            fitted = others @ np.linalg.lstsq(others, col, rcond=None)[0]
+        scale = np.linalg.norm(col)
+        if scale == 0.0 or np.linalg.norm(col - fitted) <= 1e-8 * max(scale, 1.0):
+            flagged.append(names[j])
+    return tuple(flagged)
+
+
+def _reference_solve(x: np.ndarray, ys: np.ndarray, names: tuple[str, ...]):
+    """Least squares of every column of ``ys`` on the unit rows ``x`` by one thin SVD."""
+    n, k = x.shape
+    if n <= k:
+        raise ParameterError(f"need more rows ({n}) than columns ({k})")
+    if not (np.isfinite(x).all() and np.isfinite(ys).all()):
+        raise ParameterError("design matrix and outcome must be finite")
+    u_mat, s, vt = np.linalg.svd(x, full_matrices=False)
+    if s[-1] <= RANK_RTOL * s[0]:
+        cols = _reference_collinear_columns(x, names)
+        raise SingularModelError(
+            f"design matrix is rank deficient; collinear columns: {', '.join(cols) or 'unknown'}",
+            columns=cols,
+        )
+    beta = vt.T @ (u_mat.T @ ys / s[:, None])
+    residuals = ys - x @ beta
+    rss = np.einsum("ij,ij->j", residuals, residuals)
+    se = np.sqrt(np.outer(np.sum((vt / s[:, None]) ** 2, axis=0), rss / (n - k)))
+    return beta, se, rss
+
+
+def reference_design_matrix(spec_name: str, tr: TreatmentVector, prof: ExposureProfile):
+    """A specification's n x k regressors on the units it covers, and those units (None: all)."""
+    spec = SPECS[spec_name]
+    rows = prof.positive if spec.connected_only else None
+    if rows is not None and rows.size == 0:
+        raise EmptySubsampleError(
+            "no units with neighbors; treated fraction is undefined everywhere"
+        )
+    size = prof.n if rows is None else rows.size
+    if size < spec.min_units:
+        subsample = " with neighbors" if spec.connected_only else ""
+        raise TooFewUnitsError(f"{spec_name} needs at least {spec.min_units} units{subsample}")
+    full = {TREATED: tr.d, TREATED_NEIGHBORS: prof.treated_neighbors, DEGREE: prof.degree,
+            DBAR_STAR: prof.dbar_star}
+    x = np.empty((size, len(spec.columns)))
+    for j, name in enumerate(spec.columns):
+        if name == CONST:
+            x[:, j] = 1.0
+        elif name == DBAR:
+            x[:, j] = prof.dbar
+        else:
+            x[:, j] = full[name] if rows is None else full[name][rows]
+    return x, rows
+
+
+def reference_least_squares(spec_name: str, tr: TreatmentVector, prof: ExposureProfile,
+                            ys: np.ndarray):
+    """A specification fitted to every column of ``ys`` (n x D) on its unit rows.
+
+    Builds the n x k design matrix and factorises it with one thin SVD, as
+    spillnet did before it fitted from exposure cells. Returns beta and se
+    (k x D) and rss (D), or raises the error of a degenerate fit.
+    """
+    x, rows = reference_design_matrix(spec_name, tr, prof)
+    return _reference_solve(x, ys if rows is None else ys[rows], SPECS[spec_name].columns)
+
+
+def _reference_ols(x: np.ndarray, y: np.ndarray, names: tuple[str, ...]) -> RegressionFit:
+    beta, se, rss = _reference_solve(x, y[:, None], names)
+    n, k = x.shape
+    rss = float(rss[0])
+    tss = float(np.sum((y - y.mean()) ** 2))
+    coef = dict(zip(names, beta[:, 0].tolist()))
+    se_map = dict(zip(names, se[:, 0].tolist()))
+    ci = {name: (coef[name] - Z95 * se_map[name], coef[name] + Z95 * se_map[name])
+          for name in names}
+    return RegressionFit("stratified", coef, se_map, ci, n,
+                         1.0 - rss / tss if tss > 0 else 0.0, rss, rss / (n - k))
+
+
+def reference_stratified(tr: TreatmentVector, prof: ExposureProfile,
+                         y: np.ndarray) -> StratifiedResult:
+    """Per-degree OLS on unit rows, each stratum found by a scan of the whole degree array."""
+    fits, skipped = {}, {}
+    for g in np.unique(prof.degree).tolist():
+        idx = np.flatnonzero(prof.degree == g)
+        if g == 0:
+            names = (CONST, TREATED)
+            x = np.column_stack([np.ones(idx.size), tr.d[idx].astype(float)])
+        else:
+            names = (CONST, TREATED, TREATED_NEIGHBORS)
+            x = np.column_stack([
+                np.ones(idx.size),
+                tr.d[idx].astype(float),
+                prof.treated_neighbors[idx].astype(float),
+            ])
+        if idx.size < len(names) + 2:
+            skipped[g] = f"only {idx.size} units; need at least {len(names) + 2}"
+            continue
+        try:
+            fits[g] = _reference_ols(x, y[idx], names)
+        except SingularModelError as exc:
+            if TREATED in exc.columns:
+                skipped[g] = "no treatment variation"
+            elif TREATED_NEIGHBORS in exc.columns:
+                skipped[g] = "no exposure variation"
+            else:
+                skipped[g] = str(exc)
+    return StratifiedResult(fits=fits, skipped=skipped)

@@ -248,6 +248,17 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_simulate_with_fewer_than_one_worker_is_a_usage_error(tmp_path, capsys, workers):
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--design", "1", "--n", "50", "--reps", "2",
+                 "--workers", workers, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"workers must be at least 1 (got {workers})" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["oracle", "--design", "1", "--c", "inf", "--n", "50"],
     ["oracle", "--design", "2", "--c", "nan", "--n", "50"],

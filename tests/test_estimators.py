@@ -2,10 +2,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import normal_equation_ols
-from spillnet.dgp import BuiltinDesign, DesignSpec, expand, simulate_outcomes
-from spillnet.errors import EmptySubsampleError, ParameterError, SingularModelError
+from helpers import normal_equation_ols, reference_least_squares, reference_stratified
+from spillnet.dgp import (
+    BuiltinDesign, DesignSpec, design_stack, expand, outcome_cells, outcome_matrix,
+    simulate_outcomes,
+)
+from spillnet.errors import (
+    DEGENERATE_FIT_ERRORS, EmptySubsampleError, ParameterError, SingularModelError,
+)
 from spillnet.estimators import (
     CONST,
     DBAR,
@@ -13,13 +20,18 @@ from spillnet.estimators import (
     DEGREE,
     TREATED,
     TREATED_NEIGHBORS,
+    SPECS,
+    cell_design,
+    cell_table,
     fit_specification,
     least_squares,
     ols,
     stratified_regression,
 )
-from spillnet.exposure import TreatmentVector, assign_bernoulli
-from spillnet.graph import from_edge_list, generate_erdos_renyi, generate_watts_strogatz
+from spillnet.exposure import TreatmentVector, assign_bernoulli, compute_exposure
+from spillnet.graph import (
+    from_edge_list, generate_erdos_renyi, generate_watts_strogatz, summarize,
+)
 
 
 def test_ols_exact_recovery_without_noise():
@@ -82,7 +94,7 @@ def test_least_squares_fits_every_column_like_ols():
     x = np.column_stack([np.ones(60), rng.normal(size=60), rng.uniform(size=60)])
     ys = rng.normal(size=(60, 4)) + x @ rng.normal(size=(3, 4))
     names = ("const", "a", "b")
-    beta, se, rss = least_squares(x, ys, names)
+    beta, se, rss = least_squares(x, ys, names, np.ones(60, dtype=np.int64), np.zeros((60, 4)))
     assert beta.shape == se.shape == (3, 4) and rss.shape == (4,)
     for j in range(4):
         fit = ols(x, ys[:, j], names)
@@ -234,3 +246,161 @@ def test_all_treated_design_matrix_is_singular():
     tr = TreatmentVector(d=np.ones(30, dtype=np.int64), p=0.5)
     with pytest.raises(SingularModelError):
         fit_specification("t_reg", net, tr, np.zeros(30))
+
+
+def assert_close(got, want, rel=1e-12):
+    """Every entry within ``rel`` of the largest entry of its column of ``want``."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    scale = np.abs(want).max(axis=0) if want.ndim else abs(float(want))
+    assert np.all(np.abs(got - want) <= rel * scale), (got, want)
+
+
+def outcome(call):
+    """The value of ``call()``, or the type and text of the degenerate-fit error it raises."""
+    try:
+        return call()
+    except DEGENERATE_FIT_ERRORS as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(10, 300),
+    graph=st.sampled_from(["ws", "er"]),
+    k=st.sampled_from([2, 4, 8]),
+    rewire=st.floats(0.0, 1.0),
+    delete=st.floats(0.0, 1.0),
+    mean_degree=st.sampled_from([1e-9, 0.2, 0.5, 1.0, 2.0, 4.0]),
+    p=st.floats(0.05, 0.95),
+    all_treated=st.booleans(),
+    designs=st.lists(st.tuples(st.sampled_from([1, 2, 3]), st.floats(-2.0, 2.0),
+                               st.floats(0.05, 3.0)), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cell_fits_equal_unit_row_fits(n, graph, k, rewire, delete, mean_degree, p, all_treated,
+                                       designs, seed):
+    # the fits of a simulated rep, from its cells, against the n x k design matrices
+    net = (generate_watts_strogatz(n, k, rewire, delete, seed) if graph == "ws"
+           else generate_erdos_renyi(n, mean_degree, seed))
+    tr = assign_bernoulli(n, p, seed + 1)
+    if all_treated:
+        tr = TreatmentVector(d=np.ones(n, dtype=np.int64), p=p)
+    prof = compute_exposure(net, tr)
+    summary = summarize(net)
+    stack = design_stack([BuiltinDesign(d, c) for d, c, _ in designs], summary.degrees)
+    sds = [sd for _, _, sd in designs]
+    noise = np.random.default_rng(seed + 2).standard_normal(n)
+    ys = outcome_matrix(stack, sds, summary, tr, prof, noise)
+    cells = outcome_cells(stack, sds, summary, cell_table(tr, prof, noise))
+    assert cells.count.sum() == n and cells.count.size <= 2 * (n + 2 * net.u.size)
+    for name, spec in SPECS.items():
+        def cell_fit():
+            x, rows = cell_design(name, cells)
+            return least_squares(x, cells.mean[rows], spec.columns, cells.count[rows],
+                                 cells.within[rows])
+
+        got = outcome(cell_fit)
+        want = outcome(lambda: reference_least_squares(name, tr, prof, ys))
+        if isinstance(want[0], type):
+            assert got == want
+        else:
+            assert not isinstance(got[0], type), (got, want)
+            for a, b in zip(got, want):
+                assert_close(a, b)
+
+
+def test_cell_fits_raise_the_unit_row_errors():
+    # no treatment variation, all units isolated, and fewer cells than columns
+    net = generate_watts_strogatz(30, 2, 0.0, 0.0, seed=1)
+    isolated = from_edge_list([], n=12)
+    pairs = from_edge_list([(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)], n=10)  # cells (1, t, d) only
+    cases = [
+        (net, TreatmentVector(d=np.ones(30, dtype=np.int64), p=0.5)),
+        (isolated, assign_bernoulli(12, 0.5, seed=2)),
+        (pairs, TreatmentVector(d=np.array([1, 0] * 5), p=0.5)),
+    ]
+    seen = set()
+    for graph, tr in cases:
+        prof = compute_exposure(graph, tr)
+        y = np.random.default_rng(3).normal(size=graph.n)
+        for name in SPECS:
+            got = outcome(lambda: fit_specification(name, graph, tr, y))
+            want = outcome(lambda: reference_least_squares(name, tr, prof, y[:, None]))
+            assert isinstance(want[0], type) and got == want
+            seen.add(want)
+    assert (SingularModelError, "design matrix is rank deficient; collinear columns: "
+            "treated_neighbors, degree") in seen  # every unit isolated: t = g = 0
+    assert (EmptySubsampleError,
+            "no units with neighbors; treated fraction is undefined everywhere") in seen
+    assert any("const, treated" in text for _, text in seen)  # no treatment variation
+
+
+def assert_same_strata(net, tr, y):
+    got = stratified_regression(net, tr, y)
+    want = reference_stratified(tr, compute_exposure(net, tr), y)
+    assert got.skipped == want.skipped
+    assert got.fits.keys() == want.fits.keys()
+    for g, fit in got.fits.items():
+        ref = want.fits[g]
+        assert (fit.spec_name, fit.n_used) == (ref.spec_name, ref.n_used)
+        assert fit.coefficients.keys() == ref.coefficients.keys()
+        assert_close(list(fit.coefficients.values()), list(ref.coefficients.values()))
+        assert_close(list(fit.se.values()), list(ref.se.values()))
+        for field in ("rss", "sigma2", "r_squared"):
+            assert_close(getattr(fit, field), getattr(ref, field))
+    return got
+
+
+def test_stratified_fits_equal_a_scan_per_degree_on_many_degrees():
+    # hub h links to h + 1 random leaves, so the hubs alone have 350 distinct degrees
+    rng = np.random.default_rng(8)
+    hubs, n = 350, 2000
+    edges = [(h, leaf) for h in range(hubs)
+             for leaf in rng.choice(np.arange(hubs, n), size=h + 1, replace=False).tolist()]
+    net = from_edge_list(edges, n=n)
+    assert np.unique(net.degree).size >= 300
+    tr = assign_bernoulli(n, 0.5, seed=9)
+    y = 1.0 + 0.1 * net.degree + tr.d + rng.normal(size=n)
+    result = assert_same_strata(net, tr, y)
+    assert len(result.fits) >= 10 and len(result.skipped) >= 300
+
+
+def test_stratified_fits_equal_a_scan_per_degree_on_degenerate_strata():
+    # degree 0: no treatment variation; degree 1 (leaves of untreated centers):
+    # no exposure variation; degree 3 (the centers): too few units
+    centers = [10, 14, 18, 22]
+    edges = [(c, c + j) for c in centers for j in (1, 2, 3)]
+    net = from_edge_list(edges, n=26)
+    d = np.zeros(26, dtype=np.int64)
+    d[:10] = 1
+    d[[11, 15, 20, 24]] = 1
+    result = assert_same_strata(net, TreatmentVector(d=d, p=0.5),
+                                np.random.default_rng(4).normal(size=26))
+    assert result.skipped == {0: "no treatment variation", 1: "no exposure variation",
+                              3: "only 4 units; need at least 5"}
+
+
+def test_cell_table_groups_units_by_degree_exposure_and_treatment():
+    net = generate_erdos_renyi(200, 3.0, seed=12)
+    tr = assign_bernoulli(200, 0.4, seed=13)
+    prof = compute_exposure(net, tr)
+    y = np.random.default_rng(14).normal(size=200) * 100.0 + 1e6
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for i, key in enumerate(zip(prof.degree.tolist(), prof.treated_neighbors.tolist(),
+                                tr.d.tolist())):
+        groups.setdefault(key, []).append(i)
+    cells = cell_table(tr, prof, y)
+    keys = sorted(groups)
+    g, t, d = np.array(keys).T
+    assert cells.degree.tolist() == g.tolist()
+    assert np.array_equal(cells.regressors, np.column_stack(
+        [np.ones(len(keys)), d, t, g, np.where(g > 0, t / np.maximum(g, 1), 0.0)]))
+    assert cells.count.tolist() == [len(groups[key]) for key in keys]
+    members = [y[groups[key]] for key in keys]
+    assert_close(cells.mean[:, 0], [m.mean() for m in members])
+    assert_close(cells.within[:, 0], [((m - m.mean()) ** 2).sum() for m in members])
+    with pytest.raises(ParameterError, match="treatment must be 0 or 1"):
+        cell_table(TreatmentVector(d=tr.d * 2, p=0.4), prof, y)
+    with pytest.raises(ParameterError, match="outcome must be finite"):
+        cell_table(tr, prof, np.where(np.arange(200) == 7, np.nan, y))

@@ -2,9 +2,10 @@
 
 The record ``tests/golden/<version>.json`` pins what each seed maps to. A
 change that alters that mapping must bump ``spillnet.__version__`` and write
-the new version's record with ``tests/write_golden.py``. Counts, exclusions
-and text (``audit`` stdout among it) compare exactly; floats to 1e-12
-relative, since the last bits of an SVD may differ between BLAS builds.
+the new version's record with ``tests/write_golden.py``. Counts, exclusions,
+graph digests and text (``audit`` stdout among it) compare exactly; floats
+to 1e-12 relative, since the last bits of a factorisation or of a libm call
+may differ between builds.
 """
 
 import json
@@ -13,7 +14,7 @@ import math
 import pytest
 
 import spillnet
-from write_golden import audit_stdout, golden_path, record
+from write_golden import audit_stdout, golden_path, graphs, main, oracle_tables, studies
 
 
 def assert_matches(got, want, where="record"):
@@ -37,11 +38,12 @@ def test_seeded_studies_match_the_golden_record_of_this_version():
     if not path.exists():
         pytest.fail(
             f"no golden record {path} for spillnet {spillnet.__version__}: a version bump "
-            "needs a new file, written by `PYTHONPATH=src python tests/write_golden.py`"
+            "needs a new file, written by `PYTHONPATH=src python tests/write_golden.py "
+            "studies audit graphs oracle`"
         )
     want = json.loads(path.read_text())
     assert want["version"] == spillnet.__version__
-    assert_matches(record(), want["studies"], "studies")
+    assert_matches(studies(), want["studies"], "studies")
     # the sparse study is there to pin exclusions, so it must have some
     assert all(setting["exclusions"] for setting in want["studies"]["sparse"])
 
@@ -49,3 +51,25 @@ def test_seeded_studies_match_the_golden_record_of_this_version():
 def test_audit_stdout_matches_the_golden_record_of_this_version():
     want = json.loads(golden_path().read_text())
     assert audit_stdout() == want["audit"]
+
+
+def test_graph_edge_keys_match_the_golden_record_of_this_version():
+    want = json.loads(golden_path().read_text())
+    assert graphs() == want["graphs"]
+
+
+def test_oracle_tables_match_the_golden_record_of_this_version():
+    want = json.loads(golden_path().read_text())
+    assert_matches(oracle_tables(), want["oracle"], "oracle")
+
+
+def test_writer_rewrites_only_the_named_sections(tmp_path):
+    path = tmp_path / "golden.json"
+    kept = {"version": spillnet.__version__, "studies": {"x": [0.1 + 0.2, 1e-300]},
+            "audit": "text\r\n", "graphs": {"g": []}, "oracle": None}
+    path.write_text(json.dumps(kept, indent=1) + "\n")
+    assert main(["oracle", "--out", str(path)]) == 0
+    text = path.read_text()
+    before_oracle = json.dumps(kept, indent=1).split('\n "oracle"')[0]
+    assert text.startswith(before_oracle + '\n "oracle"')
+    assert json.loads(text) == {**kept, "oracle": oracle_tables()}

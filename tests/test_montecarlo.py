@@ -205,17 +205,25 @@ def test_study_rejects_settings_that_differ_beyond_design():
         run_study([])
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_study_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ParameterError, match=f"workers must be at least 1 \\(got {workers}\\)"):
+        run_study(study_settings(SMALL), workers=workers)
+    with pytest.raises(ParameterError, match="workers"):
+        run(SMALL, workers=workers)
+
+
 def test_only_degenerate_draws_are_excluded(monkeypatch):
     real = montecarlo.least_squares
 
     def failing_once(error):
         calls = []
 
-        def fit(x, ys, names):
+        def fit(x, ys, names, weights, within):
             calls.append(1)
             if len(calls) == 1:  # rep 0's first specification
                 raise error
-            return real(x, ys, names)
+            return real(x, ys, names, weights, within)
         return fit
 
     monkeypatch.setattr(montecarlo, "least_squares", failing_once(TooFewUnitsError("too few")))
