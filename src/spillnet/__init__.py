@@ -31,8 +31,10 @@ from .errors import (
     TooFewUnitsError,
 )
 from .estimators import (
+    CellTable,
     RegressionFit,
     StratifiedResult,
+    cell_table,
     fit_specification,
     ols,
     stratified_regression,

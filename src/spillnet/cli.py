@@ -14,7 +14,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from itertools import repeat
 from pathlib import Path
@@ -23,7 +23,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import __version__
-from .dgp import DESIGN_IDS, BuiltinDesign, Design, EffectGaps, effect_gaps, load_design_csv
+from .dgp import BuiltinDesign, Design, EffectGaps, effect_gaps, load_design_csv
 from .errors import (
     DEGENERATE_FIT_ERRORS,
     ConfigurationError,
@@ -51,9 +51,8 @@ from .exposure import (
 )
 from .graph import DegreeSummary, from_edge_list, nonnegative_int, read_table, summarize
 from .montecarlo import (
-    ErdosRenyiGraph,
+    GRAPH_KINDS,
     SimConfig,
-    WattsStrogatzGraph,
     config_to_dict,
     graph_to_dict,
     run_study,
@@ -126,42 +125,49 @@ def _integer(value) -> int:
 
 
 def _graph_model(args, cfg: _Config):
+    """The ``GRAPH_KINDS`` model asked for, each field from its --<kind>-<field> flag or config."""
     graph_cfg = cfg.section("graph")
     kind = graph_cfg.pick(args.graph, "kind", "ws")
-    if kind == "ws":
-        return WattsStrogatzGraph(
-            k=graph_cfg.pick(args.ws_k, "k", WattsStrogatzGraph.k, _integer),
-            beta=graph_cfg.pick(args.ws_beta, "beta", WattsStrogatzGraph.beta, _number),
-            delete_prob=graph_cfg.pick(
-                args.ws_delete_prob, "delete_prob", WattsStrogatzGraph.delete_prob, _number
-            ),
-        )
-    if kind == "er":
-        return ErdosRenyiGraph(mean_degree=graph_cfg.pick(
-            args.er_mean_degree, "mean_degree", ErdosRenyiGraph.mean_degree, _number
-        ))
-    raise ParameterError(f"unknown graph kind {kind!r}; expected 'ws' or 'er'")
+    model = GRAPH_KINDS.get(str(kind))
+    if model is None:
+        raise ParameterError(f"unknown graph kind {kind!r}; expected 'ws' or 'er'")
+    return model(**{
+        f.name: graph_cfg.pick(getattr(args, f"{kind}_{f.name}"), f.name, f.default,
+                               _integer if isinstance(f.default, int) else _number)
+        for f in fields(model)
+    })
 
 
-def _design_from_args(args, cfg: _Config, c: float) -> Design:
-    design_file = cfg.pick(getattr(args, "design_file", None), "design_file", None)
+def _designs(args, cfg: _Config, default_design: str | None,
+             default_c: str) -> list[tuple[str, str, Design]]:
+    """(design label, c label, design) of each setting asked for.
+
+    A design file gives the one ``custom`` setting; built-in designs give one
+    setting per design id and spillover constant c. A noise scale for a
+    built-in design, or c with a design file, would be ignored, so either
+    raises ParameterError naming the flag or config key that gave it.
+    """
+    design_file = cfg.pick(args.design_file, "design_file", None)
+    key, flag, kind = (("c", "--c", "a --design-file design") if design_file is not None
+                       else ("noise_sd", "--noise-sd", "a built-in design"))
+    flagged = getattr(args, key) is not None
+    if flagged or key in cfg.values:
+        raise ParameterError(f"{flag if flagged else f'config key {key!r}'} does not apply to {kind}")
     if design_file is not None:
-        noise_sd = cfg.pick(getattr(args, "noise_sd", None), "noise_sd", 1.0, _number)
-        return load_design_csv(design_file, noise_sd)
-    design = cfg.pick(args.design, "design", None)
+        noise_sd = cfg.pick(args.noise_sd, "noise_sd", 1.0, _number)
+        return [("custom", "", load_design_csv(design_file, noise_sd))]
+    return [
+        (design_id, f"{c:g}", BuiltinDesign(design_id=int(design_id), c=c))
+        for design_id in _design_ids(args, cfg, default_design)
+        for c in _c_values(args, cfg, default_c)
+    ]
+
+
+def _design_ids(args, cfg: _Config, default: str | None) -> list[str]:
+    design = cfg.pick(args.design, "design", default)
     if design is None:
         raise ParameterError("a --design id or --design-file is required")
-    try:
-        design_id = int(design)
-    except (TypeError, ValueError):
-        design_id = None
-    if design_id not in DESIGN_IDS:
-        raise ParameterError(f"--design must be 1, 2 or 3 here (got {design!r})")
-    return BuiltinDesign(design_id=design_id, c=c)
-
-
-def _design_ids(args, cfg: _Config) -> list[str]:
-    design = str(cfg.pick(args.design, "design", "all"))
+    design = str(design)
     if design == "all":
         return ["1", "2", "3"]
     if design not in {"1", "2", "3"}:
@@ -177,7 +183,7 @@ def _parse_c(raw) -> list[float]:
     return [float(tok) for tok in str(raw).split(",") if tok.strip() != ""]
 
 
-def _c_values(args, cfg: _Config, default: str = "0,-0.5") -> list[float]:
+def _c_values(args, cfg: _Config, default: str) -> list[float]:
     if args.c is None:
         return cfg.pick(None, "c", _parse_c(default), _parse_c)
     try:
@@ -216,14 +222,7 @@ def cmd_simulate(args) -> int:
         (False if args.fixed_graph else None), "regenerate_graph_each_rep", True, _boolean
     )
 
-    if cfg.pick(args.design_file, "design_file", None) is not None:
-        runs = [("custom", "", _design_from_args(args, cfg, 0.0))]
-    else:
-        runs = [
-            (design_id, f"{c:g}", BuiltinDesign(design_id=int(design_id), c=c))
-            for design_id in _design_ids(args, cfg)
-            for c in _c_values(args, cfg)
-        ]
+    runs = _designs(args, cfg, "all", "0,-0.5")
     configs = [
         SimConfig(
             n=n, reps=reps, p=p, design=design, graph=graph,
@@ -337,9 +336,10 @@ def cmd_oracle(args) -> int:
     started = time.monotonic()
     cfg = _load_config(args.config)
     p = cfg.pick(args.p, "p", 0.5, _number)
-    c_values = _c_values(args, cfg, default="0")
-    if len(c_values) != 1:
-        raise ParameterError("oracle takes a single --c value")
+    runs = _designs(args, cfg, None, "0")
+    if len(runs) != 1:
+        raise ParameterError("oracle takes a single --design and a single --c value")
+    design = runs[0][2]
 
     if args.histogram is not None:
         summary = _read_histogram_csv(args.histogram)
@@ -351,7 +351,6 @@ def cmd_oracle(args) -> int:
         summary = summarize(graph.generate(n, seed))
         source = f"realized graph (n={n}, seed={seed})"
 
-    design = _design_from_args(args, cfg, c_values[0])
     report = oracle_report(design, summary, p)
     print(f"oracle from {source}")
     print(_format_oracle_text(report))
@@ -401,6 +400,11 @@ def _plug_in_gaps(strat: StratifiedResult, summary: DegreeSummary) -> EffectGaps
 
 
 def cmd_audit(args) -> int:
+    roles = {"--id-col": args.id_col, "--treatment-col": args.treatment_col,
+             "--outcome-col": args.outcome_col}
+    shared = [flag for flag, column in roles.items() if list(roles.values()).count(column) > 1]
+    if shared:  # three roles can share at most one column
+        raise ParameterError(f"{' and '.join(shared)} name the same column {roles[shared[0]]!r}")
     index, d, y = _read_unit_data(args.data, args.id_col, args.treatment_col, args.outcome_col)
     edges, edge_lines, _ = read_table(args.edges, {"src": str, "dst": str})
     pairs = np.column_stack([  # the unit row of each end, -1 for an unknown id
@@ -421,7 +425,7 @@ def cmd_audit(args) -> int:
     summary = summarize(net)
     profile = compute_exposure(net, tr)
     diag = empirical_exposure_diagnostics(profile)
-    cells = cell_table(tr, profile, y)
+    cells = cell_table(net, tr, y)
 
     def opt(v):
         return "undefined" if v is None else f"{v:.4f}"
@@ -447,7 +451,7 @@ def cmd_audit(args) -> int:
     slopes: dict[str, tuple[float, float]] = {}  # spec name -> spillover coefficient, se
     for name, spec in SPECS.items():
         try:
-            fit = fit_specification(name, net, tr, y, cells=cells)
+            fit = fit_specification(name, cells)
         except DEGENERATE_FIT_ERRORS:
             lines.append(f"  {name:<14} unavailable")
             continue
@@ -457,7 +461,7 @@ def cmd_audit(args) -> int:
             f"   spillover {slope:9.4f} [{slope_se:.4f}]   n={fit.n_used}"
         )
 
-    strat = stratified_regression(net, tr, y, cells=cells)
+    strat = stratified_regression(cells)
     gaps = _plug_in_gaps(strat, summary)
     implied_bias = imputation_bias(
         gaps.baseline, gaps.direct, p_hat,
@@ -514,7 +518,18 @@ def _add_graph_flags(sub: argparse.ArgumentParser) -> None:
                      help="target mean degree for the er generator")
 
 
+def _add_design_flags(sub: argparse.ArgumentParser, design_help: str, c_help: str) -> None:
+    sub.add_argument("--design", default=None, help=design_help)
+    sub.add_argument("--design-file", default=None,
+                     help="CSV degree,theta00,mu_de,lambda_se overriding --design")
+    sub.add_argument("--noise-sd", type=float, default=None,
+                     help="noise scale for --design-file (default 1.0)")
+    sub.add_argument("--c", default=None, help=c_help)
+
+
 def _add_shared(sub: argparse.ArgumentParser, out_required: bool) -> None:
+    sub.add_argument("--n", type=int, default=None, help="units per graph (default 1000)")
+    sub.add_argument("--p", type=float, default=None, help="treatment probability (default 0.5)")
     sub.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
     sub.add_argument("--out", required=out_required, default=None, help="output CSV path")
     sub.add_argument("--config", default=None, help="JSON config file; flags override it")
@@ -530,15 +545,9 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     sim = subparsers.add_parser("simulate", help="Monte Carlo study over designs")
-    sim.add_argument("--design", default=None, help="1, 2, 3 or all (default all)")
-    sim.add_argument("--design-file", default=None,
-                     help="CSV degree,theta00,mu_de,lambda_se overriding --design")
-    sim.add_argument("--noise-sd", type=float, default=None,
-                     help="noise scale for --design-file (default 1.0)")
-    sim.add_argument("--c", default=None, help="comma-separated spillover scales (default 0,-0.5)")
-    sim.add_argument("--n", type=int, default=None, help="units per repetition (default 1000)")
+    _add_design_flags(sim, "1, 2, 3 or all (default all)",
+                      "comma-separated spillover scales (default 0,-0.5)")
     sim.add_argument("--reps", type=int, default=None, help="repetitions (default 5000)")
-    sim.add_argument("--p", type=float, default=None, help="treatment probability (default 0.5)")
     sim.add_argument("--fixed-graph", action="store_true",
                      help="reuse one graph across repetitions")
     sim.add_argument("--workers", type=int, default=1, help="parallel worker processes")
@@ -547,20 +556,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     sca = subparsers.add_parser("scatter", help="one realization of degree vs treated fractions")
-    sca.add_argument("--n", type=int, default=None, help="units (default 1000)")
-    sca.add_argument("--p", type=float, default=None, help="treatment probability (default 0.5)")
     _add_graph_flags(sca)
     _add_shared(sca, out_required=True)
     sca.set_defaults(func=cmd_scatter)
 
     orc = subparsers.add_parser("oracle", help="theoretical coefficients for a degree distribution")
-    orc.add_argument("--design", default=None, help="1, 2 or 3 (default must be single)")
-    orc.add_argument("--design-file", default=None,
-                     help="CSV degree,theta00,mu_de,lambda_se overriding --design")
-    orc.add_argument("--noise-sd", type=float, default=None, help="noise scale for --design-file")
-    orc.add_argument("--c", default=None, help="single spillover scale (default 0)")
-    orc.add_argument("--p", type=float, default=None, help="treatment probability (default 0.5)")
-    orc.add_argument("--n", type=int, default=None, help="units when realizing a graph")
+    _add_design_flags(orc, "1, 2 or 3", "single spillover scale (default 0)")
     orc.add_argument("--histogram", default=None,
                      help="degree,count CSV; bypasses graph generation")
     _add_graph_flags(orc)

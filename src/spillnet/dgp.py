@@ -10,6 +10,9 @@ linear form
 
 which is exact for any design satisfying neighbor exchangeability, no
 own-by-neighbor interaction, and a constant per-neighbor increment.
+``simulate_outcomes`` draws one design's outcome per unit;
+``outcome_cells`` gives many designs' outcomes at once as an exposure-cell
+table, which is all the fits read.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError, IngestionError, ParameterError
 from .estimators import CellTable
-from .exposure import ExposureProfile, TreatmentVector, compute_exposure
+from .exposure import TreatmentVector, compute_exposure
 from .graph import (
     DegreeSummary, Network, distinct, nonnegative_int, read_table, seeded_rng, summarize,
 )
@@ -119,25 +122,6 @@ def design_stack(designs: Sequence[Design], degrees: np.ndarray) -> np.ndarray:
     return stack
 
 
-def outcome_matrix(
-    stack: np.ndarray, noise_sd: Sequence[float], summary: DegreeSummary,
-    tr: TreatmentVector, profile: ExposureProfile, noise: np.ndarray,
-) -> np.ndarray:
-    """Outcomes of D designs for one draw, as the columns of an n x D matrix.
-
-    ``stack`` is the designs' ``design_stack`` at ``summary.degrees``, where
-    ``summary`` is the degree summary of ``profile.degree``. Column j is the
-    partially linear form of ``stack[:, j]`` plus ``noise_sd[j]`` times the
-    shared standard-normal ``noise``.
-    """
-    # a node's degree is below n, so a table over 0..max degree is no larger than the outcomes
-    tables = np.zeros((3, summary.max_degree + 1, stack.shape[1]))
-    tables[:, summary.degrees] = stack.transpose(0, 2, 1)
-    baseline, direct, spillover = tables.take(profile.degree, axis=1)
-    y = baseline + direct * tr.d[:, None] + spillover * profile.treated_neighbors[:, None]
-    return y + noise[:, None] * np.asarray(noise_sd, dtype=float)
-
-
 def outcome_cells(
     stack: np.ndarray, noise_sd: Sequence[float], summary: DegreeSummary, noise: CellTable,
 ) -> CellTable:
@@ -157,22 +141,19 @@ def outcome_cells(
     return replace(noise, mean=part.T + noise.mean * sd, within=noise.within * sd**2)
 
 
-def simulate_outcomes(
-    net: Network, tr: TreatmentVector, spec: Design, seed: int,
-    profile: ExposureProfile | None = None,
-) -> np.ndarray:
+def simulate_outcomes(net: Network, tr: TreatmentVector, spec: Design, seed: int) -> np.ndarray:
     """Simulate outcomes from the partially linear form.
 
-    Noise is iid Normal(0, noise_sd^2), drawn independently of the network
-    and treatment; deterministic given ``seed``. A ``profile`` already
-    computed for (net, tr) is used instead of recomputing it.
+    ``spec.tables`` is evaluated once at the distinct degrees and gathered
+    at each unit's degree. Noise is iid Normal(0, noise_sd^2), drawn
+    independently of the network and treatment; deterministic given ``seed``.
     """
-    if profile is None:
-        profile = compute_exposure(net, tr)
+    profile = compute_exposure(net, tr)
     noise = seeded_rng(seed).standard_normal(net.n)
-    summary = summarize(net)
-    stack = design_stack([spec], summary.degrees)
-    return outcome_matrix(stack, [spec.noise_sd], summary, tr, profile, noise)[:, 0]
+    degrees = summarize(net).degrees
+    baseline, direct, spillover = spec.tables(degrees)[:, np.searchsorted(degrees, profile.degree)]
+    y = baseline + direct * tr.d + spillover * profile.treated_neighbors
+    return y + noise * spec.noise_sd
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,14 @@
 Every regressor of the three specifications is a function of a unit's own
 treatment d, its treated-neighbour count t and its degree g, so OLS on the
 units is weighted least squares on the occupied (g, t, d) cells:
-``cell_table`` groups the units into those cells with each cell's unit
-count, mean outcome and within-cell sum of squares, and every fit solves
-that small system, whatever the number of units. ``least_squares`` is the
-one solver: one thin SVD of the weighted rows gives the rank check, the
-coefficients and the iid standard errors of every outcome column, with
-95% intervals built as coefficient +/- 1.96 * se. ``SPECS`` describes the
-three specifications and ``cell_design`` builds the columns of any of them.
+``cell_table(net, tr, y)`` groups the units into those cells with each
+cell's unit count, mean outcome and within-cell sum of squares, and every
+fit takes that table as its one input and solves that small system,
+whatever the number of units. ``least_squares`` is the one solver: one thin
+SVD of the weighted rows gives the rank check, the coefficients and the iid
+standard errors of every outcome column, with 95% intervals built as
+coefficient +/- 1.96 * se. ``SPECS`` describes the three specifications
+and ``cell_design`` builds the columns of any of them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySubsampleError, ParameterError, SingularModelError, TooFewUnitsError
-from .exposure import ExposureProfile, TreatmentVector, compute_exposure
+from .exposure import TreatmentVector, compute_exposure
 from .graph import Network
 
 # Coefficient (column) names shared across specifications.
@@ -92,18 +93,19 @@ class CellTable:
         return self.regressors[:, CELL_COLUMNS[TREATED_NEIGHBORS]]
 
 
-def cell_table(tr: TreatmentVector, profile: ExposureProfile, y: np.ndarray) -> CellTable:
-    """The exposure cells of (tr, profile) and the outcome ``y`` in them (one column).
+def cell_table(net: Network, tr: TreatmentVector, y: np.ndarray) -> CellTable:
+    """The exposure cells of (net, tr) and the outcome ``y`` in them (one column).
 
     One ``bincount`` over a dense key counts the cells: each degree present
     gets a block of 2 (degree + 1) keys, one per (treated neighbours,
     treatment), so the key range is at most 2 (n + 2 |E|).
     """
     y = np.asarray(y, dtype=float)
-    if y.shape != (profile.n,) or tr.n != profile.n or profile.n == 0:
-        raise ParameterError("treatment, exposure and outcome must cover the same units")
+    if y.shape != (net.n,) or tr.n != net.n or net.n == 0:
+        raise ParameterError("network, treatment and outcome must cover the same units")
     if not ((tr.d == 0) | (tr.d == 1)).all():
         raise ParameterError("treatment must be 0 or 1")
+    profile = compute_exposure(net, tr)
     # degree g's block starts at start[g]; an absent degree's block is empty
     present = np.bincount(profile.degree) > 0
     block = np.where(present, 2 * np.arange(1, present.size + 1), 0)
@@ -283,18 +285,8 @@ def cell_design(spec_name: str, cells: CellTable) -> tuple[np.ndarray, slice]:
     return _regressors(cells, rows, spec.columns), rows
 
 
-def _cells(net: Network, tr: TreatmentVector, y: np.ndarray, cells: CellTable | None) -> CellTable:
-    return cells if cells is not None else cell_table(tr, compute_exposure(net, tr), y)
-
-
-def fit_specification(spec_name: str, net: Network, tr: TreatmentVector, y: np.ndarray, *,
-                      cells: CellTable | None = None) -> RegressionFit:
-    """Fit the specification ``SPECS[spec_name]`` of ``y`` on (net, tr).
-
-    ``cells``, the ``cell_table`` of (tr, the exposure of (net, tr), y), is
-    computed when not given.
-    """
-    cells = _cells(net, tr, y, cells)
+def fit_specification(spec_name: str, cells: CellTable) -> RegressionFit:
+    """Fit the specification ``SPECS[spec_name]`` on the cell table ``cells``."""
     x, rows = cell_design(spec_name, cells)
     return _fit(spec_name, SPECS[spec_name].columns, x, cells.count[rows], cells.mean[rows],
                 cells.within[rows])
@@ -308,17 +300,14 @@ class StratifiedResult:
     skipped: dict[int, str]
 
 
-def stratified_regression(net: Network, tr: TreatmentVector, y: np.ndarray, *,
-                          cells: CellTable | None = None) -> StratifiedResult:
+def stratified_regression(cells: CellTable) -> StratifiedResult:
     """Separate OLS per degree stratum, each fitted from that degree's cells.
 
     Positive-degree strata regress the outcome on (1, own treatment,
     treated-neighbor count); the degree-0 stratum omits the neighbor count,
     since spillovers do not exist for nodes without neighbors. Strata that
     are too small or degenerate are skipped with a reason, never fatal.
-    ``cells`` is computed when not given, as in ``fit_specification``.
     """
-    cells = _cells(net, tr, y, cells)
     fits: dict[int, RegressionFit] = {}
     skipped: dict[int, str] = {}
     bounds = np.flatnonzero(np.diff(cells.degree)) + 1

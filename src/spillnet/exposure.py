@@ -1,9 +1,11 @@
 """Randomized treatment assignment and treated-neighbor exposure statistics.
 
-The treated-neighbor *fraction* is undefined for nodes without neighbors, so
-``ExposureProfile`` stores it only for the positive-degree subsample; the
-zero-imputed variant used by the naive regression is a separate, full-length
-array. Keeping the two apart is deliberate: conflating them is exactly the
+``ExposureProfile`` stores the two counts of each node, its degree and its
+treated neighbours. The treated-neighbor *fraction* is undefined for nodes
+without neighbors, so ``dbar`` exists only for the positive-degree subsample;
+the zero-imputed variant used by the naive regression, ``dbar_star``, is a
+separate, full-length array. Both are derived from the counts when first
+read. Keeping the two apart is deliberate: conflating them is exactly the
 practice this package exists to diagnose.
 """
 
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -48,18 +51,17 @@ def assign_bernoulli(n: int, p: float, seed: int) -> TreatmentVector:
 
 @dataclass(frozen=True)
 class ExposureProfile:
-    """Per-node exposure statistics for one (network, treatment) pair.
+    """Per-node exposure counts for one (network, treatment) pair.
 
     ``dbar`` (fraction of treated neighbors) is aligned with ``positive``,
     the sorted indices of nodes that have neighbors; it simply does not exist
     for isolated nodes. ``dbar_star`` is the full-length zero-imputed version.
+    The three are computed from ``degree`` and ``treated_neighbors`` when
+    first read.
     """
 
     degree: np.ndarray
     treated_neighbors: np.ndarray
-    positive: np.ndarray
-    dbar: np.ndarray
-    dbar_star: np.ndarray
 
     @property
     def n(self) -> int:
@@ -69,26 +71,29 @@ class ExposureProfile:
     def isolated(self) -> np.ndarray:
         return self.degree == 0
 
+    @cached_property
+    def positive(self) -> np.ndarray:
+        return np.flatnonzero(self.degree > 0)
+
+    @cached_property
+    def dbar(self) -> np.ndarray:
+        return self.treated_neighbors[self.positive] / self.degree[self.positive]
+
+    @cached_property
+    def dbar_star(self) -> np.ndarray:
+        dbar_star = np.zeros(self.n, dtype=float)
+        dbar_star[self.positive] = self.dbar
+        return dbar_star
+
 
 def compute_exposure(net: Network, tr: TreatmentVector) -> ExposureProfile:
-    """Count treated neighbors and form the (imputed) treated fractions."""
+    """Count each node's treated neighbors."""
     if tr.n != net.n:
         raise ParameterError(f"treatment length {tr.n} does not match n={net.n}")
-    degree = net.degree
     # each edge counts the far end's treatment at both ends; float sums of 0/1 are exact
     weights = tr.d[np.concatenate([net.v, net.u])].astype(float)
     t = np.bincount(np.concatenate([net.u, net.v]), weights=weights, minlength=net.n).astype(np.int64)
-    positive = np.flatnonzero(degree > 0)
-    dbar = t[positive] / degree[positive]
-    dbar_star = np.zeros(net.n, dtype=float)
-    dbar_star[positive] = dbar
-    return ExposureProfile(
-        degree=degree,
-        treated_neighbors=t,
-        positive=positive,
-        dbar=dbar,
-        dbar_star=dbar_star,
-    )
+    return ExposureProfile(degree=net.degree, treated_neighbors=t)
 
 
 def cov_dbar_star_degree_closed_form(summary: DegreeSummary, p: float) -> float:
@@ -152,18 +157,14 @@ def empirical_exposure_diagnostics(profile: ExposureProfile) -> ExposureDiagnost
 
 
 def write_scatter_csv(profile: ExposureProfile, path: str | Path) -> None:
-    """Write per-node scatter data; ``dbar`` is left empty for isolated nodes."""
-    dbar_by_node = dict(zip(profile.positive.tolist(), profile.dbar.tolist()))
+    """Write per-node scatter data; ``dbar`` is left empty for isolated nodes.
+
+    Where a node has neighbors its ``dbar`` is its ``dbar_star``.
+    """
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node", "degree", "dbar", "dbar_star", "isolated"])
-        for i in range(profile.n):
-            writer.writerow(
-                [
-                    i,
-                    int(profile.degree[i]),
-                    dbar_by_node.get(i, ""),
-                    float(profile.dbar_star[i]),
-                    int(i not in dbar_by_node),
-                ]
-            )
+        writer.writerows(
+            [i, g, star if g > 0 else "", star, int(g == 0)]
+            for i, (g, star) in enumerate(zip(profile.degree.tolist(), profile.dbar_star.tolist()))
+        )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Any, Sequence
@@ -21,7 +21,7 @@ import numpy as np
 from .dgp import BuiltinDesign, Design, DesignSpec, design_stack, outcome_cells
 from .errors import DEGENERATE_FIT_ERRORS, EmptySubsampleError, ParameterError
 from .estimators import SPECS, TREATED, cell_design, cell_table, least_squares
-from .exposure import assign_bernoulli, compute_exposure
+from .exposure import assign_bernoulli
 from .graph import (
     WS_CALIBRATED, DegreeSummary, Network, generate_erdos_renyi, generate_watts_strogatz, summarize,
 )
@@ -81,68 +81,34 @@ class SimConfig:
             raise ParameterError("p must lie strictly in (0, 1)")
 
 
+GRAPH_KINDS = {"ws": WattsStrogatzGraph, "er": ErdosRenyiGraph}
+
+
 def graph_to_dict(graph: GraphModel) -> dict[str, Any]:
-    """The manifest serialization of a graph model."""
-    if isinstance(graph, WattsStrogatzGraph):
-        return {"kind": "ws", "k": graph.k, "beta": graph.beta,
-                "delete_prob": graph.delete_prob}
-    return {"kind": "er", "mean_degree": graph.mean_degree}
+    """The manifest serialization of a graph model: its ``GRAPH_KINDS`` key, then its fields."""
+    kind = next(kind for kind, model in GRAPH_KINDS.items() if isinstance(graph, model))
+    return {"kind": kind, **asdict(graph)}
 
 
 def config_to_dict(config: SimConfig) -> dict[str, Any]:
-    """The manifest serialization of a SimConfig; ``config_from_dict`` inverts it."""
-    out: dict[str, Any] = {
-        "n": config.n,
-        "reps": config.reps,
-        "p": config.p,
-        "base_seed": config.base_seed,
-        "regenerate_graph_each_rep": config.regenerate_graph_each_rep,
-    }
-    if isinstance(config.design, BuiltinDesign):
-        out["design"] = {"design_id": config.design.design_id, "c": config.design.c}
-    else:
-        out["design"] = {
-            "baseline": {str(g): v for g, v in config.design.baseline.items()},
-            "direct_effect": {str(g): v for g, v in config.design.direct_effect.items()},
-            "spillover_effect": {str(g): v for g, v in config.design.spillover_effect.items()},
-            "noise_sd": config.design.noise_sd,
-        }
-    out["graph"] = graph_to_dict(config.graph)
-    return out
+    """The manifest serialization of a SimConfig, field by field; ``config_from_dict`` inverts it."""
+    return {**asdict(config), "graph": graph_to_dict(config.graph)}
 
 
 def config_from_dict(data: dict[str, Any]) -> SimConfig:
-    """Rebuild a SimConfig from its manifest serialization."""
-    design_data = data["design"]
-    design: Design
-    if "design_id" in design_data:
-        design = BuiltinDesign(design_id=int(design_data["design_id"]), c=float(design_data["c"]))
-    else:
-        design = DesignSpec(
-            baseline={int(g): float(v) for g, v in design_data["baseline"].items()},
-            direct_effect={int(g): float(v) for g, v in design_data["direct_effect"].items()},
-            spillover_effect={int(g): float(v) for g, v in design_data["spillover_effect"].items()},
-            noise_sd=float(design_data["noise_sd"]),
-        )
-    graph_data = data["graph"]
-    graph: GraphModel
-    if graph_data["kind"] == "ws":
-        graph = WattsStrogatzGraph(
-            k=int(graph_data["k"]),
-            beta=float(graph_data["beta"]),
-            delete_prob=float(graph_data["delete_prob"]),
-        )
-    else:
-        graph = ErdosRenyiGraph(mean_degree=float(graph_data["mean_degree"]))
-    return SimConfig(
-        n=int(data["n"]),
-        reps=int(data["reps"]),
-        p=float(data["p"]),
-        design=design,
-        graph=graph,
-        base_seed=int(data["base_seed"]),
-        regenerate_graph_each_rep=bool(data["regenerate_graph_each_rep"]),
-    )
+    """Rebuild a SimConfig from its manifest serialization.
+
+    JSON turns the degree keys of a design file's tables into strings; they
+    become ints again.
+    """
+    design = {key: {int(g): v for g, v in value.items()} if isinstance(value, dict) else value
+              for key, value in data["design"].items()}
+    graph = dict(data["graph"])
+    return SimConfig(**{
+        **data,
+        "design": (BuiltinDesign if "design_id" in design else DesignSpec)(**design),
+        "graph": GRAPH_KINDS[graph.pop("kind")](**graph),
+    })
 
 
 def derive_seed(base_seed: int, rep_index: int, stream_tag: str) -> int:
@@ -231,9 +197,8 @@ def _simulate_rep(configs: Sequence[SimConfig], fixed: _GraphState | None, rep: 
     else:
         state = fixed
     tr = assign_bernoulli(first.n, first.p, derive_seed(first.base_seed, rep, "treatment"))
-    profile = compute_exposure(state.net, tr)
     noise_rng = np.random.default_rng(derive_seed(first.base_seed, rep, "noise"))
-    noise = cell_table(tr, profile, noise_rng.standard_normal(first.n))
+    noise = cell_table(state.net, tr, noise_rng.standard_normal(first.n))
     # every setting's cell means and sums of squares; raises if a mean is not finite
     cells = outcome_cells(state.stack, [config.design.noise_sd for config in configs],
                           state.summary, noise)

@@ -22,7 +22,7 @@ from spillnet.estimators import (
     RegressionFit, StratifiedResult,
 )
 from spillnet.exposure import ExposureProfile, TreatmentVector
-from spillnet.graph import Network
+from spillnet.graph import DegreeSummary, Network
 from spillnet.oracle import OracleReport
 
 
@@ -129,6 +129,64 @@ def reference_watts_strogatz(
             adj[b].discard(a)
 
     pairs = sorted((a, b) for a in range(n) for b in adj[a] if a < b)
+    u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return Network(n, u, v)
+
+
+def round_watts_strogatz(
+    n: int, k: int, beta: float, delete_prob: float, seed: int
+) -> Network:
+    """The claim rounds of ``spillnet.graph.generate_watts_strogatz``, one claim at a time.
+
+    Follows the rules in that function's docstring with Python sets and
+    lists, and draws the same numbers in the same order: ``random(m)`` for
+    the rewire coins, ``integers(n, size)`` per round for the targets of the
+    unresolved rewires (ascending lattice index), then ``random(survivors)``
+    for the deletion coins of the surviving edges in sorted order. So the two
+    give the same graph seed by seed.
+    """
+    half = k // 2
+    lattice = [(a, (a + j) % n) for a in range(n) for j in range(1, half + 1)]
+    lattice_of = {(min(a, b), max(a, b)): idx for idx, (a, b) in enumerate(lattice)}
+    rng = np.random.default_rng(seed)
+    pending = (rng.random(len(lattice)) < beta).tolist()
+    moved = [False] * len(lattice)
+    created: set[tuple[int, int]] = set()
+    degree = [k] * n
+    todo = [idx for idx, coin in enumerate(pending) if coin]
+    while todo:
+        targets = rng.integers(n, size=len(todo)).tolist()
+        first_pending: dict[int, int] = {}  # each node's lowest unresolved lattice edge
+        for idx in todo:
+            for node in lattice[idx]:
+                first_pending.setdefault(node, idx)
+        claimed: set[tuple[int, int]] = set()
+        won = []
+        # every test reads the state at the start of the round
+        for idx, c in zip(todo, targets):
+            a = lattice[idx][0]
+            pair = (min(a, c), max(a, c))
+            if degree[a] >= n - 1:
+                if first_pending[a] == idx:
+                    pending[idx] = False  # no free pair, none can open: keep the edge
+                continue
+            on_lattice = pair in lattice_of and not moved[lattice_of[pair]]
+            if c == a or on_lattice or pair in created or pair in claimed:
+                continue
+            claimed.add(pair)  # the lowest lattice index claims the pair first
+            won.append((idx, c, pair))
+        for idx, c, pair in won:
+            pending[idx] = False
+            moved[idx] = True
+            created.add(pair)
+            degree[lattice[idx][1]] -= 1
+            degree[c] += 1
+        todo = [idx for idx in todo if pending[idx]]
+
+    kept = [(min(a, b), max(a, b)) for idx, (a, b) in enumerate(lattice) if not moved[idx]]
+    edges = sorted([*kept, *created])
+    coins = rng.random(len(edges)).tolist()
+    pairs = [edge for edge, coin in zip(edges, coins) if coin >= delete_prob]
     u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     return Network(n, u, v)
 
@@ -323,6 +381,24 @@ def _reference_solve(x: np.ndarray, ys: np.ndarray, names: tuple[str, ...]):
     rss = np.einsum("ij,ij->j", residuals, residuals)
     se = np.sqrt(np.outer(np.sum((vt / s[:, None]) ** 2, axis=0), rss / (n - k)))
     return beta, se, rss
+
+
+def reference_outcome_matrix(
+    stack: np.ndarray, noise_sd, summary: DegreeSummary, tr: TreatmentVector,
+    prof: ExposureProfile, noise: np.ndarray,
+) -> np.ndarray:
+    """Outcomes of D designs for one draw, one n-row column per design.
+
+    ``stack`` is the designs' ``design_stack`` at ``summary.degrees``, the
+    distinct degrees of ``prof.degree``. Column j is the partially linear
+    form of ``stack[:, j]`` at each unit, plus ``noise_sd[j]`` times the
+    shared standard-normal ``noise``.
+    """
+    tables = np.zeros((3, summary.max_degree + 1, stack.shape[1]))
+    tables[:, summary.degrees] = stack.transpose(0, 2, 1)
+    baseline, direct, spillover = tables.take(prof.degree, axis=1)
+    y = baseline + direct * tr.d[:, None] + spillover * prof.treated_neighbors[:, None]
+    return y + noise[:, None] * np.asarray(noise_sd, dtype=float)
 
 
 def reference_design_matrix(spec_name: str, tr: TreatmentVector, prof: ExposureProfile):

@@ -16,6 +16,7 @@ from spillnet.dgp import BuiltinDesign, expand, simulate_outcomes
 from spillnet.errors import EmptySubsampleError, SingularModelError
 from spillnet.estimators import (
     TREATED_NEIGHBORS,
+    cell_table,
     fit_specification,
     stratified_regression,
 )
@@ -262,7 +263,7 @@ def test_criterion_7_stratified_identification_without_noise():
         expand(BuiltinDesign(1, -0.5), np.unique(net.degree)), noise_sd=0.0
     )
     y = simulate_outcomes(net, tr, spec, seed=33)
-    result = stratified_regression(net, tr, y)
+    result = stratified_regression(cell_table(net, tr, y))
     worst = 0.0
     for g, fit in result.fits.items():
         worst = max(worst, abs(fit.coef("const") - spec.baseline[g]))
@@ -284,8 +285,8 @@ def test_criterion_8_equivalence_without_isolation():
     tr = assign_bernoulli(300, 0.5, seed=18)
     spec = expand(BuiltinDesign(1, -0.5), np.unique(net.degree))
     y = simulate_outcomes(net, tr, spec, seed=19)
-    a = fit_specification("dbar_reg", net, tr, y)
-    b = fit_specification("dbar_star_reg", net, tr, y)
+    a = fit_specification("dbar_reg", cell_table(net, tr, y))
+    b = fit_specification("dbar_star_reg", cell_table(net, tr, y))
     identical = (
         list(a.coefficients.values()) == list(b.coefficients.values())
         and list(a.se.values()) == list(b.se.values())

@@ -74,6 +74,41 @@ def test_simulate_manifest_round_trips_config(tmp_path):
     assert float(row["mean_estimate"]) == report.cell("t_reg", "spillover").mean_estimate
 
 
+def _key_paths(mapping, prefix=""):
+    """Every key of a nested dict as a dotted path, the nested keys included."""
+    paths = set()
+    for key, value in mapping.items():
+        paths.add(prefix + key)
+        if isinstance(value, dict):
+            paths |= _key_paths(value, f"{prefix}{key}.")
+    return paths
+
+
+def test_simulate_manifest_lists_every_config_key(tmp_path):
+    top = {"n", "reps", "p", "base_seed", "regenerate_graph_each_rep", "design", "graph"}
+    ws = {"graph.kind", "graph.k", "graph.beta", "graph.delete_prob"}
+    out = tmp_path / "builtin.csv"
+    assert main(["simulate", "--design", "1", "--c", "0", "--n", "60", "--reps", "2",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "builtin.csv.manifest.json").read_text())
+    assert len(manifest["config"]) == 1
+    assert _key_paths(manifest["config"][0]) == top | ws | {"design.design_id", "design.c"}
+
+    design = tmp_path / "design.csv"
+    design.write_text("degree,theta00,mu_de,lambda_se\n"
+                      + "".join(f"{g},1.0,1.0,-0.1\n" for g in range(30)))
+    out = tmp_path / "custom.csv"
+    assert main(["simulate", "--design-file", str(design), "--graph", "er", "--n", "60",
+                 "--reps", "2", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "custom.csv.manifest.json").read_text())
+    tables = {f"design.{table}.{g}" for table in ("baseline", "direct_effect", "spillover_effect")
+              for g in range(30)}
+    assert _key_paths(manifest["config"][0]) == (
+        top | {"graph.kind", "graph.mean_degree"} | tables
+        | {"design.baseline", "design.direct_effect", "design.spillover_effect", "design.noise_sd"}
+    )
+
+
 def test_simulate_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -236,6 +271,32 @@ def test_oracle_requires_single_c(capsys):
     assert main(["oracle", "--design", "1", "--c", "0,-0.5"]) == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "oracle"])
+@pytest.mark.parametrize("flags, config, message", [
+    (["--design", "1", "--noise-sd", "7"], {}, "--noise-sd does not apply to a built-in design"),
+    (["--design", "1"], {"noise_sd": 7}, "config key 'noise_sd' does not apply to a built-in design"),
+    (["--design-file", "{design}", "--c=-0.5"], {},
+     "--c does not apply to a --design-file design"),
+    (["--design-file", "{design}"], {"c": [-0.5, 0]},
+     "config key 'c' does not apply to a --design-file design"),
+])
+def test_design_flags_of_the_other_design_kind_are_usage_errors(tmp_path, capsys, command, flags,
+                                                                config, message):
+    design = tmp_path / "design.csv"
+    design.write_text("degree,theta00,mu_de,lambda_se\n"
+                      + "".join(f"{g},1.0,1.0,-0.1\n" for g in range(40)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o.csv"
+    argv = [command, *(flag.format(design=design) for flag in flags), "--n", "40",
+            "--config", str(cfg), "--out", str(out)]
+    if command == "simulate":
+        argv += ["--reps", "2"]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["scatter", "--n", "50", "--seed", "-1", "--out", "{tmp}/s.csv"],
     ["oracle", "--design", "1", "--n", "50", "--seed", "-3"],
@@ -395,6 +456,20 @@ def test_audit_rejects_missing_columns(tmp_path):
     data = tmp_path / "units.csv"
     data.write_text("id,outcome\na,1.0\n")
     assert main(["audit", "--edges", str(edges), "--data", str(data)]) == 3
+
+
+@pytest.mark.parametrize("roles, message", [
+    (["--treatment-col", "outcome"], "--treatment-col and --outcome-col name the same column 'outcome'"),
+    (["--outcome-col", "treatment"], "--treatment-col and --outcome-col name the same column 'treatment'"),
+    (["--id-col", "treatment", "--outcome-col", "treatment"],
+     "--id-col and --treatment-col and --outcome-col name the same column 'treatment'"),
+])
+def test_audit_rejects_one_column_in_two_roles(tmp_path, capsys, roles, message):
+    edges, data = _write_synthetic_dataset(tmp_path, design_id=1, c=0.0, n=200)
+    assert main(["audit", "--edges", str(edges), "--data", str(data), *roles]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 # one valid table for each command that reads one, in CRLF and LF line endings

@@ -6,21 +6,18 @@ import pytest
 from spillnet.dgp import (
     BuiltinDesign,
     DesignSpec,
-    design_stack,
     effect_gaps,
     expand,
     load_design_csv,
-    outcome_matrix,
     simulate_outcomes,
 )
 from spillnet.errors import ConfigurationError, IngestionError, ParameterError
-from spillnet.exposure import TreatmentVector, assign_bernoulli, compute_exposure
+from spillnet.exposure import TreatmentVector, assign_bernoulli
 from spillnet.graph import (
     DegreeSummary,
     from_edge_list,
     generate_erdos_renyi,
     generate_watts_strogatz,
-    summarize,
 )
 
 
@@ -136,11 +133,6 @@ def test_simulation_is_deterministic_given_seed():
         simulate_outcomes(net, tr, spec, seed=42),
         simulate_outcomes(net, tr, spec, seed=42),
     )
-    # a precomputed exposure profile gives the same outcomes bit for bit
-    assert np.array_equal(
-        simulate_outcomes(net, tr, spec, seed=42),
-        simulate_outcomes(net, tr, spec, seed=42, profile=compute_exposure(net, tr)),
-    )
 
 
 def test_design_must_cover_observed_degrees():
@@ -156,10 +148,8 @@ def test_outcome_matrix_rejects_an_uncovered_degree():
     spec = DesignSpec(baseline={0: 1.0, 1: 2.0}, direct_effect={0: 1.0, 1: 1.0, 2: 1.0},
                       spillover_effect={0: 0.0, 1: 0.5}, noise_sd=0.0)
     tr = TreatmentVector(d=np.array([1, 0, 1, 0]), p=0.5)
-    summary = summarize(net)
     with pytest.raises(ConfigurationError, match=r"degrees \[2\]"):
-        outcome_matrix(design_stack([spec], summary.degrees), [spec.noise_sd], summary, tr,
-                       compute_exposure(net, tr), np.zeros(4))
+        simulate_outcomes(net, tr, spec, seed=0)
 
 
 def test_effect_gaps_match_design_formulas():
@@ -216,7 +206,7 @@ def test_design_csv_rejects_bad_files(tmp_path):
 
 def test_stratified_identification_with_zero_noise():
     # regressing each degree stratum recovers the tabulated functions exactly
-    from spillnet.estimators import stratified_regression
+    from spillnet.estimators import cell_table, stratified_regression
 
     net = generate_watts_strogatz(600, 4, 0.3, 0.4, seed=21)
     tr = assign_bernoulli(600, 0.5, seed=22)
@@ -224,7 +214,7 @@ def test_stratified_identification_with_zero_noise():
         expand(BuiltinDesign(1, -0.5), np.unique(net.degree)), noise_sd=0.0
     )
     y = simulate_outcomes(net, tr, spec, seed=23)
-    result = stratified_regression(net, tr, y)
+    result = stratified_regression(cell_table(net, tr, y))
     assert result.fits, "expected at least one fitted stratum"
     for g, fit in result.fits.items():
         assert fit.coef("const") == pytest.approx(spec.baseline[g], abs=1e-9)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import normal_equation_ols, reference_least_squares, reference_stratified
+from helpers import (
+    normal_equation_ols, reference_least_squares, reference_outcome_matrix, reference_stratified,
+)
 from spillnet.dgp import (
-    BuiltinDesign, DesignSpec, design_stack, expand, outcome_cells, outcome_matrix,
-    simulate_outcomes,
+    BuiltinDesign, DesignSpec, design_stack, expand, outcome_cells, simulate_outcomes,
 )
 from spillnet.errors import (
     DEGENERATE_FIT_ERRORS, EmptySubsampleError, ParameterError, SingularModelError,
@@ -117,8 +118,8 @@ def test_shifting_outcome_moves_only_the_intercept():
     net = generate_watts_strogatz(120, 4, 0.3, 0.4, seed=4)
     tr = assign_bernoulli(120, 0.5, seed=5)
     y = np.random.default_rng(6).normal(size=120)
-    base = fit_specification("t_reg", net, tr, y)
-    shifted = fit_specification("t_reg", net, tr, y + 5.0)
+    base = fit_specification("t_reg", cell_table(net, tr, y))
+    shifted = fit_specification("t_reg", cell_table(net, tr, y + 5.0))
     assert shifted.coef(CONST) == pytest.approx(base.coef(CONST) + 5.0, abs=1e-10)
     for name in (TREATED, TREATED_NEIGHBORS, DEGREE):
         assert shifted.coef(name) == pytest.approx(base.coef(name), abs=1e-10)
@@ -136,7 +137,7 @@ def test_t_regression_exact_when_correctly_specified():
         noise_sd=0.0,
     )
     y = simulate_outcomes(net, tr, spec, seed=16)
-    fit = fit_specification("t_reg", net, tr, y)
+    fit = fit_specification("t_reg", cell_table(net, tr, y))
     assert fit.coef(TREATED) == pytest.approx(1.25, abs=1e-9)
     assert fit.coef(TREATED_NEIGHBORS) == pytest.approx(-0.4, abs=1e-9)
     assert fit.coef(DEGREE) == pytest.approx(2.0, abs=1e-9)
@@ -147,13 +148,13 @@ def test_t_regression_needs_five_units():
     net = from_edge_list([(0, 1)], n=4)
     tr = TreatmentVector(d=np.array([1, 0, 1, 0]), p=0.5)
     with pytest.raises(ParameterError, match="t_reg needs at least 5 units"):
-        fit_specification("t_reg", net, tr, np.zeros(4))
+        fit_specification("t_reg", cell_table(net, tr, np.zeros(4)))
 
 
 def test_dbar_regression_uses_positive_subsample_only():
     net = from_edge_list([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], n=7)
     tr = assign_bernoulli(7, 0.5, seed=3)
-    fit = fit_specification("dbar_reg", net, tr, np.arange(7.0))
+    fit = fit_specification("dbar_reg", cell_table(net, tr, np.arange(7.0)))
     assert fit.n_used == 5
     assert fit.spec_name == "dbar_reg"
 
@@ -162,10 +163,10 @@ def test_dbar_regression_subsample_errors():
     empty = from_edge_list([], n=6)
     tr = assign_bernoulli(6, 0.5, seed=0)
     with pytest.raises(EmptySubsampleError):
-        fit_specification("dbar_reg", empty, tr, np.zeros(6))
+        fit_specification("dbar_reg", cell_table(empty, tr, np.zeros(6)))
     tiny = from_edge_list([(0, 1)], n=6)
     with pytest.raises(ParameterError):
-        fit_specification("dbar_reg", tiny, tr, np.zeros(6))
+        fit_specification("dbar_reg", cell_table(tiny, tr, np.zeros(6)))
 
 
 def test_degree_one_subsample_recovers_spillover_exactly():
@@ -180,7 +181,7 @@ def test_degree_one_subsample_recovers_spillover_exactly():
         noise_sd=0.0,
     )
     y = simulate_outcomes(net, tr, spec, seed=20)
-    fit = fit_specification("dbar_reg", net, tr, y)
+    fit = fit_specification("dbar_reg", cell_table(net, tr, y))
     assert fit.coef(DBAR) == pytest.approx(-0.37, abs=1e-9)
 
 
@@ -188,7 +189,7 @@ def test_dbar_star_regression_minimum_size():
     net = from_edge_list([(0, 1)], n=3)
     tr = TreatmentVector(d=np.array([1, 0, 1]), p=0.5)
     with pytest.raises(ParameterError):
-        fit_specification("dbar_star_reg", net, tr, np.zeros(3))
+        fit_specification("dbar_star_reg", cell_table(net, tr, np.zeros(3)))
 
 
 def test_dbar_and_dbar_star_identical_without_isolated_nodes():
@@ -196,8 +197,8 @@ def test_dbar_and_dbar_star_identical_without_isolated_nodes():
     assert (net.degree > 0).all(), "seed chosen to give no isolated nodes"
     tr = assign_bernoulli(80, 0.5, seed=24)
     y = np.random.default_rng(25).normal(size=80)
-    a = fit_specification("dbar_reg", net, tr, y)
-    b = fit_specification("dbar_star_reg", net, tr, y)
+    a = fit_specification("dbar_reg", cell_table(net, tr, y))
+    b = fit_specification("dbar_star_reg", cell_table(net, tr, y))
     # bit-identical, not merely close
     assert list(a.coefficients.values()) == list(b.coefficients.values())
     assert list(a.se.values()) == list(b.se.values())
@@ -208,7 +209,7 @@ def test_stratified_zero_degree_stratum_has_no_neighbor_term():
     net = from_edge_list([(0, 1), (0, 2), (1, 2)], n=12)
     tr = assign_bernoulli(12, 0.5, seed=31)
     y = np.random.default_rng(32).normal(size=12)
-    result = stratified_regression(net, tr, y)
+    result = stratified_regression(cell_table(net, tr, y))
     assert 0 in result.fits
     assert TREATED_NEIGHBORS not in result.fits[0].coefficients
 
@@ -220,7 +221,7 @@ def test_stratified_skips_small_and_degenerate_strata():
     d = np.array([1, 0] + [1] * 8)
     tr = TreatmentVector(d=d, p=0.5)
     y = np.random.default_rng(33).normal(size=10)
-    result = stratified_regression(net, tr, y)
+    result = stratified_regression(cell_table(net, tr, y))
     assert 1 in result.skipped
     assert "need at least" in result.skipped[1]
     assert result.skipped[0] == "no treatment variation"
@@ -233,7 +234,7 @@ def test_stratified_exact_recovery_matches_builtin_design():
         expand(BuiltinDesign(2, -0.5), np.unique(net.degree)), noise_sd=0.0
     )
     y = simulate_outcomes(net, tr, spec, seed=43)
-    result = stratified_regression(net, tr, y)
+    result = stratified_regression(cell_table(net, tr, y))
     for g, fit in result.fits.items():
         if g > 0:
             assert fit.coef(TREATED_NEIGHBORS) == pytest.approx(
@@ -245,7 +246,7 @@ def test_all_treated_design_matrix_is_singular():
     net = generate_watts_strogatz(30, 2, 0.0, 0.0, seed=1)
     tr = TreatmentVector(d=np.ones(30, dtype=np.int64), p=0.5)
     with pytest.raises(SingularModelError):
-        fit_specification("t_reg", net, tr, np.zeros(30))
+        fit_specification("t_reg", cell_table(net, tr, np.zeros(30)))
 
 
 def assert_close(got, want, rel=1e-12):
@@ -291,8 +292,8 @@ def test_cell_fits_equal_unit_row_fits(n, graph, k, rewire, delete, mean_degree,
     stack = design_stack([BuiltinDesign(d, c) for d, c, _ in designs], summary.degrees)
     sds = [sd for _, _, sd in designs]
     noise = np.random.default_rng(seed + 2).standard_normal(n)
-    ys = outcome_matrix(stack, sds, summary, tr, prof, noise)
-    cells = outcome_cells(stack, sds, summary, cell_table(tr, prof, noise))
+    ys = reference_outcome_matrix(stack, sds, summary, tr, prof, noise)
+    cells = outcome_cells(stack, sds, summary, cell_table(net, tr, noise))
     assert cells.count.sum() == n and cells.count.size <= 2 * (n + 2 * net.u.size)
     for name, spec in SPECS.items():
         def cell_fit():
@@ -325,7 +326,7 @@ def test_cell_fits_raise_the_unit_row_errors():
         prof = compute_exposure(graph, tr)
         y = np.random.default_rng(3).normal(size=graph.n)
         for name in SPECS:
-            got = outcome(lambda: fit_specification(name, graph, tr, y))
+            got = outcome(lambda: fit_specification(name, cell_table(graph, tr, y)))
             want = outcome(lambda: reference_least_squares(name, tr, prof, y[:, None]))
             assert isinstance(want[0], type) and got == want
             seen.add(want)
@@ -337,7 +338,7 @@ def test_cell_fits_raise_the_unit_row_errors():
 
 
 def assert_same_strata(net, tr, y):
-    got = stratified_regression(net, tr, y)
+    got = stratified_regression(cell_table(net, tr, y))
     want = reference_stratified(tr, compute_exposure(net, tr), y)
     assert got.skipped == want.skipped
     assert got.fits.keys() == want.fits.keys()
@@ -390,7 +391,7 @@ def test_cell_table_groups_units_by_degree_exposure_and_treatment():
     for i, key in enumerate(zip(prof.degree.tolist(), prof.treated_neighbors.tolist(),
                                 tr.d.tolist())):
         groups.setdefault(key, []).append(i)
-    cells = cell_table(tr, prof, y)
+    cells = cell_table(net, tr, y)
     keys = sorted(groups)
     g, t, d = np.array(keys).T
     assert cells.degree.tolist() == g.tolist()
@@ -401,6 +402,6 @@ def test_cell_table_groups_units_by_degree_exposure_and_treatment():
     assert_close(cells.mean[:, 0], [m.mean() for m in members])
     assert_close(cells.within[:, 0], [((m - m.mean()) ** 2).sum() for m in members])
     with pytest.raises(ParameterError, match="treatment must be 0 or 1"):
-        cell_table(TreatmentVector(d=tr.d * 2, p=0.4), prof, y)
+        cell_table(net, TreatmentVector(d=tr.d * 2, p=0.4), y)
     with pytest.raises(ParameterError, match="outcome must be finite"):
-        cell_table(tr, prof, np.where(np.arange(200) == 7, np.nan, y))
+        cell_table(net, tr, np.where(np.arange(200) == 7, np.nan, y))

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import neighbor_lists, reference_read_table, reference_watts_strogatz
+from helpers import (
+    neighbor_lists, reference_read_table, reference_watts_strogatz, round_watts_strogatz,
+)
 from spillnet.errors import IngestionError, ParameterError
 from spillnet.graph import (
     WS_CALIBRATED,
@@ -109,6 +111,20 @@ def test_ws_matches_the_sequential_generator_in_distribution():
     pooled_se = np.sqrt((ours.var(axis=0, ddof=1) + theirs.var(axis=0, ddof=1)) / n_seeds)
     z = (ours.mean(axis=0) - theirs.mean(axis=0)) / pooled_se
     assert (np.abs(z) <= 4.5).all(), z.round(2)
+
+
+def test_ws_equals_its_claim_rounds_one_claim_at_a_time():
+    # dense graphs, where claims collide and full nodes wait on lower rewires,
+    # and sparse ones; even seeds without deletion, odd ones with
+    cases = [(n, k, 30) for n, k in ((9, 6), (9, 4), (12, 10), (16, 14), (25, 22), (40, 6),
+                                     (200, 8))]
+    cases.append((40, 38, 8))
+    for n, k, n_seeds in cases:
+        for beta in (0.5, 1.0):
+            for seed in range(n_seeds):
+                delete_prob = 0.5 * (seed % 2)
+                assert (generate_watts_strogatz(n, k, beta, delete_prob, seed)
+                        == round_watts_strogatz(n, k, beta, delete_prob, seed)), (n, k, beta, seed)
 
 
 @pytest.mark.parametrize("n, k", [(3, 2), (9, 6), (12, 10), (40, 6)])

@@ -120,7 +120,7 @@ def test_exposure_is_computed_once_per_rep(monkeypatch):
         calls.append(1)
         return compute_exposure(net, tr)
 
-    for module in (dgp, estimators, montecarlo):
+    for module in (dgp, estimators):
         monkeypatch.setattr(module, "compute_exposure", counting)
     run(SMALL)
     assert len(calls) == SMALL.reps
