@@ -2,9 +2,12 @@
 
 Exit codes: 0 success, 2 usage/parameter problems, 3 input-data problems
 (a --config value of the wrong type among them), 4 numerical singularity,
-5 I/O failures. Flags override the values of the JSON config file.
-Every file-producing run writes a ``<out>.manifest.json`` listing outputs
-and the fully resolved configuration, sufficient to reproduce the run.
+5 I/O failures. One key table, ``_KEYS``, declares each --config key with
+its flag, parser and default; a command reads each key as its flag, else
+its config value, else its default. A flag or config key that the command
+does not read in its mode is a usage error naming it. Every file-producing
+run writes a ``<out>.manifest.json`` listing outputs and the resolved
+inputs under their config key names.
 """
 
 from __future__ import annotations
@@ -12,13 +15,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from itertools import repeat
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,49 +66,7 @@ from .oracle import OracleReport, imputation_bias, oracle_report
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
-
-@dataclass(frozen=True)
-class _Config:
-    """The values of a JSON config file (none without one), or of one of its sections."""
-
-    path: str | None
-    values: dict[str, Any]
-    prefix: str = ""
-
-    def pick(self, flag_value, key: str, default, parse=None):
-        """The flag if given, else the config value through ``parse``, else ``default``.
-
-        A value that ``parse`` rejects raises IngestionError naming the file and key.
-        """
-        if flag_value is not None:
-            return flag_value
-        if key not in self.values:
-            return default
-        try:
-            return self.values[key] if parse is None else parse(self.values[key])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise IngestionError(f"{self.path}: config key {self.prefix + key!r}: {exc}") from None
-
-    def section(self, key: str) -> "_Config":
-        values = self.values.get(key, {})
-        if not isinstance(values, dict):
-            raise IngestionError(f"{self.path}: config key {key!r} must be a JSON object")
-        return _Config(self.path, values, f"{key}.")
-
-
-def _load_config(path: str | None) -> _Config:
-    if path is None:
-        return _Config(None, {})
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            values = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise IngestionError(f"{path}: invalid JSON config: {exc}") from exc
-    if not isinstance(values, dict):
-        raise IngestionError(f"{path}: config must be a JSON object")
-    return _Config(path, values)
-
+# flags and --config keys
 
 def _boolean(value) -> bool:
     if not isinstance(value, bool):
@@ -124,72 +86,128 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _graph_model(args, cfg: _Config):
-    """The ``GRAPH_KINDS`` model asked for, each field from its --<kind>-<field> flag or config."""
-    graph_cfg = cfg.section("graph")
-    kind = graph_cfg.pick(args.graph, "kind", "ws")
-    model = GRAPH_KINDS.get(str(kind))
-    if model is None:
-        raise ParameterError(f"unknown graph kind {kind!r}; expected 'ws' or 'er'")
-    return model(**{
-        f.name: graph_cfg.pick(getattr(args, f"{kind}_{f.name}"), f.name, f.default,
-                               _integer if isinstance(f.default, int) else _number)
-        for f in fields(model)
-    })
+def _one_of(*choices: str) -> Callable[[Any], str]:
+    def parse(value) -> str:
+        if str(value) not in choices:
+            raise ParameterError(f"must be one of {', '.join(choices)} (got {value!r})")
+        return str(value)
+    return parse
 
 
-def _designs(args, cfg: _Config, default_design: str | None,
-             default_c: str) -> list[tuple[str, str, Design]]:
-    """(design label, c label, design) of each setting asked for.
-
-    A design file gives the one ``custom`` setting; built-in designs give one
-    setting per design id and spillover constant c. A noise scale for a
-    built-in design, or c with a design file, would be ignored, so either
-    raises ParameterError naming the flag or config key that gave it.
-    """
-    design_file = cfg.pick(args.design_file, "design_file", None)
-    key, flag, kind = (("c", "--c", "a --design-file design") if design_file is not None
-                       else ("noise_sd", "--noise-sd", "a built-in design"))
-    flagged = getattr(args, key) is not None
-    if flagged or key in cfg.values:
-        raise ParameterError(f"{flag if flagged else f'config key {key!r}'} does not apply to {kind}")
-    if design_file is not None:
-        noise_sd = cfg.pick(args.noise_sd, "noise_sd", 1.0, _number)
-        return [("custom", "", load_design_csv(design_file, noise_sd))]
-    return [
-        (design_id, f"{c:g}", BuiltinDesign(design_id=int(design_id), c=c))
-        for design_id in _design_ids(args, cfg, default_design)
-        for c in _c_values(args, cfg, default_c)
-    ]
+def _c_list(value) -> list[float]:
+    if not isinstance(value, list):
+        value = ([value] if isinstance(value, (int, float))
+                 else [tok for tok in str(value).split(",") if tok.strip() != ""])
+    if not value:
+        raise ParameterError("no spillover constant c given")
+    return [_number(v) for v in value]
 
 
-def _design_ids(args, cfg: _Config, default: str | None) -> list[str]:
-    design = cfg.pick(args.design, "design", default)
-    if design is None:
-        raise ParameterError("a --design id or --design-file is required")
-    design = str(design)
-    if design == "all":
-        return ["1", "2", "3"]
-    if design not in {"1", "2", "3"}:
-        raise ParameterError(f"--design must be 1, 2, 3 or all (got {design!r})")
-    return [design]
+class _Key(NamedTuple):
+    """A --config key: its flag and help, the parser of its flag and config values, its
+    default, and the mode ("design" or "graph") whose choice decides if a command reads it."""
+
+    flag: str
+    help: str
+    parse: Callable[[Any], Any]
+    default: Any
+    mode: str = ""
 
 
-def _parse_c(raw) -> list[float]:
-    if isinstance(raw, list):
-        return [_number(v) for v in raw]
-    if isinstance(raw, (int, float)):
-        return [_number(raw)]
-    return [float(tok) for tok in str(raw).split(",") if tok.strip() != ""]
+_GRAPH_HELP = {"k": "ring neighbors (even)", "beta": "rewiring probability",
+               "delete_prob": "edge deletion probability", "mean_degree": "target mean degree"}
+_KEYS = {
+    "design": _Key("--design", "1, 2, 3 or all (simulate's default: all)",
+                   _one_of("1", "2", "3", "all"), "all", "design"),
+    "design_file": _Key("--design-file", "CSV degree,theta00,mu_de,lambda_se", os.fspath, None,
+                        "design"),
+    "noise_sd": _Key("--noise-sd", "noise scale for --design-file (default 1.0)", _number, 1.0,
+                     "design"),
+    "c": _Key("--c", "comma-separated spillover scales (default 0,-0.5; oracle's 0)",
+              _c_list, (0.0, -0.5), "design"),
+    "reps": _Key("--reps", "repetitions (default 5000)", _integer, 5000),
+    "regenerate_graph_each_rep": _Key("--fixed-graph", "reuse one graph across repetitions",
+                                      _boolean, True),
+    "graph.kind": _Key("--graph", "graph generator, ws or er (default ws, calibrated)",
+                       _one_of(*GRAPH_KINDS), "ws", "graph"),
+    **{f"graph.{f.name}": _Key(f"--{kind}-{f.name.replace('_', '-')}", _GRAPH_HELP[f.name],
+                               _integer if isinstance(f.default, int) else _number,
+                               f.default, "graph")
+       for kind, model in GRAPH_KINDS.items() for f in fields(model)},
+    "n": _Key("--n", "units per graph (default 1000)", _integer, 1000, "graph"),
+    "p": _Key("--p", "treatment probability (default 0.5)", _number, 0.5),
+    "base_seed": _Key("--seed", "base seed (default 0)", _integer, 0, "graph"),
+}
 
 
-def _c_values(args, cfg: _Config, default: str) -> list[float]:
-    if args.c is None:
-        return cfg.pick(None, "c", _parse_c(default), _parse_c)
-    try:
-        return _parse_c(args.c)
-    except ValueError as exc:
-        raise ParameterError(f"could not parse --c value {args.c!r}") from exc
+class _Inputs:
+    """A command's ``_KEYS``, each read as its flag, else its --config value, else its
+    default (``defaults`` replaces the table's for one command). The reader records
+    the keys it reads and the mode choices it makes, for ``check``."""
+
+    def __init__(self, args, **defaults):
+        self.args, self.defaults, self.read, self.modes = args, defaults, set(), {}
+        values = {}
+        if args.config is not None:
+            try:
+                with open(args.config, encoding="utf-8-sig") as fh:
+                    values = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise IngestionError(f"{args.config}: invalid JSON config: {exc}") from exc
+            if not isinstance(values, dict):
+                raise IngestionError(f"{args.config}: config must be a JSON object")
+            graph = values.pop("graph", {})
+            if not isinstance(graph, dict):
+                raise IngestionError(f"{args.config}: config key 'graph' must be a JSON object")
+            values.update((f"graph.{key}", value) for key, value in graph.items())
+        # each given key -> where it was given, its raw value, the error a bad value raises
+        self.given = {key: (f"{args.config}: config key {key!r}", value, IngestionError)
+                      for key, value in values.items()}
+        self.given.update((key, (spec.flag, getattr(args, key), ParameterError))
+                          for key, spec in _KEYS.items() if getattr(args, key, None) is not None)
+
+    def __call__(self, key: str):
+        self.read.add(key)
+        if key not in self.given:
+            return self.defaults.get(key, _KEYS[key].default)
+        where, raw, error = self.given[key]
+        try:
+            return _KEYS[key].parse(raw)
+        except ParameterError as exc:
+            raise ParameterError(f"{where}: {exc}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise error(f"{where}: {exc}") from None
+
+    def graph(self):
+        """The ``GRAPH_KINDS`` model asked for, each field read from its ``graph.`` key."""
+        kind = self("graph.kind")
+        self.modes["graph"] = f"graph kind {kind!r}"
+        model = GRAPH_KINDS[kind]
+        return model(**{f.name: self(f"graph.{f.name}") for f in fields(model)})
+
+    def designs(self) -> list[tuple[str, str, Design]]:
+        """(design label, c label, design) of each setting: the one ``custom`` setting
+        of a design file, or one per built-in design id and spillover constant c."""
+        design_file = self("design_file")
+        if design_file is not None:
+            self.modes["design"] = "a --design-file design"
+            return [("custom", "", load_design_csv(design_file, self("noise_sd")))]
+        self.modes["design"] = "a built-in design"
+        design = self("design")
+        if design is None:
+            raise ParameterError("a --design id or --design-file is required")
+        c_values = self("c")
+        return [(design_id, f"{c:g}", BuiltinDesign(design_id=int(design_id), c=c))
+                for design_id in (["1", "2", "3"] if design == "all" else [design])
+                for c in c_values]
+
+    def check(self) -> None:
+        """Raise ParameterError naming each flag or config key given but not read."""
+        unread = [f"{where} does not apply to "
+                  f"{self.modes.get(getattr(_KEYS.get(key), 'mode', None), self.args.command)}"
+                  for key, (where, _, _) in self.given.items() if key not in self.read]
+        if unread:
+            raise ParameterError("; ".join(unread))
 
 
 def _write_manifest(command: str, out_path: Path, outputs: list[str],
@@ -212,24 +230,13 @@ def _write_manifest(command: str, out_path: Path, outputs: list[str],
 
 def cmd_simulate(args) -> int:
     started = time.monotonic()
-    cfg = _load_config(args.config)
-    graph = _graph_model(args, cfg)
-    n = cfg.pick(args.n, "n", 1000, _integer)
-    reps = cfg.pick(args.reps, "reps", 5000, _integer)
-    p = cfg.pick(args.p, "p", 0.5, _number)
-    seed = cfg.pick(args.seed, "base_seed", 0, _integer)
-    regenerate = cfg.pick(
-        (False if args.fixed_graph else None), "regenerate_graph_each_rep", True, _boolean
-    )
-
-    runs = _designs(args, cfg, "all", "0,-0.5")
-    configs = [
-        SimConfig(
-            n=n, reps=reps, p=p, design=design, graph=graph,
-            base_seed=seed, regenerate_graph_each_rep=regenerate,
-        )
-        for _, _, design in runs
-    ]
+    inputs = _Inputs(args)
+    graph = inputs.graph()
+    common = {key: inputs(key)
+              for key in ("n", "reps", "p", "base_seed", "regenerate_graph_each_rep")}
+    runs = inputs.designs()
+    inputs.check()
+    configs = [SimConfig(**common, design=design, graph=graph) for _, _, design in runs]
     reports = run_study(configs, workers=args.workers)
     entries = [(label, c_label, report) for (label, c_label, _), report in zip(runs, reports)]
     for design_label, c_label, report in entries:
@@ -251,11 +258,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_scatter(args) -> int:
     started = time.monotonic()
-    cfg = _load_config(args.config)
-    graph = _graph_model(args, cfg)
-    n = cfg.pick(args.n, "n", 1000, _integer)
-    p = cfg.pick(args.p, "p", 0.5, _number)
-    seed = cfg.pick(args.seed, "base_seed", 0, _integer)
+    inputs = _Inputs(args)
+    graph = inputs.graph()
+    n, p, seed = inputs("n"), inputs("p"), inputs("base_seed")
+    inputs.check()
 
     net = graph.generate(n, seed)
     tr = assign_bernoulli(n, p, seed + 1)
@@ -264,8 +270,8 @@ def cmd_scatter(args) -> int:
 
     out = Path(args.out)
     write_scatter_csv(profile, out)
-    payload = {"n": n, "p": p, "seed": seed, "graph": graph_to_dict(graph)}
-    _write_manifest("scatter", out, [str(out)], payload, started)
+    config = {"n": n, "p": p, "base_seed": seed, "graph": graph_to_dict(graph)}
+    _write_manifest("scatter", out, [str(out)], config, started)
 
     def fmt(v):
         return "undefined" if v is None else f"{v:.6f}"
@@ -334,22 +340,25 @@ def _format_oracle_text(report: OracleReport) -> str:
 
 def cmd_oracle(args) -> int:
     started = time.monotonic()
-    cfg = _load_config(args.config)
-    p = cfg.pick(args.p, "p", 0.5, _number)
-    runs = _designs(args, cfg, None, "0")
+    inputs = _Inputs(args, design=None, c=(0.0,))
+    p = inputs("p")
+    runs = inputs.designs()
     if len(runs) != 1:
         raise ParameterError("oracle takes a single --design and a single --c value")
     design = runs[0][2]
 
-    if args.histogram is not None:
-        summary = _read_histogram_csv(args.histogram)
-        source = f"histogram {args.histogram}"
-    else:
-        graph = _graph_model(args, cfg)
-        n = cfg.pick(args.n, "n", 1000, _integer)
-        seed = cfg.pick(args.seed, "base_seed", 0, _integer)
-        summary = summarize(graph.generate(n, seed))
+    config = {"p": p, "design": asdict(design)}
+    if args.histogram is None:
+        graph, n, seed = inputs.graph(), inputs("n"), inputs("base_seed")
+        config.update(n=n, base_seed=seed, graph=graph_to_dict(graph))
         source = f"realized graph (n={n}, seed={seed})"
+    else:
+        inputs.modes["graph"] = "a --histogram degree distribution"
+        config["histogram"] = args.histogram
+        source = f"histogram {args.histogram}"
+    inputs.check()
+    summary = (summarize(graph.generate(n, seed)) if args.histogram is None
+               else _read_histogram_csv(args.histogram))
 
     report = oracle_report(design, summary, p)
     print(f"oracle from {source}")
@@ -362,8 +371,7 @@ def cmd_oracle(args) -> int:
             writer.writerow(["quantity", "value"])
             for field_name, value in asdict(report).items():
                 writer.writerow([field_name, "" if value is None else value])
-        _write_manifest("oracle", out, [str(out)],
-                        {"p": p, "source": source}, started)
+        _write_manifest("oracle", out, [str(out)], config, started)
         print(f"wrote {out}")
     return 0
 
@@ -507,30 +515,14 @@ def cmd_audit(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_graph_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--graph", choices=("ws", "er"), default=None,
-                     help="graph generator (default ws, calibrated)")
-    sub.add_argument("--ws-k", type=int, default=None, help="ring neighbors (even)")
-    sub.add_argument("--ws-beta", type=float, default=None, help="rewiring probability")
-    sub.add_argument("--ws-delete-prob", type=float, default=None,
-                     help="edge deletion probability")
-    sub.add_argument("--er-mean-degree", type=float, default=None,
-                     help="target mean degree for the er generator")
-
-
-def _add_design_flags(sub: argparse.ArgumentParser, design_help: str, c_help: str) -> None:
-    sub.add_argument("--design", default=None, help=design_help)
-    sub.add_argument("--design-file", default=None,
-                     help="CSV degree,theta00,mu_de,lambda_se overriding --design")
-    sub.add_argument("--noise-sd", type=float, default=None,
-                     help="noise scale for --design-file (default 1.0)")
-    sub.add_argument("--c", default=None, help=c_help)
-
-
-def _add_shared(sub: argparse.ArgumentParser, out_required: bool) -> None:
-    sub.add_argument("--n", type=int, default=None, help="units per graph (default 1000)")
-    sub.add_argument("--p", type=float, default=None, help="treatment probability (default 0.5)")
-    sub.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
+def _add_inputs(sub: argparse.ArgumentParser, keys, out_required: bool) -> None:
+    """Add the flag of each ``_KEYS`` key, storing its raw value under the key's name,
+    then --out and --config."""
+    for key in keys:
+        spec = _KEYS[key]
+        kind = ({"action": "store_false"} if spec.parse is _boolean
+                else {"metavar": spec.flag[2:].upper().replace("-", "_")})
+        sub.add_argument(spec.flag, dest=key, default=None, help=spec.help, **kind)
     sub.add_argument("--out", required=out_required, default=None, help="output CSV path")
     sub.add_argument("--config", default=None, help="JSON config file; flags override it")
 
@@ -545,27 +537,20 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     sim = subparsers.add_parser("simulate", help="Monte Carlo study over designs")
-    _add_design_flags(sim, "1, 2, 3 or all (default all)",
-                      "comma-separated spillover scales (default 0,-0.5)")
-    sim.add_argument("--reps", type=int, default=None, help="repetitions (default 5000)")
-    sim.add_argument("--fixed-graph", action="store_true",
-                     help="reuse one graph across repetitions")
+    _add_inputs(sim, _KEYS, out_required=True)
     sim.add_argument("--workers", type=int, default=1, help="parallel worker processes")
-    _add_graph_flags(sim)
-    _add_shared(sim, out_required=True)
     sim.set_defaults(func=cmd_simulate)
 
     sca = subparsers.add_parser("scatter", help="one realization of degree vs treated fractions")
-    _add_graph_flags(sca)
-    _add_shared(sca, out_required=True)
+    _add_inputs(sca, ["n", "p", "base_seed", *(key for key in _KEYS if key.startswith("graph."))],
+                out_required=True)
     sca.set_defaults(func=cmd_scatter)
 
     orc = subparsers.add_parser("oracle", help="theoretical coefficients for a degree distribution")
-    _add_design_flags(orc, "1, 2 or 3", "single spillover scale (default 0)")
+    _add_inputs(orc, [key for key in _KEYS if key not in ("reps", "regenerate_graph_each_rep")],
+                out_required=False)
     orc.add_argument("--histogram", default=None,
                      help="degree,count CSV; bypasses graph generation")
-    _add_graph_flags(orc)
-    _add_shared(orc, out_required=False)
     orc.set_defaults(func=cmd_oracle)
 
     aud = subparsers.add_parser("audit", help="isolated-node diagnostics for real data")

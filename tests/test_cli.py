@@ -22,7 +22,9 @@ from spillnet.dgp import BuiltinDesign, expand
 from spillnet.errors import ParameterError, TooFewUnitsError
 from spillnet.exposure import assign_bernoulli
 from spillnet.graph import generate_watts_strogatz, write_edge_csv
-from spillnet.montecarlo import WattsStrogatzGraph, config_from_dict, run
+from spillnet.montecarlo import (
+    SimConfig, WattsStrogatzGraph, config_from_dict, config_to_dict, run,
+)
 from spillnet.dgp import simulate_outcomes
 
 
@@ -109,6 +111,40 @@ def test_simulate_manifest_lists_every_config_key(tmp_path):
     )
 
 
+def test_scatter_and_oracle_manifests_record_their_inputs_under_config_names(tmp_path):
+    ws = {"graph", "graph.kind", "graph.k", "graph.beta", "graph.delete_prob"}
+    out = tmp_path / "s.csv"
+    assert main(["scatter", "--n", "40", "--seed", "5", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+    assert _key_paths(manifest["config"]) == {"n", "p", "base_seed"} | ws
+
+    design = {"p", "design", "design.design_id", "design.c"}
+    out = tmp_path / "o.csv"
+    assert main(["oracle", "--design", "2", "--c=-0.5", "--n", "40", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "o.csv.manifest.json").read_text())
+    assert _key_paths(manifest["config"]) == design | {"n", "base_seed"} | ws
+    assert manifest["config"]["design"] == {"design_id": 2, "c": -0.5}
+
+    hist = tmp_path / "hist.csv"
+    hist.write_text("degree,count\n0,2\n1,3\n")
+    assert main(["oracle", "--design", "2", "--histogram", str(hist), "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "o.csv.manifest.json").read_text())
+    assert _key_paths(manifest["config"]) == design | {"histogram"}
+    assert manifest["config"]["histogram"] == str(hist)
+
+
+def test_scatter_manifest_config_given_back_as_config_reproduces_the_csv(tmp_path):
+    first = tmp_path / "first.csv"
+    assert main(["scatter", "--n", "120", "--p", "0.3", "--seed", "8", "--graph", "er",
+                 "--er-mean-degree", "3", "--out", str(first)]) == 0
+    manifest = json.loads((tmp_path / "first.csv.manifest.json").read_text())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(manifest["config"]))
+    again = tmp_path / "again.csv"
+    assert main(["scatter", "--config", str(cfg), "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+
+
 def test_simulate_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -139,6 +175,7 @@ def test_simulate_config_file_with_flag_override(tmp_path):
     ({"c": [0, False]}, "'c'"),
     ({"graph": {"kind": "ws", "k": 8.5}}, "'graph.k'"),
     ({"graph": {"kind": "er", "mean_degree": True}}, "'graph.mean_degree'"),
+    ({"design_file": None}, "'design_file'"),
 ])
 def test_simulate_config_bad_value_is_an_input_error(tmp_path, capsys, config, key):
     cfg = tmp_path / "cfg.json"
@@ -294,6 +331,59 @@ def test_design_flags_of_the_other_design_kind_are_usage_errors(tmp_path, capsys
         argv += ["--reps", "2"]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a simulate manifest, whose keys are not config keys
+_MANIFEST = {"command": "simulate", "version": spillnet.__version__, "outputs": ["o.csv"],
+             "config": [config_to_dict(SimConfig(n=40, reps=2))]}
+
+
+@pytest.mark.parametrize("argv, config, named", [
+    (["simulate", "--reps", "2"],
+     {"reps": 3, "n": 100, "graph": {"kind": "er", "mean_degre": 5}, "bogus": 1},
+     ["config key 'graph.mean_degre' does not apply to simulate",
+      "config key 'bogus' does not apply to simulate"]),
+    (["simulate", "--n", "40", "--reps", "2"], _MANIFEST,
+     ["config key 'command' does not apply to simulate"]),
+    (["scatter", "--n", "40"], {"reps": 3}, ["config key 'reps' does not apply to scatter"]),
+    (["simulate", "--graph", "ws", "--er-mean-degree", "4", "--n", "40", "--reps", "2"], {},
+     ["--er-mean-degree does not apply to graph kind 'ws'"]),
+    (["scatter", "--graph", "er", "--ws-k", "4", "--n", "40"], {},
+     ["--ws-k does not apply to graph kind 'er'"]),
+    (["oracle", "--design", "1", "--histogram", "{hist}", "--n", "50", "--seed", "3",
+      "--graph", "er"], {},
+     [f"{flag} does not apply to a --histogram degree distribution"
+      for flag in ("--n", "--seed", "--graph")]),
+    (["oracle", "--design", "1", "--histogram", "{hist}"], {"graph": {"mean_degree": 3}},
+     ["config key 'graph.mean_degree' does not apply to a --histogram degree distribution"]),
+    (["simulate", "--design", "2", "--design-file", "{design}", "--n", "40", "--reps", "2"], {},
+     ["--design does not apply to a --design-file design"]),
+    (["simulate", "--design", "1", "--c", "", "--n", "40", "--reps", "2"], {},
+     ["--c: no spillover constant c given"]),
+    (["simulate", "--design", "1", "--c", ",", "--n", "40", "--reps", "2"], {},
+     ["--c: no spillover constant c given"]),
+    (["simulate", "--design", "1", "--n", "40", "--reps", "2"], {"c": []},
+     ["config key 'c': no spillover constant c given"]),
+    (["oracle", "--design", "1", "--c", "", "--n", "40"], {},
+     ["--c: no spillover constant c given"]),
+])
+def test_flags_and_config_keys_the_command_does_not_read_are_usage_errors(tmp_path, capsys, argv,
+                                                                         config, named):
+    design = tmp_path / "design.csv"
+    design.write_text("degree,theta00,mu_de,lambda_se\n"
+                      + "".join(f"{g},1.0,1.0,-0.1\n" for g in range(40)))
+    hist = tmp_path / "hist.csv"
+    hist.write_text("degree,count\n0,2\n1,3\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o.csv"
+    assert main([*(arg.format(design=design, hist=hist) for arg in argv),
+                 "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    for name in named:
+        assert name in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
