@@ -17,9 +17,7 @@ from .dgp import (
     DesignSpec,
     EffectGaps,
     design_stack,
-    expand,
     load_design_csv,
-    simulate_outcomes,
 )
 from .errors import (
     ConfigurationError,
@@ -32,21 +30,21 @@ from .errors import (
 )
 from .estimators import (
     CellTable,
+    ExposureDiagnostics,
     RegressionFit,
     StratifiedResult,
     cell_table,
+    empirical_exposure_diagnostics,
     fit_specification,
     ols,
     stratified_regression,
 )
 from .exposure import (
-    ExposureDiagnostics,
     ExposureProfile,
     TreatmentVector,
     assign_bernoulli,
     compute_exposure,
     cov_dbar_star_degree_closed_form,
-    empirical_exposure_diagnostics,
 )
 from .graph import (
     WS_CALIBRATED,
@@ -55,11 +53,8 @@ from .graph import (
     from_edge_list,
     generate_erdos_renyi,
     generate_watts_strogatz,
-    read_edge_csv,
     read_table,
     summarize,
-    to_edge_list,
-    write_edge_csv,
 )
 from .montecarlo import (
     AggregateReport,
@@ -68,7 +63,6 @@ from .montecarlo import (
     SimConfig,
     WattsStrogatzGraph,
     derive_seed,
-    run,
     run_study,
     write_results_csv,
 )

@@ -42,6 +42,7 @@ from .estimators import (
     TREATED,
     StratifiedResult,
     cell_table,
+    empirical_exposure_diagnostics,
     fit_specification,
     stratified_regression,
 )
@@ -50,7 +51,6 @@ from .exposure import (
     assign_bernoulli,
     compute_exposure,
     cov_dbar_star_degree_closed_form,
-    empirical_exposure_diagnostics,
     write_scatter_csv,
 )
 from .graph import DegreeSummary, from_edge_list, nonnegative_int, read_table, summarize
@@ -225,6 +225,11 @@ def _write_manifest(command: str, out_path: Path, outputs: list[str],
         json.dump(manifest, fh, indent=2)
 
 
+def _fmt(value: float | None, digits: int = 6) -> str:
+    """A report number to ``digits`` decimals, or "undefined" for None."""
+    return "undefined" if value is None else f"{value:.{digits}f}"
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -266,18 +271,15 @@ def cmd_scatter(args) -> int:
     net = graph.generate(n, seed)
     tr = assign_bernoulli(n, p, seed + 1)
     profile = compute_exposure(net, tr)
-    diag = empirical_exposure_diagnostics(profile)
+    diag = empirical_exposure_diagnostics(cell_table(net, tr, np.zeros(n)))
 
     out = Path(args.out)
     write_scatter_csv(profile, out)
     config = {"n": n, "p": p, "base_seed": seed, "graph": graph_to_dict(graph)}
     _write_manifest("scatter", out, [str(out)], config, started)
 
-    def fmt(v):
-        return "undefined" if v is None else f"{v:.6f}"
-
-    print(f"r2(degree, dbar | degree>0) = {fmt(diag.r2_dbar)}")
-    print(f"r2(degree, dbar_star)      = {fmt(diag.r2_dbar_star)}")
+    print(f"r2(degree, dbar | degree>0) = {_fmt(diag.r2_dbar)}")
+    print(f"r2(degree, dbar_star)      = {_fmt(diag.r2_dbar_star)}")
     print(f"isolated share             = {np.mean(profile.degree == 0):.4f}")
     print(f"wrote {out}")
     return 0
@@ -316,24 +318,21 @@ def _read_histogram_csv(path: str) -> DegreeSummary:
 
 
 def _format_oracle_text(report: OracleReport) -> str:
-    def fmt(v, width=12):
-        return ("undefined" if v is None else f"{v:.6f}").rjust(width)
-
     lines = [
-        f"treated probability        {fmt(report.treated_prob)}",
-        f"positive-degree share      {fmt(report.positive_share)}",
-        f"mean inverse degree (>0)   {fmt(report.mean_inverse_degree_positive)}",
-        f"baseline gap               {fmt(report.baseline_gap)}",
-        f"direct-effect gap          {fmt(report.direct_gap)}",
-        f"mean dbar_star             {fmt(report.mean_dbar_star)}",
-        f"var dbar_star              {fmt(report.var_dbar_star)}",
+        f"treated probability        {_fmt(report.treated_prob):>12}",
+        f"positive-degree share      {_fmt(report.positive_share):>12}",
+        f"mean inverse degree (>0)   {_fmt(report.mean_inverse_degree_positive):>12}",
+        f"baseline gap               {_fmt(report.baseline_gap):>12}",
+        f"direct-effect gap          {_fmt(report.direct_gap):>12}",
+        f"mean dbar_star             {_fmt(report.mean_dbar_star):>12}",
+        f"var dbar_star              {_fmt(report.var_dbar_star):>12}",
         "",
         "specification       direct     spillover",
-        f"t_reg         {fmt(report.t_direct)}  {fmt(report.t_spillover)}",
-        f"dbar_reg      {fmt(report.dbar_direct)}  {fmt(report.dbar_spillover)}",
-        f"dbar_star_reg {fmt(report.dbar_star_direct)}  {fmt(report.dbar_star_total)}"
-        f"  (bias {fmt(report.dbar_star_bias, 0)}"
-        f" + weighted {fmt(report.dbar_star_weighted, 0)})",
+        f"t_reg         {_fmt(report.t_direct):>12}  {_fmt(report.t_spillover):>12}",
+        f"dbar_reg      {_fmt(report.dbar_direct):>12}  {_fmt(report.dbar_spillover):>12}",
+        f"dbar_star_reg {_fmt(report.dbar_star_direct):>12}  {_fmt(report.dbar_star_total):>12}"
+        f"  (bias {_fmt(report.dbar_star_bias)}"
+        f" + weighted {_fmt(report.dbar_star_weighted)})",
     ]
     return "\n".join(lines)
 
@@ -408,6 +407,7 @@ def _plug_in_gaps(strat: StratifiedResult, summary: DegreeSummary) -> EffectGaps
 
 
 def cmd_audit(args) -> int:
+    started = time.monotonic()
     roles = {"--id-col": args.id_col, "--treatment-col": args.treatment_col,
              "--outcome-col": args.outcome_col}
     shared = [flag for flag, column in roles.items() if list(roles.values()).count(column) > 1]
@@ -431,12 +431,8 @@ def cmd_audit(args) -> int:
     p_hat = float(d.mean())
     tr = TreatmentVector(d=d, p=p_hat)
     summary = summarize(net)
-    profile = compute_exposure(net, tr)
-    diag = empirical_exposure_diagnostics(profile)
     cells = cell_table(net, tr, y)
-
-    def opt(v):
-        return "undefined" if v is None else f"{v:.4f}"
+    diag = empirical_exposure_diagnostics(cells)
 
     lines = [
         f"audit of {args.data} with edges {args.edges}",
@@ -446,8 +442,8 @@ def cmd_audit(args) -> int:
         f"  mean degree                {summary.mean_degree:.4f}",
         f"  max degree                 {summary.max_degree}",
         f"  isolated share             {summary.isolated_fraction:.4f}",
-        f"  mean degree (>0)           {opt(summary.mean_degree_positive)}",
-        f"  mean inverse degree (>0)   {opt(summary.mean_inverse_degree_positive)}",
+        f"  mean degree (>0)           {_fmt(summary.mean_degree_positive, 4)}",
+        f"  mean inverse degree (>0)   {_fmt(summary.mean_inverse_degree_positive, 4)}",
         "",
         "imputed-fraction vs degree covariance",
         f"  empirical                  {diag.cov_dbar_star_degree:.6f}",
@@ -478,9 +474,9 @@ def cmd_audit(args) -> int:
     lines += [
         "",
         "plug-in stratified gaps (positive-degree strata vs isolated stratum)",
-        f"  baseline gap               {opt(gaps.baseline)}",
-        f"  direct-effect gap          {opt(gaps.direct)}",
-        f"  implied imputation bias    {opt(implied_bias)}",
+        f"  baseline gap               {_fmt(gaps.baseline, 4)}",
+        f"  direct-effect gap          {_fmt(gaps.direct, 4)}",
+        f"  implied imputation bias    {_fmt(implied_bias, 4)}",
     ]
     if strat.skipped:
         skipped = ", ".join(f"degree {g}: {reason}" for g, reason in sorted(strat.skipped.items()))
@@ -507,7 +503,11 @@ def cmd_audit(args) -> int:
     text = "\n".join(lines)
     print(text)
     if args.out is not None:
-        Path(args.out).write_text(text + "\n")
+        out = Path(args.out)
+        out.write_text(text + "\n")
+        config = {key: getattr(args, key)
+                  for key in ("edges", "data", "id_col", "treatment_col", "outcome_col")}
+        _write_manifest("audit", out, [str(out)], config, started)
         print(f"wrote {args.out}")
     return 0
 

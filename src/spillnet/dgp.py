@@ -10,7 +10,6 @@ linear form
 
 which is exact for any design satisfying neighbor exchangeability, no
 own-by-neighbor interaction, and a constant per-neighbor increment.
-``simulate_outcomes`` draws one design's outcome per unit;
 ``outcome_cells`` gives many designs' outcomes at once as an exposure-cell
 table, which is all the fits read.
 """
@@ -20,16 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import ClassVar, Iterable, Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, IngestionError, ParameterError
 from .estimators import CellTable
-from .exposure import TreatmentVector, compute_exposure
-from .graph import (
-    DegreeSummary, Network, distinct, nonnegative_int, read_table, seeded_rng, summarize,
-)
+from .graph import DegreeSummary, nonnegative_int, read_table
 
 DESIGN_IDS = (1, 2, 3)
 
@@ -101,15 +97,6 @@ class BuiltinDesign:
 Design = BuiltinDesign | DesignSpec
 
 
-def expand(builtin: BuiltinDesign, degrees: Iterable[int]) -> DesignSpec:
-    """Tabulate a built-in design over the given degrees (noise_sd = 1)."""
-    degs = distinct(np.fromiter(degrees, dtype=np.int64))
-    if degs.size and degs[0] < 0:
-        raise ParameterError("degrees must be nonnegative")
-    maps = (dict(zip(degs.tolist(), row)) for row in builtin.tables(degs).tolist())
-    return DesignSpec(*maps, noise_sd=builtin.noise_sd)
-
-
 def design_stack(designs: Sequence[Design], degrees: np.ndarray) -> np.ndarray:
     """Every design's ``tables(degrees)`` in one array of shape (3, len(designs), len(degrees)).
 
@@ -139,21 +126,6 @@ def outcome_cells(
     baseline, direct, spillover = stack[:, :, np.searchsorted(summary.degrees, noise.degree)]
     part = baseline + direct * noise.treated + spillover * noise.treated_neighbors
     return replace(noise, mean=part.T + noise.mean * sd, within=noise.within * sd**2)
-
-
-def simulate_outcomes(net: Network, tr: TreatmentVector, spec: Design, seed: int) -> np.ndarray:
-    """Simulate outcomes from the partially linear form.
-
-    ``spec.tables`` is evaluated once at the distinct degrees and gathered
-    at each unit's degree. Noise is iid Normal(0, noise_sd^2), drawn
-    independently of the network and treatment; deterministic given ``seed``.
-    """
-    profile = compute_exposure(net, tr)
-    noise = seeded_rng(seed).standard_normal(net.n)
-    degrees = summarize(net).degrees
-    baseline, direct, spillover = spec.tables(degrees)[:, np.searchsorted(degrees, profile.degree)]
-    y = baseline + direct * tr.d + spillover * profile.treated_neighbors
-    return y + noise * spec.noise_sd
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Exposure cells, the OLS core and the three spillover regression specifications.
+"""Exposure cells and their diagnostics, the OLS core and the three spillover regressions.
 
 Every regressor of the three specifications is a function of a unit's own
 treatment d, its treated-neighbour count t and its degree g, so OLS on the
@@ -128,6 +128,53 @@ def cell_table(net: Network, tr: TreatmentVector, y: np.ndarray) -> CellTable:
     deviation = y - mean[cell]
     within = np.bincount(cell, weights=deviation * deviation, minlength=count.size)
     return CellTable(degree, regressors, count, mean[:, None], within[:, None])
+
+
+@dataclass(frozen=True)
+class ExposureDiagnostics:
+    """Sample covariances / r-squared between degree and treated fractions.
+
+    Fields are None when undefined (empty subsample, or an r-squared whose
+    underlying variance is zero).
+    """
+
+    cov_dbar_degree_on_positive: float | None
+    cov_dbar_star_degree: float
+    r2_dbar: float | None
+    r2_dbar_star: float | None
+
+
+def _cov(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> float:
+    # population (1/n) convention, matching the linear-projection algebra
+    n = weights.sum()
+    return float(weights @ ((x - weights @ x / n) * (y - weights @ y / n)) / n)
+
+
+def _r2(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> float | None:
+    vx = _cov(x, x, weights)
+    vy = _cov(y, y, weights)
+    if vx == 0.0 or vy == 0.0:
+        return None
+    return _cov(x, y, weights) ** 2 / (vx * vy)
+
+
+def empirical_exposure_diagnostics(cells: CellTable) -> ExposureDiagnostics:
+    """Sample covariance and squared-correlation diagnostics for one draw.
+
+    Each unit-level moment is a count-weighted sum over the cells, in their
+    sorted order, so the result does not depend on the order of the units.
+    """
+    weights = cells.count.astype(float)
+    degree = cells.degree.astype(float)
+    fraction = cells.regressors[:, CELL_COLUMNS[DBAR_STAR]]
+    pos = slice(int(np.searchsorted(cells.degree, 1)), None)  # cells are sorted by degree
+    connected = (degree[pos], fraction[pos], weights[pos])
+    return ExposureDiagnostics(
+        cov_dbar_degree_on_positive=_cov(*connected) if connected[2].size else None,
+        cov_dbar_star_degree=_cov(degree, fraction, weights),
+        r2_dbar=_r2(*connected) if connected[2].size else None,
+        r2_dbar_star=_r2(degree, fraction, weights),
+    )
 
 
 def _collinear_columns(x: np.ndarray, names: tuple[str, ...]) -> tuple[str, ...]:

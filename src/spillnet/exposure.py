@@ -110,52 +110,6 @@ def cov_dbar_star_degree_closed_form(summary: DegreeSummary, p: float) -> float:
     return gap * p * summary.positive_share
 
 
-@dataclass(frozen=True)
-class ExposureDiagnostics:
-    """Sample covariances / r-squared between degree and treated fractions.
-
-    Fields are None when undefined (empty subsample, or an r-squared whose
-    underlying variance is zero).
-    """
-
-    cov_dbar_degree_on_positive: float | None
-    cov_dbar_star_degree: float
-    r2_dbar: float | None
-    r2_dbar_star: float | None
-
-
-def _cov(x: np.ndarray, y: np.ndarray) -> float:
-    # population (1/n) convention, matching the linear-projection algebra
-    return float(np.mean((x - x.mean()) * (y - y.mean())))
-
-
-def _r2(x: np.ndarray, y: np.ndarray) -> float | None:
-    vx = _cov(x, x)
-    vy = _cov(y, y)
-    if vx == 0.0 or vy == 0.0:
-        return None
-    return _cov(x, y) ** 2 / (vx * vy)
-
-
-def empirical_exposure_diagnostics(profile: ExposureProfile) -> ExposureDiagnostics:
-    """Sample covariance and squared-correlation diagnostics for one draw."""
-    gamma = profile.degree.astype(float)
-    pos = profile.positive
-    if pos.size > 0:
-        g_pos = gamma[pos]
-        cov_pos = _cov(g_pos, profile.dbar)
-        r2_pos = _r2(g_pos, profile.dbar)
-    else:
-        cov_pos = None
-        r2_pos = None
-    return ExposureDiagnostics(
-        cov_dbar_degree_on_positive=cov_pos,
-        cov_dbar_star_degree=_cov(gamma, profile.dbar_star),
-        r2_dbar=r2_pos,
-        r2_dbar_star=_r2(gamma, profile.dbar_star),
-    )
-
-
 def write_scatter_csv(profile: ExposureProfile, path: str | Path) -> None:
     """Write per-node scatter data; ``dbar`` is left empty for isolated nodes.
 

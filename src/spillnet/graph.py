@@ -62,16 +62,6 @@ class Network:
         degree.flags.writeable = False
         return degree
 
-    def check_invariants(self) -> None:
-        """Assert endpoints in range, u < v, and edges sorted without repeats."""
-        if self.u.shape != self.v.shape or self.u.ndim != 1:
-            raise AssertionError("edge arrays differ in shape")
-        if not ((self.u >= 0).all() and (self.u < self.v).all() and (self.v < self.n).all()):
-            raise AssertionError("an edge has u < 0, u >= v or v >= n")
-        keys = self.u * self.n + self.v
-        if not (np.diff(keys) > 0).all():
-            raise AssertionError("edges are unsorted or repeated")
-
 
 @dataclass(frozen=True, eq=False)
 class DegreeSummary:
@@ -369,12 +359,25 @@ def from_edge_list(rows: Iterable[tuple[int, int]] | np.ndarray, n: int) -> Netw
     if not isinstance(rows, np.ndarray):
         rows = list(rows)
     pairs = _index_array(rows).reshape(len(rows), 2)
-    return _network_from_pairs(pairs[:, 0], pairs[:, 1], n, "edge row {}".format)
+    i, j = pairs[:, 0], pairs[:, 1]
+    with np.errstate(invalid="ignore"):  # a nan index is flagged, not warned about
+        bad = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j)
+                             | (i % 1 != 0) | (j % 1 != 0))
+    if bad.size:
+        row = int(bad[0])
+        if i[row] % 1 != 0 or j[row] % 1 != 0:
+            raise IngestionError(f"edge row {row}: index ({i[row]}, {j[row]}) is not an integer")
+        a, b = int(i[row]), int(j[row])
+        if not (0 <= a < n and 0 <= b < n):
+            raise IngestionError(f"edge row {row}: index ({a}, {b}) out of range for n={n}")
+        raise IngestionError(f"edge row {row}: self-link ({a}, {b}) not allowed")
+    i, j = i.astype(np.int64), j.astype(np.int64)
+    return _network_from_keys(n, distinct(np.minimum(i, j) * n + np.maximum(i, j)))
 
 
 def _index_array(indices: Sequence | np.ndarray) -> np.ndarray:
     """Node indices as an int64 array, or as given in an object array when one
-    is not an integer below 2**63; _network_from_pairs names such an index."""
+    is not an integer below 2**63; from_edge_list names such an index."""
     try:
         array = np.asarray(indices, dtype=np.int64)
         if np.array_equal(array, indices):  # the cast truncates fractions
@@ -382,30 +385,6 @@ def _index_array(indices: Sequence | np.ndarray) -> np.ndarray:
     except (OverflowError, ValueError):
         pass
     return np.asarray(indices, dtype=object)
-
-
-def _network_from_pairs(
-    i: np.ndarray, j: np.ndarray, n: int, where: Callable[[int], str]
-) -> Network:
-    """Build a network from endpoint arrays, rejecting the first bad edge at ``where(row)``."""
-    with np.errstate(invalid="ignore"):  # a nan index is flagged, not warned about
-        bad = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j)
-                             | (i % 1 != 0) | (j % 1 != 0))
-    if bad.size:
-        row = int(bad[0])
-        if i[row] % 1 != 0 or j[row] % 1 != 0:
-            raise IngestionError(f"{where(row)}: index ({i[row]}, {j[row]}) is not an integer")
-        a, b = int(i[row]), int(j[row])
-        if not (0 <= a < n and 0 <= b < n):
-            raise IngestionError(f"{where(row)}: index ({a}, {b}) out of range for n={n}")
-        raise IngestionError(f"{where(row)}: self-link ({a}, {b}) not allowed")
-    i, j = i.astype(np.int64), j.astype(np.int64)
-    return _network_from_keys(n, distinct(np.minimum(i, j) * n + np.maximum(i, j)))
-
-
-def to_edge_list(net: Network) -> list[tuple[int, int]]:
-    """All edges as (i, j) pairs with i < j, sorted."""
-    return list(zip(net.u.tolist(), net.v.tolist()))
 
 
 def read_table(
@@ -539,24 +518,3 @@ def nonnegative_int(cell: str) -> int:
     if value < 0:
         raise ValueError(f"negative integer {value}")
     return value
-
-
-def read_edge_csv(path: str | Path, n: int) -> Network:
-    """Read an edge-list CSV with columns ``src,dst`` of 0-based node indices below n.
-
-    A self-link or an index of n or more raises IngestionError naming
-    ``path:line``; repeated rows and opposite orientations give one edge.
-    """
-    columns, lines, _ = read_table(path, {"src": nonnegative_int, "dst": nonnegative_int})
-    return _network_from_pairs(
-        _index_array(columns["src"]), _index_array(columns["dst"]), n,
-        lambda row: f"{path}:{lines[row]}",
-    )
-
-
-def write_edge_csv(net: Network, path: str | Path) -> None:
-    """Write the edge list as a ``src,dst`` CSV (one row per undirected edge)."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src", "dst"])
-        writer.writerows(to_edge_list(net))

@@ -316,11 +316,6 @@ def run_study(configs: Sequence[SimConfig], workers: int = 1) -> list[AggregateR
     return _aggregate(configs, results)
 
 
-def run(config: SimConfig, workers: int = 1) -> AggregateReport:
-    """Execute one setting: ``run_study([config], workers)[0]``."""
-    return run_study([config], workers)[0]
-
-
 def write_results_csv(
     entries: Sequence[tuple[str, str, AggregateReport]], path: str | Path
 ) -> None:

@@ -13,16 +13,16 @@ import random
 
 import numpy as np
 
-from spillnet.dgp import DesignSpec
+from spillnet.dgp import DesignSpec, design_stack
 from spillnet.errors import (
     EmptySubsampleError, IngestionError, ParameterError, SingularModelError, TooFewUnitsError,
 )
 from spillnet.estimators import (
     CONST, DBAR, DBAR_STAR, DEGREE, RANK_RTOL, SPECS, TREATED, TREATED_NEIGHBORS, Z95,
-    RegressionFit, StratifiedResult,
+    ExposureDiagnostics, RegressionFit, StratifiedResult,
 )
-from spillnet.exposure import ExposureProfile, TreatmentVector
-from spillnet.graph import DegreeSummary, Network
+from spillnet.exposure import ExposureProfile, TreatmentVector, compute_exposure
+from spillnet.graph import DegreeSummary, Network, seeded_rng, summarize
 from spillnet.oracle import OracleReport
 
 
@@ -41,6 +41,22 @@ def neighbor_lists(net: Network) -> list[list[int]]:
         nbrs[a].append(b)
         nbrs[b].append(a)
     return [sorted(x) for x in nbrs]
+
+
+def edge_pairs(net: Network) -> list[tuple[int, int]]:
+    """All edges as (i, j) pairs with i < j, in the network's order."""
+    return list(zip(net.u.tolist(), net.v.tolist()))
+
+
+def check_invariants(net: Network) -> None:
+    """Assert endpoints in range, u < v, and edges sorted without repeats."""
+    if net.u.shape != net.v.shape or net.u.ndim != 1:
+        raise AssertionError("edge arrays differ in shape")
+    if not ((net.u >= 0).all() and (net.u < net.v).all() and (net.v < net.n).all()):
+        raise AssertionError("an edge has u < 0, u >= v or v >= n")
+    keys = net.u * net.n + net.v
+    if not (np.diff(keys) > 0).all():
+        raise AssertionError("edges are unsorted or repeated")
 
 
 def treated_neighbor_counts(neighbors, d: np.ndarray) -> np.ndarray:
@@ -399,6 +415,48 @@ def reference_outcome_matrix(
     baseline, direct, spillover = tables.take(prof.degree, axis=1)
     y = baseline + direct * tr.d[:, None] + spillover * prof.treated_neighbors[:, None]
     return y + noise[:, None] * np.asarray(noise_sd, dtype=float)
+
+
+def unit_outcomes(net: Network, tr: TreatmentVector, design, seed: int) -> np.ndarray:
+    """One design's outcome per unit: ``reference_outcome_matrix`` of that design
+    alone, with its standard-normal noise drawn from ``seeded_rng(seed)``."""
+    summary, prof = summarize(net), compute_exposure(net, tr)
+    noise = seeded_rng(seed).standard_normal(net.n)
+    stack = design_stack([design], summary.degrees)
+    return reference_outcome_matrix(stack, [design.noise_sd], summary, tr, prof, noise)[:, 0]
+
+
+def _reference_cov(x: np.ndarray, y: np.ndarray) -> float:
+    return float(np.mean((x - x.mean()) * (y - y.mean())))
+
+
+def _reference_r2(x: np.ndarray, y: np.ndarray) -> float | None:
+    vx = _reference_cov(x, x)
+    vy = _reference_cov(y, y)
+    if vx == 0.0 or vy == 0.0:
+        return None
+    return _reference_cov(x, y) ** 2 / (vx * vy)
+
+
+def reference_exposure_diagnostics(prof: ExposureProfile) -> ExposureDiagnostics:
+    """The exposure diagnostics as population (1/n) moments over the unit rows.
+
+    ``spillnet.estimators.empirical_exposure_diagnostics`` weights the cells
+    by their counts instead; the two agree to rounding.
+    """
+    gamma = prof.degree.astype(float)
+    pos = prof.positive
+    if pos.size > 0:
+        cov_pos = _reference_cov(gamma[pos], prof.dbar)
+        r2_pos = _reference_r2(gamma[pos], prof.dbar)
+    else:
+        cov_pos = r2_pos = None
+    return ExposureDiagnostics(
+        cov_dbar_degree_on_positive=cov_pos,
+        cov_dbar_star_degree=_reference_cov(gamma, prof.dbar_star),
+        r2_dbar=r2_pos,
+        r2_dbar_star=_reference_r2(gamma, prof.dbar_star),
+    )
 
 
 def reference_design_matrix(spec_name: str, tr: TreatmentVector, prof: ExposureProfile):

@@ -11,21 +11,17 @@ import time
 import numpy as np
 import pytest
 
-from helpers import exact_dbar_star_moments
-from spillnet.dgp import BuiltinDesign, expand, simulate_outcomes
+from helpers import exact_dbar_star_moments, reference_design, unit_outcomes
+from spillnet.dgp import BuiltinDesign
 from spillnet.errors import EmptySubsampleError, SingularModelError
 from spillnet.estimators import (
     TREATED_NEIGHBORS,
     cell_table,
+    empirical_exposure_diagnostics,
     fit_specification,
     stratified_regression,
 )
-from spillnet.exposure import (
-    assign_bernoulli,
-    compute_exposure,
-    cov_dbar_star_degree_closed_form,
-    empirical_exposure_diagnostics,
-)
+from spillnet.exposure import assign_bernoulli, cov_dbar_star_degree_closed_form
 from spillnet.graph import (
     WS_CALIBRATED,
     from_edge_list,
@@ -33,7 +29,7 @@ from spillnet.graph import (
     generate_watts_strogatz,
     summarize,
 )
-from spillnet.montecarlo import SimConfig, run
+from spillnet.montecarlo import SimConfig, run_study
 from spillnet.oracle import enumeration_population_ols, oracle_report
 
 FULL_N = 1000
@@ -86,7 +82,7 @@ def full_runs():
             n=FULL_N, reps=FULL_REPS, p=0.5,
             design=BuiltinDesign(design_id, c), base_seed=FULL_SEED,
         )
-        runs[(design_id, c)] = run(config)
+        runs[(design_id, c)] = run_study([config])[0]
     return runs, time.monotonic() - started
 
 
@@ -99,7 +95,7 @@ def test_criterion_1_theorem_formulas_equal_enumeration(corpus):
         summary = summarize(net)
         for design_id in (1, 2, 3):
             for c in (0.0, -0.5):
-                spec = expand(BuiltinDesign(design_id, c), summary.histogram.keys())
+                spec = reference_design(design_id, c, summary.histogram.keys())
                 for p in (0.3, 0.5):
                     report = oracle_report(spec, summary, p)
                     expected = {
@@ -246,7 +242,7 @@ def test_criterion_5_confidence_interval_coverage(full_runs):
 def test_criterion_6_scatter_realization_pattern():
     net = generate_watts_strogatz(FULL_N, seed=7, **WS_CALIBRATED)
     tr = assign_bernoulli(FULL_N, 0.5, seed=3)
-    diag = empirical_exposure_diagnostics(compute_exposure(net, tr))
+    diag = empirical_exposure_diagnostics(cell_table(net, tr, np.zeros(FULL_N)))
     iso = summarize(net).isolated_fraction
     ok = diag.r2_dbar < 0.01 and 0.02 <= diag.r2_dbar_star <= 0.10 and abs(iso - 0.10) <= 0.03
     _report(6, ok, f"r2(dbar) = {diag.r2_dbar:.4f}, r2(dbar_star) = "
@@ -260,9 +256,9 @@ def test_criterion_7_stratified_identification_without_noise():
     net = generate_watts_strogatz(3000, seed=31, **WS_CALIBRATED)
     tr = assign_bernoulli(3000, 0.5, seed=32)
     spec = dataclasses.replace(
-        expand(BuiltinDesign(1, -0.5), np.unique(net.degree)), noise_sd=0.0
+        reference_design(1, -0.5, np.unique(net.degree)), noise_sd=0.0
     )
-    y = simulate_outcomes(net, tr, spec, seed=33)
+    y = unit_outcomes(net, tr, spec, seed=33)
     result = stratified_regression(cell_table(net, tr, y))
     worst = 0.0
     for g, fit in result.fits.items():
@@ -283,8 +279,8 @@ def test_criterion_8_equivalence_without_isolation():
     net = generate_erdos_renyi(300, 8.0, seed=17)
     assert not (net.degree == 0).any(), "seed chosen to avoid isolated nodes"
     tr = assign_bernoulli(300, 0.5, seed=18)
-    spec = expand(BuiltinDesign(1, -0.5), np.unique(net.degree))
-    y = simulate_outcomes(net, tr, spec, seed=19)
+    spec = reference_design(1, -0.5, np.unique(net.degree))
+    y = unit_outcomes(net, tr, spec, seed=19)
     a = fit_specification("dbar_reg", cell_table(net, tr, y))
     b = fit_specification("dbar_star_reg", cell_table(net, tr, y))
     identical = (

@@ -17,15 +17,15 @@ from hypothesis import strategies as st
 import spillnet
 import spillnet.cli
 from audit_dataset import write_audit_dataset
+from helpers import edge_pairs, reference_design, unit_outcomes
 from spillnet.cli import main
-from spillnet.dgp import BuiltinDesign, expand
+from spillnet.dgp import BuiltinDesign
 from spillnet.errors import ParameterError, TooFewUnitsError
 from spillnet.exposure import assign_bernoulli
-from spillnet.graph import generate_watts_strogatz, write_edge_csv
+from spillnet.graph import generate_watts_strogatz
 from spillnet.montecarlo import (
-    SimConfig, WattsStrogatzGraph, config_from_dict, config_to_dict, run,
+    SimConfig, WattsStrogatzGraph, config_from_dict, config_to_dict, run_study,
 )
-from spillnet.dgp import simulate_outcomes
 
 
 def _read_csv(path):
@@ -69,7 +69,7 @@ def test_simulate_manifest_round_trips_config(tmp_path):
     assert config.n == 60 and config.reps == 3 and config.base_seed == 9
     assert config.design == BuiltinDesign(2, -0.5)
     # rerunning from the manifest reproduces the CSV numbers exactly
-    report = run(config)
+    report = run_study([config])[0]
     row = next(
         r for r in _read_csv(out) if r["spec"] == "t_reg" and r["coef"] == "spillover"
     )
@@ -426,10 +426,12 @@ def test_non_finite_c_is_a_usage_error(tmp_path, capsys, argv):
 def _write_synthetic_dataset(tmp_path, design_id, c, n=2000, seed=50):
     net = generate_watts_strogatz(n, 8, 0.25, 0.75, seed=seed)
     tr = assign_bernoulli(n, 0.5, seed=seed + 1)
-    spec = expand(BuiltinDesign(design_id, c), np.unique(net.degree))
-    y = simulate_outcomes(net, tr, spec, seed=seed + 2)
+    spec = reference_design(design_id, c, np.unique(net.degree))
+    y = unit_outcomes(net, tr, spec, seed=seed + 2)
     edges = tmp_path / "edges.csv"
-    write_edge_csv(net, edges)
+    with edges.open("w") as fh:
+        fh.write("src,dst\n")
+        fh.writelines(f"{a},{b}\n" for a, b in edge_pairs(net))
     data = tmp_path / "units.csv"
     with data.open("w") as fh:
         fh.write("id,treatment,outcome\n")
@@ -634,14 +636,22 @@ def test_audit_does_not_import_numpy_ma(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_audit_writes_report_file(tmp_path):
+def test_audit_writes_report_file(tmp_path, capsys):
     edges, data = _write_synthetic_dataset(tmp_path, design_id=3, c=0.0, n=400, seed=9)
+    data.write_text(data.read_text().replace("id,treatment,outcome", "pid,z,y", 1))
     report_path = tmp_path / "report.txt"
     assert main([
-        "audit", "--edges", str(edges), "--data", str(data),
-        "--out", str(report_path),
+        "audit", "--edges", str(edges), "--data", str(data), "--id-col", "pid",
+        "--treatment-col", "z", "--outcome-col", "y", "--out", str(report_path),
     ]) == 0
     assert "degree summary" in report_path.read_text()
+    assert capsys.readouterr().out.endswith(f"wrote {report_path}\n")
+    manifest = json.loads((tmp_path / "report.txt.manifest.json").read_text())
+    assert manifest["command"] == "audit"
+    assert manifest["version"] == spillnet.__version__
+    assert manifest["outputs"] == [str(report_path)]
+    assert manifest["config"] == {"edges": str(edges), "data": str(data), "id_col": "pid",
+                                  "treatment_col": "z", "outcome_col": "y"}
 
 
 def test_audit_marks_only_degenerate_fits_unavailable(tmp_path, capsys, monkeypatch):
@@ -746,4 +756,22 @@ def test_package_and_project_versions_agree():
 
 def test_package_exports_names_not_submodules():
     assert [name for name in spillnet.__all__ if inspect.ismodule(getattr(spillnet, name))] == []
-    assert {"run", "ols", "read_table", "imputation_bias"} <= set(spillnet.__all__)
+    assert {"run_study", "ols", "read_table", "imputation_bias"} <= set(spillnet.__all__)
+
+
+def test_public_names_are_exactly_the_pinned_list():
+    # a name joins or leaves the public surface only with this list
+    assert sorted(spillnet.__all__) == [
+        "AggregateReport", "BuiltinDesign", "CellTable", "CoefficientSummary",
+        "ConfigurationError", "DegreeSummary", "DesignSpec", "EffectGaps", "EmptySubsampleError",
+        "ErdosRenyiGraph", "ExposureDiagnostics", "ExposureProfile", "IngestionError", "Network",
+        "OracleReport", "ParameterError", "RegressionFit", "SimConfig", "SingularModelError",
+        "SpillnetError", "StratifiedResult", "TooFewUnitsError", "TreatmentVector",
+        "WS_CALIBRATED", "WattsStrogatzGraph", "assign_bernoulli", "cell_table",
+        "compute_exposure", "cov_dbar_star_degree_closed_form", "dbar_star_moments",
+        "dbar_weights", "derive_seed", "design_stack", "empirical_exposure_diagnostics",
+        "enumeration_population_ols", "fit_specification", "from_edge_list",
+        "generate_erdos_renyi", "generate_watts_strogatz", "imputation_bias", "load_design_csv",
+        "ols", "oracle_columns", "oracle_report", "read_table", "run_study",
+        "stratified_regression", "summarize", "t_weights", "write_results_csv",
+    ]

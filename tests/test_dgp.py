@@ -3,13 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from helpers import reference_design, unit_outcomes
 from spillnet.dgp import (
     BuiltinDesign,
     DesignSpec,
     effect_gaps,
-    expand,
     load_design_csv,
-    simulate_outcomes,
 )
 from spillnet.errors import ConfigurationError, IngestionError, ParameterError
 from spillnet.exposure import TreatmentVector, assign_bernoulli
@@ -22,7 +21,7 @@ from spillnet.graph import (
 
 
 def test_expand_design1_values():
-    spec = expand(BuiltinDesign(1, c=0.0), degrees=[0, 3])
+    spec = reference_design(1, 0.0, [0, 3])
     assert spec.baseline[3] == pytest.approx(4.0)
     assert spec.direct_effect[3] == pytest.approx(1.0)
     assert spec.spillover_effect[3] == 0.0
@@ -30,17 +29,28 @@ def test_expand_design1_values():
 
 
 def test_expand_design3_negative_spillover():
-    spec = expand(BuiltinDesign(3, c=-0.5), degrees=[1])
+    spec = reference_design(3, -0.5, [1])
     assert spec.baseline[1] == pytest.approx(1.0)
     assert spec.direct_effect[1] == pytest.approx(1.0)
     assert spec.spillover_effect[1] == pytest.approx(-0.25)
 
 
 def test_expand_design2_indicator_at_zero():
-    spec = expand(BuiltinDesign(2, c=-0.5), degrees=[0, 2])
+    spec = reference_design(2, -0.5, [0, 2])
     assert spec.baseline[0] == pytest.approx(1.0)
     assert spec.baseline[2] == pytest.approx(2.0)
     assert spec.spillover_effect[0] == pytest.approx(-0.5)
+
+
+def test_builtin_tables_equal_the_design_tabulated_degree_by_degree():
+    # reference_design, the dict tabulation the tests use, is the built-in design exactly
+    for degrees in ([0], [1], [0, 3], [2, 0, 7, 7], list(range(40))):
+        at = np.array(sorted(set(degrees)))
+        for design_id in (1, 2, 3):
+            for c in (0.0, -0.5, 0.7, -3.25):
+                spec = reference_design(design_id, c, degrees)
+                assert np.array_equal(spec.tables(at), BuiltinDesign(design_id, c).tables(at))
+                assert spec.noise_sd == BuiltinDesign.noise_sd
 
 
 def test_unknown_design_id_rejected():
@@ -70,9 +80,9 @@ def test_noise_free_design3_outcomes_exact():
     net = generate_watts_strogatz(50, 4, 0.2, 0.5, seed=8)
     tr = assign_bernoulli(50, 0.5, seed=9)
     spec = dataclasses.replace(
-        expand(BuiltinDesign(3, 0.0), np.unique(net.degree)), noise_sd=0.0
+        reference_design(3, 0.0, np.unique(net.degree)), noise_sd=0.0
     )
-    y = simulate_outcomes(net, tr, spec, seed=1)
+    y = unit_outcomes(net, tr, spec, seed=1)
     assert np.array_equal(y, 1.0 + tr.d)
 
 
@@ -80,9 +90,9 @@ def test_noise_free_path_graph_hand_value():
     net = from_edge_list([(0, 1), (1, 2)], n=3)
     tr = TreatmentVector(d=np.array([1, 0, 1]), p=0.5)
     spec = dataclasses.replace(
-        expand(BuiltinDesign(1, -0.5), [0, 1, 2]), noise_sd=0.0
+        reference_design(1, -0.5, [0, 1, 2]), noise_sd=0.0
     )
-    y = simulate_outcomes(net, tr, spec, seed=0)
+    y = unit_outcomes(net, tr, spec, seed=0)
     # middle node: baseline 3, untreated, two treated neighbors at -0.5/3 each
     assert y[1] == pytest.approx(8 / 3)
     assert y[0] == pytest.approx(1 + 1 + 1 + (-0.5 / 2) * 0)
@@ -92,23 +102,23 @@ def test_noise_free_path_graph_hand_value():
 def test_noise_averages_to_deterministic_part():
     net = generate_watts_strogatz(40, 2, 0.0, 0.0, seed=0)
     tr = assign_bernoulli(40, 0.5, seed=1)
-    spec = expand(BuiltinDesign(1, -0.5), np.unique(net.degree))
-    exact = simulate_outcomes(net, tr, dataclasses.replace(spec, noise_sd=0.0), seed=0)
+    spec = reference_design(1, -0.5, np.unique(net.degree))
+    exact = unit_outcomes(net, tr, dataclasses.replace(spec, noise_sd=0.0), seed=0)
     reps = 600
     acc = np.zeros(40)
     for seed in range(reps):
-        acc += simulate_outcomes(net, tr, spec, seed=seed)
+        acc += unit_outcomes(net, tr, spec, seed=seed)
     assert np.all(np.abs(acc / reps - exact) <= 4 * spec.noise_sd / np.sqrt(reps))
 
 
 def test_outcomes_depend_only_on_exposure_statistics():
     # swapping which neighbors are treated leaves the deterministic part alone
     net = from_edge_list([(0, 1), (0, 2), (0, 3), (0, 4)], n=5)
-    spec = dataclasses.replace(expand(BuiltinDesign(1, -0.5), [0, 4, 1]), noise_sd=0.0)
+    spec = dataclasses.replace(reference_design(1, -0.5, [0, 4, 1]), noise_sd=0.0)
     d1 = TreatmentVector(d=np.array([0, 1, 1, 0, 0]), p=0.5)
     d2 = TreatmentVector(d=np.array([0, 0, 0, 1, 1]), p=0.5)
-    y1 = simulate_outcomes(net, d1, spec, seed=3)
-    y2 = simulate_outcomes(net, d2, spec, seed=3)
+    y1 = unit_outcomes(net, d1, spec, seed=3)
+    y2 = unit_outcomes(net, d2, spec, seed=3)
     assert y1[0] == y2[0]
 
 
@@ -119,7 +129,7 @@ def test_seeded_functions_reject_negative_seeds():
         lambda: generate_watts_strogatz(20, 4, 0.2, 0.1, seed=-1),
         lambda: generate_erdos_renyi(20, 2.0, seed=-1),
         lambda: assign_bernoulli(20, 0.5, seed=-1),
-        lambda: simulate_outcomes(net, tr, BuiltinDesign(1, 0.0), seed=-1),
+        lambda: unit_outcomes(net, tr, BuiltinDesign(1, 0.0), seed=-1),
     ):
         with pytest.raises(ParameterError, match=r"seed must be a nonnegative integer \(got -1\)"):
             call()
@@ -128,19 +138,19 @@ def test_seeded_functions_reject_negative_seeds():
 def test_simulation_is_deterministic_given_seed():
     net = generate_watts_strogatz(30, 2, 0.1, 0.2, seed=5)
     tr = assign_bernoulli(30, 0.5, seed=6)
-    spec = expand(BuiltinDesign(2, -0.5), np.unique(net.degree))
+    spec = reference_design(2, -0.5, np.unique(net.degree))
     assert np.array_equal(
-        simulate_outcomes(net, tr, spec, seed=42),
-        simulate_outcomes(net, tr, spec, seed=42),
+        unit_outcomes(net, tr, spec, seed=42),
+        unit_outcomes(net, tr, spec, seed=42),
     )
 
 
 def test_design_must_cover_observed_degrees():
     net = from_edge_list([(0, 1), (0, 2)], n=3)  # degrees 2, 1, 1
-    spec = expand(BuiltinDesign(1, 0.0), degrees=[0, 1])
+    spec = reference_design(1, 0.0, [0, 1])
     tr = TreatmentVector(d=np.array([1, 0, 0]), p=0.5)
     with pytest.raises(ConfigurationError):
-        simulate_outcomes(net, tr, spec, seed=0)
+        unit_outcomes(net, tr, spec, seed=0)
 
 
 def test_outcome_matrix_rejects_an_uncovered_degree():
@@ -149,21 +159,21 @@ def test_outcome_matrix_rejects_an_uncovered_degree():
                       spillover_effect={0: 0.0, 1: 0.5}, noise_sd=0.0)
     tr = TreatmentVector(d=np.array([1, 0, 1, 0]), p=0.5)
     with pytest.raises(ConfigurationError, match=r"degrees \[2\]"):
-        simulate_outcomes(net, tr, spec, seed=0)
+        unit_outcomes(net, tr, spec, seed=0)
 
 
 def test_effect_gaps_match_design_formulas():
     summary = DegreeSummary.from_degrees([0, 0, 1, 2, 2, 5])
     mean_pos = (1 + 2 + 2 + 5) / 4
     for design_id, expected in ((1, mean_pos), (2, 1.0), (3, 0.0)):
-        spec = expand(BuiltinDesign(design_id, -0.5), summary.histogram.keys())
+        spec = reference_design(design_id, -0.5, summary.histogram.keys())
         gaps = effect_gaps(summary, *spec.tables(summary.degrees)[:2])
         assert gaps.baseline == pytest.approx(expected)
         assert gaps.direct == pytest.approx(0.0)
 
 
 def test_effect_gaps_undefined_without_both_strata():
-    spec = expand(BuiltinDesign(1, 0.0), [0, 1, 2])
+    spec = reference_design(1, 0.0, [0, 1, 2])
     no_isolated = DegreeSummary.from_degrees([1, 2, 2])
     assert effect_gaps(no_isolated, *spec.tables(no_isolated.degrees)[:2]).baseline is None
     all_isolated = DegreeSummary.from_degrees([0, 0])
@@ -211,9 +221,9 @@ def test_stratified_identification_with_zero_noise():
     net = generate_watts_strogatz(600, 4, 0.3, 0.4, seed=21)
     tr = assign_bernoulli(600, 0.5, seed=22)
     spec = dataclasses.replace(
-        expand(BuiltinDesign(1, -0.5), np.unique(net.degree)), noise_sd=0.0
+        reference_design(1, -0.5, np.unique(net.degree)), noise_sd=0.0
     )
-    y = simulate_outcomes(net, tr, spec, seed=23)
+    y = unit_outcomes(net, tr, spec, seed=23)
     result = stratified_regression(cell_table(net, tr, y))
     assert result.fits, "expected at least one fitted stratum"
     for g, fit in result.fits.items():

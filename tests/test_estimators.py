@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    normal_equation_ols, reference_least_squares, reference_outcome_matrix, reference_stratified,
+    normal_equation_ols, reference_design, reference_least_squares, reference_outcome_matrix,
+    reference_stratified, unit_outcomes,
 )
-from spillnet.dgp import (
-    BuiltinDesign, DesignSpec, design_stack, expand, outcome_cells, simulate_outcomes,
-)
+from spillnet.dgp import BuiltinDesign, DesignSpec, design_stack, outcome_cells
 from spillnet.errors import (
     DEGENERATE_FIT_ERRORS, EmptySubsampleError, ParameterError, SingularModelError,
 )
@@ -136,7 +135,7 @@ def test_t_regression_exact_when_correctly_specified():
         spillover_effect={g: -0.4 for g in degs},
         noise_sd=0.0,
     )
-    y = simulate_outcomes(net, tr, spec, seed=16)
+    y = unit_outcomes(net, tr, spec, seed=16)
     fit = fit_specification("t_reg", cell_table(net, tr, y))
     assert fit.coef(TREATED) == pytest.approx(1.25, abs=1e-9)
     assert fit.coef(TREATED_NEIGHBORS) == pytest.approx(-0.4, abs=1e-9)
@@ -180,7 +179,7 @@ def test_degree_one_subsample_recovers_spillover_exactly():
         spillover_effect={1: -0.37},
         noise_sd=0.0,
     )
-    y = simulate_outcomes(net, tr, spec, seed=20)
+    y = unit_outcomes(net, tr, spec, seed=20)
     fit = fit_specification("dbar_reg", cell_table(net, tr, y))
     assert fit.coef(DBAR) == pytest.approx(-0.37, abs=1e-9)
 
@@ -231,9 +230,9 @@ def test_stratified_exact_recovery_matches_builtin_design():
     net = generate_watts_strogatz(800, 4, 0.25, 0.4, seed=41)
     tr = assign_bernoulli(800, 0.5, seed=42)
     spec = dataclasses.replace(
-        expand(BuiltinDesign(2, -0.5), np.unique(net.degree)), noise_sd=0.0
+        reference_design(2, -0.5, np.unique(net.degree)), noise_sd=0.0
     )
-    y = simulate_outcomes(net, tr, spec, seed=43)
+    y = unit_outcomes(net, tr, spec, seed=43)
     result = stratified_regression(cell_table(net, tr, y))
     for g, fit in result.fits.items():
         if g > 0:

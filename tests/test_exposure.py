@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import exact_dbar_star_moments
+from helpers import exact_dbar_star_moments, reference_exposure_diagnostics
 from spillnet.errors import ParameterError
+from spillnet.estimators import cell_table, empirical_exposure_diagnostics
 from spillnet.exposure import (
     TreatmentVector,
     assign_bernoulli,
     compute_exposure,
     cov_dbar_star_degree_closed_form,
-    empirical_exposure_diagnostics,
     write_scatter_csv,
 )
 from spillnet.graph import (
@@ -139,10 +139,14 @@ def test_closed_form_cov_equals_enumeration_on_small_graphs(p):
         assert closed == pytest.approx(cov, abs=1e-12)
 
 
+def _diagnostics(net, tr):
+    return empirical_exposure_diagnostics(cell_table(net, tr, np.zeros(net.n)))
+
+
 def test_diagnostics_constant_degree_gives_exact_zero_cov():
     net = from_edge_list([(0, 1), (2, 3)], n=4)  # all positive degrees equal 1
     tr = TreatmentVector(d=np.array([1, 0, 0, 1]), p=0.5)
-    diag = empirical_exposure_diagnostics(compute_exposure(net, tr))
+    diag = _diagnostics(net, tr)
     assert diag.cov_dbar_degree_on_positive == 0.0
     assert diag.r2_dbar is None
 
@@ -153,7 +157,7 @@ def test_diagnostics_hand_dataset():
     tr = TreatmentVector(d=np.array([0, 0, 1]), p=0.5)
     prof = compute_exposure(net, tr)
     assert prof.dbar_star.tolist() == [0.0, 1.0, 0.0]
-    diag = empirical_exposure_diagnostics(prof)
+    diag = _diagnostics(net, tr)
     gamma = np.array([0.0, 1.0, 1.0])
     star = np.array([0.0, 1.0, 0.0])
     expected = np.mean(gamma * star) - gamma.mean() * star.mean()
@@ -164,7 +168,7 @@ def test_diagnostics_hand_dataset():
 def test_diagnostics_empty_positive_subsample():
     net = from_edge_list([], n=3)
     tr = TreatmentVector(d=np.array([1, 0, 1]), p=0.5)
-    diag = empirical_exposure_diagnostics(compute_exposure(net, tr))
+    diag = _diagnostics(net, tr)
     assert diag.cov_dbar_degree_on_positive is None
     assert diag.r2_dbar is None
     assert diag.r2_dbar_star is None  # dbar_star identically zero
@@ -174,9 +178,42 @@ def test_diagnostics_empty_positive_subsample():
 def test_diagnostics_reference_setting_r2_pattern():
     net = generate_watts_strogatz(1000, seed=7, **WS_CALIBRATED)
     tr = assign_bernoulli(1000, 0.5, seed=3)
-    diag = empirical_exposure_diagnostics(compute_exposure(net, tr))
+    diag = _diagnostics(net, tr)
     assert diag.r2_dbar < 0.01
     assert 0.02 <= diag.r2_dbar_star <= 0.10
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_watts_strogatz(1000, seed=7, **WS_CALIBRATED),
+    lambda: generate_watts_strogatz(300, 4, 0.3, 0.5, seed=2),
+    lambda: generate_erdos_renyi(2000, 2.0, seed=5),
+    lambda: generate_erdos_renyi(200, 8.0, seed=17),  # no isolated node
+    lambda: from_edge_list([(0, 1), (2, 3), (1, 2)], n=9),
+    lambda: from_edge_list([], n=5),
+])
+def test_diagnostics_equal_the_unit_level_moments(make):
+    net = make()
+    for seed in range(5):
+        tr = assign_bernoulli(net.n, 0.3 + 0.1 * seed, seed=seed)
+        got = _diagnostics(net, tr)
+        want = reference_exposure_diagnostics(compute_exposure(net, tr))
+        for name, value in vars(want).items():
+            if value is None:
+                assert getattr(got, name) is None, name
+            else:
+                assert getattr(got, name) == pytest.approx(value, rel=1e-12, abs=0.0), name
+
+
+def test_diagnostics_ignore_the_order_of_the_units():
+    net = generate_watts_strogatz(400, seed=11, **WS_CALIBRATED)
+    tr = assign_bernoulli(400, 0.5, seed=12)
+    diag = _diagnostics(net, tr)
+    for seed in range(60):
+        label = np.random.default_rng(seed).permutation(net.n)  # unit i becomes unit label[i]
+        relabelled = from_edge_list(np.column_stack([label[net.u], label[net.v]]), n=net.n)
+        d = np.empty_like(tr.d)
+        d[label] = tr.d
+        assert _diagnostics(relabelled, TreatmentVector(d=d, p=tr.p)) == diag, seed
 
 
 def test_scatter_csv_format(tmp_path):

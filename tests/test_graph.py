@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    neighbor_lists, reference_read_table, reference_watts_strogatz, round_watts_strogatz,
+    check_invariants, edge_pairs, neighbor_lists, reference_read_table, reference_watts_strogatz,
+    round_watts_strogatz,
 )
 from spillnet.errors import IngestionError, ParameterError
 from spillnet.graph import (
@@ -18,11 +19,8 @@ from spillnet.graph import (
     from_edge_list,
     generate_erdos_renyi,
     generate_watts_strogatz,
-    read_edge_csv,
     read_table,
     summarize,
-    to_edge_list,
-    write_edge_csv,
 )
 
 
@@ -132,7 +130,7 @@ def test_ws_rewiring_keeps_every_edge(n, k):
     for beta in (0.9, 1.0):
         for seed in range(300):
             net = generate_watts_strogatz(n, k, beta, delete_prob=0.0, seed=seed)
-            net.check_invariants()
+            check_invariants(net)
             assert net.u.size == n * k // 2, (beta, seed)
 
 
@@ -216,7 +214,7 @@ def test_er_rejects_bad_parameters():
 
 def test_from_edge_list_deduplicates_and_symmetrizes():
     net = from_edge_list([(0, 1), (1, 0), (0, 1)], n=3)
-    assert to_edge_list(net) == [(0, 1)]
+    assert edge_pairs(net) == [(0, 1)]
     assert net.degree.tolist() == [1, 1, 0]
 
 
@@ -239,25 +237,7 @@ def test_from_edge_list_rejects_self_loops_and_bad_indices():
 
 def test_edge_list_round_trip():
     net = generate_watts_strogatz(150, 6, 0.4, 0.5, seed=5)
-    assert from_edge_list(to_edge_list(net), n=net.n) == net
-
-
-def test_edge_csv_round_trip(tmp_path):
-    net = generate_erdos_renyi(60, 2.5, seed=11)
-    path = tmp_path / "edges.csv"
-    write_edge_csv(net, path)
-    assert read_edge_csv(path, n=net.n) == net
-
-
-def test_edge_csv_rejects_wrong_header(tmp_path):
-    path = tmp_path / "edges.csv"
-    path.write_text("a,b\n0,1\n")
-    with pytest.raises(IngestionError):
-        read_edge_csv(path, n=3)
-    # a bad cell is reported at its file line, blank lines included
-    path.write_text("src,dst\n0,1\n\n1,x\n2,-1\n")
-    with pytest.raises(IngestionError, match=r"edges.csv:4: column 'dst': .*; bad lines \[4, 5\]"):
-        read_edge_csv(path, n=3)
+    assert from_edge_list(edge_pairs(net), n=net.n) == net
 
 
 def test_read_table_returns_the_row_of_each_unique_value(tmp_path):
@@ -350,34 +330,21 @@ def test_read_table_equals_a_per_row_reader(tmp_path_factory, text, columns):
     assert outcome(read_table) == outcome(reference_read_table)
 
 
-def test_edge_csv_reports_an_index_beyond_int64_as_out_of_range(tmp_path):
-    path = tmp_path / "edges.csv"
-    path.write_text("src,dst\n0,1\n\n9223372036854775808,1\n")
+def test_from_edge_list_reports_an_index_beyond_int64_as_out_of_range():
     with pytest.raises(IngestionError) as info:
-        read_edge_csv(path, n=3)
-    assert str(info.value) == f"{path}:4: index (9223372036854775808, 1) out of range for n=3"
+        from_edge_list([(0, 1), (9223372036854775808, 1)], n=3)
+    assert str(info.value) == "edge row 1: index (9223372036854775808, 1) out of range for n=3"
 
 
 def test_from_edge_list_takes_an_index_array():
     rows = [(0, 1), (2, 1), (1, 0)]
     net = from_edge_list(np.array(rows), n=4)
     assert net == from_edge_list(rows, n=4)
-    assert to_edge_list(net) == [(0, 1), (1, 2)]
+    assert edge_pairs(net) == [(0, 1), (1, 2)]
     with pytest.raises(IngestionError, match=r"^edge row 2: self-link \(3, 3\) not allowed$"):
         from_edge_list(np.array([(0, 1), (1, 2), (3, 3)]), n=4)
     with pytest.raises(IngestionError, match=r"^edge row 1: index \(1, 4\) out of range for n=4$"):
         from_edge_list(np.array([(0, 1), (1, 4)]), n=4)
-
-
-def test_edge_csv_names_the_line_of_a_bad_node_index(tmp_path):
-    path = tmp_path / "edges.csv"
-    for text, message in (
-        ("src,dst\n0,1\n\n0,5\n", r"edges.csv:4: index \(0, 5\) out of range for n=3"),
-        ("src,dst\n\n0,1\n\n\n2,2\n", r"edges.csv:6: self-link \(2, 2\) not allowed"),
-    ):
-        path.write_text(text)
-        with pytest.raises(IngestionError, match=message):
-            read_edge_csv(path, n=3)
 
 
 @settings(max_examples=50, deadline=None)
@@ -404,7 +371,7 @@ def test_distinct_and_network_keys_equal_np_unique(n, seed, m):
     ],
 )
 def test_generated_networks_satisfy_invariants(make):
-    make().check_invariants()
+    check_invariants(make())
 
 
 @settings(max_examples=50, deadline=None)
@@ -424,8 +391,8 @@ def test_arbitrary_edge_lists_satisfy_invariants(n, data):
     )
     pairs = [(i, j) for i, j in pairs if i != j]
     net = from_edge_list(pairs, n=n)
-    net.check_invariants()
-    assert from_edge_list(to_edge_list(net), n=n) == net
+    check_invariants(net)
+    assert from_edge_list(edge_pairs(net), n=n) == net
 
 
 @settings(max_examples=100, deadline=None)
@@ -439,7 +406,7 @@ def test_arbitrary_edge_lists_satisfy_invariants(n, data):
 def test_ws_graphs_satisfy_invariants(n, data, beta, delete_prob, seed):
     k = 2 * data.draw(st.integers(min_value=0, max_value=(n - 1) // 2))
     net = generate_watts_strogatz(n, k, beta, delete_prob, seed)
-    net.check_invariants()
+    check_invariants(net)
     if delete_prob == 0.0:
         assert net.u.size == n * k // 2
 
@@ -452,7 +419,7 @@ def test_ws_graphs_satisfy_invariants(n, data, beta, delete_prob, seed):
 )
 def test_er_graphs_satisfy_invariants(n, mean_degree, seed):
     net = generate_erdos_renyi(n, min(mean_degree, n - 1), seed)
-    net.check_invariants()
+    check_invariants(net)
 
 
 @pytest.mark.parametrize(
@@ -469,7 +436,7 @@ def test_er_graphs_satisfy_invariants(n, mean_degree, seed):
 def test_check_invariants_rejects_malformed_edges(n, pairs):
     net = Network(n, *np.array(pairs, dtype=np.int64).T)
     with pytest.raises(AssertionError):
-        net.check_invariants()
+        check_invariants(net)
 
 
 def test_network_arrays_are_read_only():

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spillnet import dgp, estimators, montecarlo
-from spillnet.dgp import BuiltinDesign, expand
+from spillnet import estimators, montecarlo
+from helpers import reference_design
+from spillnet.dgp import BuiltinDesign
 from spillnet.errors import EmptySubsampleError, ParameterError, TooFewUnitsError
 from spillnet.exposure import compute_exposure
 from spillnet.montecarlo import (
@@ -16,7 +17,6 @@ from spillnet.montecarlo import (
     SimConfig,
     WattsStrogatzGraph,
     derive_seed,
-    run,
     run_study,
     write_results_csv,
 )
@@ -45,11 +45,11 @@ def test_derive_seed_stream_and_rep_separation():
 
 
 def test_run_is_deterministic():
-    assert run(SMALL) == run(SMALL)
+    assert run_study([SMALL])[0] == run_study([SMALL])[0]
 
 
 def test_run_has_all_cells_and_sane_aggregates():
-    report = run(SMALL)
+    report = run_study([SMALL])[0]
     assert tuple((c.spec_name, c.coef) for c in report.cells) == CELLS
     for cell in report.cells:
         assert 0.0 <= cell.coverage <= 1.0
@@ -60,17 +60,17 @@ def test_run_has_all_cells_and_sane_aggregates():
 
 
 def test_parallel_execution_matches_serial():
-    serial = run(SMALL)
-    parallel = run(SMALL, workers=2)
+    serial = run_study([SMALL])[0]
+    parallel = run_study([SMALL], workers=2)[0]
     assert serial == parallel
     fixed = dataclasses.replace(
         SMALL, graph=ErdosRenyiGraph(mean_degree=3.0), regenerate_graph_each_rep=False
     )
-    assert run(fixed) == run(fixed, workers=2)
+    assert run_study([fixed])[0] == run_study([fixed], workers=2)[0]
 
 
 def test_single_rep_marks_mc_se_undefined():
-    report = run(dataclasses.replace(SMALL, reps=1))
+    report = run_study([dataclasses.replace(SMALL, reps=1)])[0]
     cell = report.cell("t_reg", "spillover")
     assert cell.mc_se is None
     assert cell.ci95_of_mean is None
@@ -82,9 +82,8 @@ def test_fixed_graph_reuses_the_same_network():
     single = dataclasses.replace(SMALL, reps=1, regenerate_graph_each_rep=False)
     # with one shared graph the per-rep oracle is constant, so its average
     # equals the single-rep value exactly
-    assert run(fixed).cell("dbar_reg", "spillover").oracle_value == run(single).cell(
-        "dbar_reg", "spillover"
-    ).oracle_value
+    assert (run_study([fixed])[0].cell("dbar_reg", "spillover").oracle_value
+            == run_study([single])[0].cell("dbar_reg", "spillover").oracle_value)
 
 
 class CountingGraph:
@@ -101,7 +100,7 @@ class CountingGraph:
 def test_fixed_graph_is_generated_once_per_run():
     for regenerate, expected in ((False, 1), (True, SMALL.reps)):
         model = CountingGraph()
-        run(dataclasses.replace(SMALL, graph=model, regenerate_graph_each_rep=regenerate))
+        run_study([dataclasses.replace(SMALL, graph=model, regenerate_graph_each_rep=regenerate)])
         assert model.calls == expected, regenerate
 
 
@@ -120,9 +119,8 @@ def test_exposure_is_computed_once_per_rep(monkeypatch):
         calls.append(1)
         return compute_exposure(net, tr)
 
-    for module in (dgp, estimators):
-        monkeypatch.setattr(module, "compute_exposure", counting)
-    run(SMALL)
+    monkeypatch.setattr(estimators, "compute_exposure", counting)
+    run_study([SMALL])
     assert len(calls) == SMALL.reps
     calls.clear()
     run_study(study_settings(SMALL))
@@ -173,7 +171,7 @@ def test_study_equals_separate_runs(n, reps, seed, designs, cs, graph, regenerat
                      regenerate_graph_each_rep=regenerate)
     configs = study_settings(base, designs, cs)
     study = outcome(lambda: run_study(configs))
-    separate = outcome(lambda: [run(config) for config in configs])
+    separate = outcome(lambda: [run_study([config])[0] for config in configs])
     if study is EmptySubsampleError or separate is EmptySubsampleError:
         assert study is separate
         return
@@ -183,7 +181,8 @@ def test_study_equals_separate_runs(n, reps, seed, designs, cs, graph, regenerat
 
 def test_study_matches_separate_runs_on_the_paper_settings():
     configs = study_settings(SimConfig(n=300, reps=20, base_seed=17))
-    for a, b in zip(run_study(configs), [run(config) for config in configs], strict=True):
+    separate = [run_study([config])[0] for config in configs]
+    for a, b in zip(run_study(configs), separate, strict=True):
         assert_reports_close(a, b)
 
 
@@ -210,7 +209,7 @@ def test_study_rejects_fewer_than_one_worker(workers):
     with pytest.raises(ParameterError, match=f"workers must be at least 1 \\(got {workers}\\)"):
         run_study(study_settings(SMALL), workers=workers)
     with pytest.raises(ParameterError, match="workers"):
-        run(SMALL, workers=workers)
+        run_study([SMALL], workers=workers)
 
 
 def test_only_degenerate_draws_are_excluded(monkeypatch):
@@ -228,16 +227,16 @@ def test_only_degenerate_draws_are_excluded(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "least_squares", failing_once(TooFewUnitsError("too few")))
     with pytest.warns(UserWarning, match="excluded"):
-        assert run(SMALL).exclusions == ((0, "too few"),)
+        assert run_study([SMALL])[0].exclusions == ((0, "too few"),)
     # any other ParameterError is a bug to report, not a rep to drop
     monkeypatch.setattr(montecarlo, "least_squares", failing_once(ParameterError("bug")))
     with pytest.raises(ParameterError, match="bug"):
-        run(SMALL)
+        run_study([SMALL])
 
 
 def test_estimates_match_oracle_within_three_mc_ses():
     config = SimConfig(n=400, reps=150, p=0.5, design=BuiltinDesign(3, -0.5), base_seed=11)
-    report = run(config)
+    report = run_study([config])[0]
     for spec_name in ("t_reg", "dbar_reg"):
         for coef in ("direct", "spillover"):
             cell = report.cell(spec_name, coef)
@@ -254,7 +253,7 @@ def test_excluded_reps_are_logged_with_warning():
         graph=ErdosRenyiGraph(mean_degree=0.2), base_seed=5,
     )
     with pytest.warns(UserWarning, match="excluded"):
-        report = run(config)
+        report = run_study([config])[0]
     assert report.n_excluded > 0
     assert report.reps_completed + report.n_excluded == report.reps_requested
     for rep_index, reason in report.exclusions:
@@ -268,29 +267,29 @@ def test_all_reps_failing_raises():
         graph=ErdosRenyiGraph(mean_degree=1e-9), base_seed=5,
     )
     with pytest.raises(EmptySubsampleError):
-        run(config)
+        run_study([config])
 
 
 def test_config_validation():
     with pytest.raises(ParameterError):
-        run(dataclasses.replace(SMALL, reps=0))
+        run_study([dataclasses.replace(SMALL, reps=0)])
     with pytest.raises(ParameterError):
-        run(dataclasses.replace(SMALL, n=5))
+        run_study([dataclasses.replace(SMALL, n=5)])
     with pytest.raises(ParameterError):
-        run(dataclasses.replace(SMALL, p=1.0))
+        run_study([dataclasses.replace(SMALL, p=1.0)])
 
 
 def test_custom_design_spec_runs():
     spec = dataclasses.replace(
-        expand(BuiltinDesign(3, -0.5), range(0, 40)), noise_sd=0.5
+        reference_design(3, -0.5, range(0, 40)), noise_sd=0.5
     )
     config = SimConfig(n=60, reps=5, p=0.5, design=spec, base_seed=9)
-    report = run(config)
+    report = run_study([config])[0]
     assert report.reps_completed == 5
 
 
 def test_results_csv_layout(tmp_path):
-    report = run(SMALL)
+    report = run_study([SMALL])[0]
     path = tmp_path / "results.csv"
     write_results_csv([("1", "-0.5", report)], path)
     lines = path.read_text().strip().splitlines()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import spillnet.oracle as oracle_module
 from helpers import exact_dbar_star_moments, reference_design, reference_oracle_report
-from spillnet.dgp import BuiltinDesign, DesignSpec, design_stack, expand
+from spillnet.dgp import BuiltinDesign, DesignSpec, design_stack
 from spillnet.errors import EmptySubsampleError, ParameterError, SingularModelError
 from spillnet.graph import (
     DegreeSummary,
@@ -164,7 +164,7 @@ def test_dbar_star_moments_match_enumeration(p):
 def test_oracle_report_assembles_consistent_totals():
     net = generate_erdos_renyi(9, 1.5, seed=8)
     summary = summarize(net)
-    spec = expand(BuiltinDesign(1, -0.5), summary.histogram.keys())
+    spec = reference_design(1, -0.5, summary.histogram.keys())
     report = oracle_report(spec, summary, 0.5)
     assert report.dbar_star_total == pytest.approx(
         report.dbar_star_bias + report.dbar_star_weighted
@@ -175,7 +175,7 @@ def test_oracle_report_assembles_consistent_totals():
 
 def test_oracle_report_takes_the_gaps_and_checks_coverage_once(monkeypatch):
     summary = summarize(generate_erdos_renyi(300, 2.0, seed=4))
-    spec = expand(BuiltinDesign(2, -0.5), summary.histogram.keys())
+    spec = reference_design(2, -0.5, summary.histogram.keys())
     calls = {"gaps": 0, "coverage": 0}
     take_gaps, check_coverage = oracle_module.effect_gaps, DesignSpec.tables
 
@@ -204,13 +204,13 @@ def test_reference_setting_oracle_matches_reported_values():
         for s in range(8)
     ])
     summary = DegreeSummary.from_degrees(degrees)
-    spec = expand(BuiltinDesign(1, -0.5), summary.histogram.keys())
+    spec = reference_design(1, -0.5, summary.histogram.keys())
     report = oracle_report(spec, summary, 0.5)
     assert report.t_spillover == pytest.approx(-0.146, abs=0.01)
     assert report.dbar_spillover == pytest.approx(-0.298, abs=0.02)
     assert report.dbar_star_weighted == pytest.approx(-0.303, abs=0.02)
     assert report.dbar_star_bias == pytest.approx(0.704, abs=0.06)
-    spec2 = expand(BuiltinDesign(2, 0.0), summary.histogram.keys())
+    spec2 = reference_design(2, 0.0, summary.histogram.keys())
     report2 = oracle_report(spec2, summary, 0.5)
     assert report2.dbar_star_bias == pytest.approx(0.314, abs=0.04)
 
@@ -251,7 +251,7 @@ def test_theorem_formulas_agree_with_enumeration_on_random_graphs():
         net = generate_erdos_renyi(n, float(rng.uniform(0.8, 3.0)), seed=int(rng.integers(10**6)))
         for design_id in (1, 2, 3):
             for c in (0.0, -0.5):
-                spec = expand(BuiltinDesign(design_id, c), np.unique(net.degree))
+                spec = reference_design(design_id, c, np.unique(net.degree))
                 total += _enumeration_agrees(net, spec, 0.5)
     assert total >= 60
 
@@ -272,12 +272,12 @@ def test_zero_design_zeroes_every_spillover_coefficient():
 
 def test_enumeration_rejects_large_graphs_and_degenerate_inputs():
     big = generate_erdos_renyi(13, 2.0, seed=0)
-    spec = expand(BuiltinDesign(3, 0.0), np.unique(big.degree))
+    spec = reference_design(3, 0.0, np.unique(big.degree))
     with pytest.raises(ParameterError):
         enumeration_population_ols(big, spec, 0.5, "t_reg")
 
     empty = from_edge_list([], n=5)
-    spec0 = expand(BuiltinDesign(3, 0.0), [0])
+    spec0 = reference_design(3, 0.0, [0])
     with pytest.raises(SingularModelError):
         enumeration_population_ols(empty, spec0, 0.5, "dbar_star_reg")
     with pytest.raises(EmptySubsampleError):
