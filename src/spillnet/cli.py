@@ -43,6 +43,7 @@ from .estimators import (
     StratifiedResult,
     cell_table,
     empirical_exposure_diagnostics,
+    exposure_cells,
     fit_specification,
     stratified_regression,
 )
@@ -211,7 +212,7 @@ class _Inputs:
 
 
 def _write_manifest(command: str, out_path: Path, outputs: list[str],
-                    config_payload: Any, started: float) -> None:
+                    config_payload: Any, started: float, **extra: Any) -> None:
     manifest = {
         "command": command,
         "version": __version__,
@@ -219,6 +220,7 @@ def _write_manifest(command: str, out_path: Path, outputs: list[str],
         "duration_seconds": time.monotonic() - started,
         "outputs": outputs,
         "config": config_payload,
+        **extra,
     }
     manifest_path = Path(str(out_path) + ".manifest.json")
     with manifest_path.open("w") as fh:
@@ -253,7 +255,10 @@ def cmd_simulate(args) -> int:
 
     out = Path(args.out)
     write_results_csv(entries, out)
-    _write_manifest("simulate", out, [str(out)], [config_to_dict(c) for c in configs], started)
+    # the settings of one study share their reps, exclusions and clock
+    _write_manifest("simulate", out, [str(out)], [config_to_dict(c) for c in configs], started,
+                    stage_seconds=reports[0].timings,
+                    exclusion_counts=reports[0].exclusion_counts)
     print(f"wrote {out}")
     return 0
 
@@ -271,7 +276,8 @@ def cmd_scatter(args) -> int:
     net = graph.generate(n, seed)
     tr = assign_bernoulli(n, p, seed + 1)
     profile = compute_exposure(net, tr)
-    diag = empirical_exposure_diagnostics(cell_table(net, tr, np.zeros(n)))
+    diag = empirical_exposure_diagnostics(
+        exposure_cells(profile.degree, profile.treated_neighbors, tr.d, np.zeros(n)))
 
     out = Path(args.out)
     write_scatter_csv(profile, out)

@@ -3,14 +3,16 @@
 Every regressor of the three specifications is a function of a unit's own
 treatment d, its treated-neighbour count t and its degree g, so OLS on the
 units is weighted least squares on the occupied (g, t, d) cells:
-``cell_table(net, tr, y)`` groups the units into those cells with each
-cell's unit count, mean outcome and within-cell sum of squares, and every
-fit takes that table as its one input and solves that small system,
-whatever the number of units. ``least_squares`` is the one solver: one thin
-SVD of the weighted rows gives the rank check, the coefficients and the iid
-standard errors of every outcome column, with 95% intervals built as
-coefficient +/- 1.96 * se. ``SPECS`` describes the three specifications
-and ``cell_design`` builds the columns of any of them.
+``exposure_cells`` groups the units of one rep, or of a block of reps, into
+those cells with each cell's unit count, mean outcome and within-cell sum of
+squares (``cell_table(net, tr, y)`` is its one-rep call), and every fit
+takes that table as its one input and solves that small system, whatever
+the number of units. ``fit_cells`` fits a specification on every rep of a
+table, one stacked SVD per cell count; ``least_squares`` is the same solver
+for one problem: one thin SVD of the weighted rows gives the rank check,
+the coefficients and the iid standard errors of every outcome column, with
+95% intervals built as coefficient +/- 1.96 * se. ``SPECS`` describes the
+three specifications and ``cell_design`` builds the columns of any of them.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import EmptySubsampleError, ParameterError, SingularModelError, TooFewUnitsError
 from .exposure import TreatmentVector, compute_exposure
-from .graph import Network
+from .graph import Network, distinct
 
 # Coefficient (column) names shared across specifications.
 CONST = "const"
@@ -61,15 +63,16 @@ CELL_COLUMNS = {CONST: 0, TREATED: 1, TREATED_NEIGHBORS: 2, DEGREE: 3, DBAR: 4, 
 
 @dataclass(frozen=True)
 class CellTable:
-    """Units grouped by (degree, treated-neighbour count, own treatment).
+    """Units grouped by (rep, degree, treated-neighbour count, own treatment).
 
     Cell c holds ``count[c]`` units of degree ``degree[c]``; row c of
     ``regressors`` holds their regressors (1, d, t, g, t/g), laid out by
     ``CELL_COLUMNS``. ``mean[c]`` is their mean outcome and ``within[c]``
     the sum of squared deviations from it, one column per outcome
-    (cells x D). Only occupied cells appear, sorted by (degree, treated
-    neighbours, treatment). Raises ParameterError when a mean or sum of
-    squares is not finite.
+    (cells x D). Only occupied cells appear, sorted by (rep, degree, treated
+    neighbours, treatment); rep b's cells are rows ``bounds[b]`` to
+    ``bounds[b + 1]``, and a one-rep table has ``bounds`` [0, cells]. Raises
+    ParameterError when a mean or sum of squares is not finite.
     """
 
     degree: np.ndarray
@@ -77,6 +80,7 @@ class CellTable:
     count: np.ndarray
     mean: np.ndarray
     within: np.ndarray
+    bounds: np.ndarray
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.mean).all() and np.isfinite(self.within).all()):
@@ -93,41 +97,76 @@ class CellTable:
         return self.regressors[:, CELL_COLUMNS[TREATED_NEIGHBORS]]
 
 
+def exposure_cells(degree: np.ndarray, treated_neighbors: np.ndarray, d: np.ndarray,
+                   y: np.ndarray) -> CellTable:
+    """The exposure cells of one rep, or of a block of reps, and the outcome ``y`` in them.
+
+    The four arrays give each unit's degree, treated-neighbour count,
+    treatment and outcome: 1-D for one rep, or (reps, n) with one row per
+    rep. One ``bincount`` over a dense key counts the cells: in each rep,
+    each degree present gets a block of 2 (degree + 1) keys, one per
+    (treated neighbours, treatment), and rep b's keys follow rep b - 1's, so
+    the key range is at most 2 (n + 2 |E|) summed over the reps. Each cell's
+    sums run over its units in order, so a rep's cells do not depend on the
+    other reps of its block. Raises ParameterError when the arrays
+    differ in shape or hold no unit, or a treatment is not 0 or 1.
+    """
+    degree, treated_neighbors, d = (np.atleast_2d(a) for a in (degree, treated_neighbors, d))
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    if not degree.shape == treated_neighbors.shape == d.shape == y.shape or y.size == 0:
+        raise ParameterError("network, treatment and outcome must cover the same units")
+    if not ((d == 0) | (d == 1)).all():
+        raise ParameterError("treatment must be 0 or 1")
+    reps = degree.shape[0]
+    width = int(degree.max()) + 1
+    # slot (b, g) = b * width + g; its block of keys starts at start[slot], and
+    # a degree absent from rep b has an empty block
+    slot = degree + (np.arange(reps) * width)[:, None]
+    present = np.bincount(slot.ravel(), minlength=reps * width) > 0
+    block = np.where(present, 2 * (np.arange(reps * width) % width + 1), 0)
+    end = np.cumsum(block)
+    start = end - block
+    # key = start + 2 t + d, in place since a block's unit arrays are large; np.take
+    # may write over its own indices, as with mode="clip" it is unbuffered and reads
+    # each index before it writes that entry
+    key = np.take(start, slot, out=slot, mode="clip")
+    key += treated_neighbors
+    key += treated_neighbors
+    key += d.astype(np.int64, copy=False)
+    key = key.ravel()
+    count = np.bincount(key, minlength=end[-1])
+    occupied = np.flatnonzero(count)
+    slots = np.searchsorted(end, occupied, side="right")
+    rep, cell_degree = np.divmod(slots, width)
+    local = occupied - start[slots]
+    t = local >> 1
+    regressors = np.column_stack([np.ones(occupied.size), local & 1, t, cell_degree,
+                                  t / np.maximum(cell_degree, 1)])
+    rank = np.zeros(end[-1], dtype=np.int64)  # each key's index among the occupied cells
+    rank[occupied] = np.arange(occupied.size)
+    cell = np.take(rank, key, out=key, mode="clip")
+    count = count[occupied]
+    y = y.ravel()
+    mean = np.bincount(cell, weights=y, minlength=count.size) / count
+    deviation = mean[cell]
+    np.subtract(y, deviation, out=deviation)
+    deviation *= deviation
+    within = np.bincount(cell, weights=deviation, minlength=count.size)
+    return CellTable(cell_degree, regressors, count, mean[:, None], within[:, None],
+                     np.searchsorted(rep, np.arange(reps + 1)))
+
+
 def cell_table(net: Network, tr: TreatmentVector, y: np.ndarray) -> CellTable:
     """The exposure cells of (net, tr) and the outcome ``y`` in them (one column).
 
-    One ``bincount`` over a dense key counts the cells: each degree present
-    gets a block of 2 (degree + 1) keys, one per (treated neighbours,
-    treatment), so the key range is at most 2 (n + 2 |E|).
+    Counts the treated neighbours (``compute_exposure``), then calls
+    ``exposure_cells`` for this one rep.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (net.n,) or tr.n != net.n or net.n == 0:
         raise ParameterError("network, treatment and outcome must cover the same units")
-    if not ((tr.d == 0) | (tr.d == 1)).all():
-        raise ParameterError("treatment must be 0 or 1")
     profile = compute_exposure(net, tr)
-    # degree g's block starts at start[g]; an absent degree's block is empty
-    present = np.bincount(profile.degree) > 0
-    block = np.where(present, 2 * np.arange(1, present.size + 1), 0)
-    end = np.cumsum(block)
-    start = end - block
-    d = tr.d.astype(np.int64, copy=False)
-    key = start[profile.degree] + 2 * profile.treated_neighbors + d
-    count = np.bincount(key, minlength=end[-1])
-    occupied = np.flatnonzero(count)
-    degree = np.searchsorted(end, occupied, side="right")
-    local = occupied - start[degree]
-    t = local >> 1
-    regressors = np.column_stack([np.ones(occupied.size), local & 1, t, degree,
-                                  t / np.maximum(degree, 1)])
-    rank = np.zeros(end[-1], dtype=np.int64)  # each key's index among the occupied cells
-    rank[occupied] = np.arange(occupied.size)
-    cell = rank[key]
-    count = count[occupied]
-    mean = np.bincount(cell, weights=y, minlength=count.size) / count
-    deviation = y - mean[cell]
-    within = np.bincount(cell, weights=deviation * deviation, minlength=count.size)
-    return CellTable(degree, regressors, count, mean[:, None], within[:, None])
+    return exposure_cells(profile.degree, profile.treated_neighbors, tr.d, y)
 
 
 @dataclass(frozen=True)
@@ -193,6 +232,44 @@ def _collinear_columns(x: np.ndarray, names: tuple[str, ...]) -> tuple[str, ...]
     return tuple(flagged)
 
 
+def _rank_error(x: np.ndarray, weights: np.ndarray, names: tuple[str, ...]) -> SingularModelError:
+    """The error of a rank-deficient problem, naming the columns the others reproduce."""
+    cols = _collinear_columns(np.sqrt(weights)[:, None] * x, names)
+    return SingularModelError(
+        f"design matrix is rank deficient; collinear columns: {', '.join(cols) or 'unknown'}",
+        columns=cols,
+    )
+
+
+def _solve(x: np.ndarray, ys: np.ndarray, weights: np.ndarray, within: np.ndarray):
+    """``least_squares`` of a stack of problems of one shape, and which are rank deficient.
+
+    ``x`` is (..., c, k), ``ys`` and ``within`` (..., c, D) and ``weights``
+    (..., c). Returns the coefficients and standard errors (..., k, D), the
+    residual sums of squares (..., D) and a rank-deficiency flag (...); the
+    numbers of a deficient problem mean nothing. Each problem's numbers are
+    those it has when solved alone.
+    """
+    c, k = x.shape[-2:]
+    n = np.asarray(weights.sum(axis=-1))
+    if (n <= k).any():
+        raise ParameterError(f"need more rows ({int(n.min())}) than columns ({k})")
+    root = np.sqrt(weights)[..., None]
+    rows = root * x
+    # rows = U diag(s) Vt gives the rank check, beta = V diag(1/s) U'(root ys)
+    # and diag((x'Wx)^-1) = sum_j (V_ij / s_j)^2
+    u_mat, s, vt = np.linalg.svd(rows, full_matrices=False)
+    singular = (c < k) | (s[..., -1] <= RANK_RTOL * s[..., 0])
+    targets = root * ys
+    with np.errstate(divide="ignore", invalid="ignore"):  # only a deficient problem's s has a 0
+        beta = np.swapaxes(vt, -1, -2) @ (np.swapaxes(u_mat, -1, -2) @ targets / s[..., None])
+        residuals = targets - rows @ beta
+        rss = within.sum(axis=-2) + np.einsum("...ij,...ij->...j", residuals, residuals)
+        se = np.sqrt(np.sum((vt / s[..., None]) ** 2, axis=-2)[..., :, None]
+                     * (rss / (n - k)[..., None])[..., None, :])
+    return beta, se, rss, singular
+
+
 def least_squares(x: np.ndarray, ys: np.ndarray, names: tuple[str, ...], weights: np.ndarray,
                   within: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weighted least squares of every column of ``ys`` (c x D) on ``x`` (c x k).
@@ -208,26 +285,9 @@ def least_squares(x: np.ndarray, ys: np.ndarray, names: tuple[str, ...], weights
     are fewer rows than columns or the rows are rank deficient. The caller
     checks that the inputs are finite.
     """
-    c, k = x.shape
-    n = int(weights.sum())
-    if n <= k:
-        raise ParameterError(f"need more rows ({n}) than columns ({k})")
-    root = np.sqrt(weights)[:, None]
-    rows = root * x
-    # rows = U diag(s) Vt gives the rank check, beta = V diag(1/s) U'(root ys)
-    # and diag((x'Wx)^-1) = sum_j (V_ij / s_j)^2
-    u_mat, s, vt = np.linalg.svd(rows, full_matrices=False)
-    if c < k or s[-1] <= RANK_RTOL * s[0]:
-        cols = _collinear_columns(rows, names)
-        raise SingularModelError(
-            f"design matrix is rank deficient; collinear columns: {', '.join(cols) or 'unknown'}",
-            columns=cols,
-        )
-    targets = root * ys
-    beta = vt.T @ (u_mat.T @ targets / s[:, None])
-    residuals = targets - rows @ beta
-    rss = within.sum(axis=0) + np.einsum("ij,ij->j", residuals, residuals)
-    se = np.sqrt(np.outer(np.sum((vt / s[:, None]) ** 2, axis=0), rss / (n - k)))
+    beta, se, rss, singular = _solve(x, ys, weights, within)
+    if singular:
+        raise _rank_error(x, weights, names)
     return beta, se, rss
 
 
@@ -235,7 +295,15 @@ def _fit(spec_name: str, names: tuple[str, ...], x: np.ndarray, weights: np.ndar
          y: np.ndarray, within: np.ndarray) -> RegressionFit:
     """``least_squares`` of one outcome column (c x 1), as a RegressionFit."""
     beta, se, rss = least_squares(x, y, names, weights, within)
-    n, k = int(weights.sum()), x.shape[1]
+    return _fit_record(spec_name, names, beta, se, rss, weights, y, within)
+
+
+def _fit_record(spec_name: str, names: tuple[str, ...], beta: np.ndarray, se: np.ndarray,
+                rss: np.ndarray, weights: np.ndarray, y: np.ndarray,
+                within: np.ndarray) -> RegressionFit:
+    """The solved fit of one outcome column as a RegressionFit: ``beta`` and ``se`` (k x 1)
+    and ``rss`` (1,), with the rows' weights, mean outcomes (c x 1) and within sums."""
+    n, k = int(weights.sum()), beta.shape[0]
     rss = float(rss[0])
     y = y[:, 0]
     tss = float(within.sum() + weights @ (y - weights @ y / n) ** 2)
@@ -312,31 +380,84 @@ def _regressors(cells: CellTable, rows: slice, names: tuple[str, ...]) -> np.nda
     return cells.regressors[rows, [CELL_COLUMNS[name] for name in names]]
 
 
-def cell_design(spec_name: str, cells: CellTable) -> tuple[np.ndarray, slice]:
-    """The regressors of a specification on the cells it covers, and those cells.
+def _spec_rows(spec_name: str, cells: CellTable) -> tuple[np.ndarray, np.ndarray, list]:
+    """Each rep's cells that a specification covers, rows ``lo[b]`` to ``hi[b]``, and the
+    error that rep's fit meets before it is solved, or None.
 
-    Raises EmptySubsampleError when a connected-only fit has no units with
-    neighbors and TooFewUnitsError when it has fewer than ``min_units``.
+    The error is EmptySubsampleError when a connected-only fit has no units
+    with neighbors and TooFewUnitsError when it has fewer than ``min_units``.
     """
     spec = SPECS[spec_name]
-    # cells are sorted by degree, so the units with neighbors are a suffix
-    rows = slice(int(np.searchsorted(cells.degree, 1)) if spec.connected_only else 0, None)
-    count = cells.count[rows]
-    if count.size == 0:
-        raise EmptySubsampleError(
-            "no units with neighbors; treated fraction is undefined everywhere"
-        )
-    if count.sum() < spec.min_units:
-        subsample = " with neighbors" if spec.connected_only else ""
-        raise TooFewUnitsError(f"{spec_name} needs at least {spec.min_units} units{subsample}")
-    return _regressors(cells, rows, spec.columns), rows
+    lo, hi = cells.bounds[:-1], cells.bounds[1:]
+    if spec.connected_only:
+        # a rep's cells are sorted by degree, so its units with neighbors are a suffix
+        isolated = np.concatenate([[0], np.cumsum(cells.degree == 0)])
+        lo = lo + isolated[hi] - isolated[lo]
+    units = np.concatenate([[0], np.cumsum(cells.count)])
+    subsample = " with neighbors" if spec.connected_only else ""
+    errors = [
+        EmptySubsampleError("no units with neighbors; treated fraction is undefined everywhere")
+        if first == last else
+        TooFewUnitsError(f"{spec_name} needs at least {spec.min_units} units{subsample}")
+        if size < spec.min_units else None
+        for first, last, size in zip(lo.tolist(), hi.tolist(), (units[hi] - units[lo]).tolist())
+    ]
+    return lo, hi, errors
+
+
+def cell_design(spec_name: str, cells: CellTable) -> tuple[np.ndarray, slice]:
+    """The regressors of a specification on the cells of a one-rep table it covers, and
+    those cells; raises the error of ``_spec_rows``."""
+    (lo,), (hi,), (error,) = _spec_rows(spec_name, cells)
+    if error is not None:
+        raise error
+    rows = slice(int(lo), int(hi))
+    return _regressors(cells, rows, SPECS[spec_name].columns), rows
+
+
+def fit_cells(spec_name: str, cells: CellTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """Fit the specification ``SPECS[spec_name]`` on every rep of ``cells`` at once.
+
+    Returns the coefficients and iid standard errors, both (reps, k, D) in
+    the order of the specification's columns, the residual sums of squares
+    (reps, D), and each rep's degenerate-fit error, or None: the error of
+    ``_spec_rows``, else the SingularModelError of ``least_squares``. A rep
+    with an error has NaN results. The reps with the same number of cell rows
+    are solved in one stacked SVD. Padding a rep with zero-weight rows instead
+    would change the last bits of some fits, and so make a rep's fit depend on
+    the other reps of its table.
+    """
+    spec = SPECS[spec_name]
+    lo, hi, errors = _spec_rows(spec_name, cells)
+    columns = [CELL_COLUMNS[name] for name in spec.columns]
+    beta = np.full((lo.size, len(columns), cells.mean.shape[1]), np.nan)
+    se = beta.copy()
+    rss = np.full((lo.size, cells.mean.shape[1]), np.nan)
+    size = hi - lo
+    pending = np.array([error is None for error in errors])
+    for c in distinct(size[pending]).tolist():
+        group = np.flatnonzero(pending & (size == c))
+        rows = lo[group, None] + np.arange(c)
+        x = cells.regressors[rows[..., None], columns]
+        weights = cells.count[rows]
+        beta[group], se[group], rss[group], singular = _solve(
+            x, cells.mean[rows], weights, cells.within[rows])
+        for g in np.flatnonzero(singular).tolist():
+            errors[group[g]] = _rank_error(x[g], weights[g], spec.columns)
+    return beta, se, rss, errors
 
 
 def fit_specification(spec_name: str, cells: CellTable) -> RegressionFit:
-    """Fit the specification ``SPECS[spec_name]`` on the cell table ``cells``."""
-    x, rows = cell_design(spec_name, cells)
-    return _fit(spec_name, SPECS[spec_name].columns, x, cells.count[rows], cells.mean[rows],
-                cells.within[rows])
+    """Fit the specification ``SPECS[spec_name]`` on the one-rep cell table ``cells``.
+
+    The one-rep call of ``fit_cells``; raises the rep's error.
+    """
+    beta, se, rss, (error,) = fit_cells(spec_name, cells)
+    if error is not None:
+        raise error
+    _, rows = cell_design(spec_name, cells)
+    return _fit_record(spec_name, SPECS[spec_name].columns, beta[0], se[0], rss[0],
+                       cells.count[rows], cells.mean[rows], cells.within[rows])
 
 
 @dataclass(frozen=True)

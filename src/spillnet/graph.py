@@ -12,7 +12,7 @@ import csv
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, compress
 from pathlib import Path
 from types import MappingProxyType
@@ -174,6 +174,74 @@ class DegreeSummary:
         return DegreeSummary(pairs[:, 0].copy(), pairs[:, 1].copy())
 
 
+@dataclass(frozen=True, eq=False)
+class DegreeCounts:
+    """The empirical degree distributions of a block of networks, over the degrees of all.
+
+    ``degrees`` holds the distinct degrees present in any of the networks,
+    sorted; ``counts[b, j]`` is the number of nodes of network b with degree
+    ``degrees[j]``, 0 where it has none. It has the moments of
+    ``DegreeSummary``, each an array with one row per network, shape
+    (networks, 1), so that it broadcasts against one column per design;
+    a conditional moment is NaN for a network whose stratum is empty. A sum
+    over the degrees runs one term at a time in degree order, so a degree a
+    network lacks adds an exact 0: a network's moments do not depend on the
+    other networks of its block.
+    """
+
+    degrees: np.ndarray
+    counts: np.ndarray
+
+    @staticmethod
+    def of(degree: np.ndarray) -> "DegreeCounts":
+        """The degree counts of networks whose node degrees are the rows of ``degree``."""
+        networks, width = degree.shape[0], int(degree.max()) + 1
+        slot = np.arange(networks)[:, None] * width + degree
+        counts = np.bincount(slot.ravel(), minlength=networks * width).reshape(networks, width)
+        degrees = np.flatnonzero(counts.any(axis=0))
+        return DegreeCounts(degrees, counts[:, degrees])
+
+    @cached_property
+    def positive(self) -> slice:
+        """The entries of ``degrees`` and of each row of ``counts`` with degree > 0."""
+        return slice(int(self.degrees[0] == 0), None)
+
+    @cached_property
+    def n(self) -> np.ndarray:
+        return self.counts.sum(axis=1, keepdims=True)
+
+    @cached_property
+    def n_positive(self) -> np.ndarray:
+        return self.counts[:, self.positive].sum(axis=1, keepdims=True)
+
+    @cached_property
+    def positive_share(self) -> np.ndarray:
+        return 1.0 - (self.n - self.n_positive) / self.n
+
+    @cached_property
+    def mean_degree(self) -> np.ndarray:
+        return self.mean(self.degrees)
+
+    @cached_property
+    def mean_inverse_degree_positive(self) -> np.ndarray:
+        return self.mean(1.0 / self.degrees[self.positive], positive_only=True)
+
+    def mean(self, values: np.ndarray, positive_only: bool = False) -> np.ndarray:
+        """Each network's average of ``values``, aligned with ``degrees`` (or with
+        ``degrees[positive]`` under ``positive_only``) along the last axis.
+
+        ``values`` of shape (D, degrees) gives (networks, D); one row per
+        network, (networks, 1, degrees), gives (networks, 1).
+        """
+        weights, total = self.counts[:, None, :], self.n
+        if positive_only:
+            weights, total = weights[..., self.positive], self.n_positive
+        terms = values * weights
+        sums = np.cumsum(terms, axis=-1)[..., -1] if terms.shape[-1] else terms.sum(axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # an empty stratum's mean is NaN
+            return sums / total
+
+
 def seeded_rng(seed: int) -> np.random.Generator:
     """``np.random.default_rng(seed)`` (PCG64) for a nonnegative integer seed.
 
@@ -209,6 +277,18 @@ def _network_from_keys(n: int, keys: np.ndarray) -> Network:
     Every constructor in this module ends here.
     """
     return Network(n, *np.divmod(keys, n))
+
+
+@lru_cache(maxsize=1)
+def _ring_lattice(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The far end ``hi`` of each ring-lattice edge idx, which joins idx // (k/2) to
+    ``hi[idx]``, and the edge's packed key; read-only, and cached for the next graph."""
+    half = k // 2
+    lo = np.repeat(np.arange(n, dtype=np.int64), half)
+    hi = (lo + np.tile(np.arange(1, half + 1), n)) % n
+    keys = np.minimum(lo, hi) * n + np.maximum(lo, hi)
+    hi.flags.writeable = keys.flags.writeable = False
+    return hi, keys
 
 
 def generate_watts_strogatz(
@@ -255,8 +335,7 @@ def generate_watts_strogatz(
 
     half = k // 2
     m = n * half
-    lo = np.repeat(np.arange(n, dtype=np.int64), half)
-    hi = (lo + np.tile(np.arange(1, half + 1), n)) % n
+    hi, lattice_keys = _ring_lattice(n, k)
     rng = seeded_rng(seed)
     pending = rng.random(m) < beta  # lattice edges whose rewire is unresolved
     moved = np.zeros(m, dtype=bool)
@@ -294,13 +373,13 @@ def generate_watts_strogatz(
             pending[keeps] = False
         pending[done] = False
         moved[done] = True
-        created = np.sort(np.concatenate([created, sorted_keys[first]]))
+        created = np.sort(np.concatenate([created, sorted_keys[first]]), kind="stable")
         np.subtract.at(degree, hi[done], 1)
         np.add.at(degree, c[won], 1)
         todo = todo[pending[todo]]
 
-    lattice_keys = np.minimum(lo, hi) * n + np.maximum(lo, hi)
-    keys = np.sort(np.concatenate([lattice_keys[~moved], created[:-1]]))
+    # stable sorts (timsort) merge the sorted runs they are given in linear time
+    keys = np.sort(np.concatenate([lattice_keys[~moved], created[:-1]]), kind="stable")
     return _network_from_keys(n, keys[rng.random(keys.size) >= delete_prob])
 
 

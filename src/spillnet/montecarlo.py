@@ -3,7 +3,9 @@
 Every repetition draws its own seeds from a documented mixing function, so
 runs are bit-reproducible from (config) alone, reps are independent, and the
 aggregate is identical whether reps execute serially or in a process pool.
-``run_study`` runs settings that differ only in design from one draw per rep.
+``run_study`` runs settings that differ only in design from one draw per rep,
+and processes the reps in blocks: each rep draws alone, then one numpy pass
+builds the cells, fits and oracles of the whole block.
 """
 
 from __future__ import annotations
@@ -11,23 +13,34 @@ from __future__ import annotations
 import csv
 import hashlib
 import warnings
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
+from time import perf_counter
 from typing import Any, Sequence
 
 import numpy as np
 
 from .dgp import BuiltinDesign, Design, DesignSpec, design_stack, outcome_cells
-from .errors import DEGENERATE_FIT_ERRORS, EmptySubsampleError, ParameterError
-from .estimators import SPECS, TREATED, cell_design, cell_table, least_squares
-from .exposure import assign_bernoulli
+from .errors import EmptySubsampleError, ParameterError
+from .estimators import SPECS, TREATED, exposure_cells, fit_cells
+from .exposure import assign_bernoulli, compute_exposure
 from .graph import (
-    WS_CALIBRATED, DegreeSummary, Network, generate_erdos_renyi, generate_watts_strogatz, summarize,
+    WS_CALIBRATED, DegreeCounts, Network, generate_erdos_renyi, generate_watts_strogatz,
 )
-from .oracle import oracle_columns
+from .oracle import oracle_block
 
 CELLS = tuple((spec_name, coef) for spec_name in SPECS for coef in ("direct", "spillover"))
+
+# The stages a study times, in the order a block runs them: each key of
+# ``AggregateReport.timings``.
+STAGES = ("generate", "graph_state", "draws", "cells", *(f"fit.{name}" for name in SPECS),
+          "aggregate")
+
+# A block holds the largest number of reps whose units number at most this
+# (at least one rep), so its unit arrays stay this small beside its edges.
+_BLOCK_UNITS = 2**16
 
 RESULTS_COLUMNS = (
     "design", "c", "spec", "coef", "mean_estimate", "true_coef", "bias",
@@ -147,17 +160,28 @@ class CoefficientSummary:
 
 @dataclass(frozen=True)
 class AggregateReport:
-    """All cells of one run plus the exclusion log."""
+    """All cells of one run plus the exclusion log.
+
+    ``timings`` holds the run's ``perf_counter`` seconds per ``STAGES``
+    entry, summed over its blocks; it is the same for every setting of a
+    study and is left out of comparisons, so equal seeds give equal reports.
+    """
 
     cells: tuple[CoefficientSummary, ...]
     reps_requested: int
     reps_completed: int
     exclusions: tuple[tuple[int, str], ...]
     config: SimConfig
+    timings: dict[str, float] = field(default_factory=dict, compare=False)
 
     @property
     def n_excluded(self) -> int:
         return len(self.exclusions)
+
+    @property
+    def exclusion_counts(self) -> dict[str, int]:
+        """The number of excluded reps per reason, in the order the reasons first occur."""
+        return dict(Counter(reason for _, reason in self.exclusions))
 
     def cell(self, spec_name: str, coef: str) -> CoefficientSummary:
         for cell in self.cells:
@@ -167,73 +191,106 @@ class AggregateReport:
 
 
 @dataclass(frozen=True)
-class _GraphState:
-    """What a rep derives from its network alone: the degree summary, and the
-    settings' design stack and oracle columns at its degrees."""
+class _Graphs:
+    """What a block of reps derives from its networks alone: the networks, their node
+    degrees (one row per network), their degree counts, the settings' design stack
+    at the degrees present, and every oracle field (networks x settings)."""
 
-    net: Network
-    summary: DegreeSummary
+    nets: tuple[Network, ...]
+    degree: np.ndarray
+    counts: DegreeCounts
     stack: np.ndarray
-    oracle: dict[str, np.ndarray | None]
+    oracle: dict[str, np.ndarray]
 
 
-def _graph_state(configs: Sequence[SimConfig], net: Network) -> _GraphState:
-    summary = summarize(net)
-    stack = design_stack([config.design for config in configs], summary.degrees)
-    return _GraphState(net, summary, stack, oracle_columns(stack, summary, configs[0].p))
+def _graphs(configs: Sequence[SimConfig], nets: Sequence[Network]) -> _Graphs:
+    degree = np.stack([net.degree for net in nets])
+    counts = DegreeCounts.of(degree)
+    stack = design_stack([config.design for config in configs], counts.degrees)
+    return _Graphs(tuple(nets), degree, counts, stack, oracle_block(stack, counts, configs[0].p))
 
 
-def _simulate_rep(configs: Sequence[SimConfig], fixed: _GraphState | None, rep: int):
-    """One repetition of every setting, or the reason it is excluded.
+def _block_size(n: int) -> int:
+    """Reps per block: the most whose n-unit arrays hold at most ``_BLOCK_UNITS`` units, at
+    least one."""
+    return max(1, _BLOCK_UNITS // n)
 
-    Returns an array of shape (settings, len(CELLS), 4) holding each cell's
-    (estimate, se, oracle_value, oracle_total). ``fixed`` is the state of
-    the network shared by every rep, or None to draw one per rep.
+
+def _simulate_block(configs: Sequence[SimConfig], fixed: _Graphs | None, reps: range):
+    """Every setting of the reps ``reps``, and the reasons some are excluded.
+
+    Each rep draws its graph (unless ``fixed`` is the state of the network
+    every rep shares), its treatment and its noise from its own seeds. Then
+    one pass over the block evaluates the designs and oracles at the degrees
+    of its graphs, groups the noise into cells, derives every setting's cell
+    means and fits each specification. Returns an array of shape (settings,
+    len(CELLS), 4, completed reps) holding each cell's (estimate, se,
+    oracle_value, oracle_total), the (rep, reason) of each excluded rep, and
+    the seconds spent per stage.
     """
     first = configs[0]
-    if fixed is None:
-        net = first.graph.generate(first.n, derive_seed(first.base_seed, rep, "graph"))
-        state = _graph_state(configs, net)
-    else:
-        state = fixed
-    tr = assign_bernoulli(first.n, first.p, derive_seed(first.base_seed, rep, "treatment"))
-    noise_rng = np.random.default_rng(derive_seed(first.base_seed, rep, "noise"))
-    noise = cell_table(state.net, tr, noise_rng.standard_normal(first.n))
-    # every setting's cell means and sums of squares; raises if a mean is not finite
-    cells = outcome_cells(state.stack, [config.design.noise_sd for config in configs],
-                          state.summary, noise)
-    fits = []
-    try:
-        for name, spec in SPECS.items():
-            x, rows = cell_design(name, cells)
-            fits.append(least_squares(x, cells.mean[rows], spec.columns, cells.count[rows],
-                                      cells.within[rows]))
-    except DEGENERATE_FIT_ERRORS as exc:
-        # degenerate draw (rank deficiency or unusable subsample): exclude the rep
-        return str(exc)
+    seconds = {}
+    clock = perf_counter()
 
-    out = np.empty((len(configs), len(CELLS), 4))
+    def lap(stage: str) -> None:
+        nonlocal clock
+        seconds[stage], clock = perf_counter() - clock, perf_counter()
+
+    if fixed is None:
+        nets = [first.graph.generate(first.n, derive_seed(first.base_seed, rep, "graph"))
+                for rep in reps]
+        lap("generate")
+        graphs = _graphs(configs, nets)
+        lap("graph_state")
+    else:
+        graphs, nets = fixed, fixed.nets * len(reps)
+    # one row per rep, written in place, so that each rep's own arrays are freed
+    # before the next rep draws
+    d, t = np.empty((2, len(reps), first.n), dtype=np.int64)
+    noise = np.empty((len(reps), first.n))
+    for i, (rep, net) in enumerate(zip(reps, nets)):
+        tr = assign_bernoulli(first.n, first.p, derive_seed(first.base_seed, rep, "treatment"))
+        d[i] = tr.d
+        t[i] = compute_exposure(net, tr).treated_neighbors
+        noise_rng = np.random.default_rng(derive_seed(first.base_seed, rep, "noise"))
+        noise_rng.standard_normal(first.n, out=noise[i])
+    lap("draws")
+    degree = np.broadcast_to(graphs.degree, d.shape)
+    # every setting's cell means and sums of squares; raises if a mean is not finite
+    cells = outcome_cells(graphs.stack, [config.design.noise_sd for config in configs],
+                          graphs.counts, exposure_cells(degree, t, d, noise))
+    lap("cells")
+
+    out = np.empty((len(configs), len(CELLS), 4, len(reps)))
+    errors = []
     cell = 0  # CELLS lists each spec's direct cell, then its spillover cell
-    for spec, (beta, se, _) in zip(SPECS.values(), fits):
-        direct, value, total = (state.oracle[f] for f in spec.oracle_fields)
+    for name, spec in SPECS.items():
+        beta, se, _, spec_errors = fit_cells(name, cells)
+        errors.append(spec_errors)
+        direct, value, total = (graphs.oracle[f].T for f in spec.oracle_fields)
         for column, target, with_bias in ((TREATED, direct, direct), (spec.slope, value, total)):
             j = spec.columns.index(column)
-            out[:, cell, 0] = beta[j]
-            out[:, cell, 1] = se[j]
+            out[:, cell, 0] = beta[:, j].T
+            out[:, cell, 1] = se[:, j].T
             out[:, cell, 2] = target
             out[:, cell, 3] = with_bias
             cell += 1
-    return out
+        lap(f"fit.{name}")
+    # a degenerate draw (rank deficiency or unusable subsample) is excluded with
+    # the error of its first failing specification
+    reasons = [next((error for error in rep_errors if error is not None), None)
+               for rep_errors in zip(*errors)]
+    exclusions = [(rep, str(error)) for rep, error in zip(reps, reasons) if error is not None]
+    return out[..., [reason is None for reason in reasons]], exclusions, seconds
 
 
-def _aggregate(configs: Sequence[SimConfig], results: list) -> list[AggregateReport]:
-    """Summarize every setting's per-rep (settings, len(CELLS), 4) arrays and exclusion reasons."""
-    exclusions = tuple(
-        (rep, res) for rep, res in enumerate(results) if isinstance(res, str)
-    )
-    # (settings, cells, 4, reps): every reduction runs over the contiguous last
-    # axis, so each sum keeps the order it has over one cell's reps
-    per_cell = np.stack([res for res in results if not isinstance(res, str)], axis=-1)
+def _aggregate(configs: Sequence[SimConfig], per_cell: np.ndarray,
+               exclusions: tuple[tuple[int, str], ...],
+               timings: dict[str, float]) -> list[AggregateReport]:
+    """Summarize every setting's (settings, len(CELLS), 4, completed reps) array."""
+    # every reduction runs over the contiguous last axis, so each sum keeps the
+    # order it has over one cell's reps
+    per_cell = np.ascontiguousarray(per_cell)
     estimates, ses, oracle_values, oracle_totals = per_cell.transpose(2, 0, 1, 3)
     r = per_cell.shape[-1]
     mean = estimates.mean(axis=-1)
@@ -259,6 +316,7 @@ def _aggregate(configs: Sequence[SimConfig], results: list) -> list[AggregateRep
             reps_completed=r,
             exclusions=exclusions,
             config=config,
+            timings=timings,
         )
         for config, setting in zip(configs, stats)
     ]
@@ -268,16 +326,18 @@ def run_study(configs: Sequence[SimConfig], workers: int = 1) -> list[AggregateR
     """Execute settings that differ only in ``design`` (else ParameterError).
 
     Seeds ignore the design, so each rep draws its graph, treatment and noise
-    once for every setting, evaluates every setting's design once into one
-    stack, computes all their oracles in one pass, groups the noise into
-    exposure cells once, derives every setting's cell means from it
+    once for every setting. The reps run in blocks of ``_block_size(n)``: one
+    pass over a block evaluates every setting's design once into one stack at
+    the degrees its graphs have, computes all their oracles, groups the noise
+    into exposure cells, derives every setting's cell means from them
     (``outcome_cells``), and fits each specification once for all settings
-    on those cells. Reps whose fit meets a singularity, an empty subsample
-    or too few units are excluded and logged, with a warning above 1%. Without
-    ``regenerate_graph_each_rep`` one network, with its summary, stack and
-    oracle, is built per call and shared by every rep. ``workers > 1``
-    spreads reps over a process pool with the same result, aggregated in rep
-    order; fewer than one worker is a ParameterError.
+    and reps. A rep's numbers do not depend on the other reps of its block.
+    Reps whose fit meets a singularity, an empty subsample or too few units
+    are excluded and logged, with a warning above 1%. Without
+    ``regenerate_graph_each_rep`` one network, with its degree counts, stack
+    and oracle, is built per call and shared by every rep. ``workers > 1``
+    spreads the blocks over a process pool with the same result, aggregated
+    in rep order; fewer than one worker is a ParameterError.
     """
     if workers < 1:
         raise ParameterError(f"workers must be at least 1 (got {workers})")
@@ -293,27 +353,42 @@ def run_study(configs: Sequence[SimConfig], workers: int = 1) -> list[AggregateR
             raise ParameterError(
                 f"settings of one study may differ only in design, not in {differ}"
             )
+    timings = dict.fromkeys(STAGES, 0.0)
     fixed = None
     if not first.regenerate_graph_each_rep:
         # Network is immutable and the seeds ignore the design, so every rep
         # can share the graph rep 0 would draw and all that derives from it
+        start = perf_counter()
         net = first.graph.generate(first.n, derive_seed(first.base_seed, 0, "graph"))
-        fixed = _graph_state(configs, net)
-    rep_fn = partial(_simulate_rep, configs, fixed)
+        timings["generate"] = perf_counter() - start
+        fixed = _graphs(configs, [net])
+        timings["graph_state"] = perf_counter() - start - timings["generate"]
+    size = _block_size(first.n)
+    blocks = [range(start, min(start + size, first.reps)) for start in range(0, first.reps, size)]
+    block_fn = partial(_simulate_block, configs, fixed)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(rep_fn, range(first.reps), chunksize=64))
+            results = list(pool.map(block_fn, blocks))
     else:
-        results = [rep_fn(rep) for rep in range(first.reps)]
+        results = [block_fn(block) for block in blocks]
 
-    excluded = sum(isinstance(res, str) for res in results)
+    exclusions = tuple(exclusion for _, block_exclusions, _ in results
+                       for exclusion in block_exclusions)
+    for _, _, seconds in results:
+        for stage, value in seconds.items():
+            timings[stage] += value
+    excluded = len(exclusions)
     if excluded == first.reps:
         raise EmptySubsampleError("every repetition failed; nothing to aggregate")
     if excluded > 0.01 * first.reps:
         warnings.warn(f"{excluded} of {first.reps} repetitions were excluded", stacklevel=2)
-    return _aggregate(configs, results)
+    start = perf_counter()
+    reports = _aggregate(configs, np.concatenate([values for values, _, _ in results], axis=-1),
+                         exclusions, timings)
+    timings["aggregate"] = perf_counter() - start  # the reports share this dict
+    return reports
 
 
 def write_results_csv(

@@ -21,7 +21,7 @@ import numpy as np
 from .dgp import Design, effect_gaps
 from .errors import EmptySubsampleError, ParameterError, SingularModelError
 from .estimators import CONST, DBAR, DBAR_STAR, DEGREE, SPECS, TREATED, TREATED_NEIGHBORS
-from .graph import DegreeSummary, Network
+from .graph import DegreeCounts, DegreeSummary, Network
 
 ENUMERATION_MAX_NODES = 12
 
@@ -96,21 +96,23 @@ def dbar_weights(summary: DegreeSummary) -> np.ndarray:
 
 def imputation_bias(
     baseline_gap: float | np.ndarray | None, direct_gap: float | np.ndarray | None, p: float,
-    positive_share: float, mean_inverse_degree_positive: float | None,
+    positive_share: float | np.ndarray, mean_inverse_degree_positive: float | np.ndarray | None,
 ) -> float | np.ndarray | None:
     """Bias of the zero-imputed spillover slope from the isolated nodes.
 
     (baseline_gap + p * direct_gap) * (1 - s) / (p * (1 - s) + (1 - p) *
     E[1/degree | degree>0]), with s the positive-degree share and the gaps
-    taken between connected and isolated nodes; array gaps (one per design)
-    give an array. Exactly 0 when s = 1; None when the gaps are undefined.
+    taken between connected and isolated nodes; array arguments (one entry
+    per design or network) give an array. Exactly 0 when s = 1; None when
+    the gaps are undefined.
     """
-    if positive_share == 1.0:
+    s, inv_mean = positive_share, mean_inverse_degree_positive
+    if np.ndim(s) == 0 and s == 1.0:
         return 0.0
     if baseline_gap is None or direct_gap is None:
         return None
-    s, inv_mean = positive_share, mean_inverse_degree_positive
-    return (baseline_gap + p * direct_gap) * (1.0 - s) / (p * (1.0 - s) + (1.0 - p) * inv_mean)
+    bias = (baseline_gap + p * direct_gap) * (1.0 - s) / (p * (1.0 - s) + (1.0 - p) * inv_mean)
+    return np.where(s == 1.0, 0.0, bias) if np.ndim(s) else bias
 
 
 def dbar_star_moments(summary: DegreeSummary, p: float) -> tuple[float, float]:
@@ -128,42 +130,43 @@ def dbar_star_moments(summary: DegreeSummary, p: float) -> tuple[float, float]:
     return p * s, p * s * (p * (1.0 - s) + (1.0 - p) * inv_mean)
 
 
-def oracle_columns(
-    stack: np.ndarray, summary: DegreeSummary, p: float
-) -> dict[str, np.ndarray | None]:
-    """Every ``OracleReport`` field for D designs at once, keyed by field name.
+# Fields undefined for a network in which no node has a neighbor.
+_NEED_NEIGHBORS = frozenset({"t_spillover", "dbar_direct", "dbar_spillover", "dbar_star_bias",
+                             "dbar_star_weighted", "dbar_star_total"})
 
-    ``stack`` holds the designs' tables at ``summary.degrees``, shape
-    (3, D, len(degrees)) as ``dgp.design_stack`` builds it. Each field is an
-    array over the D designs; the weights, the effect gaps and the bias
-    broadcast over that axis. A field that is undefined for the summary (no
-    node with a neighbor, or an empty stratum) is undefined for every design
-    and is None. ``OracleReport`` gives the formula of each field.
+
+def oracle_block(stack: np.ndarray, counts: DegreeCounts, p: float) -> dict[str, np.ndarray]:
+    """Every ``OracleReport`` field for D designs and a block of B networks at once.
+
+    ``stack`` holds the designs' tables at ``counts.degrees``, shape
+    (3, D, len(degrees)) as ``dgp.design_stack`` builds it. Each field is a
+    (B, D) array; the weights, the effect gaps and the bias broadcast over
+    both axes. A field undefined for a network (no node with a neighbor, or
+    an empty stratum) is NaN in its row. ``OracleReport`` gives the formula
+    of each field. A network's row is what it gets alone, since every sum
+    over the degrees is a ``DegreeCounts.mean``.
     """
     _check_p(p)
     baseline, direct, spill = stack
-    gaps = effect_gaps(summary, baseline, direct)
-    s, inv_mean = summary.positive_share, summary.mean_inverse_degree_positive
-    t_direct = summary.mean(direct)
-
-    t_spill = dbar_direct = dbar_spill = star_bias = star_weighted = total = None
-    if s != 0.0:
-        t_spill = summary.mean(t_weights(summary) * spill)
-        pos = summary.positive
-        g = summary.degrees[pos]
-        dbar_direct = summary.mean(direct[:, pos], positive_only=True)
-        dbar_spill = summary.mean(dbar_weights(summary) * g * spill[:, pos], positive_only=True)
+    gaps = effect_gaps(counts, baseline, direct)
+    s, inv_mean = counts.positive_share, counts.mean_inverse_degree_positive
+    connected = s != 0.0
+    pos = counts.positive
+    g = counts.degrees[pos]
+    t_direct = counts.mean(direct)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a network without edges gives NaN
+        # the t_weights and dbar_weights of each network
+        t_spill = counts.mean(counts.degrees / counts.mean_degree[:, None] * spill)
+        dbar_direct = counts.mean(direct[:, pos], positive_only=True)
+        dbar_spill = counts.mean((1.0 / g) / inv_mean[:, None] * g * spill[:, pos],
+                                 positive_only=True)
         # E[dbar * (dbar - E[dbar_star]) | degree = g] for a Binomial(g, p)/g fraction
-        factor = p * p + p * (1.0 - p) / g - p * p * s
-        star_weighted = (
-            summary.mean(g * spill[:, pos] * factor, positive_only=True)
-            / summary.mean(factor, positive_only=True)
-        )
-        star_bias = imputation_bias(gaps.baseline, gaps.direct, p, s, inv_mean)
-        if star_bias is not None:
-            total = star_bias + star_weighted
-
-    mean_star, var_star = dbar_star_moments(summary, p)
+        factor = p * p + p * (1.0 - p) / g - p * p * s[:, None]
+        star_weighted = (counts.mean(g * spill[:, pos] * factor, positive_only=True)
+                         / counts.mean(factor, positive_only=True))
+        gap = (np.nan, np.nan) if gaps.baseline is None else (gaps.baseline, gaps.direct)
+        star_bias = imputation_bias(*gap, p, s, inv_mean)
+        var_star = p * s * (p * (1.0 - s) + (1.0 - p) * inv_mean)
     values = dict(
         t_direct=t_direct,
         t_spillover=t_spill,
@@ -172,20 +175,35 @@ def oracle_columns(
         dbar_star_direct=t_direct,
         dbar_star_bias=star_bias,
         dbar_star_weighted=star_weighted,
-        dbar_star_total=total,
+        dbar_star_total=star_bias + star_weighted,
         treated_prob=p,
         positive_share=s,
-        baseline_gap=gaps.baseline,
-        direct_gap=gaps.direct,
+        baseline_gap=gap[0],
+        direct_gap=gap[1],
         mean_inverse_degree_positive=inv_mean,
-        mean_dbar_star=mean_star,
-        var_dbar_star=var_star,
+        mean_dbar_star=p * s,
+        var_dbar_star=np.where(connected, var_star, 0.0),
     )
-    d = stack.shape[1]
+    shape = (counts.counts.shape[0], stack.shape[1])
     return {
-        name: v if v is None or isinstance(v, np.ndarray) else np.full(d, v)
+        name: np.broadcast_to(
+            np.where(connected, v, np.nan) if name in _NEED_NEIGHBORS else v, shape)
         for name, v in values.items()
     }
+
+
+def oracle_columns(
+    stack: np.ndarray, summary: DegreeSummary, p: float
+) -> dict[str, np.ndarray | None]:
+    """Every ``OracleReport`` field for D designs at once, keyed by field name.
+
+    The one-network call of ``oracle_block``: ``stack`` holds the designs'
+    tables at ``summary.degrees``, and each field is an array over the D
+    designs. A field that is undefined for the summary (no node with a
+    neighbor, or an empty stratum) is undefined for every design and is None.
+    """
+    block = oracle_block(stack, DegreeCounts(summary.degrees, summary.counts[None]), p)
+    return {name: None if np.isnan(v[0]).all() else v[0] for name, v in block.items()}
 
 
 def oracle_report(design: Design, summary: DegreeSummary, p: float) -> OracleReport:

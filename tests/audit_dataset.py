@@ -26,6 +26,12 @@ def _cell(name: str) -> str:
     return f'"{name}"' if "," in name else name
 
 
+def _padded(cell: str) -> str:
+    """The cell with a space on each side, but none before an opening quote, which
+    would make the quote part of the cell."""
+    return f"{cell} " if cell.startswith('"') else f" {cell} "
+
+
 def write_audit_dataset(units: int, seed: int, edges_path: Path, data_path: Path) -> None:
     rng = np.random.default_rng([seed, 0xA0D17])
     n = units
@@ -57,7 +63,7 @@ def write_audit_dataset(units: int, seed: int, edges_path: Path, data_path: Path
     src, dst = np.where(flip, dst, src), np.where(flip, src, dst)
     order = rng.permutation(src.size)
     padded = rng.random(src.size) < 0.1
-    edge_rows = [f" {cells[i]} ,{cells[j]}" if pad else f"{cells[i]},{cells[j]}"
+    edge_rows = [f"{_padded(cells[i])},{cells[j]}" if pad else f"{cells[i]},{cells[j]}"
                  for i, j, pad in zip(src[order].tolist(), dst[order].tolist(), padded.tolist())]
     edge_rows.insert(len(edge_rows) // 2, "")
     edge_rows.insert(len(edge_rows) // 3, "   ")

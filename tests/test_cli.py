@@ -24,7 +24,7 @@ from spillnet.errors import ParameterError, TooFewUnitsError
 from spillnet.exposure import assign_bernoulli
 from spillnet.graph import generate_watts_strogatz
 from spillnet.montecarlo import (
-    SimConfig, WattsStrogatzGraph, config_from_dict, config_to_dict, run_study,
+    STAGES, SimConfig, WattsStrogatzGraph, config_from_dict, config_to_dict, run_study,
 )
 
 
@@ -74,6 +74,24 @@ def test_simulate_manifest_round_trips_config(tmp_path):
         r for r in _read_csv(out) if r["spec"] == "t_reg" and r["coef"] == "spillover"
     )
     assert float(row["mean_estimate"]) == report.cell("t_reg", "spillover").mean_estimate
+
+
+def test_simulate_manifest_records_stage_seconds_and_exclusion_counts(tmp_path):
+    out = tmp_path / "sparse.csv"
+    with pytest.warns(UserWarning, match="excluded"):
+        assert main(["simulate", "--design", "3", "--c", "0", "--n", "12", "--reps", "50",
+                     "--graph", "er", "--er-mean-degree", "0.5", "--seed", "5",
+                     "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "sparse.csv.manifest.json").read_text())
+    assert list(manifest["stage_seconds"]) == list(STAGES)
+    assert all(seconds >= 0.0 for seconds in manifest["stage_seconds"].values())
+    config = config_from_dict(manifest["config"][0])
+    with pytest.warns(UserWarning, match="excluded"):
+        report = run_study([config])[0]
+    assert manifest["exclusion_counts"] == report.exclusion_counts
+    assert sum(manifest["exclusion_counts"].values()) == report.n_excluded > 0
+    n_excluded = {row["n_excluded"] for row in _read_csv(out)}
+    assert n_excluded == {str(report.n_excluded)}
 
 
 def _key_paths(mapping, prefix=""):
@@ -618,6 +636,16 @@ def test_oversized_cell_is_an_input_error_naming_its_line(tmp_path, command):
     assert code == 3
     line = text.count("\n") + 1
     assert f"{table}:{line}: malformed CSV: field larger than field limit" in err
+
+
+def test_audit_reads_every_seeded_audit_dataset(tmp_path, capsys):
+    # some seeds pad an edge row whose first cell is the quoted id with a comma
+    for seed in range(21):
+        edges, data = tmp_path / f"edges{seed}.csv", tmp_path / f"units{seed}.csv"
+        write_audit_dataset(300, seed, edges, data)
+        assert main(["audit", "--edges", str(edges), "--data", str(data)]) == 0, (
+            seed, capsys.readouterr().err)
+        assert "units: 300 " in capsys.readouterr().out
 
 
 def test_audit_does_not_import_numpy_ma(tmp_path):

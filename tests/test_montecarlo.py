@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 from spillnet import estimators, montecarlo
 from helpers import reference_design
 from spillnet.dgp import BuiltinDesign
-from spillnet.errors import EmptySubsampleError, ParameterError, TooFewUnitsError
-from spillnet.exposure import compute_exposure
+from spillnet.errors import (
+    EmptySubsampleError, ParameterError, SingularModelError, TooFewUnitsError,
+)
+from spillnet.estimators import cell_table, fit_specification
+from spillnet.exposure import TreatmentVector, compute_exposure
 from spillnet.montecarlo import (
     CELLS,
     ErdosRenyiGraph,
@@ -119,7 +122,9 @@ def test_exposure_is_computed_once_per_rep(monkeypatch):
         calls.append(1)
         return compute_exposure(net, tr)
 
+    # a study counts each rep's exposure itself; cell_table counts it for one rep
     monkeypatch.setattr(estimators, "compute_exposure", counting)
+    monkeypatch.setattr(montecarlo, "compute_exposure", counting)
     run_study([SMALL])
     assert len(calls) == SMALL.reps
     calls.clear()
@@ -213,25 +218,53 @@ def test_study_rejects_fewer_than_one_worker(workers):
 
 
 def test_only_degenerate_draws_are_excluded(monkeypatch):
-    real = montecarlo.least_squares
+    real = montecarlo.fit_cells
 
-    def failing_once(error):
+    def failing_rep_zero(error):
         calls = []
 
-        def fit(x, ys, names, weights, within):
+        def fit(name, cells):
             calls.append(1)
-            if len(calls) == 1:  # rep 0's first specification
-                raise error
-            return real(x, ys, names, weights, within)
+            beta, se, rss, errors = real(name, cells)
+            if len(calls) == 1:  # the first specification of rep 0's block
+                if not isinstance(error, TooFewUnitsError):
+                    raise error
+                errors[0] = error
+            return beta, se, rss, errors
         return fit
 
-    monkeypatch.setattr(montecarlo, "least_squares", failing_once(TooFewUnitsError("too few")))
+    monkeypatch.setattr(montecarlo, "fit_cells", failing_rep_zero(TooFewUnitsError("too few")))
     with pytest.warns(UserWarning, match="excluded"):
         assert run_study([SMALL])[0].exclusions == ((0, "too few"),)
     # any other ParameterError is a bug to report, not a rep to drop
-    monkeypatch.setattr(montecarlo, "least_squares", failing_once(ParameterError("bug")))
+    monkeypatch.setattr(montecarlo, "fit_cells", failing_rep_zero(ParameterError("bug")))
     with pytest.raises(ParameterError, match="bug"):
         run_study([SMALL])
+
+
+def test_a_rank_deficient_rep_is_excluded_with_the_message_of_its_fit(monkeypatch):
+    # rep 2 treats every unit, so its treatment column repeats the constant and
+    # its treated-neighbour count repeats the degree
+    config = dataclasses.replace(SMALL, reps=5)
+    real = montecarlo.assign_bernoulli
+    all_treated_seed = derive_seed(config.base_seed, 2, "treatment")
+
+    def assign(n, p, seed):
+        tr = real(n, p, seed)
+        return TreatmentVector(np.ones(n, dtype=np.int64), p) if seed == all_treated_seed else tr
+
+    monkeypatch.setattr(montecarlo, "assign_bernoulli", assign)
+    with pytest.warns(UserWarning, match="excluded"):
+        report = run_study([config])[0]
+    message = ("design matrix is rank deficient; collinear columns: "
+               "const, treated, treated_neighbors, degree")
+    assert report.exclusions == ((2, message),)
+    assert report.exclusion_counts == {message: 1}
+    assert report.reps_completed == 4
+    net = config.graph.generate(config.n, derive_seed(config.base_seed, 2, "graph"))
+    with pytest.raises(SingularModelError, match=message):
+        fit_specification("t_reg", cell_table(net, assign(config.n, config.p, all_treated_seed),
+                                              np.zeros(config.n)))
 
 
 def test_estimates_match_oracle_within_three_mc_ses():
@@ -318,3 +351,52 @@ def test_ws_graph_model_uses_calibrated_defaults():
     )
     net = model.generate(50, seed=1)
     assert net.n == 50
+
+
+BLOCK_STUDIES = {
+    "ws": SimConfig(n=200, reps=40, base_seed=8),
+    "fixed_er": SimConfig(n=400, reps=30, graph=ErdosRenyiGraph(2.0), base_seed=4,
+                          regenerate_graph_each_rep=False),
+    # the sparse golden study, whose reps are often excluded
+    "sparse": SimConfig(n=12, reps=50, graph=ErdosRenyiGraph(0.5), base_seed=5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_STUDIES))
+def test_reports_do_not_depend_on_the_block_size(name, monkeypatch):
+    configs = study_settings(BLOCK_STUDIES[name])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the sparse study warns about its exclusions
+        blocks = run_study(configs)
+        for units in (1, 7 * configs[0].n):  # one rep per block; blocks of 7 reps
+            monkeypatch.setattr(montecarlo, "_BLOCK_UNITS", units)
+            assert montecarlo._block_size(configs[0].n) == max(1, units // configs[0].n)
+            other = run_study(configs)
+            assert other == blocks  # bit for bit, exclusions included
+            assert [r.exclusions for r in other] == [r.exclusions for r in blocks]
+    if name == "sparse":
+        assert blocks[0].exclusions
+
+
+def test_parallel_blocks_match_serial(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_BLOCK_UNITS", 5 * SMALL.n)  # three blocks of at most 5 reps
+    configs = study_settings(SMALL)
+    assert run_study(configs, workers=2) == run_study(configs)
+
+
+@pytest.mark.parametrize("n", [10, 1000, 65_535, 2**16, 2**16 + 1, 10**6])
+def test_block_size_bounds_the_units_of_a_block(n):
+    size = montecarlo._block_size(n)
+    assert size >= 1
+    assert size * n <= 2**16 or size == 1  # one rep of more than 2**16 units is its own block
+    assert (size + 1) * n > 2**16  # the largest such block
+
+
+def test_timings_cover_every_stage_and_do_not_enter_comparisons():
+    configs = study_settings(SMALL)
+    a, b = run_study(configs), run_study(configs)
+    assert list(a[0].timings) == list(montecarlo.STAGES)
+    assert all(seconds >= 0.0 for seconds in a[0].timings.values())
+    assert a[0].timings["generate"] > 0.0 and a[0].timings["fit.t_reg"] > 0.0
+    assert all(report.timings is a[0].timings for report in a)  # one study, one clock
+    assert a == b
