@@ -72,7 +72,6 @@ from .oracle import (
     dbar_weights,
     enumeration_population_ols,
     imputation_bias,
-    oracle_columns,
     oracle_report,
     t_weights,
 )

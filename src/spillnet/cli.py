@@ -228,8 +228,8 @@ def _write_manifest(command: str, out_path: Path, outputs: list[str],
 
 
 def _fmt(value: float | None, digits: int = 6) -> str:
-    """A report number to ``digits`` decimals, or "undefined" for None."""
-    return "undefined" if value is None else f"{value:.{digits}f}"
+    """A report number to ``digits`` decimals, or "undefined" for None or NaN."""
+    return "undefined" if value is None or np.isnan(value) else f"{value:.{digits}f}"
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +405,9 @@ def _read_unit_data(path: str, id_col: str, treatment_col: str, outcome_col: str
 def _plug_in_gaps(strat: StratifiedResult, summary: DegreeSummary) -> EffectGaps:
     """``effect_gaps`` of the fitted strata's coefficients, over those strata's degree counts."""
     if 0 not in strat.fits:
-        return EffectGaps(baseline=None, direct=None)
+        return EffectGaps(*np.full((2, 1, 1), np.nan))
     degrees = np.fromiter(strat.fits, dtype=np.int64)  # ascending, as the strata are fitted
-    counts = summary.counts[np.searchsorted(summary.degrees, degrees)]
+    counts = summary.counts[:, np.searchsorted(summary.degrees, degrees)]
     baseline, direct = np.array([(f.coef(CONST), f.coef(TREATED)) for f in strat.fits.values()]).T
     return effect_gaps(DegreeSummary(degrees, counts), baseline, direct)
 
@@ -437,6 +437,7 @@ def cmd_audit(args) -> int:
     p_hat = float(d.mean())
     tr = TreatmentVector(d=d, p=p_hat)
     summary = summarize(net)
+    isolated = summary.isolated_fraction.item()
     cells = cell_table(net, tr, y)
     diag = empirical_exposure_diagnostics(cells)
 
@@ -445,16 +446,16 @@ def cmd_audit(args) -> int:
         f"units: {len(index)}   treated share: {p_hat:.4f}",
         "",
         "degree summary",
-        f"  mean degree                {summary.mean_degree:.4f}",
-        f"  max degree                 {summary.max_degree}",
-        f"  isolated share             {summary.isolated_fraction:.4f}",
-        f"  mean degree (>0)           {_fmt(summary.mean_degree_positive, 4)}",
-        f"  mean inverse degree (>0)   {_fmt(summary.mean_inverse_degree_positive, 4)}",
+        f"  mean degree                {summary.mean_degree.item():.4f}",
+        f"  max degree                 {summary.degrees[-1]}",
+        f"  isolated share             {isolated:.4f}",
+        f"  mean degree (>0)           {_fmt(summary.mean_degree_positive.item(), 4)}",
+        f"  mean inverse degree (>0)   {_fmt(summary.mean_inverse_degree_positive.item(), 4)}",
         "",
         "imputed-fraction vs degree covariance",
         f"  empirical                  {diag.cov_dbar_star_degree:.6f}",
         f"  closed form (p = treated share) "
-        f"{cov_dbar_star_degree_closed_form(summary, p_hat):.6f}",
+        f"{cov_dbar_star_degree_closed_form(summary, p_hat).item():.6f}",
     ]
 
     lines += ["", "regression fits (coefficient [se])"]
@@ -473,23 +474,20 @@ def cmd_audit(args) -> int:
 
     strat = stratified_regression(cells)
     gaps = _plug_in_gaps(strat, summary)
-    implied_bias = imputation_bias(
-        gaps.baseline, gaps.direct, p_hat,
-        summary.positive_share, summary.mean_inverse_degree_positive,
-    )
+    implied_bias = imputation_bias(summary, gaps, p_hat)
     lines += [
         "",
         "plug-in stratified gaps (positive-degree strata vs isolated stratum)",
-        f"  baseline gap               {_fmt(gaps.baseline, 4)}",
-        f"  direct-effect gap          {_fmt(gaps.direct, 4)}",
-        f"  implied imputation bias    {_fmt(implied_bias, 4)}",
+        f"  baseline gap               {_fmt(gaps.baseline.item(), 4)}",
+        f"  direct-effect gap          {_fmt(gaps.direct.item(), 4)}",
+        f"  implied imputation bias    {_fmt(implied_bias.item(), 4)}",
     ]
     if strat.skipped:
         skipped = ", ".join(f"degree {g}: {reason}" for g, reason in sorted(strat.skipped.items()))
         lines.append(f"  strata skipped: {skipped}")
 
     warning = False
-    if summary.isolated_fraction > 0 and {"dbar_reg", "dbar_star_reg"} <= slopes.keys():
+    if isolated > 0 and {"dbar_reg", "dbar_star_reg"} <= slopes.keys():
         (spill_dbar, se_dbar), (spill_star, se_star) = slopes["dbar_reg"], slopes["dbar_star_reg"]
         combined_se = float(np.hypot(se_dbar, se_star))
         if abs(spill_star - spill_dbar) > 2.0 * combined_se:
@@ -499,7 +497,7 @@ def cmd_audit(args) -> int:
                 "WARNING: the zero-imputed spillover estimate differs from the",
                 f"subsample estimate by {abs(spill_star - spill_dbar):.4f} "
                 f"(> 2 x combined se {combined_se:.4f}) while "
-                f"{summary.isolated_fraction:.1%} of units are isolated.",
+                f"{isolated:.1%} of units are isolated.",
                 "The imputed fit is likely contaminated by baseline differences",
                 "between isolated and connected units; prefer the subsample fit.",
             ]

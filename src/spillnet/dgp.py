@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError, IngestionError, ParameterError
 from .estimators import CellTable
-from .graph import DegreeCounts, DegreeSummary, nonnegative_int, read_table
+from .graph import DegreeSummary, nonnegative_int, read_table
 
 DESIGN_IDS = (1, 2, 3)
 
@@ -110,7 +110,7 @@ def design_stack(designs: Sequence[Design], degrees: np.ndarray) -> np.ndarray:
 
 
 def outcome_cells(
-    stack: np.ndarray, noise_sd: Sequence[float], summary: DegreeSummary | DegreeCounts,
+    stack: np.ndarray, noise_sd: Sequence[float], summary: DegreeSummary,
     noise: CellTable,
 ) -> CellTable:
     """The cell table of D designs' outcomes for one draw or a block of draws, one column
@@ -136,31 +136,22 @@ class EffectGaps:
 
     ``baseline`` is E[baseline(degree) | degree>0] - baseline(0), and
     ``direct`` likewise for the direct effect, both against the empirical
-    degree distribution: floats for tables over the degrees, arrays for
-    tables with leading axes or for a block of networks. None when either
-    stratum is empty (in every network of a block).
+    degree distribution: one row per network, and a column per design for
+    tables with a design axis. NaN for a network that lacks either stratum.
     """
 
-    baseline: float | np.ndarray | None
-    direct: float | np.ndarray | None
+    baseline: np.ndarray
+    direct: np.ndarray
 
 
-def effect_gaps(summary: DegreeSummary | DegreeCounts, baseline: np.ndarray,
-                direct: np.ndarray) -> EffectGaps:
-    """Baseline and direct-effect gaps of tables whose last axis is ``summary.degrees``.
-
-    For the ``DegreeCounts`` of a block of networks each gap has one row
-    per network, NaN for a network that lacks either stratum.
-    """
+def effect_gaps(summary: DegreeSummary, baseline: np.ndarray, direct: np.ndarray) -> EffectGaps:
+    """Baseline and direct-effect gaps of tables whose last axis is ``summary.degrees``."""
     both = (summary.n_positive > 0) & (summary.n_positive < summary.n)
-    if not np.any(both):
-        return EffectGaps(baseline=None, direct=None)
     pos = summary.positive
 
-    def gap(values: np.ndarray) -> float | np.ndarray:
-        gap = np.where(both, summary.mean(values[..., pos], positive_only=True) - values[..., 0],
-                       np.nan)
-        return float(gap) if np.ndim(gap) == 0 else gap
+    def gap(values: np.ndarray) -> np.ndarray:
+        return np.where(both, summary.mean(values[..., pos], positive_only=True) - values[..., 0],
+                        np.nan)
 
     return EffectGaps(baseline=gap(baseline), direct=gap(direct))
 

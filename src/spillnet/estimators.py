@@ -12,7 +12,7 @@ table, one stacked SVD per cell count; ``least_squares`` is the same solver
 for one problem: one thin SVD of the weighted rows gives the rank check,
 the coefficients and the iid standard errors of every outcome column, with
 95% intervals built as coefficient +/- 1.96 * se. ``SPECS`` describes the
-three specifications and ``cell_design`` builds the columns of any of them.
+three specifications.
 """
 
 from __future__ import annotations
@@ -405,16 +405,6 @@ def _spec_rows(spec_name: str, cells: CellTable) -> tuple[np.ndarray, np.ndarray
     return lo, hi, errors
 
 
-def cell_design(spec_name: str, cells: CellTable) -> tuple[np.ndarray, slice]:
-    """The regressors of a specification on the cells of a one-rep table it covers, and
-    those cells; raises the error of ``_spec_rows``."""
-    (lo,), (hi,), (error,) = _spec_rows(spec_name, cells)
-    if error is not None:
-        raise error
-    rows = slice(int(lo), int(hi))
-    return _regressors(cells, rows, SPECS[spec_name].columns), rows
-
-
 def fit_cells(spec_name: str, cells: CellTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
     """Fit the specification ``SPECS[spec_name]`` on every rep of ``cells`` at once.
 
@@ -427,8 +417,13 @@ def fit_cells(spec_name: str, cells: CellTable) -> tuple[np.ndarray, np.ndarray,
     would change the last bits of some fits, and so make a rep's fit depend on
     the other reps of its table.
     """
+    return _fit_rows(spec_name, cells, *_spec_rows(spec_name, cells))
+
+
+def _fit_rows(spec_name: str, cells: CellTable, lo: np.ndarray, hi: np.ndarray,
+              errors: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """``fit_cells`` on the rows ``_spec_rows`` found: lo[b] to hi[b], with their errors."""
     spec = SPECS[spec_name]
-    lo, hi, errors = _spec_rows(spec_name, cells)
     columns = [CELL_COLUMNS[name] for name in spec.columns]
     beta = np.full((lo.size, len(columns), cells.mean.shape[1]), np.nan)
     se = beta.copy()
@@ -452,10 +447,11 @@ def fit_specification(spec_name: str, cells: CellTable) -> RegressionFit:
 
     The one-rep call of ``fit_cells``; raises the rep's error.
     """
-    beta, se, rss, (error,) = fit_cells(spec_name, cells)
+    lo, hi, errors = _spec_rows(spec_name, cells)
+    beta, se, rss, (error,) = _fit_rows(spec_name, cells, lo, hi, errors)
     if error is not None:
         raise error
-    _, rows = cell_design(spec_name, cells)
+    rows = slice(int(lo[0]), int(hi[0]))
     return _fit_record(spec_name, SPECS[spec_name].columns, beta[0], se[0], rss[0],
                        cells.count[rows], cells.mean[rows], cells.within[rows])
 

@@ -96,18 +96,16 @@ def compute_exposure(net: Network, tr: TreatmentVector) -> ExposureProfile:
     return ExposureProfile(degree=net.degree, treated_neighbors=t)
 
 
-def cov_dbar_star_degree_closed_form(summary: DegreeSummary, p: float) -> float:
-    """Covariance between the zero-imputed treated fraction and degree.
+def cov_dbar_star_degree_closed_form(summary: DegreeSummary, p: float) -> np.ndarray:
+    """Covariance between the zero-imputed treated fraction and degree, per network.
 
     Evaluated on the empirical degree distribution:
     {E(degree | degree>0) - E(degree)} * p * Pr(degree>0). Strictly positive
     whenever the network mixes isolated and non-isolated nodes; exactly zero
     when it does not.
     """
-    if summary.mean_degree_positive is None:
-        return 0.0  # all nodes isolated
     gap = summary.mean_degree_positive - summary.mean_degree
-    return gap * p * summary.positive_share
+    return np.where(summary.n_positive > 0, gap * p * summary.positive_share, 0.0)
 
 
 def write_scatter_csv(profile: ExposureProfile, path: str | Path) -> None:

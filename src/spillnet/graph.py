@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, compress
 from pathlib import Path
-from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -65,14 +64,19 @@ class Network:
 
 @dataclass(frozen=True, eq=False)
 class DegreeSummary:
-    """Empirical degree distribution of a network: its degrees and their counts.
+    """The empirical degree distributions of a block of networks, over the degrees of all.
 
-    ``degrees`` holds the distinct degrees present, sorted, and ``counts``
-    each one's positive node count; both are read-only int arrays. Every
-    moment is a dot product against ``counts``, so a summary costs
-    O(distinct degrees) whatever the largest degree.
-    ``mean_degree_positive`` and ``mean_inverse_degree_positive`` are None
-    when no node has a neighbor (the conditional moments are undefined).
+    ``degrees`` holds the distinct degrees present in any of the networks,
+    sorted; ``counts[b, j]`` is the number of nodes of network b with degree
+    ``degrees[j]``, 0 where it has none. Both are read-only int arrays, and
+    ``summarize`` gives the one-row summary of one network. Every moment is
+    an array with one row per network, shape (networks, 1), so that it
+    broadcasts against one column per design; a moment that is undefined for
+    a network (a conditional one whose stratum is empty) is NaN in its row.
+    A sum over the degrees runs one term at a time in degree order, so a
+    degree a network lacks adds an exact 0: a network's moments do not
+    depend on the other networks of its block, and cost O(distinct degrees)
+    whatever the largest degree.
     """
 
     degrees: np.ndarray
@@ -80,126 +84,43 @@ class DegreeSummary:
 
     def __post_init__(self) -> None:
         degrees, counts = self.degrees, self.counts
-        if degrees.ndim != 1 or degrees.shape != counts.shape or degrees.size == 0:
-            raise ParameterError("a summary needs aligned, nonempty degree and count arrays")
-        if degrees[0] < 0 or (np.diff(degrees) <= 0).any() or (counts <= 0).any():
-            raise ParameterError("degrees must be distinct, sorted and nonnegative, "
-                                 "and counts positive")
-        if sum(counts.tolist()) >= 2**63:  # exact, where an int64 or float sum is not
+        if (degrees.ndim != 1 or counts.ndim != 2 or counts.shape[1:] != degrees.shape
+                or counts.size == 0):
+            raise ParameterError("a summary needs nonempty degrees and one aligned row of "
+                                 "counts per network")
+        if (degrees[0] < 0 or (np.diff(degrees) <= 0).any() or (counts < 0).any()
+                or not counts.any(axis=0).all() or not counts.any(axis=1).all()):
+            raise ParameterError("degrees must be distinct, sorted and nonnegative, and counts "
+                                 "nonnegative; each degree must be some node's and each "
+                                 "network must have a node")
+        if max(map(sum, counts.tolist())) >= 2**63:  # exact, where an int64 or float sum is not
             raise ParameterError("counts must sum to less than 2**63")
         degrees.flags.writeable = False
         counts.flags.writeable = False
 
-    @cached_property
-    def positive(self) -> slice:
-        """The entries of ``degrees`` and ``counts`` with degree > 0."""
-        return slice(int(self.degrees[0] == 0), None)
-
-    @cached_property
-    def n(self) -> int:
-        return int(self.counts.sum())
-
-    @cached_property
-    def _weights(self) -> np.ndarray:
-        """``counts`` as a read-only float array, converted once for every ``mean``."""
-        weights = self.counts.astype(float)
-        weights.flags.writeable = False
-        return weights
-
-    @cached_property
-    def n_positive(self) -> int:
-        return int(self.counts[self.positive].sum())
-
-    @property
-    def max_degree(self) -> int:
-        return int(self.degrees[-1])
-
-    @property
-    def histogram(self) -> Mapping[int, int]:
-        """Read-only mapping from each degree present to its count."""
-        return MappingProxyType(dict(zip(self.degrees.tolist(), self.counts.tolist())))
-
-    @cached_property
-    def mean_degree(self) -> float:
-        return self.mean(self.degrees)
-
-    @cached_property
-    def isolated_fraction(self) -> float:
-        return (self.n - self.n_positive) / self.n
-
-    @property
-    def positive_share(self) -> float:
-        """Fraction of nodes with at least one neighbor."""
-        return 1.0 - self.isolated_fraction
-
-    @cached_property
-    def mean_degree_positive(self) -> float | None:
-        if self.n_positive == 0:
-            return None
-        return self.mean(self.degrees[self.positive], positive_only=True)
-
-    @cached_property
-    def mean_inverse_degree_positive(self) -> float | None:
-        if self.n_positive == 0:
-            return None
-        return self.mean(1.0 / self.degrees[self.positive], positive_only=True)
-
-    def mean(self, values: np.ndarray, positive_only: bool = False) -> float | np.ndarray:
-        """Average of ``values``, one per degree, over the empirical distribution.
-
-        ``values`` is aligned with ``degrees`` along its last axis, or with
-        ``degrees[positive]`` under ``positive_only``, which conditions on
-        degree > 0 and raises ParameterError when that stratum is empty. A
-        1-D ``values`` gives a float; leading axes (one row per design, say)
-        give an array of means over them.
-        """
-        weights, total = self._weights, self.n
-        if positive_only:
-            weights, total = weights[self.positive], self.n_positive
-            if total == 0:
-                raise ParameterError("empty degree stratum in expectation")
-        mean = (np.asarray(values, dtype=float) @ weights) / total
-        return float(mean) if mean.ndim == 0 else mean
-
     @staticmethod
-    def from_degrees(degrees: Sequence[int] | np.ndarray) -> "DegreeSummary":
-        return DegreeSummary(*np.unique(np.asarray(degrees, dtype=np.int64), return_counts=True))
-
-    @staticmethod
-    def from_histogram(histogram: Mapping[int, int]) -> "DegreeSummary":
-        try:
-            pairs = np.array(sorted(histogram.items()), dtype=np.int64).reshape(-1, 2)
-        except OverflowError:
-            raise ParameterError("degrees and counts must be below 2**63") from None
-        return DegreeSummary(pairs[:, 0].copy(), pairs[:, 1].copy())
-
-
-@dataclass(frozen=True, eq=False)
-class DegreeCounts:
-    """The empirical degree distributions of a block of networks, over the degrees of all.
-
-    ``degrees`` holds the distinct degrees present in any of the networks,
-    sorted; ``counts[b, j]`` is the number of nodes of network b with degree
-    ``degrees[j]``, 0 where it has none. It has the moments of
-    ``DegreeSummary``, each an array with one row per network, shape
-    (networks, 1), so that it broadcasts against one column per design;
-    a conditional moment is NaN for a network whose stratum is empty. A sum
-    over the degrees runs one term at a time in degree order, so a degree a
-    network lacks adds an exact 0: a network's moments do not depend on the
-    other networks of its block.
-    """
-
-    degrees: np.ndarray
-    counts: np.ndarray
-
-    @staticmethod
-    def of(degree: np.ndarray) -> "DegreeCounts":
-        """The degree counts of networks whose node degrees are the rows of ``degree``."""
+    def of(degree: np.ndarray) -> "DegreeSummary":
+        """The summary of networks whose node degrees are the rows of ``degree``."""
         networks, width = degree.shape[0], int(degree.max()) + 1
         slot = np.arange(networks)[:, None] * width + degree
         counts = np.bincount(slot.ravel(), minlength=networks * width).reshape(networks, width)
         degrees = np.flatnonzero(counts.any(axis=0))
-        return DegreeCounts(degrees, counts[:, degrees])
+        return DegreeSummary(degrees, counts[:, degrees])
+
+    @staticmethod
+    def from_degrees(degrees: Sequence[int] | np.ndarray) -> "DegreeSummary":
+        """The one-row summary of one network's node degrees."""
+        degrees, counts = np.unique(np.asarray(degrees, dtype=np.int64), return_counts=True)
+        return DegreeSummary(degrees, counts[None])
+
+    @staticmethod
+    def from_histogram(histogram: Mapping[int, int]) -> "DegreeSummary":
+        """The one-row summary of a {degree: node count} mapping."""
+        try:
+            pairs = np.array(sorted(histogram.items()), dtype=np.int64).reshape(-1, 2)
+        except OverflowError:
+            raise ParameterError("degrees and counts must be below 2**63") from None
+        return DegreeSummary(pairs[:, 0].copy(), pairs[None, :, 1].copy())
 
     @cached_property
     def positive(self) -> slice:
@@ -215,12 +136,21 @@ class DegreeCounts:
         return self.counts[:, self.positive].sum(axis=1, keepdims=True)
 
     @cached_property
+    def isolated_fraction(self) -> np.ndarray:
+        return (self.n - self.n_positive) / self.n
+
+    @cached_property
     def positive_share(self) -> np.ndarray:
-        return 1.0 - (self.n - self.n_positive) / self.n
+        """Fraction of nodes with at least one neighbor."""
+        return 1.0 - self.isolated_fraction
 
     @cached_property
     def mean_degree(self) -> np.ndarray:
         return self.mean(self.degrees)
+
+    @cached_property
+    def mean_degree_positive(self) -> np.ndarray:
+        return self.mean(self.degrees[self.positive], positive_only=True)
 
     @cached_property
     def mean_inverse_degree_positive(self) -> np.ndarray:
@@ -228,15 +158,17 @@ class DegreeCounts:
 
     def mean(self, values: np.ndarray, positive_only: bool = False) -> np.ndarray:
         """Each network's average of ``values``, aligned with ``degrees`` (or with
-        ``degrees[positive]`` under ``positive_only``) along the last axis.
+        ``degrees[positive]`` under ``positive_only``, which conditions on degree > 0)
+        along the last axis.
 
         ``values`` of shape (D, degrees) gives (networks, D); one row per
-        network, (networks, 1, degrees), gives (networks, 1).
+        network, (networks, 1, degrees), gives (networks, 1). The mean is
+        NaN for a network whose stratum is empty.
         """
         weights, total = self.counts[:, None, :], self.n
         if positive_only:
             weights, total = weights[..., self.positive], self.n_positive
-        terms = values * weights
+        terms = np.asarray(values, dtype=float) * weights
         sums = np.cumsum(terms, axis=-1)[..., -1] if terms.shape[-1] else terms.sum(axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):  # an empty stratum's mean is NaN
             return sums / total
@@ -253,7 +185,7 @@ def seeded_rng(seed: int) -> np.random.Generator:
 
 
 def summarize(net: Network) -> DegreeSummary:
-    """Exact empirical degree moments of a network."""
+    """The one-row ``DegreeSummary`` of a network."""
     return DegreeSummary.from_degrees(net.degree)
 
 

@@ -27,7 +27,7 @@ from .errors import EmptySubsampleError, ParameterError
 from .estimators import SPECS, TREATED, exposure_cells, fit_cells
 from .exposure import assign_bernoulli, compute_exposure
 from .graph import (
-    WS_CALIBRATED, DegreeCounts, Network, generate_erdos_renyi, generate_watts_strogatz,
+    WS_CALIBRATED, DegreeSummary, Network, generate_erdos_renyi, generate_watts_strogatz,
 )
 from .oracle import oracle_block
 
@@ -193,21 +193,21 @@ class AggregateReport:
 @dataclass(frozen=True)
 class _Graphs:
     """What a block of reps derives from its networks alone: the networks, their node
-    degrees (one row per network), their degree counts, the settings' design stack
+    degrees (one row per network), their degree summary, the settings' design stack
     at the degrees present, and every oracle field (networks x settings)."""
 
     nets: tuple[Network, ...]
     degree: np.ndarray
-    counts: DegreeCounts
+    summary: DegreeSummary
     stack: np.ndarray
     oracle: dict[str, np.ndarray]
 
 
 def _graphs(configs: Sequence[SimConfig], nets: Sequence[Network]) -> _Graphs:
     degree = np.stack([net.degree for net in nets])
-    counts = DegreeCounts.of(degree)
-    stack = design_stack([config.design for config in configs], counts.degrees)
-    return _Graphs(tuple(nets), degree, counts, stack, oracle_block(stack, counts, configs[0].p))
+    summary = DegreeSummary.of(degree)
+    stack = design_stack([config.design for config in configs], summary.degrees)
+    return _Graphs(tuple(nets), degree, summary, stack, oracle_block(stack, summary, configs[0].p))
 
 
 def _block_size(n: int) -> int:
@@ -258,7 +258,7 @@ def _simulate_block(configs: Sequence[SimConfig], fixed: _Graphs | None, reps: r
     degree = np.broadcast_to(graphs.degree, d.shape)
     # every setting's cell means and sums of squares; raises if a mean is not finite
     cells = outcome_cells(graphs.stack, [config.design.noise_sd for config in configs],
-                          graphs.counts, exposure_cells(degree, t, d, noise))
+                          graphs.summary, exposure_cells(degree, t, d, noise))
     lap("cells")
 
     out = np.empty((len(configs), len(CELLS), 4, len(reps)))
@@ -334,10 +334,11 @@ def run_study(configs: Sequence[SimConfig], workers: int = 1) -> list[AggregateR
     and reps. A rep's numbers do not depend on the other reps of its block.
     Reps whose fit meets a singularity, an empty subsample or too few units
     are excluded and logged, with a warning above 1%. Without
-    ``regenerate_graph_each_rep`` one network, with its degree counts, stack
+    ``regenerate_graph_each_rep`` one network, with its degree summary, stack
     and oracle, is built per call and shared by every rep. ``workers > 1``
-    spreads the blocks over a process pool with the same result, aggregated
-    in rep order; fewer than one worker is a ParameterError.
+    spreads two or more blocks over a process pool of at most one worker per
+    block, with the same result, aggregated in rep order; one block runs
+    serially. Fewer than one worker is a ParameterError.
     """
     if workers < 1:
         raise ParameterError(f"workers must be at least 1 (got {workers})")
@@ -366,10 +367,10 @@ def run_study(configs: Sequence[SimConfig], workers: int = 1) -> list[AggregateR
     size = _block_size(first.n)
     blocks = [range(start, min(start + size, first.reps)) for start in range(0, first.reps, size)]
     block_fn = partial(_simulate_block, configs, fixed)
-    if workers > 1:
+    if workers > 1 and len(blocks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
             results = list(pool.map(block_fn, blocks))
     else:
         results = [block_fn(block) for block in blocks]

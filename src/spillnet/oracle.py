@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dgp import Design, effect_gaps
+from .dgp import Design, EffectGaps, effect_gaps
 from .errors import EmptySubsampleError, ParameterError, SingularModelError
 from .estimators import CONST, DBAR, DBAR_STAR, DEGREE, SPECS, TREATED, TREATED_NEIGHBORS
-from .graph import DegreeCounts, DegreeSummary, Network
+from .graph import DegreeSummary, Network
 
 ENUMERATION_MAX_NODES = 12
 
@@ -73,61 +73,52 @@ def _check_p(p: float) -> None:
 def t_weights(summary: DegreeSummary) -> np.ndarray:
     """Weights degree / E(degree) applied to spillovers by the count regression.
 
-    Aligned with ``summary.degrees``; nonnegative, mean one under the degree
-    distribution, and zero at degree zero: nodes without neighbors do not
-    contribute.
+    One row per network, aligned with ``summary.degrees``; nonnegative, mean
+    one under the network's degree distribution, and zero at degree zero:
+    nodes without neighbors do not contribute. NaN for a network without
+    edges.
     """
-    if summary.mean_degree == 0:
-        raise ParameterError("weights undefined: no edges in the network")
-    return summary.degrees / summary.mean_degree
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(summary.mean_degree > 0, summary.degrees / summary.mean_degree, np.nan)
 
 
 def dbar_weights(summary: DegreeSummary) -> np.ndarray:
     """Weights (1/degree) / E(1/degree | degree>0) used by the fraction regression.
 
-    Aligned with the positive degrees, ``summary.degrees[summary.positive]``;
-    mean one under the conditional distribution, largest for degree-1 nodes.
+    One row per network, aligned with the positive degrees,
+    ``summary.degrees[summary.positive]``; mean one under the conditional
+    distribution, largest for degree-1 nodes. NaN for a network in which no
+    node has a neighbor.
     """
-    inv_mean = summary.mean_inverse_degree_positive
-    if inv_mean is None:
-        raise ParameterError("weights undefined: no nodes with neighbors")
-    return (1.0 / summary.degrees[summary.positive]) / inv_mean
+    return (1.0 / summary.degrees[summary.positive]) / summary.mean_inverse_degree_positive
 
 
-def imputation_bias(
-    baseline_gap: float | np.ndarray | None, direct_gap: float | np.ndarray | None, p: float,
-    positive_share: float | np.ndarray, mean_inverse_degree_positive: float | np.ndarray | None,
-) -> float | np.ndarray | None:
+def imputation_bias(summary: DegreeSummary, gaps: EffectGaps, p: float) -> np.ndarray:
     """Bias of the zero-imputed spillover slope from the isolated nodes.
 
     (baseline_gap + p * direct_gap) * (1 - s) / (p * (1 - s) + (1 - p) *
-    E[1/degree | degree>0]), with s the positive-degree share and the gaps
-    taken between connected and isolated nodes; array arguments (one entry
-    per design or network) give an array. Exactly 0 when s = 1; None when
-    the gaps are undefined.
+    E[1/degree | degree>0]), with s the positive-degree share of each network
+    of ``summary`` and the gaps taken between connected and isolated nodes,
+    one row per network (and a column per design, say). Exactly 0 where
+    s = 1; NaN where the gaps are undefined.
     """
-    s, inv_mean = positive_share, mean_inverse_degree_positive
-    if np.ndim(s) == 0 and s == 1.0:
-        return 0.0
-    if baseline_gap is None or direct_gap is None:
-        return None
-    bias = (baseline_gap + p * direct_gap) * (1.0 - s) / (p * (1.0 - s) + (1.0 - p) * inv_mean)
-    return np.where(s == 1.0, 0.0, bias) if np.ndim(s) else bias
+    s, inv_mean = summary.positive_share, summary.mean_inverse_degree_positive
+    bias = ((gaps.baseline + p * gaps.direct) * (1.0 - s)
+            / (p * (1.0 - s) + (1.0 - p) * inv_mean))
+    return np.where(s == 1.0, 0.0, bias)
 
 
-def dbar_star_moments(summary: DegreeSummary, p: float) -> tuple[float, float]:
-    """Exact mean and variance of the zero-imputed treated fraction.
+def dbar_star_moments(summary: DegreeSummary, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact mean and variance of the zero-imputed treated fraction, per network.
 
     mean = p * s and variance = p * s * (p * (1 - s) + (1 - p) *
     E[1/degree | degree>0]) with s the positive-degree share; both follow
-    from Binomial neighbor counts. Variance is exactly 0 when s = 0.
+    from Binomial neighbor counts. Variance is exactly 0 where s = 0.
     """
     _check_p(p)
-    s = summary.positive_share
-    if s == 0.0:
-        return 0.0, 0.0
-    inv_mean = summary.mean_inverse_degree_positive
-    return p * s, p * s * (p * (1.0 - s) + (1.0 - p) * inv_mean)
+    s, inv_mean = summary.positive_share, summary.mean_inverse_degree_positive
+    var = p * s * (p * (1.0 - s) + (1.0 - p) * inv_mean)
+    return p * s, np.where(s != 0.0, var, 0.0)
 
 
 # Fields undefined for a network in which no node has a neighbor.
@@ -135,87 +126,67 @@ _NEED_NEIGHBORS = frozenset({"t_spillover", "dbar_direct", "dbar_spillover", "db
                              "dbar_star_weighted", "dbar_star_total"})
 
 
-def oracle_block(stack: np.ndarray, counts: DegreeCounts, p: float) -> dict[str, np.ndarray]:
+def oracle_block(stack: np.ndarray, summary: DegreeSummary, p: float) -> dict[str, np.ndarray]:
     """Every ``OracleReport`` field for D designs and a block of B networks at once.
 
-    ``stack`` holds the designs' tables at ``counts.degrees``, shape
+    ``stack`` holds the designs' tables at ``summary.degrees``, shape
     (3, D, len(degrees)) as ``dgp.design_stack`` builds it. Each field is a
     (B, D) array; the weights, the effect gaps and the bias broadcast over
     both axes. A field undefined for a network (no node with a neighbor, or
     an empty stratum) is NaN in its row. ``OracleReport`` gives the formula
     of each field. A network's row is what it gets alone, since every sum
-    over the degrees is a ``DegreeCounts.mean``.
+    over the degrees is a ``DegreeSummary.mean``.
     """
     _check_p(p)
     baseline, direct, spill = stack
-    gaps = effect_gaps(counts, baseline, direct)
-    s, inv_mean = counts.positive_share, counts.mean_inverse_degree_positive
-    connected = s != 0.0
-    pos = counts.positive
-    g = counts.degrees[pos]
-    t_direct = counts.mean(direct)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a network without edges gives NaN
-        # the t_weights and dbar_weights of each network
-        t_spill = counts.mean(counts.degrees / counts.mean_degree[:, None] * spill)
-        dbar_direct = counts.mean(direct[:, pos], positive_only=True)
-        dbar_spill = counts.mean((1.0 / g) / inv_mean[:, None] * g * spill[:, pos],
-                                 positive_only=True)
-        # E[dbar * (dbar - E[dbar_star]) | degree = g] for a Binomial(g, p)/g fraction
-        factor = p * p + p * (1.0 - p) / g - p * p * s[:, None]
-        star_weighted = (counts.mean(g * spill[:, pos] * factor, positive_only=True)
-                         / counts.mean(factor, positive_only=True))
-        gap = (np.nan, np.nan) if gaps.baseline is None else (gaps.baseline, gaps.direct)
-        star_bias = imputation_bias(*gap, p, s, inv_mean)
-        var_star = p * s * (p * (1.0 - s) + (1.0 - p) * inv_mean)
+    gaps = effect_gaps(summary, baseline, direct)
+    s = summary.positive_share
+    pos = summary.positive
+    g = summary.degrees[pos]
+    t_direct = summary.mean(direct)
+    # E[dbar * (dbar - E[dbar_star]) | degree = g] for a Binomial(g, p)/g fraction
+    factor = p * p + p * (1.0 - p) / g - p * p * s[:, None]
+    star_weighted = (summary.mean(g * spill[:, pos] * factor, positive_only=True)
+                     / summary.mean(factor, positive_only=True))
+    star_bias = imputation_bias(summary, gaps, p)
+    mean_star, var_star = dbar_star_moments(summary, p)
     values = dict(
         t_direct=t_direct,
-        t_spillover=t_spill,
-        dbar_direct=dbar_direct,
-        dbar_spillover=dbar_spill,
+        t_spillover=summary.mean(t_weights(summary)[:, None] * spill),
+        dbar_direct=summary.mean(direct[:, pos], positive_only=True),
+        dbar_spillover=summary.mean(dbar_weights(summary)[:, None] * g * spill[:, pos],
+                                    positive_only=True),
         dbar_star_direct=t_direct,
         dbar_star_bias=star_bias,
         dbar_star_weighted=star_weighted,
         dbar_star_total=star_bias + star_weighted,
         treated_prob=p,
         positive_share=s,
-        baseline_gap=gap[0],
-        direct_gap=gap[1],
-        mean_inverse_degree_positive=inv_mean,
-        mean_dbar_star=p * s,
-        var_dbar_star=np.where(connected, var_star, 0.0),
+        baseline_gap=gaps.baseline,
+        direct_gap=gaps.direct,
+        mean_inverse_degree_positive=summary.mean_inverse_degree_positive,
+        mean_dbar_star=mean_star,
+        var_dbar_star=var_star,
     )
-    shape = (counts.counts.shape[0], stack.shape[1])
+    shape = (summary.counts.shape[0], stack.shape[1])
     return {
-        name: np.broadcast_to(
-            np.where(connected, v, np.nan) if name in _NEED_NEIGHBORS else v, shape)
+        name: np.broadcast_to(np.where(s != 0.0, v, np.nan) if name in _NEED_NEIGHBORS else v,
+                              shape)
         for name, v in values.items()
     }
-
-
-def oracle_columns(
-    stack: np.ndarray, summary: DegreeSummary, p: float
-) -> dict[str, np.ndarray | None]:
-    """Every ``OracleReport`` field for D designs at once, keyed by field name.
-
-    The one-network call of ``oracle_block``: ``stack`` holds the designs'
-    tables at ``summary.degrees``, and each field is an array over the D
-    designs. A field that is undefined for the summary (no node with a
-    neighbor, or an empty stratum) is undefined for every design and is None.
-    """
-    block = oracle_block(stack, DegreeCounts(summary.degrees, summary.counts[None]), p)
-    return {name: None if np.isnan(v[0]).all() else v[0] for name, v in block.items()}
 
 
 def oracle_report(design: Design, summary: DegreeSummary, p: float) -> OracleReport:
     """Assemble every theoretical coefficient and intermediate in one record.
 
-    The one-design view of ``oracle_columns``: evaluates the design
-    (checking its coverage) and the effect gaps once.
+    The one-design view of ``oracle_block`` at the first network of
+    ``summary``: evaluates the design (checking its coverage) and the effect
+    gaps once. A field that is NaN there is None.
     """
     _check_p(p)
-    columns = oracle_columns(design.tables(summary.degrees)[:, None], summary, p)
+    block = oracle_block(design.tables(summary.degrees)[:, None], summary, p)
     return OracleReport(**{
-        name: None if column is None else float(column[0]) for name, column in columns.items()
+        name: None if np.isnan(v[0, 0]) else float(v[0, 0]) for name, v in block.items()
     })
 
 

@@ -410,7 +410,7 @@ def reference_outcome_matrix(
     form of ``stack[:, j]`` at each unit, plus ``noise_sd[j]`` times the
     shared standard-normal ``noise``.
     """
-    tables = np.zeros((3, summary.max_degree + 1, stack.shape[1]))
+    tables = np.zeros((3, summary.degrees[-1] + 1, stack.shape[1]))
     tables[:, summary.degrees] = stack.transpose(0, 2, 1)
     baseline, direct, spillover = tables.take(prof.degree, axis=1)
     y = baseline + direct * tr.d[:, None] + spillover * prof.treated_neighbors[:, None]

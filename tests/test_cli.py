@@ -664,6 +664,17 @@ def test_audit_does_not_import_numpy_ma(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_benchmark_tracer_installs():
+    # perfbench/spans.py rebinds spillnet names by hand (estimators.ols among them), so a
+    # deleted or renamed one breaks its --trace mode
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    src = str(Path(spillnet.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", "import spans; spans.install(spans.Tracer())"],
+                          cwd=bench, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_audit_writes_report_file(tmp_path, capsys):
     edges, data = _write_synthetic_dataset(tmp_path, design_id=3, c=0.0, n=400, seed=9)
     data.write_text(data.read_text().replace("id,treatment,outcome", "pid,z,y", 1))
@@ -800,6 +811,6 @@ def test_public_names_are_exactly_the_pinned_list():
         "dbar_weights", "derive_seed", "design_stack", "empirical_exposure_diagnostics",
         "enumeration_population_ols", "fit_specification", "from_edge_list",
         "generate_erdos_renyi", "generate_watts_strogatz", "imputation_bias", "load_design_csv",
-        "ols", "oracle_columns", "oracle_report", "read_table", "run_study",
+        "ols", "oracle_report", "read_table", "run_study",
         "stratified_regression", "summarize", "t_weights", "write_results_csv",
     ]

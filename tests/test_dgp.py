@@ -166,7 +166,7 @@ def test_effect_gaps_match_design_formulas():
     summary = DegreeSummary.from_degrees([0, 0, 1, 2, 2, 5])
     mean_pos = (1 + 2 + 2 + 5) / 4
     for design_id, expected in ((1, mean_pos), (2, 1.0), (3, 0.0)):
-        spec = reference_design(design_id, -0.5, summary.histogram.keys())
+        spec = reference_design(design_id, -0.5, summary.degrees)
         gaps = effect_gaps(summary, *spec.tables(summary.degrees)[:2])
         assert gaps.baseline == pytest.approx(expected)
         assert gaps.direct == pytest.approx(0.0)
@@ -175,9 +175,9 @@ def test_effect_gaps_match_design_formulas():
 def test_effect_gaps_undefined_without_both_strata():
     spec = reference_design(1, 0.0, [0, 1, 2])
     no_isolated = DegreeSummary.from_degrees([1, 2, 2])
-    assert effect_gaps(no_isolated, *spec.tables(no_isolated.degrees)[:2]).baseline is None
+    assert np.isnan(effect_gaps(no_isolated, *spec.tables(no_isolated.degrees)[:2]).baseline)
     all_isolated = DegreeSummary.from_degrees([0, 0])
-    assert effect_gaps(all_isolated, *spec.tables(all_isolated.degrees)[:2]).baseline is None
+    assert np.isnan(effect_gaps(all_isolated, *spec.tables(all_isolated.degrees)[:2]).baseline)
 
 
 def test_design_csv_round_trip(tmp_path):

@@ -21,8 +21,8 @@ from spillnet.estimators import (
     TREATED,
     TREATED_NEIGHBORS,
     SPECS,
-    cell_design,
     cell_table,
+    fit_cells,
     fit_specification,
     least_squares,
     ols,
@@ -294,11 +294,12 @@ def test_cell_fits_equal_unit_row_fits(n, graph, k, rewire, delete, mean_degree,
     ys = reference_outcome_matrix(stack, sds, summary, tr, prof, noise)
     cells = outcome_cells(stack, sds, summary, cell_table(net, tr, noise))
     assert cells.count.sum() == n and cells.count.size <= 2 * (n + 2 * net.u.size)
-    for name, spec in SPECS.items():
+    for name in SPECS:
         def cell_fit():
-            x, rows = cell_design(name, cells)
-            return least_squares(x, cells.mean[rows], spec.columns, cells.count[rows],
-                                 cells.within[rows])
+            beta, se, rss, (error,) = fit_cells(name, cells)
+            if error is not None:
+                raise error
+            return beta[0], se[0], rss[0]
 
         got = outcome(cell_fit)
         want = outcome(lambda: reference_least_squares(name, tr, prof, ys))

@@ -54,7 +54,7 @@ def test_ws_calibrated_matches_reference_degree_profile():
         )
         isos.append(s.isolated_fraction)
         means.append(s.mean_degree)
-        maxes.append(s.max_degree)
+        maxes.append(s.degrees[-1])
     assert abs(np.mean(isos) - 0.10) <= 0.03
     assert abs(np.mean(means) - 2.0) <= 0.3
     assert abs(np.mean(maxes) - 7.0) <= 3.0
@@ -482,6 +482,23 @@ def test_summary_hand_example():
     assert s.mean_inverse_degree_positive == pytest.approx(0.5)
 
 
+def test_summary_validates_each_network_of_its_block():
+    block = DegreeSummary(np.array([0, 2]), np.array([[1, 0], [0, 3]]))
+    assert block.n.tolist() == [[1], [3]] and block.mean_degree.tolist() == [[0.0], [2.0]]
+    # each network's count sum, not the block's, must stay below 2**63
+    DegreeSummary(np.array([0, 1]), np.array([[2**62, 2**62 - 1]] * 2))
+    for degrees, counts in (
+        ([0, 2], [[1, 0], [0, 0]]),  # a network without nodes
+        ([0, 2], [[1, 0], [2, 0]]),  # a degree no node has
+        ([2, 0], [[1, 1]]),  # unsorted degrees
+        ([0, 2], [[1, -1]]),  # a negative count
+        ([0, 2], [1, 1]),  # not one row of counts per network
+        ([0, 1], [[2**62, 2**62]]),  # a sum of 2**63
+    ):
+        with pytest.raises(ParameterError):
+            DegreeSummary(np.array(degrees), np.array(counts))
+
+
 def test_summary_mean_inverse_degree_hand_arithmetic():
     s = DegreeSummary.from_degrees([1, 1, 2, 4])
     assert s.mean_inverse_degree_positive == pytest.approx((1 + 1 + 0.5 + 0.25) / 4)
@@ -490,14 +507,14 @@ def test_summary_mean_inverse_degree_hand_arithmetic():
 def test_summary_all_isolated_marks_conditionals_undefined():
     s = DegreeSummary.from_degrees([0, 0, 0])
     assert s.isolated_fraction == 1.0
-    assert s.mean_degree_positive is None
-    assert s.mean_inverse_degree_positive is None
+    assert np.isnan(s.mean_degree_positive)
+    assert np.isnan(s.mean_inverse_degree_positive)
 
 
 def test_summary_positive_mean_never_below_overall_mean():
     for seed in range(10):
         s = summarize(generate_erdos_renyi(100, 1.5, seed=seed))
-        if s.mean_degree_positive is None:
+        if np.isnan(s.mean_degree_positive):
             continue
         assert s.mean_degree_positive >= s.mean_degree
         if s.isolated_fraction == 0.0:
@@ -506,5 +523,5 @@ def test_summary_positive_mean_never_below_overall_mean():
 
 def test_summary_histogram_counts_match_n():
     s = summarize(generate_watts_strogatz(123, 4, 0.2, 0.5, seed=1))
-    assert sum(s.histogram.values()) == 123
-    assert s.isolated_fraction == s.histogram.get(0, 0) / 123
+    assert s.counts.sum() == s.n == 123
+    assert s.isolated_fraction == (s.counts[0, 0] if s.degrees[0] == 0 else 0) / 123

@@ -62,7 +62,8 @@ def test_run_has_all_cells_and_sane_aggregates():
     assert spill.oracle_total != spill.oracle_value  # bias term present in design 1
 
 
-def test_parallel_execution_matches_serial():
+def test_parallel_execution_matches_serial(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_BLOCK_UNITS", 5 * SMALL.n)  # three blocks of at most 5 reps
     serial = run_study([SMALL])[0]
     parallel = run_study([SMALL], workers=2)[0]
     assert serial == parallel
@@ -70,6 +71,36 @@ def test_parallel_execution_matches_serial():
         SMALL, graph=ErdosRenyiGraph(mean_degree=3.0), regenerate_graph_each_rep=False
     )
     assert run_study([fixed])[0] == run_study([fixed], workers=2)[0]
+
+
+def test_one_block_runs_serially_and_the_pool_has_a_worker_per_block(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(max_workers):
+        raise AssertionError("a one-block study started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert montecarlo._block_size(SMALL.n) >= SMALL.reps  # one block
+    assert run_study([SMALL], workers=2) == run_study([SMALL])
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(montecarlo, "_BLOCK_UNITS", 5 * SMALL.n)  # three blocks
+    assert run_study([SMALL], workers=8) == run_study([SMALL])
+    assert started == [3]
 
 
 def test_single_rep_marks_mc_se_undefined():

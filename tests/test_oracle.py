@@ -13,6 +13,7 @@ from spillnet.graph import (
     DegreeSummary,
     from_edge_list,
     generate_erdos_renyi,
+    generate_watts_strogatz,
     summarize,
 )
 from spillnet.oracle import (
@@ -20,7 +21,7 @@ from spillnet.oracle import (
     dbar_star_moments,
     dbar_weights,
     enumeration_population_ols,
-    oracle_columns,
+    oracle_block,
     oracle_report,
     t_weights,
 )
@@ -39,17 +40,19 @@ def _flat_spec(degrees, spillover, direct=1.0, baseline=None):
 def test_weights_are_normalized_and_vanish_at_degree_zero():
     summary = DegreeSummary.from_degrees([0, 0, 1, 2, 2, 3, 5])
     assert summary.degrees.tolist() == [0, 1, 2, 3, 5]
-    wt = t_weights(summary)  # aligned with summary.degrees
-    assert wt[0] == 0.0
-    assert summary.mean(wt) == pytest.approx(1.0, abs=1e-12)
+    wt = t_weights(summary)  # one row per network, aligned with summary.degrees
+    assert wt.shape == (1, 5) and wt[0, 0] == 0.0
+    assert summary.mean(wt[:, None]) == pytest.approx(1.0, abs=1e-12)
     wd = dbar_weights(summary)  # aligned with the positive degrees (1, 2, 3, 5)
-    assert wd.shape == summary.degrees[summary.positive].shape == (4,)
-    mean_wd = summary.mean(wd, positive_only=True)
+    assert wd.shape == (1, summary.degrees[summary.positive].size) == (1, 4)
+    mean_wd = summary.mean(wd[:, None], positive_only=True)
     assert mean_wd == pytest.approx(1.0, abs=1e-12)
-    assert all(w >= 0 for w in wt)
-    assert all(w >= 0 for w in wd)
+    assert (wt >= 0).all() and (wd >= 0).all()
     # degree-1 nodes get the single largest fraction-regression weight
-    assert wd[0] == max(wd)
+    assert wd[0, 0] == wd.max()
+    # both are NaN for a network in which no node has a neighbor
+    edgeless = DegreeSummary.from_degrees([0, 0])
+    assert np.isnan(t_weights(edgeless)).all() and dbar_weights(edgeless).shape == (1, 0)
 
 
 def test_t_coefficients_hand_arithmetic():
@@ -164,7 +167,7 @@ def test_dbar_star_moments_match_enumeration(p):
 def test_oracle_report_assembles_consistent_totals():
     net = generate_erdos_renyi(9, 1.5, seed=8)
     summary = summarize(net)
-    spec = reference_design(1, -0.5, summary.histogram.keys())
+    spec = reference_design(1, -0.5, summary.degrees)
     report = oracle_report(spec, summary, 0.5)
     assert report.dbar_star_total == pytest.approx(
         report.dbar_star_bias + report.dbar_star_weighted
@@ -175,7 +178,7 @@ def test_oracle_report_assembles_consistent_totals():
 
 def test_oracle_report_takes_the_gaps_and_checks_coverage_once(monkeypatch):
     summary = summarize(generate_erdos_renyi(300, 2.0, seed=4))
-    spec = reference_design(2, -0.5, summary.histogram.keys())
+    spec = reference_design(2, -0.5, summary.degrees)
     calls = {"gaps": 0, "coverage": 0}
     take_gaps, check_coverage = oracle_module.effect_gaps, DesignSpec.tables
 
@@ -197,20 +200,20 @@ def test_oracle_report_takes_the_gaps_and_checks_coverage_once(monkeypatch):
 def test_reference_setting_oracle_matches_reported_values():
     # pooled over several large calibrated graphs the oracle should sit on
     # the reported true coefficients
-    from spillnet.graph import WS_CALIBRATED, generate_watts_strogatz
+    from spillnet.graph import WS_CALIBRATED
 
     degrees = np.concatenate([
         generate_watts_strogatz(2000, seed=s, **WS_CALIBRATED).degree
         for s in range(8)
     ])
     summary = DegreeSummary.from_degrees(degrees)
-    spec = reference_design(1, -0.5, summary.histogram.keys())
+    spec = reference_design(1, -0.5, summary.degrees)
     report = oracle_report(spec, summary, 0.5)
     assert report.t_spillover == pytest.approx(-0.146, abs=0.01)
     assert report.dbar_spillover == pytest.approx(-0.298, abs=0.02)
     assert report.dbar_star_weighted == pytest.approx(-0.303, abs=0.02)
     assert report.dbar_star_bias == pytest.approx(0.704, abs=0.06)
-    spec2 = reference_design(2, 0.0, summary.histogram.keys())
+    spec2 = reference_design(2, 0.0, summary.degrees)
     report2 = oracle_report(spec2, summary, 0.5)
     assert report2.dbar_star_bias == pytest.approx(0.314, abs=0.04)
 
@@ -315,14 +318,18 @@ def test_array_oracle_equals_dict_oracle(histogram, design_id, c, p):
     summary = DegreeSummary.from_histogram(histogram)
     spec = reference_design(design_id, c, histogram)
     ref = reference_oracle_report(spec, histogram, p)
-    for design in (BuiltinDesign(design_id, c), spec):
+    designs = (BuiltinDesign(design_id, c), spec)
+    block = oracle_block(design_stack(designs, summary.degrees), summary, p)
+    for j, design in enumerate(designs):
         got = oracle_report(design, summary, p)
         for field in dataclasses.fields(OracleReport):
             want, value = getattr(ref, field.name), getattr(got, field.name)
+            column = block[field.name][0, j]
             if want is None:
-                assert value is None, field.name
+                assert value is None and np.isnan(column), field.name
             else:
                 assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), field.name
+                assert column == value, field.name
 
 
 @pytest.mark.parametrize("histogram", [
@@ -341,14 +348,37 @@ def test_stacked_oracle_rows_equal_single_design_reports(histogram, p):
                            direct_effect={g: 1.0 + 0.1 * g for g in histogram},
                            spillover_effect={g: 0.3 * (-1) ** g for g in histogram},
                            noise_sd=0.0)]
-    columns = oracle_columns(design_stack(designs, summary.degrees), summary, p)
-    assert list(columns) == [field.name for field in dataclasses.fields(OracleReport)]
+    block = oracle_block(design_stack(designs, summary.degrees), summary, p)
+    assert list(block) == [field.name for field in dataclasses.fields(OracleReport)]
     for j, design in enumerate(designs):
         report = oracle_report(design, summary, p)
-        for name, column in columns.items():
+        for name, column in block.items():
             want = getattr(report, name)
+            assert column.shape == (1, len(designs)), name
             if want is None:
-                assert column is None, name
+                assert np.isnan(column).all(), name
             else:
-                assert column.shape == (len(designs),), name
-                assert abs(column[j] - want) <= 1e-15, (j, name)
+                assert abs(column[0, j] - want) <= 1e-15, (j, name)
+
+
+def test_block_rows_equal_each_network_alone():
+    # WS and ER graphs, an edgeless one (NaN rows) and one without isolated nodes (s = 1)
+    nets = [generate_watts_strogatz(60, 4, 0.3, 0.5, seed=2), generate_erdos_renyi(60, 1.5, seed=3),
+            from_edge_list([], n=60), generate_watts_strogatz(60, 4, 0.2, 0.0, seed=4)]
+    block = DegreeSummary.of(np.stack([net.degree for net in nets]))
+    assert np.isnan(block.mean_degree_positive[2]) and block.positive_share[3] == 1.0
+    assert 0.0 < block.positive_share[0] < 1.0 and 0.0 < block.positive_share[1] < 1.0
+    designs = [BuiltinDesign(d, c) for d in (1, 2, 3) for c in (0.0, -0.5)]
+    oracle = oracle_block(design_stack(designs, block.degrees), block, 0.4)
+    moments = ("n", "n_positive", "isolated_fraction", "positive_share", "mean_degree",
+               "mean_degree_positive", "mean_inverse_degree_positive")
+    for b, net in enumerate(nets):
+        alone = summarize(net)
+        for name in moments:  # bit for bit
+            assert np.array_equal(getattr(block, name)[b], getattr(alone, name)[0],
+                                  equal_nan=True), (b, name)
+        for j, design in enumerate(designs):
+            report = oracle_report(design, alone, 0.4)
+            for field in dataclasses.fields(OracleReport):
+                value, row = getattr(report, field.name), oracle[field.name][b, j]
+                assert np.isnan(row) if value is None else row == value, (b, j, field.name)
