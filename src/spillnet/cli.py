@@ -393,13 +393,35 @@ def _binary(cell: str) -> int:
 
 
 def _read_unit_data(path: str, id_col: str, treatment_col: str, outcome_col: str):
-    columns, lines, index = read_table(
-        path, {id_col: str, treatment_col: _binary, outcome_col: float}, unique=id_col
-    )
+    """The row of each unit id, the treatments and the outcomes of the unit table.
+
+    A blank id is an input error, reported before the table's other bad cells.
+    """
+    try:
+        columns, lines, index = read_table(
+            path, {id_col: str, treatment_col: _binary, outcome_col: float}, unique=id_col
+        )
+    except IngestionError as error:
+        try:  # two blank ids read as a repeated value, so look for a blank id first
+            ids, lines, _ = read_table(path, {id_col: str})
+            index = {"": ids[id_col].index("")}
+        except (IngestionError, ValueError):
+            raise error from None
+    if "" in index:
+        raise IngestionError(f"{path}:{lines[index['']]}: column {id_col!r}: blank id")
     if not lines:
         raise IngestionError(f"{path}:1: no data rows")
-    treatment = np.array(columns[treatment_col], dtype=np.int64)
-    return index, treatment, np.array(columns[outcome_col], dtype=float)
+    rows = len(lines)
+    return (index, np.fromiter(columns[treatment_col], np.int64, rows),
+            np.fromiter(columns[outcome_col], float, rows))
+
+
+def _unit_rows(index: dict[str, int], ids: list[str]) -> np.ndarray:
+    """The unit row of each id, -1 for an unknown id."""
+    try:
+        return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
+    except KeyError:  # rescan, marking every unknown id
+        return np.fromiter(map(index.get, ids, repeat(-1)), np.int64, len(ids))
 
 
 def _plug_in_gaps(strat: StratifiedResult, summary: DegreeSummary) -> EffectGaps:
@@ -419,12 +441,18 @@ def cmd_audit(args) -> int:
     shared = [flag for flag, column in roles.items() if list(roles.values()).count(column) > 1]
     if shared:  # three roles can share at most one column
         raise ParameterError(f"{' and '.join(shared)} name the same column {roles[shared[0]]!r}")
+    seconds: dict[str, float] = {}  # the manifest's stage_seconds
+    clock = time.perf_counter()
+
+    def lap(stage: str) -> None:
+        nonlocal clock
+        seconds[stage], clock = time.perf_counter() - clock, time.perf_counter()
+
     index, d, y = _read_unit_data(args.data, args.id_col, args.treatment_col, args.outcome_col)
+    lap("read_units")
     edges, edge_lines, _ = read_table(args.edges, {"src": str, "dst": str})
-    pairs = np.column_stack([  # the unit row of each end, -1 for an unknown id
-        np.fromiter(map(index.get, edges[end], repeat(-1)), np.int64, len(edge_lines))
-        for end in ("src", "dst")
-    ])
+    lap("read_edges")
+    pairs = np.column_stack([_unit_rows(index, edges[end]) for end in ("src", "dst")])
     bad = np.flatnonzero((pairs < 0).any(axis=1) | (pairs[:, 0] == pairs[:, 1]))
     if bad.size:
         shown = ", ".join(
@@ -457,6 +485,7 @@ def cmd_audit(args) -> int:
         f"  closed form (p = treated share) "
         f"{cov_dbar_star_degree_closed_form(summary, p_hat).item():.6f}",
     ]
+    lap("network")
 
     lines += ["", "regression fits (coefficient [se])"]
     slopes: dict[str, tuple[float, float]] = {}  # spec name -> spillover coefficient, se
@@ -466,6 +495,8 @@ def cmd_audit(args) -> int:
         except DEGENERATE_FIT_ERRORS:
             lines.append(f"  {name:<14} unavailable")
             continue
+        finally:
+            lap(f"fit.{name}")
         slope, slope_se = slopes[name] = fit.coef(spec.slope), fit.se[spec.slope]
         lines.append(
             f"  {name:<14} direct {fit.coef(TREATED):9.4f} [{fit.se[TREATED]:.4f}]"
@@ -475,6 +506,7 @@ def cmd_audit(args) -> int:
     strat = stratified_regression(cells)
     gaps = _plug_in_gaps(strat, summary)
     implied_bias = imputation_bias(summary, gaps, p_hat)
+    lap("strata")
     lines += [
         "",
         "plug-in stratified gaps (positive-degree strata vs isolated stratum)",
@@ -511,7 +543,8 @@ def cmd_audit(args) -> int:
         out.write_text(text + "\n")
         config = {key: getattr(args, key)
                   for key in ("edges", "data", "id_col", "treatment_col", "outcome_col")}
-        _write_manifest("audit", out, [str(out)], config, started)
+        _write_manifest("audit", out, [str(out)], config, started, stage_seconds=seconds,
+                        rows_read={"data": len(index), "edges": len(edge_lines)})
         print(f"wrote {args.out}")
     return 0
 

@@ -407,9 +407,11 @@ def read_table(
     a malformed CSV row (a field over ``csv.field_size_limit()``, say) raises
     IngestionError naming ``path:line``. The rows are read in one pass of
     ``csv.reader``. Columns are found by header name and other columns are
-    ignored. Lines whose cells are all blank are skipped. Each column is
+    ignored. Lines whose cells are all blank are skipped. A blank line has a
+    blank or missing first requested cell, so the rows are tested and
+    filtered one by one only when that column has such a cell. Each column is
     parsed in one pass: its cells are stripped and mapped through the
-    column's parser.
+    column's parser (``str`` keeps the stripped cells as they are).
     A cell is bad when it is missing, its parser raises ValueError, it parses
     to a non-finite float, or it repeats an earlier value of the ``unique``
     column. Only a column that has a bad cell is rescanned cell by cell, to
@@ -432,18 +434,29 @@ def read_table(
         raise IngestionError(f"{path}:{reader.line_num}: malformed CSV: {exc}") from None
     except UnicodeDecodeError:
         raise IngestionError(_decode_error(path)) from None
-    # a row of blank cells joins to a blank string; holding flags rather than the joined
-    # strings keeps ~1.5 MB per 20,000 rows off the peak memory
-    keep = list(map(bool, map(str.strip, map("".join, rows))))
-    lines = list(compress(_row_lines(rows, first, reader.line_num), keep))
-    rows = list(compress(rows, keep))
+    lines = _row_lines(rows, first, reader.line_num)
+    leading = header.index(next(iter(columns)))
+    try:
+        cells = _stripped(rows, leading)
+        filtered = not all(cells)
+    except IndexError:  # a row too short to hold the column
+        filtered = True
+    if filtered:
+        # a row of blank cells joins to a blank string; holding flags rather than the joined
+        # strings keeps ~1.5 MB per 20,000 rows off the peak memory
+        keep = list(map(bool, map(str.strip, map("".join, rows))))
+        lines = compress(lines, keep)
+        rows = list(compress(rows, keep))
+    lines = list(lines)
     values: dict[str, list] = {}
     bad: list[tuple[str, str, list[int]]] = []  # column, first error, bad lines
     row_of: dict[Any, int] = {}
     for name, parse in columns.items():
         index = header.index(name)
         try:
-            column = values[name] = _parse_column(rows, index, parse)
+            if filtered or index != leading:  # the loop starts at the leading column
+                cells = _stripped(rows, index)
+            column = values[name] = _parse_column(cells, parse)
             if name == unique:
                 row_of = dict(zip(column, range(len(column))))
                 if len(row_of) < len(column):
@@ -491,11 +504,23 @@ def _decode_error(path: str | Path) -> str:
     return f"{path}: not UTF-8 text"  # the file changed after the failed read
 
 
-def _parse_column(rows: list[list[str]], index: int, parse: Callable[[str], Any]) -> list:
-    """Parse cell ``index`` of every row; raise on a missing, bad or non-finite cell."""
-    column = list(map(parse, map(str.strip, map(operator.itemgetter(index), rows))))
-    # str never returns a float, so a column of strings needs no finiteness scan
-    if parse is not str and not all(map(math.isfinite, filter(float.__instancecheck__, column))):
+def _stripped(rows: list[list[str]], index: int) -> list[str]:
+    """Cell ``index`` of every row, stripped; IndexError when a row is too short."""
+    return list(map(str.strip, map(operator.itemgetter(index), rows)))
+
+
+def _parse_column(cells: list[str], parse: Callable[[str], Any]) -> list:
+    """Parse stripped cells; raise ValueError on a bad or non-finite cell."""
+    if parse is str:  # str returns a string as it is, and never a float
+        return cells
+    column = list(map(parse, cells))
+    try:
+        # a sum with a non-finite float term is non-finite, so a finite sum clears the column
+        if math.isfinite(sum(column)):
+            return column
+    except (TypeError, OverflowError):  # values that do not sum to a float
+        pass
+    if not all(map(math.isfinite, filter(float.__instancecheck__, column))):
         raise ValueError("non-finite number")
     return column
 

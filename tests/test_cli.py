@@ -520,6 +520,22 @@ def test_audit_rejects_unknown_edge_ids(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_audit_rejects_a_blank_unit_id(tmp_path, capsys):
+    edges = tmp_path / "edges.csv"
+    edges.write_text("src,dst\na,b\n")
+    data = tmp_path / "units.csv"
+    for rows, message in (
+        ("a,1,1.0\n ,1,3.0\nb,0,2.0\n", f"{data}:3: column 'id': blank id"),
+        # a second blank id is not reported as a repeated one
+        ("a,1,1.0\n\n ,1,3.0\nb,0,2.0\n\"\",0,4.0\n", f"{data}:4: column 'id': blank id"),
+        # nor does a bad cell elsewhere hide it
+        ("a,1,1.0\n ,2,3.0\nb,0,nan\n", f"{data}:3: column 'id': blank id"),
+    ):
+        data.write_text("id,treatment,outcome\n" + rows)
+        assert main(["audit", "--edges", str(edges), "--data", str(data)]) == 3
+        assert capsys.readouterr().err.strip().endswith(message)
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -691,6 +707,26 @@ def test_audit_writes_report_file(tmp_path, capsys):
     assert manifest["outputs"] == [str(report_path)]
     assert manifest["config"] == {"edges": str(edges), "data": str(data), "id_col": "pid",
                                   "treatment_col": "z", "outcome_col": "y"}
+
+
+def test_audit_manifest_records_stage_seconds_and_rows_read(tmp_path, capsys):
+    edges, data = _write_synthetic_dataset(tmp_path, design_id=1, c=0.0, n=400, seed=9)
+    with edges.open("a") as fh:
+        fh.write("\n0,1\n")  # a blank line and a repeated edge
+    argv = ["audit", "--edges", str(edges), "--data", str(data)]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert main([*argv, "--out", str(tmp_path / "report.txt")]) == 0
+    assert capsys.readouterr().out == text + f"wrote {tmp_path / 'report.txt'}\n"
+    manifest = json.loads((tmp_path / "report.txt.manifest.json").read_text())
+    assert list(manifest["stage_seconds"]) == [
+        "read_units", "read_edges", "network", "fit.t_reg", "fit.dbar_reg", "fit.dbar_star_reg",
+        "strata",
+    ]
+    assert all(seconds >= 0 for seconds in manifest["stage_seconds"].values())
+    assert sum(manifest["stage_seconds"].values()) <= manifest["duration_seconds"]
+    edge_rows = len(edges.read_text().split("\n")) - 3  # the header, the blank and the last line
+    assert manifest["rows_read"] == {"data": 400, "edges": edge_rows}
 
 
 def test_audit_marks_only_degenerate_fits_unavailable(tmp_path, capsys, monkeypatch):

@@ -222,11 +222,6 @@ def test_study_matches_separate_runs_on_the_paper_settings():
         assert_reports_close(a, b)
 
 
-def test_parallel_study_matches_serial():
-    configs = study_settings(SMALL)
-    assert run_study(configs, workers=2) == run_study(configs)
-
-
 def test_study_rejects_settings_that_differ_beyond_design():
     base = study_settings(SMALL)
     for change in (
