@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 usage/parameter problems, 3 input-data problems
 (a --config value of the wrong type among them), 4 numerical singularity,
-5 I/O failures. One key table, ``_KEYS``, declares each --config key with
+5 I/O failures, 6 out of memory (a pool worker that ends abruptly among
+them). One key table, ``_KEYS``, declares each --config key with
 its flag, parser and default; a command reads each key as its flag, else
 its config value, else its default. A flag or config key that the command
 does not read in its mode is a usage error naming it. Every file-producing
@@ -384,12 +385,14 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 # audit
 
-def _binary(cell: str) -> int:
-    if cell == "0":
-        return 0
-    if cell == "1":
-        return 1
-    raise ValueError(f"non-binary value {cell!r}")
+class _BinaryCells(dict):
+    """The value of cell "0" and cell "1"; looking up any other cell raises ValueError."""
+
+    def __missing__(self, cell: str) -> int:
+        raise ValueError(f"non-binary value {cell!r}")
+
+
+_binary = _BinaryCells({"0": 0, "1": 1}).__getitem__  # a C-level call per cell
 
 
 def _read_unit_data(path: str, id_col: str, treatment_col: str, outcome_col: str):
@@ -424,6 +427,27 @@ def _unit_rows(index: dict[str, int], ids: list[str]) -> np.ndarray:
         return np.fromiter(map(index.get, ids, repeat(-1)), np.int64, len(ids))
 
 
+def _read_edges(path: str, data_path: str, index: dict[str, int],
+                lap: Callable[[str], None]) -> np.ndarray:
+    """The unit rows of the two ends of each edge row, an (edge rows, 2) array.
+
+    An unknown id or a self-link is an input error naming its file line. The
+    reading and the id mapping are timed as the stages "read_edges" and
+    "map_ids". The edge ids are freed on return, before the network is
+    built, which keeps ~80 MB per 10^6 edge rows off the audit's peak memory.
+    """
+    edges, lines, _ = read_table(path, {"src": str, "dst": str})
+    lap("read_edges")
+    pairs = np.column_stack([_unit_rows(index, edges[end]) for end in ("src", "dst")])
+    bad = np.flatnonzero((pairs < 0).any(axis=1) | (pairs[:, 0] == pairs[:, 1]))
+    if bad.size:
+        shown = ", ".join(f"{path}:{lines[k]}: {edges['src'][k]!r}-{edges['dst'][k]!r}"
+                          for k in bad[:20].tolist())
+        raise IngestionError(f"edges must join two different ids of {data_path}: {shown}")
+    lap("map_ids")
+    return pairs
+
+
 def _plug_in_gaps(strat: StratifiedResult, summary: DegreeSummary) -> EffectGaps:
     """``effect_gaps`` of the fitted strata's coefficients, over those strata's degree counts."""
     if 0 not in strat.fits:
@@ -450,16 +474,7 @@ def cmd_audit(args) -> int:
 
     index, d, y = _read_unit_data(args.data, args.id_col, args.treatment_col, args.outcome_col)
     lap("read_units")
-    edges, edge_lines, _ = read_table(args.edges, {"src": str, "dst": str})
-    lap("read_edges")
-    pairs = np.column_stack([_unit_rows(index, edges[end]) for end in ("src", "dst")])
-    bad = np.flatnonzero((pairs < 0).any(axis=1) | (pairs[:, 0] == pairs[:, 1]))
-    if bad.size:
-        shown = ", ".join(
-            f"{args.edges}:{edge_lines[k]}: {edges['src'][k]!r}-{edges['dst'][k]!r}"
-            for k in bad[:20].tolist()
-        )
-        raise IngestionError(f"edges must join two different ids of {args.data}: {shown}")
+    pairs = _read_edges(args.edges, args.data, index, lap)
     net = from_edge_list(pairs, n=len(index))
 
     p_hat = float(d.mean())
@@ -544,7 +559,7 @@ def cmd_audit(args) -> int:
         config = {key: getattr(args, key)
                   for key in ("edges", "data", "id_col", "treatment_col", "outcome_col")}
         _write_manifest("audit", out, [str(out)], config, started, stage_seconds=seconds,
-                        rows_read={"data": len(index), "edges": len(edge_lines)})
+                        rows_read={"data": len(index), "edges": len(pairs)})
         print(f"wrote {args.out}")
     return 0
 
@@ -602,6 +617,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _size_inputs(args) -> str:
+    """The inputs that set how much memory a command needs, for its out-of-memory message."""
+    if args.command == "audit":
+        files = [("--data", args.data), ("--edges", args.edges)]
+    elif getattr(args, "histogram", None) is not None:
+        files = [("--histogram", args.histogram)]
+    else:
+        inputs = _Inputs(args)
+        sizes = {key: inputs(key) for key in ("n", "reps") if hasattr(args, key)}
+        if args.command == "simulate":
+            sizes["workers"] = args.workers
+        return ", ".join(f"{key}={value}" for key, value in sizes.items())
+    return ", ".join(f"{flag} {path} ({os.path.getsize(path):,} bytes)" for flag, path in files)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -619,6 +649,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"spillnet: io error: {exc}", file=sys.stderr)
         return 5
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"spillnet: out of memory: {args.command} with {_size_inputs(args)}{detail}",
+              file=sys.stderr)
+        return 6
 
 
 if __name__ == "__main__":

@@ -9,13 +9,14 @@ functions of their arguments.
 from __future__ import annotations
 
 import csv
+import gc
 import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, compress
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -420,7 +421,25 @@ def read_table(
     ordered by their first bad line. Returns the columns, the file line of
     each row (a row that spans lines is at its last line), and the row of
     each ``unique`` value (empty without ``unique``).
+
+    The cyclic garbage collector is paused while the rows are built and
+    parsed, and the caller's state (enabled or disabled) is restored on
+    return or error. Each row is a new list the collector tracks, so a large
+    table would trigger many collections, none of which could free anything:
+    the rows hold no reference cycles.
     """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _read_table(path, columns, unique)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _read_table(
+    path: str | Path, columns: Mapping[str, Callable[[str], Any]], unique: str | None
+) -> tuple[dict[str, list], list[int], dict[Any, int]]:
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -437,7 +456,7 @@ def read_table(
     lines = _row_lines(rows, first, reader.line_num)
     leading = header.index(next(iter(columns)))
     try:
-        cells = _stripped(rows, leading)
+        cells = list(_stripped(rows, leading))
         filtered = not all(cells)
     except IndexError:  # a row too short to hold the column
         filtered = True
@@ -504,15 +523,16 @@ def _decode_error(path: str | Path) -> str:
     return f"{path}: not UTF-8 text"  # the file changed after the failed read
 
 
-def _stripped(rows: list[list[str]], index: int) -> list[str]:
-    """Cell ``index`` of every row, stripped; IndexError when a row is too short."""
-    return list(map(str.strip, map(operator.itemgetter(index), rows)))
+def _stripped(rows: list[list[str]], index: int) -> Iterator[str]:
+    """Cell ``index`` of every row, stripped, lazily: consuming it raises
+    IndexError at a row too short to hold the cell."""
+    return map(str.strip, map(operator.itemgetter(index), rows))
 
 
-def _parse_column(cells: list[str], parse: Callable[[str], Any]) -> list:
+def _parse_column(cells: Iterable[str], parse: Callable[[str], Any]) -> list:
     """Parse stripped cells; raise ValueError on a bad or non-finite cell."""
     if parse is str:  # str returns a string as it is, and never a float
-        return cells
+        return cells if isinstance(cells, list) else list(cells)
     column = list(map(parse, cells))
     try:
         # a sum with a non-finite float term is non-finite, so a finite sum clears the column

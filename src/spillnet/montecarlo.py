@@ -338,7 +338,9 @@ def run_study(configs: Sequence[SimConfig], workers: int = 1) -> list[AggregateR
     and oracle, is built per call and shared by every rep. ``workers > 1``
     spreads two or more blocks over a process pool of at most one worker per
     block, with the same result, aggregated in rep order; one block runs
-    serially. Fewer than one worker is a ParameterError.
+    serially. A worker that ends abruptly, as when the kernel kills it for
+    lack of memory, raises MemoryError. Fewer than one worker is a
+    ParameterError.
     """
     if workers < 1:
         raise ParameterError(f"workers must be at least 1 (got {workers})")
@@ -368,10 +370,15 @@ def run_study(configs: Sequence[SimConfig], workers: int = 1) -> list[AggregateR
     blocks = [range(start, min(start + size, first.reps)) for start in range(0, first.reps, size)]
     block_fn = partial(_simulate_block, configs, fixed)
     if workers > 1 and len(blocks) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing
+        # only a pool needs multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-            results = list(pool.map(block_fn, blocks))
+        try:
+            with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+                results = list(pool.map(block_fn, blocks))
+        except BrokenProcessPool as exc:  # the kernel ends a worker when memory runs out
+            raise MemoryError(f"a worker process ended abruptly ({exc})") from exc
     else:
         results = [block_fn(block) for block in blocks]
 

@@ -428,6 +428,61 @@ def test_simulate_with_fewer_than_one_worker_is_a_usage_error(tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_out_of_memory_exits_6_with_one_line_and_writes_nothing(tmp_path):
+    resource = pytest.importorskip("resource")
+    out = tmp_path / "o.csv"
+
+    def cap_address_space():  # runs in the child only, so no other process is limited
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    src = str(Path(spillnet.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "spillnet.cli", "simulate", "--n", "300000000", "--reps", "1",
+         "--design", "1", "--c", "0", "--out", str(out)],
+        env=env, capture_output=True, text=True, preexec_fn=cap_address_space, timeout=120)
+    assert proc.returncode == 6, proc.stderr
+    assert proc.stderr.startswith(
+        "spillnet: out of memory: simulate with n=300000000, reps=1, workers=1: ")
+    assert proc.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []  # no results CSV and no manifest
+
+
+def test_out_of_memory_in_a_table_read_names_the_input_files(tmp_path, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(spillnet.cli, "read_table", no_memory)
+    edges, data, histogram = tmp_path / "edges.csv", tmp_path / "units.csv", tmp_path / "h.csv"
+    edges.write_text("src,dst\na,b\n")
+    data.write_text("id,treatment,outcome\na,1,1.0\nb,0,2.0\n")
+    histogram.write_text("degree,count\n1,2\n")
+    assert main(["audit", "--edges", str(edges), "--data", str(data)]) == 6
+    assert capsys.readouterr().err == (
+        f"spillnet: out of memory: audit with --data {data} (37 bytes), --edges {edges} "
+        "(12 bytes)\n")
+    assert main(["oracle", "--design", "1", "--histogram", str(histogram)]) == 6
+    assert capsys.readouterr().err == (
+        f"spillnet: out of memory: oracle with --histogram {histogram} (17 bytes)\n")
+
+
+def _end_the_worker(*args):
+    os._exit(1)  # as the kernel ends a process that runs out of memory
+
+
+def test_a_pool_worker_that_ends_abruptly_exits_6(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(spillnet.montecarlo, "_simulate_block", _end_the_worker)
+    out = tmp_path / "o.csv"
+    # 2**16 units per block, so 2 blocks of 1,000-unit reps
+    assert main(["simulate", "--design", "1", "--n", "1000", "--reps", "70", "--workers", "2",
+                 "--out", str(out)]) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("spillnet: out of memory: simulate with n=1000, reps=70, workers=2: "
+                          "a worker process ended abruptly")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["oracle", "--design", "1", "--c", "inf", "--n", "50"],
     ["oracle", "--design", "2", "--c", "nan", "--n", "50"],
@@ -503,6 +558,14 @@ def test_audit_rejects_non_binary_treatment(tmp_path, capsys):
         data.write_text("id,treatment,outcome\n" + rows)
         assert main(["audit", "--edges", str(edges), "--data", str(data)]) == 3
         assert message in capsys.readouterr().err
+    # only the cells 0 and 1, once stripped, are binary: no number or word that means them
+    for cell in ("01", "1.0", "true", "+1", "\uff11"):
+        data.write_text(f"id,treatment,outcome\na,{cell},1.0\nb, 1 ,2.0\n\nc,{cell},3.0\n",
+                        encoding="utf-8")
+        assert main(["audit", "--edges", str(edges), "--data", str(data)]) == 3
+        assert capsys.readouterr().err == (
+            f"spillnet: input error: {data}:2: column 'treatment': non-binary value {cell!r}; "
+            "bad lines [2, 5]\n")
 
 
 def test_audit_rejects_unknown_edge_ids(tmp_path, capsys):
@@ -720,8 +783,8 @@ def test_audit_manifest_records_stage_seconds_and_rows_read(tmp_path, capsys):
     assert capsys.readouterr().out == text + f"wrote {tmp_path / 'report.txt'}\n"
     manifest = json.loads((tmp_path / "report.txt.manifest.json").read_text())
     assert list(manifest["stage_seconds"]) == [
-        "read_units", "read_edges", "network", "fit.t_reg", "fit.dbar_reg", "fit.dbar_star_reg",
-        "strata",
+        "read_units", "read_edges", "map_ids", "network", "fit.t_reg", "fit.dbar_reg",
+        "fit.dbar_star_reg", "strata",
     ]
     assert all(seconds >= 0 for seconds in manifest["stage_seconds"].values())
     assert sum(manifest["stage_seconds"].values()) <= manifest["duration_seconds"]

@@ -1,3 +1,5 @@
+import csv
+import gc
 import math
 import pickle
 
@@ -289,6 +291,38 @@ def test_read_table_puts_a_row_that_spans_lines_at_its_last_line(tmp_path):
         {"id": ["a\nb", "c"], "x": [1, 2]}, [3, 4])
     path.write_bytes(b'id,x\nc,"2\n')
     assert read_table(path, {"x": int})[1] == [2]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_read_table_pauses_the_collector_and_leaves_it_as_it_found_it(tmp_path, enabled):
+    path = tmp_path / "table.csv"
+    seen = []  # the collector's state while each cell of x is parsed
+
+    def parse(cell):
+        seen.append(gc.isenabled())
+        return int(cell)
+
+    tables = [
+        (b"id,x\na,1\nb,2\n", None),
+        (b"id,x\na,1\nb,z\n", "column 'x': invalid literal"),
+        (b"id,y\na,1\n", "missing columns"),
+        (b"id,x\na," + b"9" * (csv.field_size_limit() + 1) + b"\n", "malformed CSV"),
+        (b"id,x\na,\xff\n", "not UTF-8 text"),
+    ]
+    collecting = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for data, error in tables:
+            path.write_bytes(data)
+            if error is None:
+                assert read_table(path, {"id": str, "x": parse})[0]["x"] == [1, 2]
+            else:
+                with pytest.raises(IngestionError, match=error):
+                    read_table(path, {"id": str, "x": parse})
+            assert gc.isenabled() is enabled, error
+    finally:
+        (gc.enable if collecting else gc.disable)()
+    assert seen and not any(seen)
 
 
 _CELLS = ["a", "b", " c ", "1", " 2", "-3", "2.5", "nan", "inf", "x", "", "  ", '"q,1"', '"7"',
