@@ -31,11 +31,9 @@ from .errors import (
 from .estimators import (
     CellTable,
     ExposureDiagnostics,
-    RegressionFit,
-    StratifiedResult,
     cell_table,
     empirical_exposure_diagnostics,
-    fit_specification,
+    fit_cells,
     ols,
     stratified_regression,
 )

@@ -30,7 +30,6 @@ import numpy as np
 from . import __version__
 from .dgp import BuiltinDesign, Design, EffectGaps, effect_gaps, load_design_csv
 from .errors import (
-    DEGENERATE_FIT_ERRORS,
     ConfigurationError,
     EmptySubsampleError,
     IngestionError,
@@ -38,14 +37,12 @@ from .errors import (
     SingularModelError,
 )
 from .estimators import (
-    CONST,
     SPECS,
     TREATED,
-    StratifiedResult,
     cell_table,
     empirical_exposure_diagnostics,
     exposure_cells,
-    fit_specification,
+    fit_cells,
     stratified_regression,
 )
 from .exposure import (
@@ -448,13 +445,15 @@ def _read_edges(path: str, data_path: str, index: dict[str, int],
     return pairs
 
 
-def _plug_in_gaps(strat: StratifiedResult, summary: DegreeSummary) -> EffectGaps:
+def _plug_in_gaps(fits: dict[int, tuple[np.ndarray, np.ndarray]],
+                  summary: DegreeSummary) -> EffectGaps:
     """``effect_gaps`` of the fitted strata's coefficients, over those strata's degree counts."""
-    if 0 not in strat.fits:
+    if 0 not in fits:
         return EffectGaps(*np.full((2, 1, 1), np.nan))
-    degrees = np.fromiter(strat.fits, dtype=np.int64)  # ascending, as the strata are fitted
+    degrees = np.fromiter(fits, dtype=np.int64)  # ascending, as the strata are fitted
     counts = summary.counts[:, np.searchsorted(summary.degrees, degrees)]
-    baseline, direct = np.array([(f.coef(CONST), f.coef(TREATED)) for f in strat.fits.values()]).T
+    # each stratum's columns start with (const, treated)
+    baseline, direct = np.array([beta[:2] for beta, _ in fits.values()]).T
     return effect_gaps(DegreeSummary(degrees, counts), baseline, direct)
 
 
@@ -505,21 +504,21 @@ def cmd_audit(args) -> int:
     lines += ["", "regression fits (coefficient [se])"]
     slopes: dict[str, tuple[float, float]] = {}  # spec name -> spillover coefficient, se
     for name, spec in SPECS.items():
-        try:
-            fit = fit_specification(name, cells)
-        except DEGENERATE_FIT_ERRORS:
+        beta, se, units, (error,) = fit_cells(name, cells)
+        lap(f"fit.{name}")
+        if error is not None:
             lines.append(f"  {name:<14} unavailable")
             continue
-        finally:
-            lap(f"fit.{name}")
-        slope, slope_se = slopes[name] = fit.coef(spec.slope), fit.se[spec.slope]
+        beta, se = beta[0, :, 0].tolist(), se[0, :, 0].tolist()
+        direct, slope = spec.columns.index(TREATED), spec.columns.index(spec.slope)
+        slopes[name] = beta[slope], se[slope]
         lines.append(
-            f"  {name:<14} direct {fit.coef(TREATED):9.4f} [{fit.se[TREATED]:.4f}]"
-            f"   spillover {slope:9.4f} [{slope_se:.4f}]   n={fit.n_used}"
+            f"  {name:<14} direct {beta[direct]:9.4f} [{se[direct]:.4f}]"
+            f"   spillover {beta[slope]:9.4f} [{se[slope]:.4f}]   n={units[0]}"
         )
 
-    strat = stratified_regression(cells)
-    gaps = _plug_in_gaps(strat, summary)
+    fits, skipped = stratified_regression(cells)
+    gaps = _plug_in_gaps(fits, summary)
     implied_bias = imputation_bias(summary, gaps, p_hat)
     lap("strata")
     lines += [
@@ -529,9 +528,9 @@ def cmd_audit(args) -> int:
         f"  direct-effect gap          {_fmt(gaps.direct.item(), 4)}",
         f"  implied imputation bias    {_fmt(implied_bias.item(), 4)}",
     ]
-    if strat.skipped:
-        skipped = ", ".join(f"degree {g}: {reason}" for g, reason in sorted(strat.skipped.items()))
-        lines.append(f"  strata skipped: {skipped}")
+    if skipped:
+        reasons = ", ".join(f"degree {g}: {reason}" for g, reason in skipped.items())
+        lines.append(f"  strata skipped: {reasons}")
 
     warning = False
     if isolated > 0 and {"dbar_reg", "dbar_star_reg"} <= slopes.keys():

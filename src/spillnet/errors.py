@@ -36,7 +36,3 @@ class SingularModelError(SpillnetError):
 class EmptySubsampleError(SpillnetError):
     """A regression subsample contains no usable rows."""
 
-
-# A fit the data cannot support: a simulation excludes the rep, an audit
-# reports the specification as unavailable. Any other error is a bug or bad input.
-DEGENERATE_FIT_ERRORS = (SingularModelError, EmptySubsampleError, TooFewUnitsError)

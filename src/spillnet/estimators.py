@@ -1,18 +1,17 @@
-"""Exposure cells and their diagnostics, the OLS core and the three spillover regressions.
+"""Exposure cells, their diagnostics, the one least-squares solver and the three spillover fits.
 
 Every regressor of the three specifications is a function of a unit's own
 treatment d, its treated-neighbour count t and its degree g, so OLS on the
 units is weighted least squares on the occupied (g, t, d) cells:
 ``exposure_cells`` groups the units of one rep, or of a block of reps, into
 those cells with each cell's unit count, mean outcome and within-cell sum of
-squares (``cell_table(net, tr, y)`` is its one-rep call), and every fit
-takes that table as its one input and solves that small system, whatever
-the number of units. ``fit_cells`` fits a specification on every rep of a
-table, one stacked SVD per cell count; ``least_squares`` is the same solver
-for one problem: one thin SVD of the weighted rows gives the rank check,
-the coefficients and the iid standard errors of every outcome column, with
-95% intervals built as coefficient +/- 1.96 * se. ``SPECS`` describes the
-three specifications.
+squares (``cell_table(net, tr, y)`` is its one-rep call). Every fit solves
+through ``_solve``: one thin SVD of a stack of weighted problems gives the
+rank check, the coefficients and the iid standard errors of every outcome
+column, whatever the number of units. ``_fit_rows`` solves ranges of cell
+rows, one stacked SVD per range size; ``fit_cells`` fits a specification of
+``SPECS`` on every rep of a table, and ``stratified_regression`` fits each
+degree stratum of a one-rep table. ``ols`` solves unit rows.
 """
 
 from __future__ import annotations
@@ -35,26 +34,6 @@ DBAR_STAR = "dbar_star"
 
 # Relative pivot threshold for declaring a design matrix rank deficient.
 RANK_RTOL = 1e-10
-
-Z95 = 1.96
-
-
-@dataclass(frozen=True)
-class RegressionFit:
-    """A fitted linear specification with iid standard errors."""
-
-    spec_name: str
-    coefficients: dict[str, float]
-    se: dict[str, float]
-    ci95: dict[str, tuple[float, float]]
-    n_used: int
-    r_squared: float
-    rss: float
-    sigma2: float
-
-    def coef(self, name: str) -> float:
-        return self.coefficients[name]
-
 
 # Column of each regressor in ``CellTable.regressors``. One treated-fraction
 # column serves both fractions: it is t/g where g > 0, and 0 where g = 0.
@@ -242,13 +221,20 @@ def _rank_error(x: np.ndarray, weights: np.ndarray, names: tuple[str, ...]) -> S
 
 
 def _solve(x: np.ndarray, ys: np.ndarray, weights: np.ndarray, within: np.ndarray):
-    """``least_squares`` of a stack of problems of one shape, and which are rank deficient.
+    """Weighted least squares of a stack of problems of one shape, and which are rank deficient.
 
     ``x`` is (..., c, k), ``ys`` and ``within`` (..., c, D) and ``weights``
-    (..., c). Returns the coefficients and standard errors (..., k, D), the
-    residual sums of squares (..., D) and a rank-deficiency flag (...); the
-    numbers of a deficient problem mean nothing. Each problem's numbers are
-    those it has when solved alone.
+    (..., c). Row i stands for ``weights[i]`` units with regressors ``x[i]``,
+    mean outcome ``ys[i]`` and sum of squared deviations ``within[i]`` (a unit
+    row has weight 1 and within 0); the rows sqrt(w) x have the singular
+    values of the units, so one thin SVD serves all D columns. Returns the
+    coefficients and iid standard errors (..., k, D), the residual sums of
+    squares (..., D) and a flag (...) for a problem with fewer rows than
+    columns or rank-deficient rows, whose numbers mean nothing. Raises
+    ParameterError when a problem has no more units than columns; the caller
+    checks that the inputs are finite. A problem's numbers are those it has
+    when solved alone in the same memory layout: a C- and a Fortran-ordered
+    ``x`` give the same coefficients but can move the last bit of an se.
     """
     c, k = x.shape[-2:]
     n = np.asarray(weights.sum(axis=-1))
@@ -270,65 +256,14 @@ def _solve(x: np.ndarray, ys: np.ndarray, weights: np.ndarray, within: np.ndarra
     return beta, se, rss, singular
 
 
-def least_squares(x: np.ndarray, ys: np.ndarray, names: tuple[str, ...], weights: np.ndarray,
-                  within: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weighted least squares of every column of ``ys`` (c x D) on ``x`` (c x k).
+def ols(design_matrix: np.ndarray, y: np.ndarray,
+        names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least squares of y on the unit rows ``design_matrix``, one name per column.
 
-    Row i stands for ``weights[i]`` units that share the regressors ``x[i]``,
-    whose outcomes have mean ``ys[i]`` and sum of squared deviations
-    ``within[i]``; a unit row has weight 1 and within 0. The rows sqrt(w) x
-    have the singular values of the unit rows, so one thin SVD of them serves
-    all D columns as if the n = sum(weights) units were fitted. Returns the
-    coefficients and the iid standard errors, both k x D, and the D residual
-    sums of squares. Raises ParameterError when there are not more units than
-    columns, and SingularModelError naming the collinear columns when there
-    are fewer rows than columns or the rows are rank deficient. The caller
-    checks that the inputs are finite.
-    """
-    beta, se, rss, singular = _solve(x, ys, weights, within)
-    if singular:
-        raise _rank_error(x, weights, names)
-    return beta, se, rss
-
-
-def _fit(spec_name: str, names: tuple[str, ...], x: np.ndarray, weights: np.ndarray,
-         y: np.ndarray, within: np.ndarray) -> RegressionFit:
-    """``least_squares`` of one outcome column (c x 1), as a RegressionFit."""
-    beta, se, rss = least_squares(x, y, names, weights, within)
-    return _fit_record(spec_name, names, beta, se, rss, weights, y, within)
-
-
-def _fit_record(spec_name: str, names: tuple[str, ...], beta: np.ndarray, se: np.ndarray,
-                rss: np.ndarray, weights: np.ndarray, y: np.ndarray,
-                within: np.ndarray) -> RegressionFit:
-    """The solved fit of one outcome column as a RegressionFit: ``beta`` and ``se`` (k x 1)
-    and ``rss`` (1,), with the rows' weights, mean outcomes (c x 1) and within sums."""
-    n, k = int(weights.sum()), beta.shape[0]
-    rss = float(rss[0])
-    y = y[:, 0]
-    tss = float(within.sum() + weights @ (y - weights @ y / n) ** 2)
-    coef = dict(zip(names, beta[:, 0].tolist()))
-    se_map = dict(zip(names, se[:, 0].tolist()))
-    ci = {name: (coef[name] - Z95 * se_map[name], coef[name] + Z95 * se_map[name])
-          for name in names}
-    return RegressionFit(
-        spec_name=spec_name,
-        coefficients=coef,
-        se=se_map,
-        ci95=ci,
-        n_used=n,
-        r_squared=1.0 - rss / tss if tss > 0 else 0.0,
-        rss=rss,
-        sigma2=rss / (n - k),
-    )
-
-
-def ols(design_matrix: np.ndarray, y: np.ndarray, names: tuple[str, ...],
-        spec_name: str = "ols") -> RegressionFit:
-    """Least squares of y on the given columns (leading column = constant).
-
-    ``least_squares`` on unit rows, so it raises the same errors, and
-    ParameterError when an entry is not finite.
+    Returns the coefficients and iid standard errors, one per column, and
+    the residual sum of squares. ``_solve`` on unit rows, so it raises the
+    same ParameterError; also SingularModelError naming the collinear
+    columns, and ParameterError when an entry is not finite.
     """
     x = np.asarray(design_matrix, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -338,8 +273,11 @@ def ols(design_matrix: np.ndarray, y: np.ndarray, names: tuple[str, ...],
         raise ParameterError("need one name per design-matrix column")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ParameterError("design matrix and outcome must be finite")
-    return _fit(spec_name, names, x, np.ones(y.size, dtype=np.int64), y[:, None],
-                np.zeros((y.size, 1)))
+    weights = np.ones(y.size, dtype=np.int64)
+    beta, se, rss, singular = _solve(x, y[:, None], weights, np.zeros((y.size, 1)))
+    if singular:
+        raise _rank_error(x, weights, names)
+    return beta[:, 0], se[:, 0], rss[0]
 
 
 @dataclass(frozen=True)
@@ -375,9 +313,10 @@ SPECS = {
 }
 
 
-def _regressors(cells: CellTable, rows: slice, names: tuple[str, ...]) -> np.ndarray:
-    """The named regressors on the cells ``rows``, one column per name."""
-    return cells.regressors[rows, [CELL_COLUMNS[name] for name in names]]
+def _units(cells: CellTable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The number of units in the cells ``lo[b]`` to ``hi[b]`` of each range b."""
+    units = np.concatenate([[0], np.cumsum(cells.count)])
+    return units[hi] - units[lo]
 
 
 def _spec_rows(spec_name: str, cells: CellTable) -> tuple[np.ndarray, np.ndarray, list]:
@@ -393,14 +332,13 @@ def _spec_rows(spec_name: str, cells: CellTable) -> tuple[np.ndarray, np.ndarray
         # a rep's cells are sorted by degree, so its units with neighbors are a suffix
         isolated = np.concatenate([[0], np.cumsum(cells.degree == 0)])
         lo = lo + isolated[hi] - isolated[lo]
-    units = np.concatenate([[0], np.cumsum(cells.count)])
     subsample = " with neighbors" if spec.connected_only else ""
     errors = [
         EmptySubsampleError("no units with neighbors; treated fraction is undefined everywhere")
         if first == last else
         TooFewUnitsError(f"{spec_name} needs at least {spec.min_units} units{subsample}")
         if size < spec.min_units else None
-        for first, last, size in zip(lo.tolist(), hi.tolist(), (units[hi] - units[lo]).tolist())
+        for first, last, size in zip(lo.tolist(), hi.tolist(), _units(cells, lo, hi).tolist())
     ]
     return lo, hi, errors
 
@@ -408,89 +346,72 @@ def _spec_rows(spec_name: str, cells: CellTable) -> tuple[np.ndarray, np.ndarray
 def fit_cells(spec_name: str, cells: CellTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
     """Fit the specification ``SPECS[spec_name]`` on every rep of ``cells`` at once.
 
-    Returns the coefficients and iid standard errors, both (reps, k, D) in
-    the order of the specification's columns, the residual sums of squares
-    (reps, D), and each rep's degenerate-fit error, or None: the error of
-    ``_spec_rows``, else the SingularModelError of ``least_squares``. A rep
-    with an error has NaN results. The reps with the same number of cell rows
-    are solved in one stacked SVD. Padding a rep with zero-weight rows instead
-    would change the last bits of some fits, and so make a rep's fit depend on
-    the other reps of its table.
+    ``_fit_rows`` on the rows and errors ``_spec_rows`` finds, one range per
+    rep: the errors are each rep's degenerate-fit error, or None.
     """
-    return _fit_rows(spec_name, cells, *_spec_rows(spec_name, cells))
+    return _fit_rows(SPECS[spec_name].columns, cells, *_spec_rows(spec_name, cells))
 
 
-def _fit_rows(spec_name: str, cells: CellTable, lo: np.ndarray, hi: np.ndarray,
+def _fit_rows(columns: tuple[str, ...], cells: CellTable, lo: np.ndarray, hi: np.ndarray,
               errors: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-    """``fit_cells`` on the rows ``_spec_rows`` found: lo[b] to hi[b], with their errors."""
-    spec = SPECS[spec_name]
-    columns = [CELL_COLUMNS[name] for name in spec.columns]
-    beta = np.full((lo.size, len(columns), cells.mean.shape[1]), np.nan)
+    """Regress the outcomes of the cells ``lo[b]`` to ``hi[b]`` on ``columns``, for each b.
+
+    Solves the ranges whose ``errors[b]`` is None, those of one size in one
+    stacked ``_solve``; padding with zero-weight rows instead would make a
+    range's last bits depend on the other ranges. Returns the coefficients
+    and iid standard errors, both (ranges, k, D) and NaN for a range with an
+    error, each range's number of units, and ``errors`` with each
+    rank-deficient range's SingularModelError set in place.
+    """
+    index = [CELL_COLUMNS[name] for name in columns]
+    beta = np.full((lo.size, len(index), cells.mean.shape[1]), np.nan)
     se = beta.copy()
-    rss = np.full((lo.size, cells.mean.shape[1]), np.nan)
     size = hi - lo
-    pending = np.array([error is None for error in errors])
+    pending = np.array([error is None for error in errors], dtype=bool)  # bool when empty too
     for c in distinct(size[pending]).tolist():
         group = np.flatnonzero(pending & (size == c))
         rows = lo[group, None] + np.arange(c)
-        x = cells.regressors[rows[..., None], columns]
+        x = cells.regressors[rows[..., None], index]
         weights = cells.count[rows]
-        beta[group], se[group], rss[group], singular = _solve(
+        beta[group], se[group], _, singular = _solve(
             x, cells.mean[rows], weights, cells.within[rows])
         for g in np.flatnonzero(singular).tolist():
-            errors[group[g]] = _rank_error(x[g], weights[g], spec.columns)
-    return beta, se, rss, errors
+            errors[group[g]] = _rank_error(x[g], weights[g], columns)
+    return beta, se, _units(cells, lo, hi), errors
 
 
-def fit_specification(spec_name: str, cells: CellTable) -> RegressionFit:
-    """Fit the specification ``SPECS[spec_name]`` on the one-rep cell table ``cells``.
-
-    The one-rep call of ``fit_cells``; raises the rep's error.
-    """
-    lo, hi, errors = _spec_rows(spec_name, cells)
-    beta, se, rss, (error,) = _fit_rows(spec_name, cells, lo, hi, errors)
-    if error is not None:
-        raise error
-    rows = slice(int(lo[0]), int(hi[0]))
-    return _fit_record(spec_name, SPECS[spec_name].columns, beta[0], se[0], rss[0],
-                       cells.count[rows], cells.mean[rows], cells.within[rows])
-
-
-@dataclass(frozen=True)
-class StratifiedResult:
-    """Per-degree fits plus the strata that could not be fit, with reasons."""
-
-    fits: dict[int, RegressionFit]
-    skipped: dict[int, str]
-
-
-def stratified_regression(cells: CellTable) -> StratifiedResult:
-    """Separate OLS per degree stratum, each fitted from that degree's cells.
+def stratified_regression(
+    cells: CellTable,
+) -> tuple[dict[int, tuple[np.ndarray, np.ndarray]], dict[int, str]]:
+    """Separate OLS per degree stratum of the one-rep, one-outcome table ``cells``.
 
     Positive-degree strata regress the outcome on (1, own treatment,
     treated-neighbor count); the degree-0 stratum omits the neighbor count,
-    since spillovers do not exist for nodes without neighbors. Strata that
-    are too small or degenerate are skipped with a reason, never fatal.
+    since spillovers do not exist for nodes without neighbors. One
+    ``_fit_rows`` call fits the degree-0 stratum, one the others. Returns
+    {degree: (coefficients, standard errors)} of the fitted strata and
+    {degree: reason} of the skipped ones (too few units or a degenerate
+    fit), both in ascending order of degree.
     """
-    fits: dict[int, RegressionFit] = {}
+    first = np.flatnonzero(np.diff(cells.degree, prepend=-1))  # cells are sorted by degree
+    end = np.append(first[1:], cells.degree.size)
+    degrees = cells.degree[first]
+    fits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     skipped: dict[int, str] = {}
-    bounds = np.flatnonzero(np.diff(cells.degree)) + 1
-    for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), cells.degree.size]):
-        g = int(cells.degree[lo])
-        names = (CONST, TREATED) if g == 0 else (CONST, TREATED, TREATED_NEIGHBORS)
-        rows = slice(lo, hi)
-        size = int(cells.count[rows].sum())
-        if size < len(names) + 2:
-            skipped[g] = f"only {size} units; need at least {len(names) + 2}"
-            continue
-        try:
-            fits[g] = _fit("stratified", names, _regressors(cells, rows, names),
-                           cells.count[rows], cells.mean[rows], cells.within[rows])
-        except SingularModelError as exc:
-            if TREATED in exc.columns:
-                skipped[g] = "no treatment variation"
-            elif TREATED_NEIGHBORS in exc.columns:
-                skipped[g] = "no exposure variation"
+    for columns, group in (((CONST, TREATED), degrees == 0),
+                           ((CONST, TREATED, TREATED_NEIGHBORS), degrees > 0)):
+        need = len(columns) + 2
+        lo, hi = first[group], end[group]
+        errors = [f"only {size} units; need at least {need}" if size < need else None
+                  for size in _units(cells, lo, hi).tolist()]
+        beta, se, _, errors = _fit_rows(columns, cells, lo, hi, errors)
+        for g, b, s, error in zip(degrees[group].tolist(), beta[..., 0], se[..., 0], errors):
+            if error is None:
+                fits[g] = b, s
+            elif isinstance(error, SingularModelError):
+                skipped[g] = ("no treatment variation" if TREATED in error.columns else
+                              "no exposure variation" if TREATED_NEIGHBORS in error.columns else
+                              str(error))
             else:
-                skipped[g] = str(exc)
-    return StratifiedResult(fits=fits, skipped=skipped)
+                skipped[g] = error
+    return fits, skipped

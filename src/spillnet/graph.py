@@ -401,7 +401,7 @@ def _index_array(indices: Sequence | np.ndarray) -> np.ndarray:
 
 def read_table(
     path: str | Path, columns: Mapping[str, Callable[[str], Any]], unique: str | None = None
-) -> tuple[dict[str, list], list[int], dict[Any, int]]:
+) -> tuple[dict[str, list], Sequence[int], dict[Any, int]]:
     """Read the named columns of a headed CSV file, one list per column.
 
     The file is UTF-8, with or without a byte-order mark; undecodable text or
@@ -419,7 +419,8 @@ def read_table(
     name its bad lines. Any bad cell raises IngestionError naming
     ``path:line`` and the first 20 bad lines of each bad column, the columns
     ordered by their first bad line. Returns the columns, the file line of
-    each row (a row that spans lines is at its last line), and the row of
+    each row (a row that spans lines is at its last line; a ``range`` when no
+    row was skipped and no quoted cell holds a line break), and the row of
     each ``unique`` value (empty without ``unique``).
 
     The cyclic garbage collector is paused while the rows are built and
@@ -439,7 +440,7 @@ def read_table(
 
 def _read_table(
     path: str | Path, columns: Mapping[str, Callable[[str], Any]], unique: str | None
-) -> tuple[dict[str, list], list[int], dict[Any, int]]:
+) -> tuple[dict[str, list], Sequence[int], dict[Any, int]]:
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -464,9 +465,8 @@ def _read_table(
         # a row of blank cells joins to a blank string; holding flags rather than the joined
         # strings keeps ~1.5 MB per 20,000 rows off the peak memory
         keep = list(map(bool, map(str.strip, map("".join, rows))))
-        lines = compress(lines, keep)
+        lines = list(compress(lines, keep))
         rows = list(compress(rows, keep))
-    lines = list(lines)
     values: dict[str, list] = {}
     bad: list[tuple[str, str, list[int]]] = []  # column, first error, bad lines
     row_of: dict[Any, int] = {}
@@ -546,7 +546,7 @@ def _parse_column(cells: Iterable[str], parse: Callable[[str], Any]) -> list:
 
 
 def _bad_cells(
-    rows: list[list[str]], lines: list[int], index: int, parse: Callable[[str], Any],
+    rows: list[list[str]], lines: Sequence[int], index: int, parse: Callable[[str], Any],
     unique: bool,
 ) -> tuple[str, list[int]]:
     """Rescan one column cell by cell: the error of its first bad cell and its bad lines."""

@@ -405,8 +405,9 @@ def write_results_csv(
     """Write aggregated results rows (one per design/c/spec/coefficient).
 
     ``ci_low``/``ci_high`` are the representative single-experiment interval
-    mean_estimate +/- 1.96 * mean reported se, matching how per-fit intervals
-    are built; ``mc_se`` is blank for single-rep runs.
+    mean_estimate +/- 1.96 * mean reported se, the half-width the coverage
+    rate puts around each rep's estimate; ``mc_se`` is blank for single-rep
+    runs.
     """
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)

@@ -18,8 +18,8 @@ from spillnet.errors import (
     EmptySubsampleError, IngestionError, ParameterError, SingularModelError, TooFewUnitsError,
 )
 from spillnet.estimators import (
-    CONST, DBAR, DBAR_STAR, DEGREE, RANK_RTOL, SPECS, TREATED, TREATED_NEIGHBORS, Z95,
-    ExposureDiagnostics, RegressionFit, StratifiedResult,
+    CONST, DBAR, DBAR_STAR, DEGREE, RANK_RTOL, SPECS, TREATED, TREATED_NEIGHBORS,
+    ExposureDiagnostics,
 )
 from spillnet.exposure import ExposureProfile, TreatmentVector, compute_exposure
 from spillnet.graph import DegreeSummary, Network, seeded_rng, summarize
@@ -496,22 +496,19 @@ def reference_least_squares(spec_name: str, tr: TreatmentVector, prof: ExposureP
     return _reference_solve(x, ys if rows is None else ys[rows], SPECS[spec_name].columns)
 
 
-def _reference_ols(x: np.ndarray, y: np.ndarray, names: tuple[str, ...]) -> RegressionFit:
-    beta, se, rss = _reference_solve(x, y[:, None], names)
-    n, k = x.shape
-    rss = float(rss[0])
-    tss = float(np.sum((y - y.mean()) ** 2))
-    coef = dict(zip(names, beta[:, 0].tolist()))
-    se_map = dict(zip(names, se[:, 0].tolist()))
-    ci = {name: (coef[name] - Z95 * se_map[name], coef[name] + Z95 * se_map[name])
-          for name in names}
-    return RegressionFit("stratified", coef, se_map, ci, n,
-                         1.0 - rss / tss if tss > 0 else 0.0, rss, rss / (n - k))
+def _reference_ols(x: np.ndarray, y: np.ndarray,
+                   names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients and standard errors of y on the unit rows x."""
+    beta, se, _ = _reference_solve(x, y[:, None], names)
+    return beta[:, 0], se[:, 0]
 
 
-def reference_stratified(tr: TreatmentVector, prof: ExposureProfile,
-                         y: np.ndarray) -> StratifiedResult:
-    """Per-degree OLS on unit rows, each stratum found by a scan of the whole degree array."""
+def reference_stratified(tr: TreatmentVector, prof: ExposureProfile, y: np.ndarray):
+    """Per-degree OLS on unit rows, each stratum found by a scan of the whole degree array.
+
+    Returns ``{degree: (beta, se)}`` of the fitted strata and ``{degree:
+    reason}`` of the skipped ones.
+    """
     fits, skipped = {}, {}
     for g in np.unique(prof.degree).tolist():
         idx = np.flatnonzero(prof.degree == g)
@@ -537,4 +534,4 @@ def reference_stratified(tr: TreatmentVector, prof: ExposureProfile,
                 skipped[g] = "no exposure variation"
             else:
                 skipped[g] = str(exc)
-    return StratifiedResult(fits=fits, skipped=skipped)
+    return fits, skipped

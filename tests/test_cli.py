@@ -17,15 +17,18 @@ from hypothesis import strategies as st
 import spillnet
 import spillnet.cli
 from audit_dataset import write_audit_dataset
-from helpers import edge_pairs, reference_design, unit_outcomes
+from helpers import edge_pairs, reference_design, reference_stratified, unit_outcomes
 from spillnet.cli import main
-from spillnet.dgp import BuiltinDesign
+from spillnet.dgp import BuiltinDesign, effect_gaps
 from spillnet.errors import ParameterError, TooFewUnitsError
-from spillnet.exposure import assign_bernoulli
-from spillnet.graph import generate_watts_strogatz
+from spillnet.exposure import TreatmentVector, assign_bernoulli, compute_exposure
+from spillnet.graph import (
+    DegreeSummary, from_edge_list, generate_erdos_renyi, generate_watts_strogatz, summarize,
+)
 from spillnet.montecarlo import (
     STAGES, SimConfig, WattsStrogatzGraph, config_from_dict, config_to_dict, run_study,
 )
+from spillnet.oracle import imputation_bias
 
 
 def _read_csv(path):
@@ -500,7 +503,12 @@ def _write_synthetic_dataset(tmp_path, design_id, c, n=2000, seed=50):
     net = generate_watts_strogatz(n, 8, 0.25, 0.75, seed=seed)
     tr = assign_bernoulli(n, 0.5, seed=seed + 1)
     spec = reference_design(design_id, c, np.unique(net.degree))
-    y = unit_outcomes(net, tr, spec, seed=seed + 2)
+    return _write_dataset(tmp_path, net, tr, unit_outcomes(net, tr, spec, seed=seed + 2))
+
+
+def _write_dataset(tmp_path, net, tr, y):
+    """Audit inputs with unit ids 0, 1, ... in row order; outcomes round-trip exactly."""
+    n = net.n
     edges = tmp_path / "edges.csv"
     with edges.open("w") as fh:
         fh.write("src,dst\n")
@@ -542,6 +550,62 @@ def test_audit_without_isolated_nodes_is_quiet(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "no imputation warning raised" in out
     assert "isolated share             0.0000" in out
+
+
+GAPS_HEADER = "plug-in stratified gaps (positive-degree strata vs isolated stratum)"
+
+
+def _reference_gap_lines(edges, data):
+    """The audit's stratified-gap lines from per-degree OLS on the unit rows of the files,
+    whose unit ids are 0, 1, ... in row order; also the reference strata."""
+    units = _read_csv(data)
+    net = from_edge_list([(int(r["src"]), int(r["dst"])) for r in _read_csv(edges)],
+                         n=len(units))
+    d = np.array([int(r["treatment"]) for r in units])
+    y = np.array([float(r["outcome"]) for r in units])
+    tr = TreatmentVector(d=d, p=float(d.mean()))
+    prof = compute_exposure(net, tr)
+    fits, skipped = reference_stratified(tr, prof, y)
+    fitted = DegreeSummary.from_histogram({g: int((prof.degree == g).sum()) for g in fits})
+    baseline, direct = np.array([beta[:2] for beta, _ in fits.values()]).T  # const, treated
+    gaps = effect_gaps(fitted, baseline, direct)
+    bias = imputation_bias(summarize(net), gaps, tr.p)
+
+    def shown(value):
+        return "undefined" if np.isnan(value) else f"{value:.4f}"
+
+    lines = [GAPS_HEADER,
+             f"  baseline gap               {shown(gaps.baseline.item())}",
+             f"  direct-effect gap          {shown(gaps.direct.item())}",
+             f"  implied imputation bias    {shown(bias.item())}"]
+    if skipped:
+        lines.append("  strata skipped: " + ", ".join(
+            f"degree {g}: {reason}" for g, reason in sorted(skipped.items())))
+    return lines, fits, skipped
+
+
+def test_audit_stratified_gaps_equal_unit_row_strata(tmp_path, capsys):
+    isolated = tmp_path / "isolated"
+    connected = tmp_path / "connected"
+    isolated.mkdir()
+    connected.mkdir()
+    net = generate_erdos_renyi(300, 8.0, seed=17)
+    assert not (net.degree == 0).any(), "seed chosen to give no isolated unit"
+    tr = assign_bernoulli(300, 0.5, seed=18)
+    datasets = [
+        _write_synthetic_dataset(isolated, design_id=1, c=-0.5, n=400, seed=9),
+        _write_dataset(connected, net, tr, np.random.default_rng(19).normal(size=300) + tr.d),
+    ]
+    for (edges, data), has_isolated in zip(datasets, (True, False)):
+        want, fits, skipped = _reference_gap_lines(edges, data)
+        # a fitted degree-0 stratum and a skipped one; or no degree-0 stratum at all
+        assert (0 in fits) is has_isolated and fits
+        assert any(reason.startswith("only ") for reason in skipped.values())
+        assert main(["audit", "--edges", str(edges), "--data", str(data)]) == 0
+        out = capsys.readouterr().out.split("\n")
+        start = out.index(GAPS_HEADER)
+        assert out[start:out.index("", start)] == want
+        assert ("undefined" in want[1]) is not has_isolated
 
 
 def test_audit_rejects_non_binary_treatment(tmp_path, capsys):
@@ -746,6 +810,12 @@ def test_audit_does_not_import_numpy_ma(tmp_path):
 def test_benchmark_tracer_installs():
     # perfbench/spans.py rebinds spillnet names by hand (estimators.ols among them), so a
     # deleted or renamed one breaks its --trace mode
+    assert inspect.isfunction(spillnet.estimators.ols)
+    # spans.py names a span after the module that defines a function cli calls, and its
+    # estimators.stratified_regression metric reads 0 if that call moves elsewhere
+    for name in ("stratified_regression", "fit_cells"):
+        function = getattr(spillnet.cli, name)
+        assert inspect.isfunction(function) and function.__module__ == "spillnet.estimators", name
     bench = Path(__file__).resolve().parents[1] / "perfbench"
     src = str(Path(spillnet.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -794,22 +864,27 @@ def test_audit_manifest_records_stage_seconds_and_rows_read(tmp_path, capsys):
 
 def test_audit_marks_only_degenerate_fits_unavailable(tmp_path, capsys, monkeypatch):
     edges, data = _write_synthetic_dataset(tmp_path, design_id=3, c=0.0, n=400, seed=9)
-    fit = spillnet.cli.fit_specification
+    fit = spillnet.cli.fit_cells
 
-    def failing(error):
-        def fit_or_fail(name, *args, **kwargs):
-            if name == "dbar_reg":
-                raise error
-            return fit(name, *args, **kwargs)
-        return fit_or_fail
+    def degenerate(name, cells):
+        # fit_cells returns a degenerate fit's error, with NaN results
+        beta, se, units, errors = fit(name, cells)
+        if name == "dbar_reg":
+            return beta * np.nan, se * np.nan, units, [TooFewUnitsError("few")]
+        return beta, se, units, errors
 
-    monkeypatch.setattr(spillnet.cli, "fit_specification", failing(TooFewUnitsError("few")))
+    def failing(name, cells):
+        if name == "dbar_reg":
+            raise ParameterError("boom")
+        return fit(name, cells)
+
+    monkeypatch.setattr(spillnet.cli, "fit_cells", degenerate)
     assert main(["audit", "--edges", str(edges), "--data", str(data)]) == 0
     out = capsys.readouterr().out
     assert "dbar_reg       unavailable" in out
     assert "t_reg          direct" in out
     # any other ParameterError is a fault, not a small sample: usage exit 2
-    monkeypatch.setattr(spillnet.cli, "fit_specification", failing(ParameterError("boom")))
+    monkeypatch.setattr(spillnet.cli, "fit_cells", failing)
     assert main(["audit", "--edges", str(edges), "--data", str(data)]) == 2
     captured = capsys.readouterr()
     assert "spillnet: usage error: boom" in captured.err
@@ -903,12 +978,12 @@ def test_public_names_are_exactly_the_pinned_list():
         "AggregateReport", "BuiltinDesign", "CellTable", "CoefficientSummary",
         "ConfigurationError", "DegreeSummary", "DesignSpec", "EffectGaps", "EmptySubsampleError",
         "ErdosRenyiGraph", "ExposureDiagnostics", "ExposureProfile", "IngestionError", "Network",
-        "OracleReport", "ParameterError", "RegressionFit", "SimConfig", "SingularModelError",
-        "SpillnetError", "StratifiedResult", "TooFewUnitsError", "TreatmentVector",
+        "OracleReport", "ParameterError", "SimConfig", "SingularModelError",
+        "SpillnetError", "TooFewUnitsError", "TreatmentVector",
         "WS_CALIBRATED", "WattsStrogatzGraph", "assign_bernoulli", "cell_table",
         "compute_exposure", "cov_dbar_star_degree_closed_form", "dbar_star_moments",
         "dbar_weights", "derive_seed", "design_stack", "empirical_exposure_diagnostics",
-        "enumeration_population_ols", "fit_specification", "from_edge_list",
+        "enumeration_population_ols", "fit_cells", "from_edge_list",
         "generate_erdos_renyi", "generate_watts_strogatz", "imputation_bias", "load_design_csv",
         "ols", "oracle_report", "read_table", "run_study",
         "stratified_regression", "summarize", "t_weights", "write_results_csv",

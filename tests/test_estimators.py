@@ -11,7 +11,7 @@ from helpers import (
 )
 from spillnet.dgp import BuiltinDesign, DesignSpec, design_stack, outcome_cells
 from spillnet.errors import (
-    DEGENERATE_FIT_ERRORS, EmptySubsampleError, ParameterError, SingularModelError,
+    EmptySubsampleError, ParameterError, SingularModelError, TooFewUnitsError,
 )
 from spillnet.estimators import (
     CONST,
@@ -23,8 +23,6 @@ from spillnet.estimators import (
     SPECS,
     cell_table,
     fit_cells,
-    fit_specification,
-    least_squares,
     ols,
     stratified_regression,
 )
@@ -34,33 +32,42 @@ from spillnet.graph import (
 )
 
 
+def fit_one(spec_name, cells):
+    """The fit of ``fit_cells`` on a one-rep table: {column: coefficient}, {column: se} and
+    the number of units fitted. Raises the rep's degenerate-fit error."""
+    beta, se, units, (error,) = fit_cells(spec_name, cells)
+    if error is not None:
+        raise error
+    columns = SPECS[spec_name].columns
+    return (dict(zip(columns, beta[0, :, 0].tolist())), dict(zip(columns, se[0, :, 0].tolist())),
+            int(units[0]))
+
+
 def test_ols_exact_recovery_without_noise():
     rng = np.random.default_rng(0)
     x = np.column_stack([np.ones(40), rng.normal(size=40), rng.normal(size=40)])
     beta = np.array([1.5, -2.0, 0.25])
-    fit = ols(x, x @ beta, ("const", "a", "b"))
-    for name, value in zip(("const", "a", "b"), beta):
-        assert fit.coef(name) == pytest.approx(value, abs=1e-10)
-    assert fit.rss == pytest.approx(0.0, abs=1e-18)
-    assert fit.r_squared == pytest.approx(1.0)
+    got, se, rss = ols(x, x @ beta, ("const", "a", "b"))
+    assert got.shape == se.shape == (3,)
+    assert np.allclose(got, beta, rtol=0, atol=1e-10)
+    assert rss == pytest.approx(0.0, abs=1e-18)
 
 
 def test_ols_matches_textbook_normal_equations():
     rng = np.random.default_rng(7)
     x = np.column_stack([np.ones(50), rng.normal(size=50), rng.uniform(size=50)])
     y = rng.normal(size=50)
-    fit = ols(x, y, ("const", "a", "b"))
+    got_beta, got_se, _ = ols(x, y, ("const", "a", "b"))
     beta, se = normal_equation_ols(x, y)
-    assert np.allclose(list(fit.coefficients.values()), beta, atol=1e-9)
-    assert np.allclose(list(fit.se.values()), se, atol=1e-9)
+    assert np.allclose(got_beta, beta, atol=1e-9)
+    assert np.allclose(got_se, se, atol=1e-9)
 
 
 def test_ols_residuals_orthogonal_to_columns():
     rng = np.random.default_rng(3)
     x = np.column_stack([np.ones(80), rng.normal(size=80), rng.normal(size=80)])
     y = rng.normal(size=80) * 10
-    fit = ols(x, y, ("const", "a", "b"))
-    beta = np.array(list(fit.coefficients.values()))
+    beta = ols(x, y, ("const", "a", "b"))[0]
     gram = np.abs(x.T @ (y - x @ beta)).max()
     scale = np.linalg.norm(x) * np.linalg.norm(y)
     assert gram <= 1e-8 * scale
@@ -89,39 +96,15 @@ def test_ols_rejects_non_finite_inputs():
         ols(x, np.arange(20.0), ("const", "a"))
 
 
-def test_least_squares_fits_every_column_like_ols():
-    rng = np.random.default_rng(5)
-    x = np.column_stack([np.ones(60), rng.normal(size=60), rng.uniform(size=60)])
-    ys = rng.normal(size=(60, 4)) + x @ rng.normal(size=(3, 4))
-    names = ("const", "a", "b")
-    beta, se, rss = least_squares(x, ys, names, np.ones(60, dtype=np.int64), np.zeros((60, 4)))
-    assert beta.shape == se.shape == (3, 4) and rss.shape == (4,)
-    for j in range(4):
-        fit = ols(x, ys[:, j], names)
-        assert np.allclose(beta[:, j], list(fit.coefficients.values()), rtol=0, atol=1e-12)
-        assert np.allclose(se[:, j], list(fit.se.values()), rtol=0, atol=1e-12)
-        assert rss[j] == pytest.approx(fit.rss, rel=1e-12)
-
-
-def test_ci_is_exactly_plus_minus_1_96_se():
-    rng = np.random.default_rng(11)
-    x = np.column_stack([np.ones(30), rng.normal(size=30)])
-    fit = ols(x, rng.normal(size=30), ("const", "a"))
-    for name in fit.coefficients:
-        lo, hi = fit.ci95[name]
-        assert lo == fit.coef(name) - 1.96 * fit.se[name]
-        assert hi == fit.coef(name) + 1.96 * fit.se[name]
-
-
 def test_shifting_outcome_moves_only_the_intercept():
     net = generate_watts_strogatz(120, 4, 0.3, 0.4, seed=4)
     tr = assign_bernoulli(120, 0.5, seed=5)
     y = np.random.default_rng(6).normal(size=120)
-    base = fit_specification("t_reg", cell_table(net, tr, y))
-    shifted = fit_specification("t_reg", cell_table(net, tr, y + 5.0))
-    assert shifted.coef(CONST) == pytest.approx(base.coef(CONST) + 5.0, abs=1e-10)
+    base = fit_one("t_reg", cell_table(net, tr, y))[0]
+    shifted = fit_one("t_reg", cell_table(net, tr, y + 5.0))[0]
+    assert shifted[CONST] == pytest.approx(base[CONST] + 5.0, abs=1e-10)
     for name in (TREATED, TREATED_NEIGHBORS, DEGREE):
-        assert shifted.coef(name) == pytest.approx(base.coef(name), abs=1e-10)
+        assert shifted[name] == pytest.approx(base[name], abs=1e-10)
 
 
 def test_t_regression_exact_when_correctly_specified():
@@ -136,36 +119,33 @@ def test_t_regression_exact_when_correctly_specified():
         noise_sd=0.0,
     )
     y = unit_outcomes(net, tr, spec, seed=16)
-    fit = fit_specification("t_reg", cell_table(net, tr, y))
-    assert fit.coef(TREATED) == pytest.approx(1.25, abs=1e-9)
-    assert fit.coef(TREATED_NEIGHBORS) == pytest.approx(-0.4, abs=1e-9)
-    assert fit.coef(DEGREE) == pytest.approx(2.0, abs=1e-9)
-    assert fit.spec_name == "t_reg"
+    coef = fit_one("t_reg", cell_table(net, tr, y))[0]
+    assert coef[TREATED] == pytest.approx(1.25, abs=1e-9)
+    assert coef[TREATED_NEIGHBORS] == pytest.approx(-0.4, abs=1e-9)
+    assert coef[DEGREE] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_t_regression_needs_five_units():
     net = from_edge_list([(0, 1)], n=4)
     tr = TreatmentVector(d=np.array([1, 0, 1, 0]), p=0.5)
     with pytest.raises(ParameterError, match="t_reg needs at least 5 units"):
-        fit_specification("t_reg", cell_table(net, tr, np.zeros(4)))
+        fit_one("t_reg", cell_table(net, tr, np.zeros(4)))
 
 
 def test_dbar_regression_uses_positive_subsample_only():
     net = from_edge_list([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], n=7)
     tr = assign_bernoulli(7, 0.5, seed=3)
-    fit = fit_specification("dbar_reg", cell_table(net, tr, np.arange(7.0)))
-    assert fit.n_used == 5
-    assert fit.spec_name == "dbar_reg"
+    assert fit_one("dbar_reg", cell_table(net, tr, np.arange(7.0)))[2] == 5
 
 
 def test_dbar_regression_subsample_errors():
     empty = from_edge_list([], n=6)
     tr = assign_bernoulli(6, 0.5, seed=0)
     with pytest.raises(EmptySubsampleError):
-        fit_specification("dbar_reg", cell_table(empty, tr, np.zeros(6)))
+        fit_one("dbar_reg", cell_table(empty, tr, np.zeros(6)))
     tiny = from_edge_list([(0, 1)], n=6)
     with pytest.raises(ParameterError):
-        fit_specification("dbar_reg", cell_table(tiny, tr, np.zeros(6)))
+        fit_one("dbar_reg", cell_table(tiny, tr, np.zeros(6)))
 
 
 def test_degree_one_subsample_recovers_spillover_exactly():
@@ -180,15 +160,14 @@ def test_degree_one_subsample_recovers_spillover_exactly():
         noise_sd=0.0,
     )
     y = unit_outcomes(net, tr, spec, seed=20)
-    fit = fit_specification("dbar_reg", cell_table(net, tr, y))
-    assert fit.coef(DBAR) == pytest.approx(-0.37, abs=1e-9)
+    assert fit_one("dbar_reg", cell_table(net, tr, y))[0][DBAR] == pytest.approx(-0.37, abs=1e-9)
 
 
 def test_dbar_star_regression_minimum_size():
     net = from_edge_list([(0, 1)], n=3)
     tr = TreatmentVector(d=np.array([1, 0, 1]), p=0.5)
     with pytest.raises(ParameterError):
-        fit_specification("dbar_star_reg", cell_table(net, tr, np.zeros(3)))
+        fit_one("dbar_star_reg", cell_table(net, tr, np.zeros(3)))
 
 
 def test_dbar_and_dbar_star_identical_without_isolated_nodes():
@@ -196,21 +175,21 @@ def test_dbar_and_dbar_star_identical_without_isolated_nodes():
     assert (net.degree > 0).all(), "seed chosen to give no isolated nodes"
     tr = assign_bernoulli(80, 0.5, seed=24)
     y = np.random.default_rng(25).normal(size=80)
-    a = fit_specification("dbar_reg", cell_table(net, tr, y))
-    b = fit_specification("dbar_star_reg", cell_table(net, tr, y))
+    a_coef, a_se, a_units = fit_one("dbar_reg", cell_table(net, tr, y))
+    b_coef, b_se, b_units = fit_one("dbar_star_reg", cell_table(net, tr, y))
     # bit-identical, not merely close
-    assert list(a.coefficients.values()) == list(b.coefficients.values())
-    assert list(a.se.values()) == list(b.se.values())
-    assert a.n_used == b.n_used == 80
+    assert list(a_coef.values()) == list(b_coef.values())
+    assert list(a_se.values()) == list(b_se.values())
+    assert a_units == b_units == 80
 
 
 def test_stratified_zero_degree_stratum_has_no_neighbor_term():
     net = from_edge_list([(0, 1), (0, 2), (1, 2)], n=12)
     tr = assign_bernoulli(12, 0.5, seed=31)
     y = np.random.default_rng(32).normal(size=12)
-    result = stratified_regression(cell_table(net, tr, y))
-    assert 0 in result.fits
-    assert TREATED_NEIGHBORS not in result.fits[0].coefficients
+    fits, _ = stratified_regression(cell_table(net, tr, y))
+    assert 0 in fits
+    assert fits[0][0].shape == fits[0][1].shape == (2,)  # const and treated only
 
 
 def test_stratified_skips_small_and_degenerate_strata():
@@ -220,10 +199,10 @@ def test_stratified_skips_small_and_degenerate_strata():
     d = np.array([1, 0] + [1] * 8)
     tr = TreatmentVector(d=d, p=0.5)
     y = np.random.default_rng(33).normal(size=10)
-    result = stratified_regression(cell_table(net, tr, y))
-    assert 1 in result.skipped
-    assert "need at least" in result.skipped[1]
-    assert result.skipped[0] == "no treatment variation"
+    _, skipped = stratified_regression(cell_table(net, tr, y))
+    assert 1 in skipped
+    assert "need at least" in skipped[1]
+    assert skipped[0] == "no treatment variation"
 
 
 def test_stratified_exact_recovery_matches_builtin_design():
@@ -233,19 +212,17 @@ def test_stratified_exact_recovery_matches_builtin_design():
         reference_design(2, -0.5, np.unique(net.degree)), noise_sd=0.0
     )
     y = unit_outcomes(net, tr, spec, seed=43)
-    result = stratified_regression(cell_table(net, tr, y))
-    for g, fit in result.fits.items():
-        if g > 0:
-            assert fit.coef(TREATED_NEIGHBORS) == pytest.approx(
-                -0.5 / (1 + g), abs=1e-9
-            )
+    fits, _ = stratified_regression(cell_table(net, tr, y))
+    for g, (beta, _) in fits.items():
+        if g > 0:  # (const, treated, treated_neighbors)
+            assert beta[2] == pytest.approx(-0.5 / (1 + g), abs=1e-9)
 
 
 def test_all_treated_design_matrix_is_singular():
     net = generate_watts_strogatz(30, 2, 0.0, 0.0, seed=1)
     tr = TreatmentVector(d=np.ones(30, dtype=np.int64), p=0.5)
     with pytest.raises(SingularModelError):
-        fit_specification("t_reg", cell_table(net, tr, np.zeros(30)))
+        fit_one("t_reg", cell_table(net, tr, np.zeros(30)))
 
 
 def assert_close(got, want, rel=1e-12):
@@ -257,10 +234,11 @@ def assert_close(got, want, rel=1e-12):
 
 
 def outcome(call):
-    """The value of ``call()``, or the type and text of the degenerate-fit error it raises."""
+    """The value of ``call()``, or the type and text of the degenerate-fit error it raises:
+    a fit the data cannot support, which a simulation excludes and an audit reports."""
     try:
         return call()
-    except DEGENERATE_FIT_ERRORS as exc:
+    except (SingularModelError, EmptySubsampleError, TooFewUnitsError) as exc:
         return type(exc), str(exc)
 
 
@@ -296,10 +274,10 @@ def test_cell_fits_equal_unit_row_fits(n, graph, k, rewire, delete, mean_degree,
     assert cells.count.sum() == n and cells.count.size <= 2 * (n + 2 * net.u.size)
     for name in SPECS:
         def cell_fit():
-            beta, se, rss, (error,) = fit_cells(name, cells)
+            beta, se, units, (error,) = fit_cells(name, cells)
             if error is not None:
                 raise error
-            return beta[0], se[0], rss[0]
+            return beta[0], se[0], units[0]
 
         got = outcome(cell_fit)
         want = outcome(lambda: reference_least_squares(name, tr, prof, ys))
@@ -307,8 +285,9 @@ def test_cell_fits_equal_unit_row_fits(n, graph, k, rewire, delete, mean_degree,
             assert got == want
         else:
             assert not isinstance(got[0], type), (got, want)
-            for a, b in zip(got, want):
+            for a, b in zip(got[:2], want[:2]):
                 assert_close(a, b)
+            assert got[2] == ((prof.degree > 0).sum() if SPECS[name].connected_only else n)
 
 
 def test_cell_fits_raise_the_unit_row_errors():
@@ -326,7 +305,7 @@ def test_cell_fits_raise_the_unit_row_errors():
         prof = compute_exposure(graph, tr)
         y = np.random.default_rng(3).normal(size=graph.n)
         for name in SPECS:
-            got = outcome(lambda: fit_specification(name, cell_table(graph, tr, y)))
+            got = outcome(lambda: fit_one(name, cell_table(graph, tr, y)))
             want = outcome(lambda: reference_least_squares(name, tr, prof, y[:, None]))
             assert isinstance(want[0], type) and got == want
             seen.add(want)
@@ -338,19 +317,16 @@ def test_cell_fits_raise_the_unit_row_errors():
 
 
 def assert_same_strata(net, tr, y):
-    got = stratified_regression(cell_table(net, tr, y))
-    want = reference_stratified(tr, compute_exposure(net, tr), y)
-    assert got.skipped == want.skipped
-    assert got.fits.keys() == want.fits.keys()
-    for g, fit in got.fits.items():
-        ref = want.fits[g]
-        assert (fit.spec_name, fit.n_used) == (ref.spec_name, ref.n_used)
-        assert fit.coefficients.keys() == ref.coefficients.keys()
-        assert_close(list(fit.coefficients.values()), list(ref.coefficients.values()))
-        assert_close(list(fit.se.values()), list(ref.se.values()))
-        for field in ("rss", "sigma2", "r_squared"):
-            assert_close(getattr(fit, field), getattr(ref, field))
-    return got
+    fits, skipped = stratified_regression(cell_table(net, tr, y))
+    want_fits, want_skipped = reference_stratified(tr, compute_exposure(net, tr), y)
+    # the same strata, in the same ascending order of degree
+    assert list(skipped.items()) == list(want_skipped.items())
+    assert list(fits) == list(want_fits)
+    for g, (beta, se) in fits.items():
+        want_beta, want_se = want_fits[g]
+        assert_close(beta, want_beta)
+        assert_close(se, want_se)
+    return fits, skipped
 
 
 def test_stratified_fits_equal_a_scan_per_degree_on_many_degrees():
@@ -363,8 +339,8 @@ def test_stratified_fits_equal_a_scan_per_degree_on_many_degrees():
     assert np.unique(net.degree).size >= 300
     tr = assign_bernoulli(n, 0.5, seed=9)
     y = 1.0 + 0.1 * net.degree + tr.d + rng.normal(size=n)
-    result = assert_same_strata(net, tr, y)
-    assert len(result.fits) >= 10 and len(result.skipped) >= 300
+    fits, skipped = assert_same_strata(net, tr, y)
+    assert len(fits) >= 10 and len(skipped) >= 300
 
 
 def test_stratified_fits_equal_a_scan_per_degree_on_degenerate_strata():
@@ -376,10 +352,10 @@ def test_stratified_fits_equal_a_scan_per_degree_on_degenerate_strata():
     d = np.zeros(26, dtype=np.int64)
     d[:10] = 1
     d[[11, 15, 20, 24]] = 1
-    result = assert_same_strata(net, TreatmentVector(d=d, p=0.5),
-                                np.random.default_rng(4).normal(size=26))
-    assert result.skipped == {0: "no treatment variation", 1: "no exposure variation",
-                              3: "only 4 units; need at least 5"}
+    _, skipped = assert_same_strata(net, TreatmentVector(d=d, p=0.5),
+                                    np.random.default_rng(4).normal(size=26))
+    assert skipped == {0: "no treatment variation", 1: "no exposure variation",
+                       3: "only 4 units; need at least 5"}
 
 
 def test_cell_table_groups_units_by_degree_exposure_and_treatment():

@@ -247,7 +247,7 @@ def test_read_table_returns_the_row_of_each_unique_value(tmp_path):
     path.write_text("id,x\na,1\n\nb,2\nc,3\n")
     columns, lines, index = read_table(path, {"id": str, "x": int}, unique="id")
     assert columns == {"id": ["a", "b", "c"], "x": [1, 2, 3]}
-    assert lines == [2, 4, 5]
+    assert list(lines) == [2, 4, 5]
     assert index == {"a": 0, "b": 1, "c": 2}
     assert read_table(path, {"x": int})[2] == {}
     path.write_text("id,x\na,1\n\nb,2\na,3\n")
@@ -284,13 +284,19 @@ def test_read_table_puts_a_row_that_spans_lines_at_its_last_line(tmp_path):
     path.write_bytes(b'id,"x\r\n"\r\n"a\nb",1\r\nc,2\r\n\r\n"d\r\ne\r",3\n')
     columns, lines, _ = read_table(path, {"id": str, "x": int}, unique="id")
     assert columns == {"id": ["a\nb", "c", "d\r\ne"], "x": [1, 2, 3]}
-    assert lines == [4, 5, 9]
+    assert list(lines) == [4, 5, 9]
     # a quote left open at the end of the file holds the last line break
     path.write_bytes(b'id,x\n"a\nb",1\nc,"2\n')
-    assert read_table(path, {"id": str, "x": int})[:2] == (
-        {"id": ["a\nb", "c"], "x": [1, 2]}, [3, 4])
+    columns, lines, _ = read_table(path, {"id": str, "x": int})
+    assert (columns, list(lines)) == ({"id": ["a\nb", "c"], "x": [1, 2]}, [3, 4])
     path.write_bytes(b'id,x\nc,"2\n')
-    assert read_table(path, {"x": int})[1] == [2]
+    assert list(read_table(path, {"x": int})[1]) == [2]
+
+
+def test_read_table_gives_the_lines_of_a_table_with_one_line_per_row_as_a_range(tmp_path):
+    path = tmp_path / "units.csv"
+    path.write_text("id,x\na,1\nb,2\n")
+    assert read_table(path, {"id": str, "x": int})[1] == range(2, 4)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -359,7 +365,8 @@ def test_read_table_equals_a_per_row_reader(tmp_path_factory, text, columns):
 
     def outcome(read):
         try:
-            return read(path, *columns)
+            values, lines, row_of = read(path, *columns)
+            return values, list(lines), row_of
         except IngestionError as exc:
             return str(exc)
 

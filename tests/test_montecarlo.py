@@ -12,7 +12,7 @@ from spillnet.dgp import BuiltinDesign
 from spillnet.errors import (
     EmptySubsampleError, ParameterError, SingularModelError, TooFewUnitsError,
 )
-from spillnet.estimators import cell_table, fit_specification
+from spillnet.estimators import cell_table, fit_cells
 from spillnet.exposure import TreatmentVector, compute_exposure
 from spillnet.montecarlo import (
     CELLS,
@@ -288,9 +288,9 @@ def test_a_rank_deficient_rep_is_excluded_with_the_message_of_its_fit(monkeypatc
     assert report.exclusion_counts == {message: 1}
     assert report.reps_completed == 4
     net = config.graph.generate(config.n, derive_seed(config.base_seed, 2, "graph"))
-    with pytest.raises(SingularModelError, match=message):
-        fit_specification("t_reg", cell_table(net, assign(config.n, config.p, all_treated_seed),
-                                              np.zeros(config.n)))
+    _, _, _, (error,) = fit_cells("t_reg", cell_table(
+        net, assign(config.n, config.p, all_treated_seed), np.zeros(config.n)))
+    assert isinstance(error, SingularModelError) and str(error) == message
 
 
 def test_estimates_match_oracle_within_three_mc_ses():
