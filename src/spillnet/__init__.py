@@ -31,15 +31,12 @@ from .errors import (
 from .estimators import (
     CellTable,
     ExposureDiagnostics,
-    cell_table,
     empirical_exposure_diagnostics,
     fit_cells,
     ols,
     stratified_regression,
 )
 from .exposure import (
-    ExposureProfile,
-    TreatmentVector,
     assign_bernoulli,
     compute_exposure,
     cov_dbar_star_degree_closed_form,
@@ -52,7 +49,6 @@ from .graph import (
     generate_erdos_renyi,
     generate_watts_strogatz,
     read_table,
-    summarize,
 )
 from .montecarlo import (
     AggregateReport,

@@ -39,20 +39,18 @@ from .errors import (
 from .estimators import (
     SPECS,
     TREATED,
-    cell_table,
     empirical_exposure_diagnostics,
     exposure_cells,
     fit_cells,
     stratified_regression,
 )
 from .exposure import (
-    TreatmentVector,
     assign_bernoulli,
     compute_exposure,
     cov_dbar_star_degree_closed_form,
     write_scatter_csv,
 )
-from .graph import DegreeSummary, from_edge_list, nonnegative_int, read_table, summarize
+from .graph import DegreeSummary, from_edge_list, nonnegative_int, read_table
 from .montecarlo import (
     GRAPH_KINDS,
     SimConfig,
@@ -272,19 +270,18 @@ def cmd_scatter(args) -> int:
     inputs.check()
 
     net = graph.generate(n, seed)
-    tr = assign_bernoulli(n, p, seed + 1)
-    profile = compute_exposure(net, tr)
-    diag = empirical_exposure_diagnostics(
-        exposure_cells(profile.degree, profile.treated_neighbors, tr.d, np.zeros(n)))
+    d = assign_bernoulli(n, p, seed + 1)
+    t = compute_exposure(net, d)
+    diag = empirical_exposure_diagnostics(exposure_cells(net.degree, t, d, np.zeros(n)))
 
     out = Path(args.out)
-    write_scatter_csv(profile, out)
+    write_scatter_csv(net.degree, t, out)
     config = {"n": n, "p": p, "base_seed": seed, "graph": graph_to_dict(graph)}
     _write_manifest("scatter", out, [str(out)], config, started)
 
     print(f"r2(degree, dbar | degree>0) = {_fmt(diag.r2_dbar)}")
     print(f"r2(degree, dbar_star)      = {_fmt(diag.r2_dbar_star)}")
-    print(f"isolated share             = {np.mean(profile.degree == 0):.4f}")
+    print(f"isolated share             = {np.mean(net.degree == 0):.4f}")
     print(f"wrote {out}")
     return 0
 
@@ -360,7 +357,7 @@ def cmd_oracle(args) -> int:
         config["histogram"] = args.histogram
         source = f"histogram {args.histogram}"
     inputs.check()
-    summary = (summarize(graph.generate(n, seed)) if args.histogram is None
+    summary = (DegreeSummary.of(graph.generate(n, seed).degree) if args.histogram is None
                else _read_histogram_csv(args.histogram))
 
     report = oracle_report(design, summary, p)
@@ -477,10 +474,9 @@ def cmd_audit(args) -> int:
     net = from_edge_list(pairs, n=len(index))
 
     p_hat = float(d.mean())
-    tr = TreatmentVector(d=d, p=p_hat)
-    summary = summarize(net)
+    summary = DegreeSummary.of(net.degree)
     isolated = summary.isolated_fraction.item()
-    cells = cell_table(net, tr, y)
+    cells = exposure_cells(net.degree, compute_exposure(net, d), d, y)
     diag = empirical_exposure_diagnostics(cells)
 
     lines = [

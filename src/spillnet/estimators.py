@@ -2,16 +2,17 @@
 
 Every regressor of the three specifications is a function of a unit's own
 treatment d, its treated-neighbour count t and its degree g, so OLS on the
-units is weighted least squares on the occupied (g, t, d) cells:
-``exposure_cells`` groups the units of one rep, or of a block of reps, into
-those cells with each cell's unit count, mean outcome and within-cell sum of
-squares (``cell_table(net, tr, y)`` is its one-rep call). Every fit solves
-through ``_solve``: one thin SVD of a stack of weighted problems gives the
-rank check, the coefficients and the iid standard errors of every outcome
-column, whatever the number of units. ``_fit_rows`` solves ranges of cell
-rows, one stacked SVD per range size; ``fit_cells`` fits a specification of
-``SPECS`` on every rep of a table, and ``stratified_regression`` fits each
-degree stratum of a one-rep table. ``ols`` solves unit rows.
+units is weighted least squares on the occupied (g, t, d) cells.
+``exposure_cells(degree, t, d, y)`` groups the units of one rep (1-D
+arrays) or of a block of reps (one row per rep) into those cells, with each
+cell's unit count, mean outcome and within-cell sum of squares; every
+command builds its cells there. Every fit solves through ``_solve``: one
+thin SVD of a stack of weighted problems gives the rank check, the
+coefficients and the iid standard errors of every outcome column, whatever
+the number of units. ``_fit_rows`` solves ranges of cell rows, one stacked
+SVD per range size; ``fit_cells`` fits a specification of ``SPECS`` on every
+rep of a table, and ``stratified_regression`` fits each degree stratum of a
+one-rep table. ``ols`` solves unit rows.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySubsampleError, ParameterError, SingularModelError, TooFewUnitsError
-from .exposure import TreatmentVector, compute_exposure
-from .graph import Network, distinct
+from .graph import distinct
 
 # Coefficient (column) names shared across specifications.
 CONST = "const"
@@ -133,19 +133,6 @@ def exposure_cells(degree: np.ndarray, treated_neighbors: np.ndarray, d: np.ndar
     within = np.bincount(cell, weights=deviation, minlength=count.size)
     return CellTable(cell_degree, regressors, count, mean[:, None], within[:, None],
                      np.searchsorted(rep, np.arange(reps + 1)))
-
-
-def cell_table(net: Network, tr: TreatmentVector, y: np.ndarray) -> CellTable:
-    """The exposure cells of (net, tr) and the outcome ``y`` in them (one column).
-
-    Counts the treated neighbours (``compute_exposure``), then calls
-    ``exposure_cells`` for this one rep.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (net.n,) or tr.n != net.n or net.n == 0:
-        raise ParameterError("network, treatment and outcome must cover the same units")
-    profile = compute_exposure(net, tr)
-    return exposure_cells(profile.degree, profile.treated_neighbors, tr.d, y)
 
 
 @dataclass(frozen=True)

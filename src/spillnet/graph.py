@@ -69,10 +69,11 @@ class DegreeSummary:
 
     ``degrees`` holds the distinct degrees present in any of the networks,
     sorted; ``counts[b, j]`` is the number of nodes of network b with degree
-    ``degrees[j]``, 0 where it has none. Both are read-only int arrays, and
-    ``summarize`` gives the one-row summary of one network. Every moment is
-    an array with one row per network, shape (networks, 1), so that it
-    broadcasts against one column per design; a moment that is undefined for
+    ``degrees[j]``, 0 where it has none. Both are read-only int arrays.
+    ``of`` summarizes networks from their node degrees, one network from a
+    1-D array, and ``from_histogram`` one network from its degree counts.
+    Every moment is an array with one row per network, shape (networks, 1),
+    so that it broadcasts against one column per design; a moment undefined for
     a network (a conditional one whose stratum is empty) is NaN in its row.
     A sum over the degrees runs one term at a time in degree order, so a
     degree a network lacks adds an exact 0: a network's moments do not
@@ -101,18 +102,16 @@ class DegreeSummary:
 
     @staticmethod
     def of(degree: np.ndarray) -> "DegreeSummary":
-        """The summary of networks whose node degrees are the rows of ``degree``."""
+        """The summary of networks whose node degrees are the rows of ``degree``; a 1-D
+        ``degree`` is one network. Raises ParameterError for a negative degree or no node."""
+        degree = np.atleast_2d(degree)
+        if degree.size == 0 or degree.min() < 0:
+            raise ParameterError("degrees must be nonnegative, with at least one node")
         networks, width = degree.shape[0], int(degree.max()) + 1
         slot = np.arange(networks)[:, None] * width + degree
         counts = np.bincount(slot.ravel(), minlength=networks * width).reshape(networks, width)
         degrees = np.flatnonzero(counts.any(axis=0))
         return DegreeSummary(degrees, counts[:, degrees])
-
-    @staticmethod
-    def from_degrees(degrees: Sequence[int] | np.ndarray) -> "DegreeSummary":
-        """The one-row summary of one network's node degrees."""
-        degrees, counts = np.unique(np.asarray(degrees, dtype=np.int64), return_counts=True)
-        return DegreeSummary(degrees, counts[None])
 
     @staticmethod
     def from_histogram(histogram: Mapping[int, int]) -> "DegreeSummary":
@@ -183,11 +182,6 @@ def seeded_rng(seed: int) -> np.random.Generator:
     if seed < 0:
         raise ParameterError(f"seed must be a nonnegative integer (got {seed})")
     return np.random.default_rng(seed)
-
-
-def summarize(net: Network) -> DegreeSummary:
-    """The one-row ``DegreeSummary`` of a network."""
-    return DegreeSummary.from_degrees(net.degree)
 
 
 def distinct(values: np.ndarray) -> np.ndarray:
@@ -360,43 +354,31 @@ def generate_erdos_renyi(n: int, mean_degree: float, seed: int) -> Network:
 
 
 def from_edge_list(rows: Iterable[tuple[int, int]] | np.ndarray, n: int) -> Network:
-    """Build a network from undirected edge rows, pairs or an ``(m, 2)`` int array.
+    """Build a network from undirected edge rows, pairs or an ``(m, 2)`` signed-integer array.
 
-    Duplicate rows and opposite orientations collapse to a single edge.
-    Self-loops and out-of-range or non-integer indices are rejected, naming
-    the edge row.
+    Duplicate rows and opposite orientations collapse to a single edge. An
+    out-of-range index or a self-link raises IngestionError naming the edge
+    row; an index that is not a signed integer below 2**63, or n * n >= 2**63,
+    raises ParameterError.
     """
+    n = operator.index(n)
     if n < 0:
         raise ParameterError("n must be nonnegative")
-    if not isinstance(rows, np.ndarray):
-        rows = list(rows)
-    pairs = _index_array(rows).reshape(len(rows), 2)
+    if n * n >= 2**63:
+        raise ParameterError("from_edge_list requires n * n < 2**63")
+    pairs = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows))
+    if pairs.size and pairs.dtype.kind != "i":  # an empty list is a float array
+        raise ParameterError("edge indices must be signed integers below 2**63")
+    pairs = pairs.astype(np.int64, copy=False).reshape(len(pairs), 2)
     i, j = pairs[:, 0], pairs[:, 1]
-    with np.errstate(invalid="ignore"):  # a nan index is flagged, not warned about
-        bad = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j)
-                             | (i % 1 != 0) | (j % 1 != 0))
+    bad = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j))
     if bad.size:
         row = int(bad[0])
-        if i[row] % 1 != 0 or j[row] % 1 != 0:
-            raise IngestionError(f"edge row {row}: index ({i[row]}, {j[row]}) is not an integer")
         a, b = int(i[row]), int(j[row])
         if not (0 <= a < n and 0 <= b < n):
             raise IngestionError(f"edge row {row}: index ({a}, {b}) out of range for n={n}")
         raise IngestionError(f"edge row {row}: self-link ({a}, {b}) not allowed")
-    i, j = i.astype(np.int64), j.astype(np.int64)
     return _network_from_keys(n, distinct(np.minimum(i, j) * n + np.maximum(i, j)))
-
-
-def _index_array(indices: Sequence | np.ndarray) -> np.ndarray:
-    """Node indices as an int64 array, or as given in an object array when one
-    is not an integer below 2**63; from_edge_list names such an index."""
-    try:
-        array = np.asarray(indices, dtype=np.int64)
-        if np.array_equal(array, indices):  # the cast truncates fractions
-            return array
-    except (OverflowError, ValueError):
-        pass
-    return np.asarray(indices, dtype=object)
 
 
 def read_table(

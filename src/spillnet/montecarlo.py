@@ -249,9 +249,8 @@ def _simulate_block(configs: Sequence[SimConfig], fixed: _Graphs | None, reps: r
     d, t = np.empty((2, len(reps), first.n), dtype=np.int64)
     noise = np.empty((len(reps), first.n))
     for i, (rep, net) in enumerate(zip(reps, nets)):
-        tr = assign_bernoulli(first.n, first.p, derive_seed(first.base_seed, rep, "treatment"))
-        d[i] = tr.d
-        t[i] = compute_exposure(net, tr).treated_neighbors
+        d[i] = assign_bernoulli(first.n, first.p, derive_seed(first.base_seed, rep, "treatment"))
+        t[i] = compute_exposure(net, d[i])
         noise_rng = np.random.default_rng(derive_seed(first.base_seed, rep, "noise"))
         noise_rng.standard_normal(first.n, out=noise[i])
     lap("draws")

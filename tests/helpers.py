@@ -19,10 +19,10 @@ from spillnet.errors import (
 )
 from spillnet.estimators import (
     CONST, DBAR, DBAR_STAR, DEGREE, RANK_RTOL, SPECS, TREATED, TREATED_NEIGHBORS,
-    ExposureDiagnostics,
+    CellTable, ExposureDiagnostics, exposure_cells,
 )
-from spillnet.exposure import ExposureProfile, TreatmentVector, compute_exposure
-from spillnet.graph import DegreeSummary, Network, seeded_rng, summarize
+from spillnet.exposure import compute_exposure
+from spillnet.graph import DegreeSummary, Network, seeded_rng
 from spillnet.oracle import OracleReport
 
 
@@ -61,6 +61,18 @@ def check_invariants(net: Network) -> None:
 
 def treated_neighbor_counts(neighbors, d: np.ndarray) -> np.ndarray:
     return np.array([int(d[nbrs].sum()) for nbrs in neighbors], dtype=np.int64)
+
+
+def rep_cells(net: Network, d: np.ndarray, y: np.ndarray) -> CellTable:
+    """The exposure cells of one rep on ``net``, built as ``spillnet audit`` builds them."""
+    return exposure_cells(net.degree, compute_exposure(net, d), d, y)
+
+
+def unit_exposure(net: Network, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each unit's degree and treated-neighbour count, from its neighbour list."""
+    neighbors = neighbor_lists(net)
+    degree = np.array([len(nbrs) for nbrs in neighbors], dtype=np.int64)
+    return degree, treated_neighbor_counts(neighbors, d)
 
 
 def exact_dbar_star_moments(net, p: float) -> tuple[float, float, float]:
@@ -400,30 +412,31 @@ def _reference_solve(x: np.ndarray, ys: np.ndarray, names: tuple[str, ...]):
 
 
 def reference_outcome_matrix(
-    stack: np.ndarray, noise_sd, summary: DegreeSummary, tr: TreatmentVector,
-    prof: ExposureProfile, noise: np.ndarray,
+    stack: np.ndarray, noise_sd, summary: DegreeSummary, net: Network, d: np.ndarray,
+    noise: np.ndarray,
 ) -> np.ndarray:
     """Outcomes of D designs for one draw, one n-row column per design.
 
     ``stack`` is the designs' ``design_stack`` at ``summary.degrees``, the
-    distinct degrees of ``prof.degree``. Column j is the partially linear
-    form of ``stack[:, j]`` at each unit, plus ``noise_sd[j]`` times the
-    shared standard-normal ``noise``.
+    distinct degrees of ``net``. Column j is the partially linear form of
+    ``stack[:, j]`` at each unit, plus ``noise_sd[j]`` times the shared
+    standard-normal ``noise``.
     """
+    degree, t = unit_exposure(net, d)
     tables = np.zeros((3, summary.degrees[-1] + 1, stack.shape[1]))
     tables[:, summary.degrees] = stack.transpose(0, 2, 1)
-    baseline, direct, spillover = tables.take(prof.degree, axis=1)
-    y = baseline + direct * tr.d[:, None] + spillover * prof.treated_neighbors[:, None]
+    baseline, direct, spillover = tables.take(degree, axis=1)
+    y = baseline + direct * d[:, None] + spillover * t[:, None]
     return y + noise[:, None] * np.asarray(noise_sd, dtype=float)
 
 
-def unit_outcomes(net: Network, tr: TreatmentVector, design, seed: int) -> np.ndarray:
+def unit_outcomes(net: Network, d: np.ndarray, design, seed: int) -> np.ndarray:
     """One design's outcome per unit: ``reference_outcome_matrix`` of that design
     alone, with its standard-normal noise drawn from ``seeded_rng(seed)``."""
-    summary, prof = summarize(net), compute_exposure(net, tr)
+    summary = DegreeSummary.of(net.degree)
     noise = seeded_rng(seed).standard_normal(net.n)
     stack = design_stack([design], summary.degrees)
-    return reference_outcome_matrix(stack, [design.noise_sd], summary, tr, prof, noise)[:, 0]
+    return reference_outcome_matrix(stack, [design.noise_sd], summary, net, d, noise)[:, 0]
 
 
 def _reference_cov(x: np.ndarray, y: np.ndarray) -> float:
@@ -438,61 +451,65 @@ def _reference_r2(x: np.ndarray, y: np.ndarray) -> float | None:
     return _reference_cov(x, y) ** 2 / (vx * vy)
 
 
-def reference_exposure_diagnostics(prof: ExposureProfile) -> ExposureDiagnostics:
+def reference_exposure_diagnostics(net: Network, d: np.ndarray) -> ExposureDiagnostics:
     """The exposure diagnostics as population (1/n) moments over the unit rows.
 
     ``spillnet.estimators.empirical_exposure_diagnostics`` weights the cells
     by their counts instead; the two agree to rounding.
     """
-    gamma = prof.degree.astype(float)
-    pos = prof.positive
+    degree, t = unit_exposure(net, d)
+    gamma = degree.astype(float)
+    pos = np.flatnonzero(degree > 0)
+    dbar = t[pos] / degree[pos]
+    dbar_star = np.zeros(net.n)
+    dbar_star[pos] = dbar
     if pos.size > 0:
-        cov_pos = _reference_cov(gamma[pos], prof.dbar)
-        r2_pos = _reference_r2(gamma[pos], prof.dbar)
+        cov_pos = _reference_cov(gamma[pos], dbar)
+        r2_pos = _reference_r2(gamma[pos], dbar)
     else:
         cov_pos = r2_pos = None
     return ExposureDiagnostics(
         cov_dbar_degree_on_positive=cov_pos,
-        cov_dbar_star_degree=_reference_cov(gamma, prof.dbar_star),
+        cov_dbar_star_degree=_reference_cov(gamma, dbar_star),
         r2_dbar=r2_pos,
-        r2_dbar_star=_reference_r2(gamma, prof.dbar_star),
+        r2_dbar_star=_reference_r2(gamma, dbar_star),
     )
 
 
-def reference_design_matrix(spec_name: str, tr: TreatmentVector, prof: ExposureProfile):
+def reference_design_matrix(spec_name: str, net: Network, d: np.ndarray):
     """A specification's n x k regressors on the units it covers, and those units (None: all)."""
     spec = SPECS[spec_name]
-    rows = prof.positive if spec.connected_only else None
+    degree, t = unit_exposure(net, d)
+    rows = np.flatnonzero(degree > 0) if spec.connected_only else None
     if rows is not None and rows.size == 0:
         raise EmptySubsampleError(
             "no units with neighbors; treated fraction is undefined everywhere"
         )
-    size = prof.n if rows is None else rows.size
+    size = net.n if rows is None else rows.size
     if size < spec.min_units:
         subsample = " with neighbors" if spec.connected_only else ""
         raise TooFewUnitsError(f"{spec_name} needs at least {spec.min_units} units{subsample}")
-    full = {TREATED: tr.d, TREATED_NEIGHBORS: prof.treated_neighbors, DEGREE: prof.degree,
-            DBAR_STAR: prof.dbar_star}
+    # the fraction is t / g where g > 0; a connected-only fit never reads the 0 at g = 0
+    fraction = np.where(degree > 0, t / np.maximum(degree, 1), 0.0)
+    full = {TREATED: d, TREATED_NEIGHBORS: t, DEGREE: degree, DBAR: fraction,
+            DBAR_STAR: fraction}
     x = np.empty((size, len(spec.columns)))
     for j, name in enumerate(spec.columns):
         if name == CONST:
             x[:, j] = 1.0
-        elif name == DBAR:
-            x[:, j] = prof.dbar
         else:
             x[:, j] = full[name] if rows is None else full[name][rows]
     return x, rows
 
 
-def reference_least_squares(spec_name: str, tr: TreatmentVector, prof: ExposureProfile,
-                            ys: np.ndarray):
+def reference_least_squares(spec_name: str, net: Network, d: np.ndarray, ys: np.ndarray):
     """A specification fitted to every column of ``ys`` (n x D) on its unit rows.
 
     Builds the n x k design matrix and factorises it with one thin SVD, as
     spillnet did before it fitted from exposure cells. Returns beta and se
     (k x D) and rss (D), or raises the error of a degenerate fit.
     """
-    x, rows = reference_design_matrix(spec_name, tr, prof)
+    x, rows = reference_design_matrix(spec_name, net, d)
     return _reference_solve(x, ys if rows is None else ys[rows], SPECS[spec_name].columns)
 
 
@@ -503,24 +520,25 @@ def _reference_ols(x: np.ndarray, y: np.ndarray,
     return beta[:, 0], se[:, 0]
 
 
-def reference_stratified(tr: TreatmentVector, prof: ExposureProfile, y: np.ndarray):
+def reference_stratified(net: Network, d: np.ndarray, y: np.ndarray):
     """Per-degree OLS on unit rows, each stratum found by a scan of the whole degree array.
 
     Returns ``{degree: (beta, se)}`` of the fitted strata and ``{degree:
     reason}`` of the skipped ones.
     """
+    degree, t = unit_exposure(net, d)
     fits, skipped = {}, {}
-    for g in np.unique(prof.degree).tolist():
-        idx = np.flatnonzero(prof.degree == g)
+    for g in np.unique(degree).tolist():
+        idx = np.flatnonzero(degree == g)
         if g == 0:
             names = (CONST, TREATED)
-            x = np.column_stack([np.ones(idx.size), tr.d[idx].astype(float)])
+            x = np.column_stack([np.ones(idx.size), d[idx].astype(float)])
         else:
             names = (CONST, TREATED, TREATED_NEIGHBORS)
             x = np.column_stack([
                 np.ones(idx.size),
-                tr.d[idx].astype(float),
-                prof.treated_neighbors[idx].astype(float),
+                d[idx].astype(float),
+                t[idx].astype(float),
             ])
         if idx.size < len(names) + 2:
             skipped[g] = f"only {idx.size} units; need at least {len(names) + 2}"

@@ -11,11 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from helpers import exact_dbar_star_moments, reference_design, unit_outcomes
+from helpers import exact_dbar_star_moments, reference_design, rep_cells, unit_outcomes
 from spillnet.dgp import BuiltinDesign
 from spillnet.errors import EmptySubsampleError, SingularModelError
 from spillnet.estimators import (
-    cell_table,
     empirical_exposure_diagnostics,
     fit_cells,
     stratified_regression,
@@ -23,10 +22,10 @@ from spillnet.estimators import (
 from spillnet.exposure import assign_bernoulli, cov_dbar_star_degree_closed_form
 from spillnet.graph import (
     WS_CALIBRATED,
+    DegreeSummary,
     from_edge_list,
     generate_erdos_renyi,
     generate_watts_strogatz,
-    summarize,
 )
 from spillnet.montecarlo import SimConfig, run_study
 from spillnet.oracle import enumeration_population_ols, oracle_report
@@ -91,7 +90,7 @@ def test_criterion_1_theorem_formulas_equal_enumeration(corpus):
     compared = 0
     skipped = 0
     for net in corpus:
-        summary = summarize(net)
+        summary = DegreeSummary.of(net.degree)
         for design_id in (1, 2, 3):
             for c in (0.0, -0.5):
                 spec = reference_design(design_id, c, summary.degrees)
@@ -128,7 +127,7 @@ def test_criterion_2_closed_form_covariance(corpus):
     worst = 0.0
     positives_checked = 0
     for net in corpus:
-        summary = summarize(net)
+        summary = DegreeSummary.of(net.degree)
         for p in (0.3, 0.5):
             _, _, cov_enum = exact_dbar_star_moments(net, p)
             closed = cov_dbar_star_degree_closed_form(summary, p).item()
@@ -240,9 +239,9 @@ def test_criterion_5_confidence_interval_coverage(full_runs):
 
 def test_criterion_6_scatter_realization_pattern():
     net = generate_watts_strogatz(FULL_N, seed=7, **WS_CALIBRATED)
-    tr = assign_bernoulli(FULL_N, 0.5, seed=3)
-    diag = empirical_exposure_diagnostics(cell_table(net, tr, np.zeros(FULL_N)))
-    iso = summarize(net).isolated_fraction.item()
+    d = assign_bernoulli(FULL_N, 0.5, seed=3)
+    diag = empirical_exposure_diagnostics(rep_cells(net, d, np.zeros(FULL_N)))
+    iso = DegreeSummary.of(net.degree).isolated_fraction.item()
     ok = diag.r2_dbar < 0.01 and 0.02 <= diag.r2_dbar_star <= 0.10 and abs(iso - 0.10) <= 0.03
     _report(6, ok, f"r2(dbar) = {diag.r2_dbar:.4f}, r2(dbar_star) = "
                    f"{diag.r2_dbar_star:.4f}, isolated share = {iso:.3f}")
@@ -253,12 +252,12 @@ def test_criterion_6_scatter_realization_pattern():
 
 def test_criterion_7_stratified_identification_without_noise():
     net = generate_watts_strogatz(3000, seed=31, **WS_CALIBRATED)
-    tr = assign_bernoulli(3000, 0.5, seed=32)
+    d = assign_bernoulli(3000, 0.5, seed=32)
     spec = dataclasses.replace(
         reference_design(1, -0.5, np.unique(net.degree)), noise_sd=0.0
     )
-    y = unit_outcomes(net, tr, spec, seed=33)
-    fits, _ = stratified_regression(cell_table(net, tr, y))
+    y = unit_outcomes(net, d, spec, seed=33)
+    fits, _ = stratified_regression(rep_cells(net, d, y))
     worst = 0.0
     for g, (beta, _) in fits.items():
         # (const, treated), then treated_neighbors in a positive-degree stratum
@@ -276,16 +275,16 @@ def test_criterion_7_stratified_identification_without_noise():
 def test_criterion_8_equivalence_without_isolation():
     net = generate_erdos_renyi(300, 8.0, seed=17)
     assert not (net.degree == 0).any(), "seed chosen to avoid isolated nodes"
-    tr = assign_bernoulli(300, 0.5, seed=18)
+    d = assign_bernoulli(300, 0.5, seed=18)
     spec = reference_design(1, -0.5, np.unique(net.degree))
-    y = unit_outcomes(net, tr, spec, seed=19)
-    a = fit_cells("dbar_reg", cell_table(net, tr, y))
-    b = fit_cells("dbar_star_reg", cell_table(net, tr, y))
+    y = unit_outcomes(net, d, spec, seed=19)
+    a = fit_cells("dbar_reg", rep_cells(net, d, y))
+    b = fit_cells("dbar_star_reg", rep_cells(net, d, y))
     identical = (
         a[3] == b[3] == [None]
         and np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     )
-    report = oracle_report(spec, summarize(net), 0.5)
+    report = oracle_report(spec, DegreeSummary.of(net.degree), 0.5)
     ok = identical and report.dbar_star_bias == 0.0
     _report(8, ok, "fraction and imputed-fraction fits bit-identical; "
                    f"oracle bias term = {report.dbar_star_bias}")

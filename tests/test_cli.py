@@ -21,9 +21,9 @@ from helpers import edge_pairs, reference_design, reference_stratified, unit_out
 from spillnet.cli import main
 from spillnet.dgp import BuiltinDesign, effect_gaps
 from spillnet.errors import ParameterError, TooFewUnitsError
-from spillnet.exposure import TreatmentVector, assign_bernoulli, compute_exposure
+from spillnet.exposure import assign_bernoulli
 from spillnet.graph import (
-    DegreeSummary, from_edge_list, generate_erdos_renyi, generate_watts_strogatz, summarize,
+    DegreeSummary, from_edge_list, generate_erdos_renyi, generate_watts_strogatz,
 )
 from spillnet.montecarlo import (
     STAGES, SimConfig, WattsStrogatzGraph, config_from_dict, config_to_dict, run_study,
@@ -501,12 +501,12 @@ def test_non_finite_c_is_a_usage_error(tmp_path, capsys, argv):
 
 def _write_synthetic_dataset(tmp_path, design_id, c, n=2000, seed=50):
     net = generate_watts_strogatz(n, 8, 0.25, 0.75, seed=seed)
-    tr = assign_bernoulli(n, 0.5, seed=seed + 1)
+    d = assign_bernoulli(n, 0.5, seed=seed + 1)
     spec = reference_design(design_id, c, np.unique(net.degree))
-    return _write_dataset(tmp_path, net, tr, unit_outcomes(net, tr, spec, seed=seed + 2))
+    return _write_dataset(tmp_path, net, d, unit_outcomes(net, d, spec, seed=seed + 2))
 
 
-def _write_dataset(tmp_path, net, tr, y):
+def _write_dataset(tmp_path, net, d, y):
     """Audit inputs with unit ids 0, 1, ... in row order; outcomes round-trip exactly."""
     n = net.n
     edges = tmp_path / "edges.csv"
@@ -517,7 +517,7 @@ def _write_dataset(tmp_path, net, tr, y):
     with data.open("w") as fh:
         fh.write("id,treatment,outcome\n")
         for i in range(n):
-            fh.write(f"{i},{tr.d[i]},{y[i]}\n")
+            fh.write(f"{i},{d[i]},{y[i]}\n")
     return edges, data
 
 
@@ -563,13 +563,11 @@ def _reference_gap_lines(edges, data):
                          n=len(units))
     d = np.array([int(r["treatment"]) for r in units])
     y = np.array([float(r["outcome"]) for r in units])
-    tr = TreatmentVector(d=d, p=float(d.mean()))
-    prof = compute_exposure(net, tr)
-    fits, skipped = reference_stratified(tr, prof, y)
-    fitted = DegreeSummary.from_histogram({g: int((prof.degree == g).sum()) for g in fits})
+    fits, skipped = reference_stratified(net, d, y)
+    fitted = DegreeSummary.from_histogram({g: int((net.degree == g).sum()) for g in fits})
     baseline, direct = np.array([beta[:2] for beta, _ in fits.values()]).T  # const, treated
     gaps = effect_gaps(fitted, baseline, direct)
-    bias = imputation_bias(summarize(net), gaps, tr.p)
+    bias = imputation_bias(DegreeSummary.of(net.degree), gaps, float(d.mean()))
 
     def shown(value):
         return "undefined" if np.isnan(value) else f"{value:.4f}"
@@ -591,10 +589,10 @@ def test_audit_stratified_gaps_equal_unit_row_strata(tmp_path, capsys):
     connected.mkdir()
     net = generate_erdos_renyi(300, 8.0, seed=17)
     assert not (net.degree == 0).any(), "seed chosen to give no isolated unit"
-    tr = assign_bernoulli(300, 0.5, seed=18)
+    d = assign_bernoulli(300, 0.5, seed=18)
     datasets = [
         _write_synthetic_dataset(isolated, design_id=1, c=-0.5, n=400, seed=9),
-        _write_dataset(connected, net, tr, np.random.default_rng(19).normal(size=300) + tr.d),
+        _write_dataset(connected, net, d, np.random.default_rng(19).normal(size=300) + d),
     ]
     for (edges, data), has_isolated in zip(datasets, (True, False)):
         want, fits, skipped = _reference_gap_lines(edges, data)
@@ -811,11 +809,21 @@ def test_benchmark_tracer_installs():
     # perfbench/spans.py rebinds spillnet names by hand (estimators.ols among them), so a
     # deleted or renamed one breaks its --trace mode
     assert inspect.isfunction(spillnet.estimators.ols)
-    # spans.py names a span after the module that defines a function cli calls, and its
-    # estimators.stratified_regression metric reads 0 if that call moves elsewhere
-    for name in ("stratified_regression", "fit_cells"):
-        function = getattr(spillnet.cli, name)
-        assert inspect.isfunction(function) and function.__module__ == "spillnet.estimators", name
+    # spans.py names a span after the module that defines a function another module calls,
+    # so its estimators.stratified_regression, exposure.* and graph.from_edge_list.self_s
+    # metrics read 0 if such a call moves elsewhere or its function is renamed
+    for module, name, owner in (
+        (spillnet.cli, "stratified_regression", "spillnet.estimators"),
+        (spillnet.cli, "fit_cells", "spillnet.estimators"),
+        (spillnet.cli, "compute_exposure", "spillnet.exposure"),
+        (spillnet.cli, "assign_bernoulli", "spillnet.exposure"),
+        (spillnet.montecarlo, "compute_exposure", "spillnet.exposure"),
+        (spillnet.montecarlo, "assign_bernoulli", "spillnet.exposure"),
+        (spillnet.cli, "from_edge_list", "spillnet.graph"),
+    ):
+        function = getattr(module, name)
+        assert inspect.isfunction(function) and function.__module__ == owner, (module, name)
+        assert function.__name__ == name, (module, name)
     bench = Path(__file__).resolve().parents[1] / "perfbench"
     src = str(Path(spillnet.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -977,14 +985,14 @@ def test_public_names_are_exactly_the_pinned_list():
     assert sorted(spillnet.__all__) == [
         "AggregateReport", "BuiltinDesign", "CellTable", "CoefficientSummary",
         "ConfigurationError", "DegreeSummary", "DesignSpec", "EffectGaps", "EmptySubsampleError",
-        "ErdosRenyiGraph", "ExposureDiagnostics", "ExposureProfile", "IngestionError", "Network",
+        "ErdosRenyiGraph", "ExposureDiagnostics", "IngestionError", "Network",
         "OracleReport", "ParameterError", "SimConfig", "SingularModelError",
-        "SpillnetError", "TooFewUnitsError", "TreatmentVector",
-        "WS_CALIBRATED", "WattsStrogatzGraph", "assign_bernoulli", "cell_table",
+        "SpillnetError", "TooFewUnitsError",
+        "WS_CALIBRATED", "WattsStrogatzGraph", "assign_bernoulli",
         "compute_exposure", "cov_dbar_star_degree_closed_form", "dbar_star_moments",
         "dbar_weights", "derive_seed", "design_stack", "empirical_exposure_diagnostics",
         "enumeration_population_ols", "fit_cells", "from_edge_list",
         "generate_erdos_renyi", "generate_watts_strogatz", "imputation_bias", "load_design_csv",
         "ols", "oracle_report", "read_table", "run_study",
-        "stratified_regression", "summarize", "t_weights", "write_results_csv",
+        "stratified_regression", "t_weights", "write_results_csv",
     ]

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import reference_design, unit_outcomes
+from helpers import reference_design, rep_cells, unit_outcomes
 from spillnet.dgp import (
     BuiltinDesign,
     DesignSpec,
@@ -11,7 +11,7 @@ from spillnet.dgp import (
     load_design_csv,
 )
 from spillnet.errors import ConfigurationError, IngestionError, ParameterError
-from spillnet.exposure import TreatmentVector, assign_bernoulli
+from spillnet.exposure import assign_bernoulli
 from spillnet.graph import (
     DegreeSummary,
     from_edge_list,
@@ -78,21 +78,21 @@ def test_non_finite_design_values_rejected():
 
 def test_noise_free_design3_outcomes_exact():
     net = generate_watts_strogatz(50, 4, 0.2, 0.5, seed=8)
-    tr = assign_bernoulli(50, 0.5, seed=9)
+    d = assign_bernoulli(50, 0.5, seed=9)
     spec = dataclasses.replace(
         reference_design(3, 0.0, np.unique(net.degree)), noise_sd=0.0
     )
-    y = unit_outcomes(net, tr, spec, seed=1)
-    assert np.array_equal(y, 1.0 + tr.d)
+    y = unit_outcomes(net, d, spec, seed=1)
+    assert np.array_equal(y, 1.0 + d)
 
 
 def test_noise_free_path_graph_hand_value():
     net = from_edge_list([(0, 1), (1, 2)], n=3)
-    tr = TreatmentVector(d=np.array([1, 0, 1]), p=0.5)
+    d = np.array([1, 0, 1])
     spec = dataclasses.replace(
         reference_design(1, -0.5, [0, 1, 2]), noise_sd=0.0
     )
-    y = unit_outcomes(net, tr, spec, seed=0)
+    y = unit_outcomes(net, d, spec, seed=0)
     # middle node: baseline 3, untreated, two treated neighbors at -0.5/3 each
     assert y[1] == pytest.approx(8 / 3)
     assert y[0] == pytest.approx(1 + 1 + 1 + (-0.5 / 2) * 0)
@@ -101,13 +101,13 @@ def test_noise_free_path_graph_hand_value():
 
 def test_noise_averages_to_deterministic_part():
     net = generate_watts_strogatz(40, 2, 0.0, 0.0, seed=0)
-    tr = assign_bernoulli(40, 0.5, seed=1)
+    d = assign_bernoulli(40, 0.5, seed=1)
     spec = reference_design(1, -0.5, np.unique(net.degree))
-    exact = unit_outcomes(net, tr, dataclasses.replace(spec, noise_sd=0.0), seed=0)
+    exact = unit_outcomes(net, d, dataclasses.replace(spec, noise_sd=0.0), seed=0)
     reps = 600
     acc = np.zeros(40)
     for seed in range(reps):
-        acc += unit_outcomes(net, tr, spec, seed=seed)
+        acc += unit_outcomes(net, d, spec, seed=seed)
     assert np.all(np.abs(acc / reps - exact) <= 4 * spec.noise_sd / np.sqrt(reps))
 
 
@@ -115,8 +115,8 @@ def test_outcomes_depend_only_on_exposure_statistics():
     # swapping which neighbors are treated leaves the deterministic part alone
     net = from_edge_list([(0, 1), (0, 2), (0, 3), (0, 4)], n=5)
     spec = dataclasses.replace(reference_design(1, -0.5, [0, 4, 1]), noise_sd=0.0)
-    d1 = TreatmentVector(d=np.array([0, 1, 1, 0, 0]), p=0.5)
-    d2 = TreatmentVector(d=np.array([0, 0, 0, 1, 1]), p=0.5)
+    d1 = np.array([0, 1, 1, 0, 0])
+    d2 = np.array([0, 0, 0, 1, 1])
     y1 = unit_outcomes(net, d1, spec, seed=3)
     y2 = unit_outcomes(net, d2, spec, seed=3)
     assert y1[0] == y2[0]
@@ -124,12 +124,12 @@ def test_outcomes_depend_only_on_exposure_statistics():
 
 def test_seeded_functions_reject_negative_seeds():
     net = generate_watts_strogatz(20, 4, 0.2, 0.1, seed=1)
-    tr = assign_bernoulli(20, 0.5, seed=2)
+    d = assign_bernoulli(20, 0.5, seed=2)
     for call in (
         lambda: generate_watts_strogatz(20, 4, 0.2, 0.1, seed=-1),
         lambda: generate_erdos_renyi(20, 2.0, seed=-1),
         lambda: assign_bernoulli(20, 0.5, seed=-1),
-        lambda: unit_outcomes(net, tr, BuiltinDesign(1, 0.0), seed=-1),
+        lambda: unit_outcomes(net, d, BuiltinDesign(1, 0.0), seed=-1),
     ):
         with pytest.raises(ParameterError, match=r"seed must be a nonnegative integer \(got -1\)"):
             call()
@@ -137,33 +137,33 @@ def test_seeded_functions_reject_negative_seeds():
 
 def test_simulation_is_deterministic_given_seed():
     net = generate_watts_strogatz(30, 2, 0.1, 0.2, seed=5)
-    tr = assign_bernoulli(30, 0.5, seed=6)
+    d = assign_bernoulli(30, 0.5, seed=6)
     spec = reference_design(2, -0.5, np.unique(net.degree))
     assert np.array_equal(
-        unit_outcomes(net, tr, spec, seed=42),
-        unit_outcomes(net, tr, spec, seed=42),
+        unit_outcomes(net, d, spec, seed=42),
+        unit_outcomes(net, d, spec, seed=42),
     )
 
 
 def test_design_must_cover_observed_degrees():
     net = from_edge_list([(0, 1), (0, 2)], n=3)  # degrees 2, 1, 1
     spec = reference_design(1, 0.0, [0, 1])
-    tr = TreatmentVector(d=np.array([1, 0, 0]), p=0.5)
+    d = np.array([1, 0, 0])
     with pytest.raises(ConfigurationError):
-        unit_outcomes(net, tr, spec, seed=0)
+        unit_outcomes(net, d, spec, seed=0)
 
 
 def test_outcome_matrix_rejects_an_uncovered_degree():
     net = from_edge_list([(0, 1), (0, 2)], n=4)  # degrees 2, 1, 1, 0
     spec = DesignSpec(baseline={0: 1.0, 1: 2.0}, direct_effect={0: 1.0, 1: 1.0, 2: 1.0},
                       spillover_effect={0: 0.0, 1: 0.5}, noise_sd=0.0)
-    tr = TreatmentVector(d=np.array([1, 0, 1, 0]), p=0.5)
+    d = np.array([1, 0, 1, 0])
     with pytest.raises(ConfigurationError, match=r"degrees \[2\]"):
-        unit_outcomes(net, tr, spec, seed=0)
+        unit_outcomes(net, d, spec, seed=0)
 
 
 def test_effect_gaps_match_design_formulas():
-    summary = DegreeSummary.from_degrees([0, 0, 1, 2, 2, 5])
+    summary = DegreeSummary.of(np.array([0, 0, 1, 2, 2, 5]))
     mean_pos = (1 + 2 + 2 + 5) / 4
     for design_id, expected in ((1, mean_pos), (2, 1.0), (3, 0.0)):
         spec = reference_design(design_id, -0.5, summary.degrees)
@@ -174,9 +174,9 @@ def test_effect_gaps_match_design_formulas():
 
 def test_effect_gaps_undefined_without_both_strata():
     spec = reference_design(1, 0.0, [0, 1, 2])
-    no_isolated = DegreeSummary.from_degrees([1, 2, 2])
+    no_isolated = DegreeSummary.of(np.array([1, 2, 2]))
     assert np.isnan(effect_gaps(no_isolated, *spec.tables(no_isolated.degrees)[:2]).baseline)
-    all_isolated = DegreeSummary.from_degrees([0, 0])
+    all_isolated = DegreeSummary.of(np.array([0, 0]))
     assert np.isnan(effect_gaps(all_isolated, *spec.tables(all_isolated.degrees)[:2]).baseline)
 
 
@@ -216,15 +216,15 @@ def test_design_csv_rejects_bad_files(tmp_path):
 
 def test_stratified_identification_with_zero_noise():
     # regressing each degree stratum recovers the tabulated functions exactly
-    from spillnet.estimators import cell_table, stratified_regression
+    from spillnet.estimators import stratified_regression
 
     net = generate_watts_strogatz(600, 4, 0.3, 0.4, seed=21)
-    tr = assign_bernoulli(600, 0.5, seed=22)
+    d = assign_bernoulli(600, 0.5, seed=22)
     spec = dataclasses.replace(
         reference_design(1, -0.5, np.unique(net.degree)), noise_sd=0.0
     )
-    y = unit_outcomes(net, tr, spec, seed=23)
-    fits, _ = stratified_regression(cell_table(net, tr, y))
+    y = unit_outcomes(net, d, spec, seed=23)
+    fits, _ = stratified_regression(rep_cells(net, d, y))
     assert fits, "expected at least one fitted stratum"
     for g, (beta, _) in fits.items():
         # (const, treated), then treated_neighbors in a positive-degree stratum

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     normal_equation_ols, reference_design, reference_least_squares, reference_outcome_matrix,
-    reference_stratified, unit_outcomes,
+    reference_stratified, rep_cells, unit_outcomes,
 )
 from spillnet.dgp import BuiltinDesign, DesignSpec, design_stack, outcome_cells
 from spillnet.errors import (
@@ -21,14 +21,13 @@ from spillnet.estimators import (
     TREATED,
     TREATED_NEIGHBORS,
     SPECS,
-    cell_table,
     fit_cells,
     ols,
     stratified_regression,
 )
-from spillnet.exposure import TreatmentVector, assign_bernoulli, compute_exposure
+from spillnet.exposure import assign_bernoulli, compute_exposure
 from spillnet.graph import (
-    from_edge_list, generate_erdos_renyi, generate_watts_strogatz, summarize,
+    DegreeSummary, from_edge_list, generate_erdos_renyi, generate_watts_strogatz,
 )
 
 
@@ -98,10 +97,10 @@ def test_ols_rejects_non_finite_inputs():
 
 def test_shifting_outcome_moves_only_the_intercept():
     net = generate_watts_strogatz(120, 4, 0.3, 0.4, seed=4)
-    tr = assign_bernoulli(120, 0.5, seed=5)
+    d = assign_bernoulli(120, 0.5, seed=5)
     y = np.random.default_rng(6).normal(size=120)
-    base = fit_one("t_reg", cell_table(net, tr, y))[0]
-    shifted = fit_one("t_reg", cell_table(net, tr, y + 5.0))[0]
+    base = fit_one("t_reg", rep_cells(net, d, y))[0]
+    shifted = fit_one("t_reg", rep_cells(net, d, y + 5.0))[0]
     assert shifted[CONST] == pytest.approx(base[CONST] + 5.0, abs=1e-10)
     for name in (TREATED, TREATED_NEIGHBORS, DEGREE):
         assert shifted[name] == pytest.approx(base[name], abs=1e-10)
@@ -110,7 +109,7 @@ def test_shifting_outcome_moves_only_the_intercept():
 def test_t_regression_exact_when_correctly_specified():
     # constant spillover, constant direct effect, baseline affine in degree
     net = generate_watts_strogatz(200, 4, 0.3, 0.3, seed=14)
-    tr = assign_bernoulli(200, 0.5, seed=15)
+    d = assign_bernoulli(200, 0.5, seed=15)
     degs = np.unique(net.degree).tolist()
     spec = DesignSpec(
         baseline={g: 0.5 + 2.0 * g for g in degs},
@@ -118,8 +117,8 @@ def test_t_regression_exact_when_correctly_specified():
         spillover_effect={g: -0.4 for g in degs},
         noise_sd=0.0,
     )
-    y = unit_outcomes(net, tr, spec, seed=16)
-    coef = fit_one("t_reg", cell_table(net, tr, y))[0]
+    y = unit_outcomes(net, d, spec, seed=16)
+    coef = fit_one("t_reg", rep_cells(net, d, y))[0]
     assert coef[TREATED] == pytest.approx(1.25, abs=1e-9)
     assert coef[TREATED_NEIGHBORS] == pytest.approx(-0.4, abs=1e-9)
     assert coef[DEGREE] == pytest.approx(2.0, abs=1e-9)
@@ -127,56 +126,56 @@ def test_t_regression_exact_when_correctly_specified():
 
 def test_t_regression_needs_five_units():
     net = from_edge_list([(0, 1)], n=4)
-    tr = TreatmentVector(d=np.array([1, 0, 1, 0]), p=0.5)
+    d = np.array([1, 0, 1, 0])
     with pytest.raises(ParameterError, match="t_reg needs at least 5 units"):
-        fit_one("t_reg", cell_table(net, tr, np.zeros(4)))
+        fit_one("t_reg", rep_cells(net, d, np.zeros(4)))
 
 
 def test_dbar_regression_uses_positive_subsample_only():
     net = from_edge_list([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], n=7)
-    tr = assign_bernoulli(7, 0.5, seed=3)
-    assert fit_one("dbar_reg", cell_table(net, tr, np.arange(7.0)))[2] == 5
+    d = assign_bernoulli(7, 0.5, seed=3)
+    assert fit_one("dbar_reg", rep_cells(net, d, np.arange(7.0)))[2] == 5
 
 
 def test_dbar_regression_subsample_errors():
     empty = from_edge_list([], n=6)
-    tr = assign_bernoulli(6, 0.5, seed=0)
+    d = assign_bernoulli(6, 0.5, seed=0)
     with pytest.raises(EmptySubsampleError):
-        fit_one("dbar_reg", cell_table(empty, tr, np.zeros(6)))
+        fit_one("dbar_reg", rep_cells(empty, d, np.zeros(6)))
     tiny = from_edge_list([(0, 1)], n=6)
     with pytest.raises(ParameterError):
-        fit_one("dbar_reg", cell_table(tiny, tr, np.zeros(6)))
+        fit_one("dbar_reg", rep_cells(tiny, d, np.zeros(6)))
 
 
 def test_degree_one_subsample_recovers_spillover_exactly():
     # on a perfect matching the fraction equals the count, so the slope is
     # the degree-1 spillover itself
     net = from_edge_list([(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)], n=10)
-    tr = assign_bernoulli(10, 0.5, seed=19)
+    d = assign_bernoulli(10, 0.5, seed=19)
     spec = DesignSpec(
         baseline={1: 2.0},
         direct_effect={1: 1.0},
         spillover_effect={1: -0.37},
         noise_sd=0.0,
     )
-    y = unit_outcomes(net, tr, spec, seed=20)
-    assert fit_one("dbar_reg", cell_table(net, tr, y))[0][DBAR] == pytest.approx(-0.37, abs=1e-9)
+    y = unit_outcomes(net, d, spec, seed=20)
+    assert fit_one("dbar_reg", rep_cells(net, d, y))[0][DBAR] == pytest.approx(-0.37, abs=1e-9)
 
 
 def test_dbar_star_regression_minimum_size():
     net = from_edge_list([(0, 1)], n=3)
-    tr = TreatmentVector(d=np.array([1, 0, 1]), p=0.5)
+    d = np.array([1, 0, 1])
     with pytest.raises(ParameterError):
-        fit_one("dbar_star_reg", cell_table(net, tr, np.zeros(3)))
+        fit_one("dbar_star_reg", rep_cells(net, d, np.zeros(3)))
 
 
 def test_dbar_and_dbar_star_identical_without_isolated_nodes():
     net = generate_erdos_renyi(80, 6.0, seed=23)
     assert (net.degree > 0).all(), "seed chosen to give no isolated nodes"
-    tr = assign_bernoulli(80, 0.5, seed=24)
+    d = assign_bernoulli(80, 0.5, seed=24)
     y = np.random.default_rng(25).normal(size=80)
-    a_coef, a_se, a_units = fit_one("dbar_reg", cell_table(net, tr, y))
-    b_coef, b_se, b_units = fit_one("dbar_star_reg", cell_table(net, tr, y))
+    a_coef, a_se, a_units = fit_one("dbar_reg", rep_cells(net, d, y))
+    b_coef, b_se, b_units = fit_one("dbar_star_reg", rep_cells(net, d, y))
     # bit-identical, not merely close
     assert list(a_coef.values()) == list(b_coef.values())
     assert list(a_se.values()) == list(b_se.values())
@@ -185,9 +184,9 @@ def test_dbar_and_dbar_star_identical_without_isolated_nodes():
 
 def test_stratified_zero_degree_stratum_has_no_neighbor_term():
     net = from_edge_list([(0, 1), (0, 2), (1, 2)], n=12)
-    tr = assign_bernoulli(12, 0.5, seed=31)
+    d = assign_bernoulli(12, 0.5, seed=31)
     y = np.random.default_rng(32).normal(size=12)
-    fits, _ = stratified_regression(cell_table(net, tr, y))
+    fits, _ = stratified_regression(rep_cells(net, d, y))
     assert 0 in fits
     assert fits[0][0].shape == fits[0][1].shape == (2,)  # const and treated only
 
@@ -197,9 +196,8 @@ def test_stratified_skips_small_and_degenerate_strata():
     # has no treatment variation
     net = from_edge_list([(0, 1)], n=10)
     d = np.array([1, 0] + [1] * 8)
-    tr = TreatmentVector(d=d, p=0.5)
     y = np.random.default_rng(33).normal(size=10)
-    _, skipped = stratified_regression(cell_table(net, tr, y))
+    _, skipped = stratified_regression(rep_cells(net, d, y))
     assert 1 in skipped
     assert "need at least" in skipped[1]
     assert skipped[0] == "no treatment variation"
@@ -207,12 +205,12 @@ def test_stratified_skips_small_and_degenerate_strata():
 
 def test_stratified_exact_recovery_matches_builtin_design():
     net = generate_watts_strogatz(800, 4, 0.25, 0.4, seed=41)
-    tr = assign_bernoulli(800, 0.5, seed=42)
+    d = assign_bernoulli(800, 0.5, seed=42)
     spec = dataclasses.replace(
         reference_design(2, -0.5, np.unique(net.degree)), noise_sd=0.0
     )
-    y = unit_outcomes(net, tr, spec, seed=43)
-    fits, _ = stratified_regression(cell_table(net, tr, y))
+    y = unit_outcomes(net, d, spec, seed=43)
+    fits, _ = stratified_regression(rep_cells(net, d, y))
     for g, (beta, _) in fits.items():
         if g > 0:  # (const, treated, treated_neighbors)
             assert beta[2] == pytest.approx(-0.5 / (1 + g), abs=1e-9)
@@ -220,9 +218,9 @@ def test_stratified_exact_recovery_matches_builtin_design():
 
 def test_all_treated_design_matrix_is_singular():
     net = generate_watts_strogatz(30, 2, 0.0, 0.0, seed=1)
-    tr = TreatmentVector(d=np.ones(30, dtype=np.int64), p=0.5)
+    d = np.ones(30, dtype=np.int64)
     with pytest.raises(SingularModelError):
-        fit_one("t_reg", cell_table(net, tr, np.zeros(30)))
+        fit_one("t_reg", rep_cells(net, d, np.zeros(30)))
 
 
 def assert_close(got, want, rel=1e-12):
@@ -261,16 +259,16 @@ def test_cell_fits_equal_unit_row_fits(n, graph, k, rewire, delete, mean_degree,
     # the fits of a simulated rep, from its cells, against the n x k design matrices
     net = (generate_watts_strogatz(n, k, rewire, delete, seed) if graph == "ws"
            else generate_erdos_renyi(n, mean_degree, seed))
-    tr = assign_bernoulli(n, p, seed + 1)
+    d = assign_bernoulli(n, p, seed + 1)
     if all_treated:
-        tr = TreatmentVector(d=np.ones(n, dtype=np.int64), p=p)
-    prof = compute_exposure(net, tr)
-    summary = summarize(net)
-    stack = design_stack([BuiltinDesign(d, c) for d, c, _ in designs], summary.degrees)
+        d = np.ones(n, dtype=np.int64)
+    summary = DegreeSummary.of(net.degree)
+    stack = design_stack([BuiltinDesign(design_id, c) for design_id, c, _ in designs],
+                         summary.degrees)
     sds = [sd for _, _, sd in designs]
     noise = np.random.default_rng(seed + 2).standard_normal(n)
-    ys = reference_outcome_matrix(stack, sds, summary, tr, prof, noise)
-    cells = outcome_cells(stack, sds, summary, cell_table(net, tr, noise))
+    ys = reference_outcome_matrix(stack, sds, summary, net, d, noise)
+    cells = outcome_cells(stack, sds, summary, rep_cells(net, d, noise))
     assert cells.count.sum() == n and cells.count.size <= 2 * (n + 2 * net.u.size)
     for name in SPECS:
         def cell_fit():
@@ -280,14 +278,14 @@ def test_cell_fits_equal_unit_row_fits(n, graph, k, rewire, delete, mean_degree,
             return beta[0], se[0], units[0]
 
         got = outcome(cell_fit)
-        want = outcome(lambda: reference_least_squares(name, tr, prof, ys))
+        want = outcome(lambda: reference_least_squares(name, net, d, ys))
         if isinstance(want[0], type):
             assert got == want
         else:
             assert not isinstance(got[0], type), (got, want)
             for a, b in zip(got[:2], want[:2]):
                 assert_close(a, b)
-            assert got[2] == ((prof.degree > 0).sum() if SPECS[name].connected_only else n)
+            assert got[2] == ((net.degree > 0).sum() if SPECS[name].connected_only else n)
 
 
 def test_cell_fits_raise_the_unit_row_errors():
@@ -296,17 +294,16 @@ def test_cell_fits_raise_the_unit_row_errors():
     isolated = from_edge_list([], n=12)
     pairs = from_edge_list([(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)], n=10)  # cells (1, t, d) only
     cases = [
-        (net, TreatmentVector(d=np.ones(30, dtype=np.int64), p=0.5)),
+        (net, np.ones(30, dtype=np.int64)),
         (isolated, assign_bernoulli(12, 0.5, seed=2)),
-        (pairs, TreatmentVector(d=np.array([1, 0] * 5), p=0.5)),
+        (pairs, np.array([1, 0] * 5)),
     ]
     seen = set()
-    for graph, tr in cases:
-        prof = compute_exposure(graph, tr)
+    for graph, d in cases:
         y = np.random.default_rng(3).normal(size=graph.n)
         for name in SPECS:
-            got = outcome(lambda: fit_one(name, cell_table(graph, tr, y)))
-            want = outcome(lambda: reference_least_squares(name, tr, prof, y[:, None]))
+            got = outcome(lambda: fit_one(name, rep_cells(graph, d, y)))
+            want = outcome(lambda: reference_least_squares(name, graph, d, y[:, None]))
             assert isinstance(want[0], type) and got == want
             seen.add(want)
     assert (SingularModelError, "design matrix is rank deficient; collinear columns: "
@@ -316,9 +313,9 @@ def test_cell_fits_raise_the_unit_row_errors():
     assert any("const, treated" in text for _, text in seen)  # no treatment variation
 
 
-def assert_same_strata(net, tr, y):
-    fits, skipped = stratified_regression(cell_table(net, tr, y))
-    want_fits, want_skipped = reference_stratified(tr, compute_exposure(net, tr), y)
+def assert_same_strata(net, d, y):
+    fits, skipped = stratified_regression(rep_cells(net, d, y))
+    want_fits, want_skipped = reference_stratified(net, d, y)
     # the same strata, in the same ascending order of degree
     assert list(skipped.items()) == list(want_skipped.items())
     assert list(fits) == list(want_fits)
@@ -337,9 +334,9 @@ def test_stratified_fits_equal_a_scan_per_degree_on_many_degrees():
              for leaf in rng.choice(np.arange(hubs, n), size=h + 1, replace=False).tolist()]
     net = from_edge_list(edges, n=n)
     assert np.unique(net.degree).size >= 300
-    tr = assign_bernoulli(n, 0.5, seed=9)
-    y = 1.0 + 0.1 * net.degree + tr.d + rng.normal(size=n)
-    fits, skipped = assert_same_strata(net, tr, y)
+    d = assign_bernoulli(n, 0.5, seed=9)
+    y = 1.0 + 0.1 * net.degree + d + rng.normal(size=n)
+    fits, skipped = assert_same_strata(net, d, y)
     assert len(fits) >= 10 and len(skipped) >= 300
 
 
@@ -352,32 +349,30 @@ def test_stratified_fits_equal_a_scan_per_degree_on_degenerate_strata():
     d = np.zeros(26, dtype=np.int64)
     d[:10] = 1
     d[[11, 15, 20, 24]] = 1
-    _, skipped = assert_same_strata(net, TreatmentVector(d=d, p=0.5),
-                                    np.random.default_rng(4).normal(size=26))
+    _, skipped = assert_same_strata(net, d, np.random.default_rng(4).normal(size=26))
     assert skipped == {0: "no treatment variation", 1: "no exposure variation",
                        3: "only 4 units; need at least 5"}
 
 
 def test_cell_table_groups_units_by_degree_exposure_and_treatment():
     net = generate_erdos_renyi(200, 3.0, seed=12)
-    tr = assign_bernoulli(200, 0.4, seed=13)
-    prof = compute_exposure(net, tr)
+    d = assign_bernoulli(200, 0.4, seed=13)
     y = np.random.default_rng(14).normal(size=200) * 100.0 + 1e6
     groups: dict[tuple[int, int, int], list[int]] = {}
-    for i, key in enumerate(zip(prof.degree.tolist(), prof.treated_neighbors.tolist(),
-                                tr.d.tolist())):
+    for i, key in enumerate(zip(net.degree.tolist(), compute_exposure(net, d).tolist(),
+                                d.tolist())):
         groups.setdefault(key, []).append(i)
-    cells = cell_table(net, tr, y)
+    cells = rep_cells(net, d, y)
     keys = sorted(groups)
-    g, t, d = np.array(keys).T
+    g, t, own = np.array(keys).T
     assert cells.degree.tolist() == g.tolist()
     assert np.array_equal(cells.regressors, np.column_stack(
-        [np.ones(len(keys)), d, t, g, np.where(g > 0, t / np.maximum(g, 1), 0.0)]))
+        [np.ones(len(keys)), own, t, g, np.where(g > 0, t / np.maximum(g, 1), 0.0)]))
     assert cells.count.tolist() == [len(groups[key]) for key in keys]
     members = [y[groups[key]] for key in keys]
     assert_close(cells.mean[:, 0], [m.mean() for m in members])
     assert_close(cells.within[:, 0], [((m - m.mean()) ** 2).sum() for m in members])
     with pytest.raises(ParameterError, match="treatment must be 0 or 1"):
-        cell_table(net, TreatmentVector(d=tr.d * 2, p=0.4), y)
+        rep_cells(net, d * 2, y)
     with pytest.raises(ParameterError, match="outcome must be finite"):
-        cell_table(net, tr, np.where(np.arange(200) == 7, np.nan, y))
+        rep_cells(net, d, np.where(np.arange(200) == 7, np.nan, y))

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import exact_dbar_star_moments, reference_exposure_diagnostics
+from helpers import exact_dbar_star_moments, reference_exposure_diagnostics, rep_cells
 from spillnet.errors import ParameterError
-from spillnet.estimators import cell_table, empirical_exposure_diagnostics
+from spillnet.estimators import empirical_exposure_diagnostics
 from spillnet.exposure import (
-    TreatmentVector,
     assign_bernoulli,
     compute_exposure,
     cov_dbar_star_degree_closed_form,
@@ -17,25 +16,24 @@ from spillnet.graph import (
     from_edge_list,
     generate_erdos_renyi,
     generate_watts_strogatz,
-    summarize,
 )
 
 
 def test_bernoulli_is_deterministic_and_binary():
     a = assign_bernoulli(50, 0.5, seed=10)
     b = assign_bernoulli(50, 0.5, seed=10)
-    assert np.array_equal(a.d, b.d)
-    assert set(np.unique(a.d)) <= {0, 1}
+    assert a.dtype == np.int64 and np.array_equal(a, b)
+    assert set(np.unique(a)) <= {0, 1}
     c = assign_bernoulli(3, 0.99, seed=1)
-    assert set(np.unique(c.d)) <= {0, 1}
+    assert set(np.unique(c)) <= {0, 1}
 
 
 def test_bernoulli_mean_within_three_binomial_ses():
     n = 100_000
     se = np.sqrt(0.25 / n)
     for seed in range(10):
-        tr = assign_bernoulli(n, 0.5, seed=seed)
-        assert abs(tr.d.mean() - 0.5) <= 3 * se
+        d = assign_bernoulli(n, 0.5, seed=seed)
+        assert abs(d.mean() - 0.5) <= 3 * se
 
 
 def test_bernoulli_rejects_degenerate_probabilities():
@@ -44,50 +42,51 @@ def test_bernoulli_rejects_degenerate_probabilities():
             assign_bernoulli(10, p, seed=0)
 
 
-def test_exposure_on_path_graph_by_hand():
+def _scatter_rows(net, d, tmp_path):
+    """The data rows of the scatter CSV of (net, d): node, degree, dbar, dbar_star, isolated."""
+    path = tmp_path / "scatter.csv"
+    write_scatter_csv(net.degree, compute_exposure(net, d), path)
+    return path.read_text().splitlines()[1:]
+
+
+def test_exposure_on_path_graph_by_hand(tmp_path):
     net = from_edge_list([(0, 1), (1, 2)], n=3)
-    tr = TreatmentVector(d=np.array([1, 0, 1]), p=0.5)
-    prof = compute_exposure(net, tr)
-    assert prof.treated_neighbors.tolist() == [0, 2, 0]
-    assert prof.degree.tolist() == [1, 2, 1]
-    assert prof.positive.tolist() == [0, 1, 2]
-    assert prof.dbar.tolist() == [0.0, 1.0, 0.0]
-    assert prof.dbar_star.tolist() == [0.0, 1.0, 0.0]
+    d = np.array([1, 0, 1])
+    t = compute_exposure(net, d)
+    assert t.dtype == np.int64 and t.tolist() == [0, 2, 0]
+    assert net.degree.tolist() == [1, 2, 1]
+    assert _scatter_rows(net, d, tmp_path) == ["0,1,0.0,0.0,0", "1,2,1.0,1.0,0", "2,1,0.0,0.0,0"]
 
 
-def test_exposure_marks_isolated_nodes_as_absent():
+def test_exposure_marks_isolated_nodes_as_absent(tmp_path):
     net = from_edge_list([(0, 1)], n=3)
-    tr = TreatmentVector(d=np.array([1, 1, 1]), p=0.5)
-    prof = compute_exposure(net, tr)
-    assert prof.treated_neighbors[2] == 0
-    assert 2 not in prof.positive.tolist()
-    assert prof.dbar_star[2] == 0.0
-    assert prof.isolated.tolist() == [False, False, True]
+    d = np.array([1, 1, 1])
+    assert compute_exposure(net, d)[2] == 0
+    assert _scatter_rows(net, d, tmp_path)[2] == "2,0,,0.0,1"  # no dbar, dbar_star 0
 
 
-def test_exposure_star_center_half_treated():
+def test_exposure_star_center_half_treated(tmp_path):
     net = from_edge_list([(0, 1), (0, 2), (0, 3), (0, 4)], n=5)
-    tr = TreatmentVector(d=np.array([0, 1, 1, 0, 0]), p=0.5)
-    prof = compute_exposure(net, tr)
-    assert prof.treated_neighbors[0] == 2
-    assert prof.dbar[prof.positive.tolist().index(0)] == pytest.approx(0.5)
+    d = np.array([0, 1, 1, 0, 0])
+    assert compute_exposure(net, d)[0] == 2
+    assert _scatter_rows(net, d, tmp_path)[0] == "0,4,0.5,0.5,0"
 
 
 def test_exposure_length_mismatch_raises():
     net = from_edge_list([(0, 1)], n=2)
     with pytest.raises(ParameterError):
-        compute_exposure(net, TreatmentVector(d=np.array([1, 0, 1]), p=0.5))
+        compute_exposure(net, np.array([1, 0, 1]))
 
 
 def test_treated_counts_bounded_and_conserve_mass():
     for seed in range(8):
         net = generate_erdos_renyi(70, 2.5, seed=seed)
-        tr = assign_bernoulli(70, 0.4, seed=seed + 100)
-        prof = compute_exposure(net, tr)
-        assert np.all(prof.treated_neighbors <= prof.degree)
-        assert np.all(prof.treated_neighbors >= 0)
+        d = assign_bernoulli(70, 0.4, seed=seed + 100)
+        t = compute_exposure(net, d)
+        assert np.all(t <= net.degree)
+        assert np.all(t >= 0)
         # each treated node contributes its degree to the total count
-        assert prof.treated_neighbors.sum() == int((net.degree * tr.d).sum())
+        assert t.sum() == int((net.degree * d).sum())
 
 
 def test_mean_treated_count_is_degree_times_p():
@@ -95,7 +94,7 @@ def test_mean_treated_count_is_degree_times_p():
     p, n_seeds = 0.4, 800
     totals = np.zeros(net.n)
     for seed in range(n_seeds):
-        totals += compute_exposure(net, assign_bernoulli(net.n, p, seed=seed)).treated_neighbors
+        totals += compute_exposure(net, assign_bernoulli(net.n, p, seed=seed))
     avg = totals / n_seeds
     se = np.sqrt(np.maximum(net.degree, 1) * p * (1 - p) / n_seeds)
     inside = np.abs(avg - net.degree * p) <= 3 * se
@@ -109,16 +108,16 @@ def test_closed_form_cov_hand_value():
 
 
 def test_closed_form_cov_zero_without_isolation_or_edges():
-    no_iso = DegreeSummary.from_degrees([2, 2, 3, 3])
+    no_iso = DegreeSummary.of(np.array([2, 2, 3, 3]))
     assert cov_dbar_star_degree_closed_form(no_iso, 0.5) == 0.0
-    all_iso = DegreeSummary.from_degrees([0, 0])
+    all_iso = DegreeSummary.of(np.array([0, 0]))
     assert cov_dbar_star_degree_closed_form(all_iso, 0.5) == 0.0
 
 
 def test_closed_form_cov_positive_with_mixed_isolation():
     for seed in range(10):
         net = generate_erdos_renyi(40, 1.2, seed=seed)
-        s = summarize(net)
+        s = DegreeSummary.of(net.degree)
         if 0.0 < s.isolated_fraction < 1.0:
             assert cov_dbar_star_degree_closed_form(s, 0.3) > 0.0
 
@@ -135,18 +134,17 @@ def test_closed_form_cov_equals_enumeration_on_small_graphs(p):
     ]
     for net in nets:
         _, _, cov = exact_dbar_star_moments(net, p)
-        closed = cov_dbar_star_degree_closed_form(summarize(net), p)
+        closed = cov_dbar_star_degree_closed_form(DegreeSummary.of(net.degree), p)
         assert closed == pytest.approx(cov, abs=1e-12)
 
 
-def _diagnostics(net, tr):
-    return empirical_exposure_diagnostics(cell_table(net, tr, np.zeros(net.n)))
+def _diagnostics(net, d):
+    return empirical_exposure_diagnostics(rep_cells(net, d, np.zeros(net.n)))
 
 
 def test_diagnostics_constant_degree_gives_exact_zero_cov():
     net = from_edge_list([(0, 1), (2, 3)], n=4)  # all positive degrees equal 1
-    tr = TreatmentVector(d=np.array([1, 0, 0, 1]), p=0.5)
-    diag = _diagnostics(net, tr)
+    diag = _diagnostics(net, np.array([1, 0, 0, 1]))
     assert diag.cov_dbar_degree_on_positive == 0.0
     assert diag.r2_dbar is None
 
@@ -154,10 +152,9 @@ def test_diagnostics_constant_degree_gives_exact_zero_cov():
 def test_diagnostics_hand_dataset():
     # degrees (0, 1, 1) with dbar_star (0, 1, 0)
     net = from_edge_list([(1, 2)], n=3)
-    tr = TreatmentVector(d=np.array([0, 0, 1]), p=0.5)
-    prof = compute_exposure(net, tr)
-    assert prof.dbar_star.tolist() == [0.0, 1.0, 0.0]
-    diag = _diagnostics(net, tr)
+    d = np.array([0, 0, 1])
+    assert compute_exposure(net, d).tolist() == [0, 1, 0]
+    diag = _diagnostics(net, d)
     gamma = np.array([0.0, 1.0, 1.0])
     star = np.array([0.0, 1.0, 0.0])
     expected = np.mean(gamma * star) - gamma.mean() * star.mean()
@@ -167,8 +164,7 @@ def test_diagnostics_hand_dataset():
 
 def test_diagnostics_empty_positive_subsample():
     net = from_edge_list([], n=3)
-    tr = TreatmentVector(d=np.array([1, 0, 1]), p=0.5)
-    diag = _diagnostics(net, tr)
+    diag = _diagnostics(net, np.array([1, 0, 1]))
     assert diag.cov_dbar_degree_on_positive is None
     assert diag.r2_dbar is None
     assert diag.r2_dbar_star is None  # dbar_star identically zero
@@ -177,8 +173,7 @@ def test_diagnostics_empty_positive_subsample():
 
 def test_diagnostics_reference_setting_r2_pattern():
     net = generate_watts_strogatz(1000, seed=7, **WS_CALIBRATED)
-    tr = assign_bernoulli(1000, 0.5, seed=3)
-    diag = _diagnostics(net, tr)
+    diag = _diagnostics(net, assign_bernoulli(1000, 0.5, seed=3))
     assert diag.r2_dbar < 0.01
     assert 0.02 <= diag.r2_dbar_star <= 0.10
 
@@ -194,9 +189,9 @@ def test_diagnostics_reference_setting_r2_pattern():
 def test_diagnostics_equal_the_unit_level_moments(make):
     net = make()
     for seed in range(5):
-        tr = assign_bernoulli(net.n, 0.3 + 0.1 * seed, seed=seed)
-        got = _diagnostics(net, tr)
-        want = reference_exposure_diagnostics(compute_exposure(net, tr))
+        d = assign_bernoulli(net.n, 0.3 + 0.1 * seed, seed=seed)
+        got = _diagnostics(net, d)
+        want = reference_exposure_diagnostics(net, d)
         for name, value in vars(want).items():
             if value is None:
                 assert getattr(got, name) is None, name
@@ -206,21 +201,20 @@ def test_diagnostics_equal_the_unit_level_moments(make):
 
 def test_diagnostics_ignore_the_order_of_the_units():
     net = generate_watts_strogatz(400, seed=11, **WS_CALIBRATED)
-    tr = assign_bernoulli(400, 0.5, seed=12)
-    diag = _diagnostics(net, tr)
+    d = assign_bernoulli(400, 0.5, seed=12)
+    diag = _diagnostics(net, d)
     for seed in range(60):
         label = np.random.default_rng(seed).permutation(net.n)  # unit i becomes unit label[i]
         relabelled = from_edge_list(np.column_stack([label[net.u], label[net.v]]), n=net.n)
-        d = np.empty_like(tr.d)
-        d[label] = tr.d
-        assert _diagnostics(relabelled, TreatmentVector(d=d, p=tr.p)) == diag, seed
+        moved = np.empty_like(d)
+        moved[label] = d
+        assert _diagnostics(relabelled, moved) == diag, seed
 
 
 def test_scatter_csv_format(tmp_path):
     net = from_edge_list([(0, 1)], n=3)
-    tr = TreatmentVector(d=np.array([1, 0, 0]), p=0.5)
     path = tmp_path / "scatter.csv"
-    write_scatter_csv(compute_exposure(net, tr), path)
+    write_scatter_csv(net.degree, compute_exposure(net, np.array([1, 0, 0])), path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "node,degree,dbar,dbar_star,isolated"
     assert lines[1] == "0,1,0.0,0.0,0"

@@ -22,7 +22,6 @@ from spillnet.graph import (
     generate_erdos_renyi,
     generate_watts_strogatz,
     read_table,
-    summarize,
 )
 
 
@@ -41,7 +40,7 @@ def test_ws_ring_without_rewiring_or_deletion_is_a_cycle():
 def test_ws_full_deletion_gives_empty_graph():
     net = generate_watts_strogatz(6, 2, beta=0.0, delete_prob=1.0, seed=9)
     assert np.all(net.degree == 0)
-    assert summarize(net).isolated_fraction == 1.0
+    assert DegreeSummary.of(net.degree).isolated_fraction == 1.0
     for beta in (0.5, 1.0):
         for seed in range(20):
             assert generate_watts_strogatz(40, 6, beta, delete_prob=1.0, seed=seed).u.size == 0
@@ -51,9 +50,7 @@ def test_ws_calibrated_matches_reference_degree_profile():
     # roughly 10% isolated, mean degree 2, max degree near 7 at n = 1000
     isos, means, maxes = [], [], []
     for seed in range(5):
-        s = summarize(
-            generate_watts_strogatz(1000, seed=seed, **WS_CALIBRATED)
-        )
+        s = DegreeSummary.of(generate_watts_strogatz(1000, seed=seed, **WS_CALIBRATED).degree)
         isos.append(s.isolated_fraction)
         means.append(s.mean_degree)
         maxes.append(s.degrees[-1])
@@ -184,7 +181,7 @@ def test_er_at_200k_nodes_has_binomial_edge_count():
 def test_er_isolated_fraction_matches_poisson_limit():
     # Pr(degree = 0) -> exp(-2) for mean degree 2 as n grows
     isos = [
-        summarize(generate_erdos_renyi(1000, 2.0, seed=s)).isolated_fraction
+        DegreeSummary.of(generate_erdos_renyi(1000, 2.0, seed=s).degree).isolated_fraction
         for s in range(200)
     ]
     assert abs(np.mean(isos) - math.exp(-2)) <= 0.01
@@ -193,7 +190,7 @@ def test_er_isolated_fraction_matches_poisson_limit():
 def test_er_mean_degree_converges_with_binomial_error():
     n, target, n_seeds = 400, 3.0, 60
     means = [
-        summarize(generate_erdos_renyi(n, target, seed=s)).mean_degree
+        DegreeSummary.of(generate_erdos_renyi(n, target, seed=s).degree).mean_degree
         for s in range(n_seeds)
     ]
     p_edge = target / (n - 1)
@@ -222,7 +219,7 @@ def test_from_edge_list_deduplicates_and_symmetrizes():
 
 def test_from_edge_list_empty_graph():
     net = from_edge_list([], n=4)
-    assert summarize(net).isolated_fraction == 1.0
+    assert DegreeSummary.of(net.degree).isolated_fraction == 1.0
 
 
 def test_from_edge_list_rejects_self_loops_and_bad_indices():
@@ -233,7 +230,7 @@ def test_from_edge_list_rejects_self_loops_and_bad_indices():
     with pytest.raises(IngestionError):
         from_edge_list([(-1, 0)], n=3)
     for rows in ([(0.9, 2.5)], np.array([[0.5, 1.7]]), [(0, 1), (1, 2.5)]):
-        with pytest.raises(IngestionError, match=f"edge row {len(rows) - 1}: .* not an integer"):
+        with pytest.raises(ParameterError, match="^edge indices must be signed integers"):
             from_edge_list(rows, n=3)
 
 
@@ -373,10 +370,22 @@ def test_read_table_equals_a_per_row_reader(tmp_path_factory, text, columns):
     assert outcome(read_table) == outcome(reference_read_table)
 
 
-def test_from_edge_list_reports_an_index_beyond_int64_as_out_of_range():
-    with pytest.raises(IngestionError) as info:
-        from_edge_list([(0, 1), (9223372036854775808, 1)], n=3)
-    assert str(info.value) == "edge row 1: index (9223372036854775808, 1) out of range for n=3"
+def test_from_edge_list_rejects_an_index_beyond_int64():
+    for rows in ([(0, 1), (2**63, 1)], [(2**64, 1)], np.array([(0, 1)], dtype=np.uint64)):
+        with pytest.raises(ParameterError) as info:
+            from_edge_list(rows, n=3)
+        assert str(info.value) == "edge indices must be signed integers below 2**63"
+
+
+def test_from_edge_list_requires_packed_edge_keys_to_fit_int64():
+    # edges are packed as u * n + v, which must not wrap around
+    with pytest.raises(ParameterError, match=r"^from_edge_list requires n \* n < 2\*\*63$"):
+        from_edge_list([(2**32 - 2, 2**32 - 1)], n=2**32)
+    n = 3_037_000_499  # the largest n with n * n < 2**63
+    assert edge_pairs(from_edge_list([(n - 1, n - 2)], n=n)) == [(n - 2, n - 1)]
+    # an int32 array is widened before packing: 99,998 * 100,000 is beyond int32
+    net = from_edge_list(np.array([(99_999, 99_998)], dtype=np.int32), n=100_000)
+    assert edge_pairs(net) == [(99_998, 99_999)]
 
 
 def test_from_edge_list_takes_an_index_array():
@@ -517,8 +526,33 @@ def test_network_survives_pickling(make):
     with pytest.raises(ValueError):
         copy.u[0] = 1
 
+@pytest.mark.parametrize(
+    "degree",
+    [
+        generate_watts_strogatz(500, seed=3, **WS_CALIBRATED).degree,
+        generate_erdos_renyi(500, 2.0, seed=3).degree,
+        from_edge_list([], n=7).degree,  # an edgeless graph
+        np.zeros(4, dtype=np.int64),  # an all-isolated histogram
+        np.array([0, 5, 5, 0, 5, 5]),  # degrees with a gap
+    ],
+    ids=["ws", "er", "edgeless", "all_isolated", "gap"],
+)
+def test_summary_of_one_network_equals_np_unique(degree):
+    degrees, counts = np.unique(degree, return_counts=True)
+    for summary in (DegreeSummary.of(degree), DegreeSummary.of(degree[None])):
+        assert summary.degrees.dtype == summary.counts.dtype == np.int64
+        assert np.array_equal(summary.degrees, degrees)
+        assert np.array_equal(summary.counts, counts[None])
+
+
+def test_summary_of_rejects_a_negative_degree_or_no_node():
+    for degree in (np.array([2, -1]), np.array([], dtype=np.int64), np.empty((2, 0), np.int64)):
+        with pytest.raises(ParameterError, match="nonnegative, with at least one node"):
+            DegreeSummary.of(degree)
+
+
 def test_summary_hand_example():
-    s = DegreeSummary.from_degrees([0, 2, 2])
+    s = DegreeSummary.of(np.array([0, 2, 2]))
     assert s.mean_degree == pytest.approx(4 / 3)
     assert s.positive_share == pytest.approx(2 / 3)
     assert s.mean_degree_positive == pytest.approx(2.0)
@@ -543,12 +577,12 @@ def test_summary_validates_each_network_of_its_block():
 
 
 def test_summary_mean_inverse_degree_hand_arithmetic():
-    s = DegreeSummary.from_degrees([1, 1, 2, 4])
+    s = DegreeSummary.of(np.array([1, 1, 2, 4]))
     assert s.mean_inverse_degree_positive == pytest.approx((1 + 1 + 0.5 + 0.25) / 4)
 
 
 def test_summary_all_isolated_marks_conditionals_undefined():
-    s = DegreeSummary.from_degrees([0, 0, 0])
+    s = DegreeSummary.of(np.array([0, 0, 0]))
     assert s.isolated_fraction == 1.0
     assert np.isnan(s.mean_degree_positive)
     assert np.isnan(s.mean_inverse_degree_positive)
@@ -556,7 +590,7 @@ def test_summary_all_isolated_marks_conditionals_undefined():
 
 def test_summary_positive_mean_never_below_overall_mean():
     for seed in range(10):
-        s = summarize(generate_erdos_renyi(100, 1.5, seed=seed))
+        s = DegreeSummary.of(generate_erdos_renyi(100, 1.5, seed=seed).degree)
         if np.isnan(s.mean_degree_positive):
             continue
         assert s.mean_degree_positive >= s.mean_degree
@@ -565,6 +599,6 @@ def test_summary_positive_mean_never_below_overall_mean():
 
 
 def test_summary_histogram_counts_match_n():
-    s = summarize(generate_watts_strogatz(123, 4, 0.2, 0.5, seed=1))
+    s = DegreeSummary.of(generate_watts_strogatz(123, 4, 0.2, 0.5, seed=1).degree)
     assert s.counts.sum() == s.n == 123
     assert s.isolated_fraction == (s.counts[0, 0] if s.degrees[0] == 0 else 0) / 123

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spillnet import estimators, montecarlo
-from helpers import reference_design
+from spillnet import montecarlo
+from helpers import reference_design, rep_cells
 from spillnet.dgp import BuiltinDesign
 from spillnet.errors import (
     EmptySubsampleError, ParameterError, SingularModelError, TooFewUnitsError,
 )
-from spillnet.estimators import cell_table, fit_cells
-from spillnet.exposure import TreatmentVector, compute_exposure
+from spillnet.estimators import fit_cells
+from spillnet.exposure import compute_exposure
 from spillnet.montecarlo import (
     CELLS,
     ErdosRenyiGraph,
@@ -149,12 +149,10 @@ def test_study_generates_each_graph_once_for_all_settings():
 def test_exposure_is_computed_once_per_rep(monkeypatch):
     calls = []
 
-    def counting(net, tr):
+    def counting(net, d):
         calls.append(1)
-        return compute_exposure(net, tr)
+        return compute_exposure(net, d)
 
-    # a study counts each rep's exposure itself; cell_table counts it for one rep
-    monkeypatch.setattr(estimators, "compute_exposure", counting)
     monkeypatch.setattr(montecarlo, "compute_exposure", counting)
     run_study([SMALL])
     assert len(calls) == SMALL.reps
@@ -276,8 +274,8 @@ def test_a_rank_deficient_rep_is_excluded_with_the_message_of_its_fit(monkeypatc
     all_treated_seed = derive_seed(config.base_seed, 2, "treatment")
 
     def assign(n, p, seed):
-        tr = real(n, p, seed)
-        return TreatmentVector(np.ones(n, dtype=np.int64), p) if seed == all_treated_seed else tr
+        d = real(n, p, seed)
+        return np.ones(n, dtype=np.int64) if seed == all_treated_seed else d
 
     monkeypatch.setattr(montecarlo, "assign_bernoulli", assign)
     with pytest.warns(UserWarning, match="excluded"):
@@ -288,7 +286,7 @@ def test_a_rank_deficient_rep_is_excluded_with_the_message_of_its_fit(monkeypatc
     assert report.exclusion_counts == {message: 1}
     assert report.reps_completed == 4
     net = config.graph.generate(config.n, derive_seed(config.base_seed, 2, "graph"))
-    _, _, _, (error,) = fit_cells("t_reg", cell_table(
+    _, _, _, (error,) = fit_cells("t_reg", rep_cells(
         net, assign(config.n, config.p, all_treated_seed), np.zeros(config.n)))
     assert isinstance(error, SingularModelError) and str(error) == message
 

@@ -14,7 +14,6 @@ from spillnet.graph import (
     from_edge_list,
     generate_erdos_renyi,
     generate_watts_strogatz,
-    summarize,
 )
 from spillnet.oracle import (
     OracleReport,
@@ -38,7 +37,7 @@ def _flat_spec(degrees, spillover, direct=1.0, baseline=None):
 
 
 def test_weights_are_normalized_and_vanish_at_degree_zero():
-    summary = DegreeSummary.from_degrees([0, 0, 1, 2, 2, 3, 5])
+    summary = DegreeSummary.of(np.array([0, 0, 1, 2, 2, 3, 5]))
     assert summary.degrees.tolist() == [0, 1, 2, 3, 5]
     wt = t_weights(summary)  # one row per network, aligned with summary.degrees
     assert wt.shape == (1, 5) and wt[0, 0] == 0.0
@@ -51,12 +50,12 @@ def test_weights_are_normalized_and_vanish_at_degree_zero():
     # degree-1 nodes get the single largest fraction-regression weight
     assert wd[0, 0] == wd.max()
     # both are NaN for a network in which no node has a neighbor
-    edgeless = DegreeSummary.from_degrees([0, 0])
+    edgeless = DegreeSummary.of(np.array([0, 0]))
     assert np.isnan(t_weights(edgeless)).all() and dbar_weights(edgeless).shape == (1, 0)
 
 
 def test_t_coefficients_hand_arithmetic():
-    summary = DegreeSummary.from_degrees([1, 2, 3])
+    summary = DegreeSummary.of(np.array([1, 2, 3]))
     spec = _flat_spec([1, 2, 3], spillover=lambda g: float(g))
     report = oracle_report(spec, summary, 0.5)
     assert report.t_direct == pytest.approx(1.0)
@@ -64,19 +63,19 @@ def test_t_coefficients_hand_arithmetic():
 
 
 def test_t_spillover_zero_when_spillovers_vanish():
-    summary = DegreeSummary.from_degrees([0, 1, 4])
+    summary = DegreeSummary.of(np.array([0, 1, 4]))
     spec = _flat_spec([1, 4], spillover=lambda g: 0.0)
     assert oracle_report(spec, summary, 0.3).t_spillover == 0.0
 
 
 def test_t_spillover_undefined_on_edgeless_network():
-    summary = DegreeSummary.from_degrees([0, 0])
+    summary = DegreeSummary.of(np.array([0, 0]))
     spec = _flat_spec([0], spillover=lambda g: 0.0)
     assert oracle_report(spec, summary, 0.5).t_spillover is None
 
 
 def test_dbar_coefficients_hand_arithmetic():
-    summary = DegreeSummary.from_degrees([1, 2])
+    summary = DegreeSummary.of(np.array([1, 2]))
     spec = _flat_spec([1, 2], spillover=lambda g: float(g))
     report = oracle_report(spec, summary, 0.5)
     assert report.dbar_direct == pytest.approx(1.0)
@@ -84,14 +83,14 @@ def test_dbar_coefficients_hand_arithmetic():
 
 
 def test_dbar_weights_cancel_inverse_degree_spillovers():
-    summary = DegreeSummary.from_degrees([0, 1, 2, 4, 4])
+    summary = DegreeSummary.of(np.array([0, 1, 2, 4, 4]))
     k = 0.7
     spec = _flat_spec([1, 2, 4], spillover=lambda g: k / g if g else 0.0)
     assert oracle_report(spec, summary, 0.5).dbar_spillover == pytest.approx(k, abs=1e-12)
 
 
 def test_dbar_coefficients_undefined_without_positive_degrees():
-    summary = DegreeSummary.from_degrees([0, 0, 0])
+    summary = DegreeSummary.of(np.array([0, 0, 0]))
     spec = _flat_spec([0], spillover=lambda g: 0.0)
     report = oracle_report(spec, summary, 0.5)
     assert (report.dbar_direct, report.dbar_spillover) == (None, None)
@@ -111,7 +110,7 @@ def test_dbar_star_bias_hand_value_matches_enumeration():
     net = from_edge_list([(0, 1)], n=4)  # degrees (1, 1, 0, 0)
     spec = _flat_spec([0, 1], spillover=lambda g: 0.0,
                       baseline=lambda g: 1.0 if g > 0 else 0.0)
-    summary = summarize(net)
+    summary = DegreeSummary.of(net.degree)
     report = oracle_report(spec, summary, 0.5)
     assert report.dbar_star_bias == pytest.approx(2 / 3)
     coefs = enumeration_population_ols(net, spec, 0.5, "dbar_star_reg")
@@ -121,7 +120,7 @@ def test_dbar_star_bias_hand_value_matches_enumeration():
 
 
 def test_dbar_star_reduces_to_dbar_without_isolation():
-    summary = DegreeSummary.from_degrees([1, 2, 3, 3])
+    summary = DegreeSummary.of(np.array([1, 2, 3, 3]))
     spec = _flat_spec([1, 2, 3], spillover=lambda g: -0.5 / (1 + g))
     report = oracle_report(spec, summary, 0.4)
     assert report.dbar_star_bias == 0.0
@@ -129,7 +128,7 @@ def test_dbar_star_reduces_to_dbar_without_isolation():
 
 
 def test_dbar_star_undefined_when_all_isolated():
-    summary = DegreeSummary.from_degrees([0, 0])
+    summary = DegreeSummary.of(np.array([0, 0]))
     spec = _flat_spec([0], spillover=lambda g: 0.0)
     report = oracle_report(spec, summary, 0.5)
     assert report.dbar_star_direct == pytest.approx(1.0)
@@ -159,14 +158,14 @@ def test_dbar_star_moments_match_enumeration(p):
     ]
     for net in nets:
         mean, var, _ = exact_dbar_star_moments(net, p)
-        got_mean, got_var = dbar_star_moments(summarize(net), p)
+        got_mean, got_var = dbar_star_moments(DegreeSummary.of(net.degree), p)
         assert got_mean == pytest.approx(mean, abs=1e-12)
         assert got_var == pytest.approx(var, abs=1e-12)
 
 
 def test_oracle_report_assembles_consistent_totals():
     net = generate_erdos_renyi(9, 1.5, seed=8)
-    summary = summarize(net)
+    summary = DegreeSummary.of(net.degree)
     spec = reference_design(1, -0.5, summary.degrees)
     report = oracle_report(spec, summary, 0.5)
     assert report.dbar_star_total == pytest.approx(
@@ -177,7 +176,7 @@ def test_oracle_report_assembles_consistent_totals():
 
 
 def test_oracle_report_takes_the_gaps_and_checks_coverage_once(monkeypatch):
-    summary = summarize(generate_erdos_renyi(300, 2.0, seed=4))
+    summary = DegreeSummary.of(generate_erdos_renyi(300, 2.0, seed=4).degree)
     spec = reference_design(2, -0.5, summary.degrees)
     calls = {"gaps": 0, "coverage": 0}
     take_gaps, check_coverage = oracle_module.effect_gaps, DesignSpec.tables
@@ -206,7 +205,7 @@ def test_reference_setting_oracle_matches_reported_values():
         generate_watts_strogatz(2000, seed=s, **WS_CALIBRATED).degree
         for s in range(8)
     ])
-    summary = DegreeSummary.from_degrees(degrees)
+    summary = DegreeSummary.of(degrees)
     spec = reference_design(1, -0.5, summary.degrees)
     report = oracle_report(spec, summary, 0.5)
     assert report.t_spillover == pytest.approx(-0.146, abs=0.01)
@@ -219,7 +218,7 @@ def test_reference_setting_oracle_matches_reported_values():
 
 
 def _enumeration_agrees(net, spec, p, atol=1e-9):
-    summary = summarize(net)
+    summary = DegreeSummary.of(net.degree)
     report = oracle_report(spec, summary, p)
     checked = 0
     try:
@@ -290,7 +289,7 @@ def test_enumeration_rejects_large_graphs_and_degenerate_inputs():
 
 
 def test_oracle_rejects_out_of_range_probability():
-    summary = DegreeSummary.from_degrees([0, 1])
+    summary = DegreeSummary.of(np.array([0, 1]))
     spec = _flat_spec([0, 1], spillover=lambda g: 0.0)
     for p in (0.0, 1.0):
         with pytest.raises(ParameterError):
@@ -373,7 +372,7 @@ def test_block_rows_equal_each_network_alone():
     moments = ("n", "n_positive", "isolated_fraction", "positive_share", "mean_degree",
                "mean_degree_positive", "mean_inverse_degree_positive")
     for b, net in enumerate(nets):
-        alone = summarize(net)
+        alone = DegreeSummary.of(net.degree)
         for name in moments:  # bit for bit
             assert np.array_equal(getattr(block, name)[b], getattr(alone, name)[0],
                                   equal_nan=True), (b, name)
