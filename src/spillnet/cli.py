@@ -6,9 +6,10 @@ Exit codes: 0 success, 2 usage/parameter problems, 3 input-data problems
 them). One key table, ``_KEYS``, declares each --config key with
 its flag, parser and default; a command reads each key as its flag, else
 its config value, else its default. A flag or config key that the command
-does not read in its mode is a usage error naming it. Every file-producing
-run writes a ``<out>.manifest.json`` listing outputs and the resolved
-inputs under their config key names.
+does not read in its mode is a usage error naming it. Each command returns
+its report; ``main`` alone prints it and, given --out, writes the output
+file and a ``<out>.manifest.json`` listing outputs and the resolved inputs
+under their config key names.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import sys
 import time
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
@@ -207,14 +209,24 @@ class _Inputs:
             raise ParameterError("; ".join(unread))
 
 
-def _write_manifest(command: str, out_path: Path, outputs: list[str],
-                    config_payload: Any, started: float, **extra: Any) -> None:
+class _Run(NamedTuple):
+    """What a command returns: its stdout text, the writer of its --out file, and its
+    manifest's config and extra keys."""
+
+    text: str
+    write: Callable[[Path], None]
+    config: Any
+    extra: dict[str, Any] = {}
+
+
+def _write_manifest(command: str, out_path: Path, config_payload: Any, started: float,
+                    **extra: Any) -> None:
     manifest = {
         "command": command,
         "version": __version__,
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "duration_seconds": time.monotonic() - started,
-        "outputs": outputs,
+        "outputs": [str(out_path)],
         "config": config_payload,
         **extra,
     }
@@ -231,8 +243,7 @@ def _fmt(value: float | None, digits: int = 6) -> str:
 # ---------------------------------------------------------------------------
 # simulate
 
-def cmd_simulate(args) -> int:
-    started = time.monotonic()
+def cmd_simulate(args) -> _Run:
     inputs = _Inputs(args)
     graph = inputs.graph()
     common = {key: inputs(key)
@@ -242,28 +253,20 @@ def cmd_simulate(args) -> int:
     configs = [SimConfig(**common, design=design, graph=graph) for _, _, design in runs]
     reports = run_study(configs, workers=args.workers)
     entries = [(label, c_label, report) for (label, c_label, _), report in zip(runs, reports)]
-    for design_label, c_label, report in entries:
-        print(
-            f"design {design_label} c={c_label or '-'}: "
-            f"{report.reps_completed}/{report.reps_requested} reps, "
-            f"{report.n_excluded} excluded"
-        )
-
-    out = Path(args.out)
-    write_results_csv(entries, out)
+    text = "\n".join(f"design {design_label} c={c_label or '-'}: "
+                     f"{report.reps_completed}/{report.reps_requested} reps, "
+                     f"{report.n_excluded} excluded"
+                     for design_label, c_label, report in entries)
     # the settings of one study share their reps, exclusions and clock
-    _write_manifest("simulate", out, [str(out)], [config_to_dict(c) for c in configs], started,
-                    stage_seconds=reports[0].timings,
-                    exclusion_counts=reports[0].exclusion_counts)
-    print(f"wrote {out}")
-    return 0
+    return _Run(text, partial(write_results_csv, entries), [config_to_dict(c) for c in configs],
+                {"stage_seconds": reports[0].timings,
+                 "exclusion_counts": reports[0].exclusion_counts})
 
 
 # ---------------------------------------------------------------------------
 # scatter
 
-def cmd_scatter(args) -> int:
-    started = time.monotonic()
+def cmd_scatter(args) -> _Run:
     inputs = _Inputs(args)
     graph = inputs.graph()
     n, p, seed = inputs("n"), inputs("p"), inputs("base_seed")
@@ -273,42 +276,26 @@ def cmd_scatter(args) -> int:
     d = assign_bernoulli(n, p, seed + 1)
     t = compute_exposure(net, d)
     diag = empirical_exposure_diagnostics(exposure_cells(net.degree, t, d, np.zeros(n)))
-
-    out = Path(args.out)
-    write_scatter_csv(net.degree, t, out)
+    text = (f"r2(degree, dbar | degree>0) = {_fmt(diag.r2_dbar)}\n"
+            f"r2(degree, dbar_star)      = {_fmt(diag.r2_dbar_star)}\n"
+            f"isolated share             = {np.mean(net.degree == 0):.4f}")
     config = {"n": n, "p": p, "base_seed": seed, "graph": graph_to_dict(graph)}
-    _write_manifest("scatter", out, [str(out)], config, started)
-
-    print(f"r2(degree, dbar | degree>0) = {_fmt(diag.r2_dbar)}")
-    print(f"r2(degree, dbar_star)      = {_fmt(diag.r2_dbar_star)}")
-    print(f"isolated share             = {np.mean(net.degree == 0):.4f}")
-    print(f"wrote {out}")
-    return 0
+    return _Run(text, partial(write_scatter_csv, net.degree, t), config)
 
 
 # ---------------------------------------------------------------------------
 # oracle
 
-def _int64(value: int) -> int:
-    if value >= 2**63:
-        raise ValueError("integer out of range, must be below 2**63")
-    return value
-
-
-def _degree(cell: str) -> int:
-    return _int64(nonnegative_int(cell))
-
-
 def _positive_int(cell: str) -> int:
-    value = int(cell)
-    if value <= 0:
-        raise ValueError(f"{value} is not positive")
-    return _int64(value)
+    value = nonnegative_int(cell)
+    if value == 0:
+        raise ValueError("0 is not positive")
+    return value
 
 
 def _read_histogram_csv(path: str) -> DegreeSummary:
     columns, lines, _ = read_table(
-        path, {"degree": _degree, "count": _positive_int}, unique="degree"
+        path, {"degree": nonnegative_int, "count": _positive_int}, unique="degree"
     )
     if not lines:
         raise IngestionError(f"{path}:1: histogram file has no rows")
@@ -338,8 +325,7 @@ def _format_oracle_text(report: OracleReport) -> str:
     return "\n".join(lines)
 
 
-def cmd_oracle(args) -> int:
-    started = time.monotonic()
+def cmd_oracle(args) -> _Run:
     inputs = _Inputs(args, design=None, c=(0.0,))
     p = inputs("p")
     runs = inputs.designs()
@@ -361,19 +347,15 @@ def cmd_oracle(args) -> int:
                else _read_histogram_csv(args.histogram))
 
     report = oracle_report(design, summary, p)
-    print(f"oracle from {source}")
-    print(_format_oracle_text(report))
 
-    if args.out is not None:
-        out = Path(args.out)
+    def write(out: Path) -> None:
         with out.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["quantity", "value"])
             for field_name, value in asdict(report).items():
                 writer.writerow([field_name, "" if value is None else value])
-        _write_manifest("oracle", out, [str(out)], config, started)
-        print(f"wrote {out}")
-    return 0
+
+    return _Run(f"oracle from {source}\n{_format_oracle_text(report)}", write, config)
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +436,7 @@ def _plug_in_gaps(fits: dict[int, tuple[np.ndarray, np.ndarray]],
     return effect_gaps(DegreeSummary(degrees, counts), baseline, direct)
 
 
-def cmd_audit(args) -> int:
-    started = time.monotonic()
+def cmd_audit(args) -> _Run:
     roles = {"--id-col": args.id_col, "--treatment-col": args.treatment_col,
              "--outcome-col": args.outcome_col}
     shared = [flag for flag, column in roles.items() if list(roles.values()).count(column) > 1]
@@ -547,16 +528,10 @@ def cmd_audit(args) -> int:
         lines += ["", "no imputation warning raised"]
 
     text = "\n".join(lines)
-    print(text)
-    if args.out is not None:
-        out = Path(args.out)
-        out.write_text(text + "\n")
-        config = {key: getattr(args, key)
-                  for key in ("edges", "data", "id_col", "treatment_col", "outcome_col")}
-        _write_manifest("audit", out, [str(out)], config, started, stage_seconds=seconds,
-                        rows_read={"data": len(index), "edges": len(pairs)})
-        print(f"wrote {args.out}")
-    return 0
+    config = {key: getattr(args, key)
+              for key in ("edges", "data", "id_col", "treatment_col", "outcome_col")}
+    return _Run(text, lambda out: out.write_text(text + "\n"), config,
+                {"stage_seconds": seconds, "rows_read": {"data": len(index), "edges": len(pairs)}})
 
 
 # ---------------------------------------------------------------------------
@@ -628,10 +603,17 @@ def _size_inputs(args) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        run = args.func(args)
+        print(run.text)
+        if args.out is not None:
+            out = Path(args.out)
+            run.write(out)
+            _write_manifest(args.command, out, run.config, started, **run.extra)
+            print(f"wrote {out}")
+        return 0
     except IngestionError as exc:
         print(f"spillnet: input error: {exc}", file=sys.stderr)
         return 3

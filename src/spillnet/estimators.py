@@ -271,30 +271,29 @@ def ols(design_matrix: np.ndarray, y: np.ndarray,
 class Specification:
     """One spillover regression: its columns, the units it fits and its targets.
 
-    ``connected_only`` fits only the units with neighbors; ``min_units`` is
-    the fewest fitted units it accepts; ``oracle_fields`` names the
+    ``connected_only`` fits only the units with neighbors, and a fit needs
+    more of them than it has columns; ``oracle_fields`` names the
     OracleReport fields of the population direct coefficient, of the
     spillover target and of that target plus its bias.
     """
 
     columns: tuple[str, ...]
     connected_only: bool
-    min_units: int
     slope: str
     oracle_fields: tuple[str, str, str]
 
 
 SPECS = {
     "t_reg": Specification(
-        (CONST, TREATED, TREATED_NEIGHBORS, DEGREE), False, 5,
+        (CONST, TREATED, TREATED_NEIGHBORS, DEGREE), False,
         TREATED_NEIGHBORS, ("t_direct", "t_spillover", "t_spillover"),
     ),
     "dbar_reg": Specification(
-        (CONST, TREATED, DBAR), True, 4,
+        (CONST, TREATED, DBAR), True,
         DBAR, ("dbar_direct", "dbar_spillover", "dbar_spillover"),
     ),
     "dbar_star_reg": Specification(
-        (CONST, TREATED, DBAR_STAR), False, 4,
+        (CONST, TREATED, DBAR_STAR), False,
         DBAR_STAR, ("dbar_star_direct", "dbar_star_weighted", "dbar_star_total"),
     ),
 }
@@ -311,9 +310,10 @@ def _spec_rows(spec_name: str, cells: CellTable) -> tuple[np.ndarray, np.ndarray
     error that rep's fit meets before it is solved, or None.
 
     The error is EmptySubsampleError when a connected-only fit has no units
-    with neighbors and TooFewUnitsError when it has fewer than ``min_units``.
+    with neighbors and TooFewUnitsError when it has no more units than columns.
     """
     spec = SPECS[spec_name]
+    fewest = len(spec.columns) + 1
     lo, hi = cells.bounds[:-1], cells.bounds[1:]
     if spec.connected_only:
         # a rep's cells are sorted by degree, so its units with neighbors are a suffix
@@ -323,8 +323,8 @@ def _spec_rows(spec_name: str, cells: CellTable) -> tuple[np.ndarray, np.ndarray
     errors = [
         EmptySubsampleError("no units with neighbors; treated fraction is undefined everywhere")
         if first == last else
-        TooFewUnitsError(f"{spec_name} needs at least {spec.min_units} units{subsample}")
-        if size < spec.min_units else None
+        TooFewUnitsError(f"{spec_name} needs at least {fewest} units{subsample}")
+        if size < fewest else None
         for first, last, size in zip(lo.tolist(), hi.tolist(), _units(cells, lo, hi).tolist())
     ]
     return lo, hi, errors

@@ -551,8 +551,10 @@ def _bad_cells(
 
 
 def nonnegative_int(cell: str) -> int:
-    """Parse a table cell holding a node index, a degree or a count."""
+    """Parse a table cell holding a degree or a count, a nonnegative int64."""
     value = int(cell)
     if value < 0:
         raise ValueError(f"negative integer {value}")
+    if value >= 2**63:
+        raise ValueError("integer out of range, must be below 2**63")
     return value

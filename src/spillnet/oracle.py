@@ -121,11 +121,6 @@ def dbar_star_moments(summary: DegreeSummary, p: float) -> tuple[np.ndarray, np.
     return p * s, np.where(s != 0.0, var, 0.0)
 
 
-# Fields undefined for a network in which no node has a neighbor.
-_NEED_NEIGHBORS = frozenset({"t_spillover", "dbar_direct", "dbar_spillover", "dbar_star_bias",
-                             "dbar_star_weighted", "dbar_star_total"})
-
-
 def oracle_block(stack: np.ndarray, summary: DegreeSummary, p: float) -> dict[str, np.ndarray]:
     """Every ``OracleReport`` field for D designs and a block of B networks at once.
 
@@ -169,11 +164,7 @@ def oracle_block(stack: np.ndarray, summary: DegreeSummary, p: float) -> dict[st
         var_dbar_star=var_star,
     )
     shape = (summary.counts.shape[0], stack.shape[1])
-    return {
-        name: np.broadcast_to(np.where(s != 0.0, v, np.nan) if name in _NEED_NEIGHBORS else v,
-                              shape)
-        for name, v in values.items()
-    }
+    return {name: np.broadcast_to(v, shape) for name, v in values.items()}
 
 
 def oracle_report(design: Design, summary: DegreeSummary, p: float) -> OracleReport:
@@ -183,7 +174,6 @@ def oracle_report(design: Design, summary: DegreeSummary, p: float) -> OracleRep
     ``summary``: evaluates the design (checking its coverage) and the effect
     gaps once. A field that is NaN there is None.
     """
-    _check_p(p)
     block = oracle_block(design.tables(summary.degrees)[:, None], summary, p)
     return OracleReport(**{
         name: None if np.isnan(v[0, 0]) else float(v[0, 0]) for name, v in block.items()

@@ -486,9 +486,10 @@ def reference_design_matrix(spec_name: str, net: Network, d: np.ndarray):
             "no units with neighbors; treated fraction is undefined everywhere"
         )
     size = net.n if rows is None else rows.size
-    if size < spec.min_units:
+    fewest = len(spec.columns) + 1
+    if size < fewest:
         subsample = " with neighbors" if spec.connected_only else ""
-        raise TooFewUnitsError(f"{spec_name} needs at least {spec.min_units} units{subsample}")
+        raise TooFewUnitsError(f"{spec_name} needs at least {fewest} units{subsample}")
     # the fraction is t / g where g > 0; a connected-only fit never reads the 0 at g = 0
     fraction = np.where(degree > 0, t / np.maximum(degree, 1), 0.0)
     full = {TREATED: d, TREATED_NEIGHBORS: t, DEGREE: degree, DBAR: fraction,

@@ -953,6 +953,32 @@ def test_io_failure_exit_code(tmp_path, capsys):
     assert "io error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "scatter", "oracle", "audit"])
+def test_every_command_writes_its_output_and_manifest_through_one_path(tmp_path, capsys,
+                                                                       command):
+    edges, data = _write_synthetic_dataset(tmp_path, design_id=1, c=0.0, n=100, seed=3)
+    argv = {
+        "simulate": ["simulate", "--design", "1", "--c", "0", "--n", "60", "--reps", "2"],
+        "scatter": ["scatter", "--n", "60", "--seed", "2"],
+        "oracle": ["oracle", "--design", "1", "--n", "60"],
+        "audit": ["audit", "--edges", str(edges), "--data", str(data)],
+    }[command]
+    out = tmp_path / "result.out"
+    assert main([*argv, "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"wrote {out}"
+    assert not any(line.startswith("wrote ") for line in lines[:-1])
+    manifest = json.loads((tmp_path / "result.out.manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["outputs"] == [str(out)]
+
+    before = set(tmp_path.iterdir())
+    missing = tmp_path / "no-such-dir" / "result.out"
+    assert main([*argv, "--out", str(missing)]) == 5
+    assert "io error" in capsys.readouterr().err
+    assert set(tmp_path.iterdir()) == before  # neither the output nor its manifest
+
+
 def test_unknown_subcommand_exits_with_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

@@ -212,6 +212,11 @@ def test_design_csv_rejects_bad_files(tmp_path):
     not_finite.write_text("degree,theta00,mu_de,lambda_se\n0,1,1,0\n1,nan,1,0\n")
     with pytest.raises(IngestionError, match=r"nan.csv:3: column 'theta00': non-finite"):
         load_design_csv(not_finite, noise_sd=1.0)
+    beyond_int64 = tmp_path / "huge.csv"  # a degree no network can have
+    beyond_int64.write_text("degree,theta00,mu_de,lambda_se\n0,1,1,0\n9223372036854775808,1,1,0\n")
+    with pytest.raises(IngestionError, match=r"huge.csv:3: column 'degree': integer out of range, "
+                                             r"must be below 2\*\*63"):
+        load_design_csv(beyond_int64, noise_sd=1.0)
 
 
 def test_stratified_identification_with_zero_noise():
