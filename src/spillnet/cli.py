@@ -3,13 +3,14 @@
 Exit codes: 0 success, 2 usage/parameter problems, 3 input-data problems
 (a --config value of the wrong type among them), 4 numerical singularity,
 5 I/O failures, 6 out of memory (a pool worker that ends abruptly among
-them). One key table, ``_KEYS``, declares each --config key with
-its flag, parser and default; a command reads each key as its flag, else
-its config value, else its default. A flag or config key that the command
-does not read in its mode is a usage error naming it. Each command returns
-its report; ``main`` alone prints it and, given --out, writes the output
-file and a ``<out>.manifest.json`` listing outputs and the resolved inputs
-under their config key names.
+them). One key table, ``_KEYS``, declares every flag of every command but
+--out and --config, each a --config key with its parser and default; a
+command reads each key as its flag, else its config value, else its
+default. A flag or config key that the command does not read in its mode
+is a usage error naming it. Each command returns its report; ``main``
+alone prints it and, given --out, writes the output file and a
+``<out>.manifest.json`` listing outputs and the resolved inputs under their
+config key names.
 """
 
 from __future__ import annotations
@@ -136,17 +137,28 @@ _KEYS = {
     "n": _Key("--n", "units per graph (default 1000)", _integer, 1000, "graph"),
     "p": _Key("--p", "treatment probability (default 0.5)", _number, 0.5),
     "base_seed": _Key("--seed", "base seed (default 0)", _integer, 0, "graph"),
+    "workers": _Key("--workers", "parallel worker processes (default 1)", _integer, 1),
+    "histogram": _Key("--histogram", "degree,count CSV in place of a graph", os.fspath, None),
+    "edges": _Key("--edges", "edge CSV src,dst referencing unit ids", os.fspath, None),
+    "data": _Key("--data", "unit CSV with id, treatment, outcome", os.fspath, None),
+    "id_col": _Key("--id-col", "unit id column (default id)", os.fspath, "id"),
+    "treatment_col": _Key("--treatment-col", "(default treatment)", os.fspath, "treatment"),
+    "outcome_col": _Key("--outcome-col", "(default outcome)", os.fspath, "outcome"),
 }
+_AUDIT_KEYS = ("edges", "data", "id_col", "treatment_col", "outcome_col")
 
 
 class _Inputs:
     """A command's ``_KEYS``, each read as its flag, else its --config value, else its
-    default (``defaults`` replaces the table's for one command). The reader records
-    the keys it reads and the mode choices it makes, for ``check``."""
+    default (``defaults`` replaces the table's for one command). The reader records the
+    keys it reads and its mode choices, for ``check`` and the out-of-memory message."""
 
-    def __init__(self, args, **defaults):
-        self.args, self.defaults, self.read, self.modes = args, defaults, set(), {}
-        values = {}
+    def __init__(self, args):
+        self.args, self.defaults, self.read, self.modes = args, {}, set(), {}
+
+    def load(self) -> None:
+        """Read the --config file, then the flags over it, into ``given``."""
+        args, values = self.args, {}
         if args.config is not None:
             try:
                 with open(args.config, encoding="utf-8-sig") as fh:
@@ -243,15 +255,14 @@ def _fmt(value: float | None, digits: int = 6) -> str:
 # ---------------------------------------------------------------------------
 # simulate
 
-def cmd_simulate(args) -> _Run:
-    inputs = _Inputs(args)
+def cmd_simulate(inputs: _Inputs) -> _Run:
     graph = inputs.graph()
     common = {key: inputs(key)
               for key in ("n", "reps", "p", "base_seed", "regenerate_graph_each_rep")}
-    runs = inputs.designs()
+    runs, workers = inputs.designs(), inputs("workers")
     inputs.check()
     configs = [SimConfig(**common, design=design, graph=graph) for _, _, design in runs]
-    reports = run_study(configs, workers=args.workers)
+    reports = run_study(configs, workers=workers)
     entries = [(label, c_label, report) for (label, c_label, _), report in zip(runs, reports)]
     text = "\n".join(f"design {design_label} c={c_label or '-'}: "
                      f"{report.reps_completed}/{report.reps_requested} reps, "
@@ -266,8 +277,7 @@ def cmd_simulate(args) -> _Run:
 # ---------------------------------------------------------------------------
 # scatter
 
-def cmd_scatter(args) -> _Run:
-    inputs = _Inputs(args)
+def cmd_scatter(inputs: _Inputs) -> _Run:
     graph = inputs.graph()
     n, p, seed = inputs("n"), inputs("p"), inputs("base_seed")
     inputs.check()
@@ -325,26 +335,26 @@ def _format_oracle_text(report: OracleReport) -> str:
     return "\n".join(lines)
 
 
-def cmd_oracle(args) -> _Run:
-    inputs = _Inputs(args, design=None, c=(0.0,))
-    p = inputs("p")
+def cmd_oracle(inputs: _Inputs) -> _Run:
+    inputs.defaults.update(design=None, c=(0.0,))
+    p, histogram = inputs("p"), inputs("histogram")
     runs = inputs.designs()
     if len(runs) != 1:
         raise ParameterError("oracle takes a single --design and a single --c value")
     design = runs[0][2]
 
     config = {"p": p, "design": asdict(design)}
-    if args.histogram is None:
+    if histogram is None:
         graph, n, seed = inputs.graph(), inputs("n"), inputs("base_seed")
         config.update(n=n, base_seed=seed, graph=graph_to_dict(graph))
         source = f"realized graph (n={n}, seed={seed})"
     else:
         inputs.modes["graph"] = "a --histogram degree distribution"
-        config["histogram"] = args.histogram
-        source = f"histogram {args.histogram}"
+        config["histogram"] = histogram
+        source = f"histogram {histogram}"
     inputs.check()
-    summary = (DegreeSummary.of(graph.generate(n, seed).degree) if args.histogram is None
-               else _read_histogram_csv(args.histogram))
+    summary = (DegreeSummary.of(graph.generate(n, seed).degree) if histogram is None
+               else _read_histogram_csv(histogram))
 
     report = oracle_report(design, summary, p)
 
@@ -436,9 +446,14 @@ def _plug_in_gaps(fits: dict[int, tuple[np.ndarray, np.ndarray]],
     return effect_gaps(DegreeSummary(degrees, counts), baseline, direct)
 
 
-def cmd_audit(args) -> _Run:
-    roles = {"--id-col": args.id_col, "--treatment-col": args.treatment_col,
-             "--outcome-col": args.outcome_col}
+def cmd_audit(inputs: _Inputs) -> _Run:
+    config = {key: inputs(key) for key in _AUDIT_KEYS}
+    missing = [_KEYS[key].flag for key in ("edges", "data") if config[key] is None]
+    if missing:
+        raise ParameterError("; ".join(f"{flag} is required" for flag in missing))
+    inputs.check()
+    edges, data = config["edges"], config["data"]
+    roles = {_KEYS[key].flag: config[key] for key in _AUDIT_KEYS[2:]}
     shared = [flag for flag, column in roles.items() if list(roles.values()).count(column) > 1]
     if shared:  # three roles can share at most one column
         raise ParameterError(f"{' and '.join(shared)} name the same column {roles[shared[0]]!r}")
@@ -449,9 +464,9 @@ def cmd_audit(args) -> _Run:
         nonlocal clock
         seconds[stage], clock = time.perf_counter() - clock, time.perf_counter()
 
-    index, d, y = _read_unit_data(args.data, args.id_col, args.treatment_col, args.outcome_col)
+    index, d, y = _read_unit_data(data, *roles.values())
     lap("read_units")
-    pairs = _read_edges(args.edges, args.data, index, lap)
+    pairs = _read_edges(edges, data, index, lap)
     net = from_edge_list(pairs, n=len(index))
 
     p_hat = float(d.mean())
@@ -461,7 +476,7 @@ def cmd_audit(args) -> _Run:
     diag = empirical_exposure_diagnostics(cells)
 
     lines = [
-        f"audit of {args.data} with edges {args.edges}",
+        f"audit of {data} with edges {edges}",
         f"units: {len(index)}   treated share: {p_hat:.4f}",
         "",
         "degree summary",
@@ -528,8 +543,6 @@ def cmd_audit(args) -> _Run:
         lines += ["", "no imputation warning raised"]
 
     text = "\n".join(lines)
-    config = {key: getattr(args, key)
-              for key in ("edges", "data", "id_col", "treatment_col", "outcome_col")}
     return _Run(text, lambda out: out.write_text(text + "\n"), config,
                 {"stage_seconds": seconds, "rows_read": {"data": len(index), "edges": len(pairs)}})
 
@@ -545,7 +558,7 @@ def _add_inputs(sub: argparse.ArgumentParser, keys, out_required: bool) -> None:
         kind = ({"action": "store_false"} if spec.parse is _boolean
                 else {"metavar": spec.flag[2:].upper().replace("-", "_")})
         sub.add_argument(spec.flag, dest=key, default=None, help=spec.help, **kind)
-    sub.add_argument("--out", required=out_required, default=None, help="output CSV path")
+    sub.add_argument("--out", required=out_required, default=None, help="output file path")
     sub.add_argument("--config", default=None, help="JSON config file; flags override it")
 
 
@@ -559,8 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     sim = subparsers.add_parser("simulate", help="Monte Carlo study over designs")
-    _add_inputs(sim, _KEYS, out_required=True)
-    sim.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    _add_inputs(sim, [key for key in _KEYS if key not in ("histogram", *_AUDIT_KEYS)],
+                out_required=True)
     sim.set_defaults(func=cmd_simulate)
 
     sca = subparsers.add_parser("scatter", help="one realization of degree vs treated fractions")
@@ -569,44 +582,35 @@ def build_parser() -> argparse.ArgumentParser:
     sca.set_defaults(func=cmd_scatter)
 
     orc = subparsers.add_parser("oracle", help="theoretical coefficients for a degree distribution")
-    _add_inputs(orc, [key for key in _KEYS if key not in ("reps", "regenerate_graph_each_rep")],
+    _add_inputs(orc, [key for key in _KEYS if key not in
+                      ("reps", "regenerate_graph_each_rep", "workers", *_AUDIT_KEYS)],
                 out_required=False)
-    orc.add_argument("--histogram", default=None,
-                     help="degree,count CSV; bypasses graph generation")
     orc.set_defaults(func=cmd_oracle)
 
     aud = subparsers.add_parser("audit", help="isolated-node diagnostics for real data")
-    aud.add_argument("--edges", required=True, help="edge CSV src,dst referencing unit ids")
-    aud.add_argument("--data", required=True, help="unit CSV with id, treatment, outcome")
-    aud.add_argument("--id-col", default="id")
-    aud.add_argument("--treatment-col", default="treatment")
-    aud.add_argument("--outcome-col", default="outcome")
-    aud.add_argument("--out", default=None, help="also write the report to this path")
+    _add_inputs(aud, _AUDIT_KEYS, out_required=False)
     aud.set_defaults(func=cmd_audit)
 
     return parser
 
 
-def _size_inputs(args) -> str:
-    """The inputs that set how much memory a command needs, for its out-of-memory message."""
-    if args.command == "audit":
-        files = [("--data", args.data), ("--edges", args.edges)]
-    elif getattr(args, "histogram", None) is not None:
-        files = [("--histogram", args.histogram)]
-    else:
-        inputs = _Inputs(args)
-        sizes = {key: inputs(key) for key in ("n", "reps") if hasattr(args, key)}
-        if args.command == "simulate":
-            sizes["workers"] = args.workers
-        return ", ".join(f"{key}={value}" for key, value in sizes.items())
-    return ", ".join(f"{flag} {path} ({os.path.getsize(path):,} bytes)" for flag, path in files)
+def _size_inputs(inputs: _Inputs) -> str:
+    """The inputs read that set how much memory a command needs, for its out-of-memory
+    message: each input file given, with its size, and each number."""
+    sizes = [(key, inputs(key)) for key in ("data", "edges", "histogram", "n", "reps", "workers")
+             if key in inputs.read]
+    return ", ".join(f"{_KEYS[key].flag} {value} ({os.path.getsize(value):,} bytes)"
+                     if isinstance(value, str) else f"{key}={value}"
+                     for key, value in sizes if value is not None)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
+    inputs = _Inputs(args)
     try:
-        run = args.func(args)
+        inputs.load()
+        run = args.func(inputs)
         print(run.text)
         if args.out is not None:
             out = Path(args.out)
@@ -628,7 +632,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 5
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""
-        print(f"spillnet: out of memory: {args.command} with {_size_inputs(args)}{detail}",
+        print(f"spillnet: out of memory: {args.command} with {_size_inputs(inputs)}{detail}",
               file=sys.stderr)
         return 6
 

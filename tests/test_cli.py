@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import inspect
@@ -164,6 +165,33 @@ def test_scatter_manifest_config_given_back_as_config_reproduces_the_csv(tmp_pat
     again = tmp_path / "again.csv"
     assert main(["scatter", "--config", str(cfg), "--out", str(again)]) == 0
     assert again.read_bytes() == first.read_bytes()
+
+
+def test_audit_manifest_config_given_back_as_config_reproduces_the_report(tmp_path, capsys):
+    edges, data = _write_synthetic_dataset(tmp_path, design_id=1, c=0.0, n=300, seed=4)
+    data.write_text(data.read_text().replace("id,treatment,outcome", "pid,z,y", 1))
+    first = tmp_path / "first.txt"
+    assert main(["audit", "--edges", str(edges), "--data", str(data), "--id-col", "pid",
+                 "--treatment-col", "z", "--outcome-col", "y", "--out", str(first)]) == 0
+    text = capsys.readouterr().out
+    manifest = json.loads((tmp_path / "first.txt.manifest.json").read_text())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(manifest["config"]))
+    again = tmp_path / "again.txt"
+    assert main(["audit", "--config", str(cfg), "--out", str(again)]) == 0
+    assert capsys.readouterr().out == text.replace(str(first), str(again))
+    assert again.read_bytes() == first.read_bytes()
+
+
+def test_oracle_histogram_config_key_prints_what_the_flag_prints(tmp_path, capsys):
+    hist = tmp_path / "hist.csv"
+    hist.write_text("degree,count\n0,2\n1,3\n4,1\n")
+    assert main(["oracle", "--design", "1", "--histogram", str(hist)]) == 0
+    text = capsys.readouterr().out
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"histogram": str(hist)}))
+    assert main(["oracle", "--design", "1", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == text
 
 
 def test_simulate_config_file_with_flag_override(tmp_path):
@@ -388,6 +416,13 @@ _MANIFEST = {"command": "simulate", "version": spillnet.__version__, "outputs": 
      ["config key 'c': no spillover constant c given"]),
     (["oracle", "--design", "1", "--c", "", "--n", "40"], {},
      ["--c: no spillover constant c given"]),
+    (["audit", "--edges", "e.csv", "--data", "u.csv"], {"reps": 3},
+     ["config key 'reps' does not apply to audit"]),
+    (["simulate", "--n", "40", "--reps", "2"], {"edges": "e.csv"},
+     ["config key 'edges' does not apply to simulate"]),
+    (["scatter", "--n", "40"], {"workers": 2}, ["config key 'workers' does not apply to scatter"]),
+    (["oracle", "--design", "1", "--histogram", "{hist}"], {"workers": 2},
+     ["config key 'workers' does not apply to oracle"]),
 ])
 def test_flags_and_config_keys_the_command_does_not_read_are_usage_errors(tmp_path, capsys, argv,
                                                                          config, named):
@@ -429,6 +464,29 @@ def test_simulate_with_fewer_than_one_worker_is_a_usage_error(tmp_path, capsys, 
     assert f"workers must be at least 1 (got {workers})" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_simulate_workers_config_key_acts_as_its_flag(tmp_path, capsys, monkeypatch):
+    argv = ["simulate", "--design", "1", "--c", "0", "--n", "1000", "--reps", "70"]
+    flag, keyed = tmp_path / "flag.csv", tmp_path / "keyed.csv"
+    assert main([*argv, "--workers", "2", "--out", str(flag)]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workers": 2}))
+    assert main([*argv, "--config", str(cfg), "--out", str(keyed)]) == 0
+    assert keyed.read_bytes() == flag.read_bytes()
+    manifest = json.loads((tmp_path / "keyed.csv.manifest.json").read_text())
+    assert all("workers" not in setting for setting in manifest["config"])
+
+    cfg.write_text(json.dumps({"workers": 0}))
+    capsys.readouterr()
+    assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "zero.csv")]) == 2
+    assert "spillnet: usage error: workers must be at least 1 (got 0)" in capsys.readouterr().err
+    assert not (tmp_path / "zero.csv").exists()
+
+    cfg.write_text(json.dumps({"workers": 2}))  # the key reaches the pool
+    monkeypatch.setattr(spillnet.montecarlo, "_simulate_block", _end_the_worker)
+    assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "ended.csv")]) == 6
+    assert "simulate with n=1000, reps=70, workers=2: " in capsys.readouterr().err
 
 
 def test_out_of_memory_exits_6_with_one_line_and_writes_nothing(tmp_path):
@@ -699,6 +757,24 @@ def test_audit_report_ignores_row_order_and_repeated_or_reversed_edges(tmp_path,
     rows = [(b, a) if flip else (a, b) for (a, b), flip in zip(rows, flips)]
     rows = [rows[k] for k in data.draw(st.permutations(range(len(rows))), label="edge order")]
     assert audit([units[k] for k in order], rows) == reference
+
+
+@pytest.mark.parametrize("flags, config, missing", [
+    (["--edges", "{edges}"], {}, ["--data"]),
+    (["--data", "{data}"], {}, ["--edges"]),
+    ([], {"data": "{data}"}, ["--edges"]),
+    ([], {}, ["--edges", "--data"]),
+])
+def test_audit_without_its_edges_or_data_is_a_usage_error_naming_each(tmp_path, capsys, flags,
+                                                                       config, missing):
+    edges, data = _write_synthetic_dataset(tmp_path, design_id=1, c=0.0, n=100)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value.format(data=data) for key, value in config.items()}))
+    argv = ["audit", *(flag.format(edges=edges, data=data) for flag in flags),
+            "--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"spillnet: usage error: {'; '.join(f'{f} is required' for f in missing)}\n"
 
 
 def test_audit_rejects_missing_columns(tmp_path):
@@ -977,6 +1053,18 @@ def test_every_command_writes_its_output_and_manifest_through_one_path(tmp_path,
     assert main([*argv, "--out", str(missing)]) == 5
     assert "io error" in capsys.readouterr().err
     assert set(tmp_path.iterdir()) == before  # neither the output nor its manifest
+
+
+def test_every_flag_of_every_command_is_a_config_key_flag():
+    # a flag added outside the key table would be a second way to read an input
+    allowed = {key.flag for key in spillnet.cli._KEYS.values()} | {"--out", "--config", "-h",
+                                                                   "--help"}
+    subparsers = next(action for action in spillnet.cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert sorted(subparsers.choices) == ["audit", "oracle", "scatter", "simulate"]
+    for command, sub in subparsers.choices.items():
+        for action in sub._actions:
+            assert set(action.option_strings) <= allowed, (command, action.option_strings)
 
 
 def test_unknown_subcommand_exits_with_usage_error():
