@@ -9,8 +9,8 @@ command reads each key as its flag, else its config value, else its
 default. A flag or config key that the command does not read in its mode
 is a usage error naming it. Each command returns its report; ``main``
 alone prints it and, given --out, writes the output file and a
-``<out>.manifest.json`` listing outputs and the resolved inputs under their
-config key names.
+``<out>.manifest.json`` listing outputs and the keys read, in the --config
+form that reruns the run (for simulate, one such config per setting).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import __version__
-from .dgp import BuiltinDesign, Design, EffectGaps, effect_gaps, load_design_csv
+from .dgp import BuiltinDesign, Design, DesignSpec, EffectGaps, effect_gaps, load_design_csv
 from .errors import (
     ConfigurationError,
     EmptySubsampleError,
@@ -57,9 +57,9 @@ from .graph import DegreeSummary, from_edge_list, nonnegative_int, read_table
 from .montecarlo import (
     GRAPH_KINDS,
     SimConfig,
-    config_to_dict,
-    graph_to_dict,
+    design_labels,
     run_study,
+    stage_timer,
     write_results_csv,
 )
 from .oracle import OracleReport, imputation_bias, oracle_report
@@ -94,6 +94,21 @@ def _one_of(*choices: str) -> Callable[[Any], str]:
     return parse
 
 
+def _design(value) -> str | Design:
+    """A design id or "all"; or a resolved design, as a manifest records it: a built-in
+    design's ``design_id`` and ``c``, or a design file's three tables and ``noise_sd``.
+    JSON turns the tables' degree keys into strings; they become ints again."""
+    if not isinstance(value, dict):
+        return _one_of("1", "2", "3", "all")(value)
+    kind = BuiltinDesign if "design_id" in value else DesignSpec
+    numbers = {"design_id": _integer, "c": _number, "noise_sd": _number}
+    tables = {f.name for f in fields(kind)} - numbers.keys()
+    return kind(**{name: numbers[name](field) if name in numbers
+                   else {nonnegative_int(g): _number(x) for g, x in dict(field).items()}
+                   if name in tables else field  # an unknown name, which ``kind`` rejects
+                   for name, field in value.items()})
+
+
 def _c_list(value) -> list[float]:
     if not isinstance(value, list):
         value = ([value] if isinstance(value, (int, float))
@@ -117,8 +132,8 @@ class _Key(NamedTuple):
 _GRAPH_HELP = {"k": "ring neighbors (even)", "beta": "rewiring probability",
                "delete_prob": "edge deletion probability", "mean_degree": "target mean degree"}
 _KEYS = {
-    "design": _Key("--design", "1, 2, 3 or all (simulate's default: all)",
-                   _one_of("1", "2", "3", "all"), "all", "design"),
+    "design": _Key("--design", "1, 2, 3 or all (simulate's default: all)", _design, "all",
+                   "design"),
     "design_file": _Key("--design-file", "CSV degree,theta00,mu_de,lambda_se", os.fspath, None,
                         "design"),
     "noise_sd": _Key("--noise-sd", "noise scale for --design-file (default 1.0)", _number, 1.0,
@@ -150,11 +165,12 @@ _AUDIT_KEYS = ("edges", "data", "id_col", "treatment_col", "outcome_col")
 
 class _Inputs:
     """A command's ``_KEYS``, each read as its flag, else its --config value, else its
-    default (``defaults`` replaces the table's for one command). The reader records the
-    keys it reads and its mode choices, for ``check`` and the out-of-memory message."""
+    default (``defaults`` replaces the table's for one command). The one reader and writer
+    of a run's config: ``read`` records the parsed value of each key read, and ``modes``
+    the mode choices, for ``check``, ``config`` and the out-of-memory message."""
 
     def __init__(self, args):
-        self.args, self.defaults, self.read, self.modes = args, {}, set(), {}
+        self.args, self.defaults, self.read, self.modes = args, {}, {}, {}
 
     def load(self) -> None:
         """Read the --config file, then the flags over it, into ``given``."""
@@ -178,16 +194,16 @@ class _Inputs:
                           for key, spec in _KEYS.items() if getattr(args, key, None) is not None)
 
     def __call__(self, key: str):
-        self.read.add(key)
-        if key not in self.given:
-            return self.defaults.get(key, _KEYS[key].default)
-        where, raw, error = self.given[key]
-        try:
-            return _KEYS[key].parse(raw)
-        except ParameterError as exc:
-            raise ParameterError(f"{where}: {exc}") from None
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise error(f"{where}: {exc}") from None
+        self.read[key] = self.defaults.get(key, _KEYS[key].default)
+        if key in self.given:
+            where, raw, error = self.given[key]
+            try:
+                self.read[key] = _KEYS[key].parse(raw)
+            except ParameterError as exc:
+                raise ParameterError(f"{where}: {exc}") from None
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise error(f"{where}: {exc}") from None
+        return self.read[key]
 
     def graph(self):
         """The ``GRAPH_KINDS`` model asked for, each field read from its ``graph.`` key."""
@@ -196,19 +212,22 @@ class _Inputs:
         model = GRAPH_KINDS[kind]
         return model(**{f.name: self(f"graph.{f.name}") for f in fields(model)})
 
-    def designs(self) -> list[tuple[str, str, Design]]:
-        """(design label, c label, design) of each setting: the one ``custom`` setting
+    def designs(self) -> list[Design]:
+        """The design of each setting: a manifest's resolved ``design``, the one setting
         of a design file, or one per built-in design id and spillover constant c."""
+        if isinstance(self.given.get("design", (None, None, None))[1], dict):
+            self.modes["design"] = "a resolved design"  # only a config gives one
+            return [self("design")]
         design_file = self("design_file")
         if design_file is not None:
             self.modes["design"] = "a --design-file design"
-            return [("custom", "", load_design_csv(design_file, self("noise_sd")))]
+            return [load_design_csv(design_file, self("noise_sd"))]
         self.modes["design"] = "a built-in design"
         design = self("design")
         if design is None:
             raise ParameterError("a --design id or --design-file is required")
         c_values = self("c")
-        return [(design_id, f"{c:g}", BuiltinDesign(design_id=int(design_id), c=c))
+        return [BuiltinDesign(design_id=int(design_id), c=c)
                 for design_id in (["1", "2", "3"] if design == "all" else [design])
                 for c in c_values]
 
@@ -219,6 +238,17 @@ class _Inputs:
                   for key, (where, _, _) in self.given.items() if key not in self.read]
         if unread:
             raise ParameterError("; ".join(unread))
+
+    def config(self, design: Design | None = None) -> dict[str, Any]:
+        """The manifest's config: each key read and set, in the --config form ``load``
+        reads back, the ``graph.`` keys under "graph" and ``design`` resolved in place of
+        the design keys; ``workers`` is left out, since it changes no output."""
+        config: dict[str, Any] = {} if design is None else {"design": asdict(design)}
+        for key, value in self.read.items():
+            if value is not None and key != "workers" and _KEYS[key].mode != "design":
+                group, _, name = key.rpartition(".")  # "graph.k" is "k" of "graph"
+                (config.setdefault(group, {}) if group else config)[name] = value
+        return config
 
 
 class _Run(NamedTuple):
@@ -259,17 +289,16 @@ def cmd_simulate(inputs: _Inputs) -> _Run:
     graph = inputs.graph()
     common = {key: inputs(key)
               for key in ("n", "reps", "p", "base_seed", "regenerate_graph_each_rep")}
-    runs, workers = inputs.designs(), inputs("workers")
+    designs, workers = inputs.designs(), inputs("workers")
     inputs.check()
-    configs = [SimConfig(**common, design=design, graph=graph) for _, _, design in runs]
-    reports = run_study(configs, workers=workers)
-    entries = [(label, c_label, report) for (label, c_label, _), report in zip(runs, reports)]
-    text = "\n".join(f"design {design_label} c={c_label or '-'}: "
+    reports = run_study([SimConfig(**common, design=design, graph=graph) for design in designs],
+                        workers=workers)
+    text = "\n".join(f"design {label} c={c_label or '-'}: "
                      f"{report.reps_completed}/{report.reps_requested} reps, "
                      f"{report.n_excluded} excluded"
-                     for design_label, c_label, report in entries)
+                     for (label, c_label), report in zip(map(design_labels, designs), reports))
     # the settings of one study share their reps, exclusions and clock
-    return _Run(text, partial(write_results_csv, entries), [config_to_dict(c) for c in configs],
+    return _Run(text, partial(write_results_csv, reports), list(map(inputs.config, designs)),
                 {"stage_seconds": reports[0].timings,
                  "exclusion_counts": reports[0].exclusion_counts})
 
@@ -289,8 +318,7 @@ def cmd_scatter(inputs: _Inputs) -> _Run:
     text = (f"r2(degree, dbar | degree>0) = {_fmt(diag.r2_dbar)}\n"
             f"r2(degree, dbar_star)      = {_fmt(diag.r2_dbar_star)}\n"
             f"isolated share             = {np.mean(net.degree == 0):.4f}")
-    config = {"n": n, "p": p, "base_seed": seed, "graph": graph_to_dict(graph)}
-    return _Run(text, partial(write_scatter_csv, net.degree, t), config)
+    return _Run(text, partial(write_scatter_csv, net.degree, t), inputs.config())
 
 
 # ---------------------------------------------------------------------------
@@ -338,19 +366,15 @@ def _format_oracle_text(report: OracleReport) -> str:
 def cmd_oracle(inputs: _Inputs) -> _Run:
     inputs.defaults.update(design=None, c=(0.0,))
     p, histogram = inputs("p"), inputs("histogram")
-    runs = inputs.designs()
-    if len(runs) != 1:
+    design, *others = inputs.designs()
+    if others:
         raise ParameterError("oracle takes a single --design and a single --c value")
-    design = runs[0][2]
 
-    config = {"p": p, "design": asdict(design)}
     if histogram is None:
         graph, n, seed = inputs.graph(), inputs("n"), inputs("base_seed")
-        config.update(n=n, base_seed=seed, graph=graph_to_dict(graph))
         source = f"realized graph (n={n}, seed={seed})"
     else:
         inputs.modes["graph"] = "a --histogram degree distribution"
-        config["histogram"] = histogram
         source = f"histogram {histogram}"
     inputs.check()
     summary = (DegreeSummary.of(graph.generate(n, seed).degree) if histogram is None
@@ -365,7 +389,8 @@ def cmd_oracle(inputs: _Inputs) -> _Run:
             for field_name, value in asdict(report).items():
                 writer.writerow([field_name, "" if value is None else value])
 
-    return _Run(f"oracle from {source}\n{_format_oracle_text(report)}", write, config)
+    return _Run(f"oracle from {source}\n{_format_oracle_text(report)}", write,
+                inputs.config(design))
 
 
 # ---------------------------------------------------------------------------
@@ -447,24 +472,18 @@ def _plug_in_gaps(fits: dict[int, tuple[np.ndarray, np.ndarray]],
 
 
 def cmd_audit(inputs: _Inputs) -> _Run:
-    config = {key: inputs(key) for key in _AUDIT_KEYS}
-    missing = [_KEYS[key].flag for key in ("edges", "data") if config[key] is None]
+    edges, data, *columns = map(inputs, _AUDIT_KEYS)
+    missing = [_KEYS[key].flag for key in ("edges", "data") if inputs.read[key] is None]
     if missing:
         raise ParameterError("; ".join(f"{flag} is required" for flag in missing))
     inputs.check()
-    edges, data = config["edges"], config["data"]
-    roles = {_KEYS[key].flag: config[key] for key in _AUDIT_KEYS[2:]}
-    shared = [flag for flag, column in roles.items() if list(roles.values()).count(column) > 1]
+    roles = dict(zip((_KEYS[key].flag for key in _AUDIT_KEYS[2:]), columns))
+    shared = [flag for flag, column in roles.items() if columns.count(column) > 1]
     if shared:  # three roles can share at most one column
         raise ParameterError(f"{' and '.join(shared)} name the same column {roles[shared[0]]!r}")
     seconds: dict[str, float] = {}  # the manifest's stage_seconds
-    clock = time.perf_counter()
-
-    def lap(stage: str) -> None:
-        nonlocal clock
-        seconds[stage], clock = time.perf_counter() - clock, time.perf_counter()
-
-    index, d, y = _read_unit_data(data, *roles.values())
+    lap = stage_timer(seconds)
+    index, d, y = _read_unit_data(data, *columns)
     lap("read_units")
     pairs = _read_edges(edges, data, index, lap)
     net = from_edge_list(pairs, n=len(index))
@@ -543,7 +562,7 @@ def cmd_audit(inputs: _Inputs) -> _Run:
         lines += ["", "no imputation warning raised"]
 
     text = "\n".join(lines)
-    return _Run(text, lambda out: out.write_text(text + "\n"), config,
+    return _Run(text, lambda out: out.write_text(text + "\n"), inputs.config(),
                 {"stage_seconds": seconds, "rows_read": {"data": len(index), "edges": len(pairs)}})
 
 
@@ -596,12 +615,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _size_inputs(inputs: _Inputs) -> str:
     """The inputs read that set how much memory a command needs, for its out-of-memory
-    message: each input file given, with its size, and each number."""
-    sizes = [(key, inputs(key)) for key in ("data", "edges", "histogram", "n", "reps", "workers")
-             if key in inputs.read]
-    return ", ".join(f"{_KEYS[key].flag} {value} ({os.path.getsize(value):,} bytes)"
+    message: each input file given, by its flag and with its size, and each number; before
+    any key is read, the --config file being loaded."""
+    read = inputs.read or {"config": inputs.args.config}
+    return ", ".join(f"--{key} {value} ({os.path.getsize(value):,} bytes)"
                      if isinstance(value, str) else f"{key}={value}"
-                     for key, value in sizes if value is not None)
+                     for key in ("config", "data", "edges", "histogram", "n", "reps", "workers")
+                     if (value := read.get(key)) is not None)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

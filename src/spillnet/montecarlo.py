@@ -14,15 +14,15 @@ import csv
 import hashlib
 import warnings
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .dgp import BuiltinDesign, Design, DesignSpec, design_stack, outcome_cells
+from .dgp import BuiltinDesign, Design, design_stack, outcome_cells
 from .errors import EmptySubsampleError, ParameterError
 from .estimators import SPECS, TREATED, exposure_cells, fit_cells
 from .exposure import assign_bernoulli, compute_exposure
@@ -46,6 +46,18 @@ RESULTS_COLUMNS = (
     "design", "c", "spec", "coef", "mean_estimate", "true_coef", "bias",
     "ci_low", "ci_high", "coverage", "mc_se", "n_excluded",
 )
+
+
+def stage_timer(seconds: dict[str, float]) -> Callable[[str], None]:
+    """A lap function over ``seconds``: each ``lap(stage)`` adds the ``perf_counter``
+    seconds since the previous lap, or since this call, to ``seconds[stage]``."""
+    clock = perf_counter()
+
+    def lap(stage: str) -> None:
+        nonlocal clock
+        seconds[stage], clock = seconds.get(stage, 0.0) + perf_counter() - clock, perf_counter()
+
+    return lap
 
 
 @dataclass(frozen=True)
@@ -95,33 +107,6 @@ class SimConfig:
 
 
 GRAPH_KINDS = {"ws": WattsStrogatzGraph, "er": ErdosRenyiGraph}
-
-
-def graph_to_dict(graph: GraphModel) -> dict[str, Any]:
-    """The manifest serialization of a graph model: its ``GRAPH_KINDS`` key, then its fields."""
-    kind = next(kind for kind, model in GRAPH_KINDS.items() if isinstance(graph, model))
-    return {"kind": kind, **asdict(graph)}
-
-
-def config_to_dict(config: SimConfig) -> dict[str, Any]:
-    """The manifest serialization of a SimConfig, field by field; ``config_from_dict`` inverts it."""
-    return {**asdict(config), "graph": graph_to_dict(config.graph)}
-
-
-def config_from_dict(data: dict[str, Any]) -> SimConfig:
-    """Rebuild a SimConfig from its manifest serialization.
-
-    JSON turns the degree keys of a design file's tables into strings; they
-    become ints again.
-    """
-    design = {key: {int(g): v for g, v in value.items()} if isinstance(value, dict) else value
-              for key, value in data["design"].items()}
-    graph = dict(data["graph"])
-    return SimConfig(**{
-        **data,
-        "design": (BuiltinDesign if "design_id" in design else DesignSpec)(**design),
-        "graph": GRAPH_KINDS[graph.pop("kind")](**graph),
-    })
 
 
 def derive_seed(base_seed: int, rep_index: int, stream_tag: str) -> int:
@@ -229,13 +214,8 @@ def _simulate_block(configs: Sequence[SimConfig], fixed: _Graphs | None, reps: r
     the seconds spent per stage.
     """
     first = configs[0]
-    seconds = {}
-    clock = perf_counter()
-
-    def lap(stage: str) -> None:
-        nonlocal clock
-        seconds[stage], clock = perf_counter() - clock, perf_counter()
-
+    seconds: dict[str, float] = {}
+    lap = stage_timer(seconds)
     if fixed is None:
         nets = [first.graph.generate(first.n, derive_seed(first.base_seed, rep, "graph"))
                 for rep in reps]
@@ -283,13 +263,15 @@ def _simulate_block(configs: Sequence[SimConfig], fixed: _Graphs | None, reps: r
     return out[..., [reason is None for reason in reasons]], exclusions, seconds
 
 
-def _aggregate(configs: Sequence[SimConfig], per_cell: np.ndarray,
+def _aggregate(configs: Sequence[SimConfig], blocks: Sequence[np.ndarray],
                exclusions: tuple[tuple[int, str], ...],
                timings: dict[str, float]) -> list[AggregateReport]:
-    """Summarize every setting's (settings, len(CELLS), 4, completed reps) array."""
+    """Summarize every setting's (settings, len(CELLS), 4, completed reps) block arrays, in
+    rep order, timed as ``timings["aggregate"]`` before the reports that share it."""
+    lap = stage_timer(timings)
     # every reduction runs over the contiguous last axis, so each sum keeps the
     # order it has over one cell's reps
-    per_cell = np.ascontiguousarray(per_cell)
+    per_cell = np.ascontiguousarray(np.concatenate(blocks, axis=-1))
     estimates, ses, oracle_values, oracle_totals = per_cell.transpose(2, 0, 1, 3)
     r = per_cell.shape[-1]
     mean = estimates.mean(axis=-1)
@@ -301,6 +283,7 @@ def _aggregate(configs: Sequence[SimConfig], per_cell: np.ndarray,
         mean, mc_se, ses.mean(axis=-1), mean - 1.96 * mc_se, mean + 1.96 * mc_se,
         oracle_value, oracle_totals.mean(axis=-1), mean - oracle_value, covered.mean(axis=-1),
     ], axis=-1).tolist()
+    lap("aggregate")
     return [
         AggregateReport(
             cells=tuple(
@@ -360,11 +343,11 @@ def run_study(configs: Sequence[SimConfig], workers: int = 1) -> list[AggregateR
     if not first.regenerate_graph_each_rep:
         # Network is immutable and the seeds ignore the design, so every rep
         # can share the graph rep 0 would draw and all that derives from it
-        start = perf_counter()
+        lap = stage_timer(timings)
         net = first.graph.generate(first.n, derive_seed(first.base_seed, 0, "graph"))
-        timings["generate"] = perf_counter() - start
+        lap("generate")
         fixed = _graphs(configs, [net])
-        timings["graph_state"] = perf_counter() - start - timings["generate"]
+        lap("graph_state")
     size = _block_size(first.n)
     blocks = [range(start, min(start + size, first.reps)) for start in range(0, first.reps, size)]
     block_fn = partial(_simulate_block, configs, fixed)
@@ -391,16 +374,17 @@ def run_study(configs: Sequence[SimConfig], workers: int = 1) -> list[AggregateR
         raise EmptySubsampleError("every repetition failed; nothing to aggregate")
     if excluded > 0.01 * first.reps:
         warnings.warn(f"{excluded} of {first.reps} repetitions were excluded", stacklevel=2)
-    start = perf_counter()
-    reports = _aggregate(configs, np.concatenate([values for values, _, _ in results], axis=-1),
-                         exclusions, timings)
-    timings["aggregate"] = perf_counter() - start  # the reports share this dict
-    return reports
+    return _aggregate(configs, [values for values, _, _ in results], exclusions, timings)
 
 
-def write_results_csv(
-    entries: Sequence[tuple[str, str, AggregateReport]], path: str | Path
-) -> None:
+def design_labels(design: Design) -> tuple[str, str]:
+    """The design and c labels of a setting's results rows: a built-in design's id and its
+    c, or ``custom`` and no c for a tabulated design."""
+    return ((str(design.design_id), f"{design.c:g}") if isinstance(design, BuiltinDesign)
+            else ("custom", ""))
+
+
+def write_results_csv(reports: Sequence[AggregateReport], path: str | Path) -> None:
     """Write aggregated results rows (one per design/c/spec/coefficient).
 
     ``ci_low``/``ci_high`` are the representative single-experiment interval
@@ -411,7 +395,8 @@ def write_results_csv(
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULTS_COLUMNS)
-        for design_label, c_label, report in entries:
+        for report in reports:
+            design_label, c_label = design_labels(report.config.design)
             for cell in report.cells:
                 half = 1.96 * cell.mean_reported_se
                 writer.writerow(

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,15 +21,13 @@ import spillnet.cli
 from audit_dataset import write_audit_dataset
 from helpers import edge_pairs, reference_design, reference_stratified, unit_outcomes
 from spillnet.cli import main
-from spillnet.dgp import BuiltinDesign, effect_gaps
+from spillnet.dgp import effect_gaps
 from spillnet.errors import ParameterError, TooFewUnitsError
 from spillnet.exposure import assign_bernoulli
 from spillnet.graph import (
     DegreeSummary, from_edge_list, generate_erdos_renyi, generate_watts_strogatz,
 )
-from spillnet.montecarlo import (
-    STAGES, SimConfig, WattsStrogatzGraph, config_from_dict, config_to_dict, run_study,
-)
+from spillnet.montecarlo import STAGES, SimConfig, WattsStrogatzGraph, run_study
 from spillnet.oracle import imputation_bias
 
 
@@ -58,44 +57,6 @@ def test_simulate_zero_reps_is_usage_error(tmp_path, capsys):
     ])
     assert code == 2
     assert "error" in capsys.readouterr().err
-
-
-def test_simulate_manifest_round_trips_config(tmp_path):
-    out = tmp_path / "t.csv"
-    assert main([
-        "simulate", "--design", "2", "--c", "-0.5", "--n", "60", "--reps", "3",
-        "--seed", "9", "--out", str(out),
-    ]) == 0
-    manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
-    assert manifest["command"] == "simulate"
-    assert manifest["outputs"] == [str(out)]
-    config = config_from_dict(manifest["config"][0])
-    assert config.n == 60 and config.reps == 3 and config.base_seed == 9
-    assert config.design == BuiltinDesign(2, -0.5)
-    # rerunning from the manifest reproduces the CSV numbers exactly
-    report = run_study([config])[0]
-    row = next(
-        r for r in _read_csv(out) if r["spec"] == "t_reg" and r["coef"] == "spillover"
-    )
-    assert float(row["mean_estimate"]) == report.cell("t_reg", "spillover").mean_estimate
-
-
-def test_simulate_manifest_records_stage_seconds_and_exclusion_counts(tmp_path):
-    out = tmp_path / "sparse.csv"
-    with pytest.warns(UserWarning, match="excluded"):
-        assert main(["simulate", "--design", "3", "--c", "0", "--n", "12", "--reps", "50",
-                     "--graph", "er", "--er-mean-degree", "0.5", "--seed", "5",
-                     "--out", str(out)]) == 0
-    manifest = json.loads((tmp_path / "sparse.csv.manifest.json").read_text())
-    assert list(manifest["stage_seconds"]) == list(STAGES)
-    assert all(seconds >= 0.0 for seconds in manifest["stage_seconds"].values())
-    config = config_from_dict(manifest["config"][0])
-    with pytest.warns(UserWarning, match="excluded"):
-        report = run_study([config])[0]
-    assert manifest["exclusion_counts"] == report.exclusion_counts
-    assert sum(manifest["exclusion_counts"].values()) == report.n_excluded > 0
-    n_excluded = {row["n_excluded"] for row in _read_csv(out)}
-    assert n_excluded == {str(report.n_excluded)}
 
 
 def _key_paths(mapping, prefix=""):
@@ -181,6 +142,132 @@ def test_audit_manifest_config_given_back_as_config_reproduces_the_report(tmp_pa
     assert main(["audit", "--config", str(cfg), "--out", str(again)]) == 0
     assert capsys.readouterr().out == text.replace(str(first), str(again))
     assert again.read_bytes() == first.read_bytes()
+
+
+# the runs whose manifest config is given back as --config, each reading the files of
+# _replay_inputs; the sparse simulate run excludes reps, and the last has six settings
+_REPLAYED = {
+    "scatter": ["scatter", "--n", "120", "--p", "0.3", "--seed", "8", "--graph", "er",
+                "--er-mean-degree", "3"],
+    "oracle-graph": ["oracle", "--design", "2", "--c=-0.5", "--n", "400", "--seed", "3"],
+    "oracle-histogram": ["oracle", "--design", "1", "--c=-0.5", "--p", "0.3",
+                         "--histogram", "{hist}"],
+    "oracle-design-file": ["oracle", "--design-file", "{design}", "--noise-sd", "0.5",
+                           "--n", "80", "--seed", "2"],
+    "audit": ["audit", "--edges", "{edges}", "--data", "{data}", "--id-col", "pid",
+              "--treatment-col", "z", "--outcome-col", "y"],
+    "simulate": ["simulate", "--design", "2", "--c", "-0.5", "--n", "60", "--reps", "3",
+                 "--seed", "9"],
+    "simulate-design-file": ["simulate", "--design-file", "{design}", "--noise-sd", "0.5",
+                             "--n", "80", "--reps", "3", "--seed", "2"],
+    "simulate-sparse": ["simulate", "--design", "3", "--c", "0", "--n", "12", "--reps", "50",
+                        "--graph", "er", "--er-mean-degree", "0.5", "--seed", "5"],
+    "simulate-six-settings": ["simulate", "--n", "100", "--reps", "5", "--seed", "3",
+                              "--fixed-graph"],
+}
+
+
+def _replay_inputs(tmp_path):
+    """The files the ``_REPLAYED`` runs read, by the names their arguments use."""
+    edges, data = _write_synthetic_dataset(tmp_path, design_id=1, c=0.0, n=300, seed=4)
+    data.write_text(data.read_text().replace("id,treatment,outcome", "pid,z,y", 1))
+    hist = tmp_path / "hist.csv"
+    hist.write_text("degree,count\n0,2\n1,3\n4,1\n")
+    design = tmp_path / "design.csv"
+    design.write_text("degree,theta00,mu_de,lambda_se\n"
+                      + "".join(f"{g},1.0,1.0,{-0.5 / (1 + g)}\n" for g in range(30)))
+    return {"edges": edges, "data": data, "hist": hist, "design": design}
+
+
+def _run_out(argv, out):
+    """Run ``argv --out out``; its exit code, stdout, manifest and warnings."""
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        code, text, _ = _run([*argv, "--out", str(out)])
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    return code, text, manifest, [str(w.message) for w in warned]
+
+
+@pytest.mark.parametrize("run", sorted(_REPLAYED))
+def test_every_manifest_config_given_back_as_config_reruns_its_run(tmp_path, run):
+    files = _replay_inputs(tmp_path)
+    argv = [arg.format(**files) for arg in _REPLAYED[run]]
+    command = argv[0]
+    first = tmp_path / "first.out"
+    code, text, manifest, warned = _run_out(argv, first)
+    assert code == 0
+    assert manifest["command"] == command
+    assert manifest["outputs"] == [str(first)]
+    entries = manifest["config"] if command == "simulate" else [manifest["config"]]
+    for k, entry in enumerate(entries):
+        cfg, again = tmp_path / f"cfg{k}.json", tmp_path / f"again{k}.out"
+        cfg.write_text(json.dumps(entry))
+        code, replayed, replay, rewarned = _run_out([command, "--config", str(cfg)], again)
+        assert code == 0
+        assert replay["config"] == (manifest["config"][k:k + 1] if command == "simulate"
+                                    else entry)
+        assert rewarned == warned
+        if len(entries) == 1:  # one run, rerun byte for byte
+            assert replayed == text.replace(str(first), str(again))
+            assert again.read_bytes() == first.read_bytes()
+            assert replay.get("exclusion_counts") == manifest.get("exclusion_counts")
+            continue
+        # one setting of a study: the study solved every setting in one stacked solve, so
+        # the last bits of its numbers can move
+        assert replayed.splitlines()[0] == text.splitlines()[k]
+        labels = (str(entry["design"]["design_id"]), f"{entry['design']['c']:g}")
+        rows = [row for row in _read_csv(first) if (row["design"], row["c"]) == labels]
+        assert len(rows) == 6
+        for row, rerun in zip(rows, _read_csv(again), strict=True):
+            for column in ("design", "c", "spec", "coef", "coverage", "n_excluded"):
+                assert rerun[column] == row[column], (column, row)
+            for column in ("mean_estimate", "true_coef", "bias", "ci_low", "ci_high", "mc_se"):
+                assert abs(float(rerun[column]) - float(row[column])) <= 1e-12, (column, row)
+    rows = _read_csv(first) if command == "simulate" else []
+    if run == "simulate":
+        config = manifest["config"][0]
+        assert (config["n"], config["reps"], config["base_seed"]) == (60, 3, 9)
+        assert config["design"] == {"design_id": 2, "c": -0.5}
+    if run == "simulate-sparse":
+        assert list(manifest["stage_seconds"]) == list(STAGES)
+        assert all(seconds >= 0.0 for seconds in manifest["stage_seconds"].values())
+        assert any("excluded" in message for message in warned)
+        n_excluded = {row["n_excluded"] for row in rows}
+        assert n_excluded == {str(sum(manifest["exclusion_counts"].values()))}
+        assert sum(manifest["exclusion_counts"].values()) > 0
+    if run == "simulate-design-file":
+        assert len(rows) == 6
+        assert {r["design"] for r in rows} == {"custom"}
+        design = manifest["config"][0]["design"]
+        assert design["noise_sd"] == 0.5
+        assert design["spillover_effect"]["1"] == pytest.approx(-0.25)
+
+
+@pytest.mark.parametrize("argv, design, code, named", [
+    ([], {"design_id": 7, "c": 0}, 2, ["config key 'design': unknown design_id 7"]),
+    ([], {"baseline": {"x": 1}, "direct_effect": {}, "spillover_effect": {}, "noise_sd": 1},
+     3, ["config key 'design': invalid literal for int() with base 10: 'x'"]),
+    ([], {"design_id": 1, "c": 0, "bogus": 1}, 3,
+     ["config key 'design': ", "unexpected keyword argument 'bogus'"]),
+    (["--c", "0"], {"design_id": 1, "c": 0}, 2, ["--c does not apply to a resolved design"]),
+    (["--noise-sd", "2"], {"design_id": 1, "c": 0}, 2,
+     ["--noise-sd does not apply to a resolved design"]),
+    (["--design-file", "d.csv"], {"design_id": 1, "c": 0}, 2,
+     ["--design-file does not apply to a resolved design"]),
+])
+@pytest.mark.parametrize("command", ["simulate", "oracle"])
+def test_a_bad_or_overridden_resolved_design_is_an_error_naming_it(tmp_path, capsys, command, argv,
+                                                                   design, code, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"design": design, "n": 40, "reps": 2}
+                              if command == "simulate" else {"design": design, "n": 40}))
+    out = tmp_path / "o.csv"
+    assert main([command, *argv, "--config", str(cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    for name in named:
+        assert name in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_oracle_histogram_config_key_prints_what_the_flag_prints(tmp_path, capsys):
@@ -385,7 +472,7 @@ def test_design_flags_of_the_other_design_kind_are_usage_errors(tmp_path, capsys
 
 # a simulate manifest, whose keys are not config keys
 _MANIFEST = {"command": "simulate", "version": spillnet.__version__, "outputs": ["o.csv"],
-             "config": [config_to_dict(SimConfig(n=40, reps=2))]}
+             "config": [{"n": 40, "reps": 2, "design": {"design_id": 3, "c": 0.0}}]}
 
 
 @pytest.mark.parametrize("argv, config, named", [
@@ -526,6 +613,12 @@ def test_out_of_memory_in_a_table_read_names_the_input_files(tmp_path, capsys, m
     assert main(["oracle", "--design", "1", "--histogram", str(histogram)]) == 6
     assert capsys.readouterr().err == (
         f"spillnet: out of memory: oracle with --histogram {histogram} (17 bytes)\n")
+    cfg = tmp_path / "c.json"  # the --config file itself
+    cfg.write_text('{"n": 40}')
+    monkeypatch.setattr(spillnet.cli.json, "load", no_memory)
+    assert main(["scatter", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 6
+    assert capsys.readouterr().err == (
+        f"spillnet: out of memory: scatter with --config {cfg} (9 bytes)\n")
 
 
 def _end_the_worker(*args):
@@ -998,26 +1091,6 @@ def test_reduced_scale_design3_is_unbiased(tmp_path):
     # enough reps that the 0.02 bound is at least four Monte Carlo SEs
     assert all(float(r["mc_se"]) <= 0.005 for r in spillovers)
     assert all(abs(float(r["bias"])) <= 0.02 for r in spillovers)
-
-
-def test_simulate_with_design_file(tmp_path):
-    design = tmp_path / "design.csv"
-    with design.open("w") as fh:
-        fh.write("degree,theta00,mu_de,lambda_se\n")
-        for g in range(30):
-            fh.write(f"{g},1.0,1.0,{-0.5 / (1 + g)}\n")
-    out = tmp_path / "custom.csv"
-    assert main([
-        "simulate", "--design-file", str(design), "--noise-sd", "0.5",
-        "--n", "80", "--reps", "3", "--seed", "2", "--out", str(out),
-    ]) == 0
-    rows = _read_csv(out)
-    assert len(rows) == 6
-    assert {r["design"] for r in rows} == {"custom"}
-    manifest = json.loads((tmp_path / "custom.csv.manifest.json").read_text())
-    config = config_from_dict(manifest["config"][0])
-    assert config.design.noise_sd == 0.5
-    assert config.design.spillover_effect[1] == pytest.approx(-0.25)
 
 
 def test_io_failure_exit_code(tmp_path, capsys):

@@ -348,7 +348,7 @@ def test_custom_design_spec_runs():
 def test_results_csv_layout(tmp_path):
     report = run_study([SMALL])[0]
     path = tmp_path / "results.csv"
-    write_results_csv([("1", "-0.5", report)], path)
+    write_results_csv([report], path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == (
         "design,c,spec,coef,mean_estimate,true_coef,bias,"
