@@ -57,8 +57,8 @@ from .montecarlo import (
     SimConfig,
     WattsStrogatzGraph,
     derive_seed,
+    results_rows,
     run_study,
-    write_results_csv,
 )
 from .oracle import (
     OracleReport,

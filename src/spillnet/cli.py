@@ -7,10 +7,13 @@ them). One key table, ``_KEYS``, declares every flag of every command but
 --out and --config, each a --config key with its parser and default; a
 command reads each key as its flag, else its config value, else its
 default. A flag or config key that the command does not read in its mode
-is a usage error naming it. Each command returns its report; ``main``
-alone prints it and, given --out, writes the output file and a
-``<out>.manifest.json`` listing outputs and the keys read, in the --config
-form that reruns the run (for simulate, one such config per setting).
+is a usage error naming it. Each command is a pure function of its inputs
+that returns its report; ``main`` alone prints it and opens and writes
+every file: given --out, the output file (the CSV rows, or audit's report
+text) and a ``<out>.manifest.json`` listing outputs and the keys read, in
+the --config form that reruns the run (for simulate, one such config per
+setting). Both are UTF-8, and a file name that the locale cannot encode is
+written back as given, as stdout prints it.
 """
 
 from __future__ import annotations
@@ -23,10 +26,9 @@ import sys
 import time
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
-from functools import partial
 from itertools import repeat
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,16 +53,16 @@ from .exposure import (
     assign_bernoulli,
     compute_exposure,
     cov_dbar_star_degree_closed_form,
-    write_scatter_csv,
+    scatter_rows,
 )
 from .graph import DegreeSummary, from_edge_list, nonnegative_int, read_table
 from .montecarlo import (
     GRAPH_KINDS,
     SimConfig,
     design_labels,
+    results_rows,
     run_study,
     stage_timer,
-    write_results_csv,
 )
 from .oracle import OracleReport, imputation_bias, oracle_report
 
@@ -252,13 +254,20 @@ class _Inputs:
 
 
 class _Run(NamedTuple):
-    """What a command returns: its stdout text, the writer of its --out file, and its
-    manifest's config and extra keys."""
+    """What a command returns: its stdout text; the rows of its --out CSV file, header
+    first, or None when that file is the text (audit); and its manifest's config and
+    extra keys."""
 
     text: str
-    write: Callable[[Path], None]
+    rows: Iterable[Sequence[Any]] | None
     config: Any
     extra: dict[str, Any] = {}
+
+
+def _create(path: Path):
+    """Open ``path`` to write UTF-8 text; an undecodable byte of a file name, which Python
+    reads as a lone surrogate, is written back as that byte."""
+    return path.open("w", encoding="utf-8", errors="surrogateescape", newline="")
 
 
 def _write_manifest(command: str, out_path: Path, config_payload: Any, started: float,
@@ -273,7 +282,7 @@ def _write_manifest(command: str, out_path: Path, config_payload: Any, started: 
         **extra,
     }
     manifest_path = Path(str(out_path) + ".manifest.json")
-    with manifest_path.open("w") as fh:
+    with _create(manifest_path) as fh:
         json.dump(manifest, fh, indent=2)
 
 
@@ -298,7 +307,7 @@ def cmd_simulate(inputs: _Inputs) -> _Run:
                      f"{report.n_excluded} excluded"
                      for (label, c_label), report in zip(map(design_labels, designs), reports))
     # the settings of one study share their reps, exclusions and clock
-    return _Run(text, partial(write_results_csv, reports), list(map(inputs.config, designs)),
+    return _Run(text, results_rows(reports), list(map(inputs.config, designs)),
                 {"stage_seconds": reports[0].timings,
                  "exclusion_counts": reports[0].exclusion_counts})
 
@@ -318,7 +327,7 @@ def cmd_scatter(inputs: _Inputs) -> _Run:
     text = (f"r2(degree, dbar | degree>0) = {_fmt(diag.r2_dbar)}\n"
             f"r2(degree, dbar_star)      = {_fmt(diag.r2_dbar_star)}\n"
             f"isolated share             = {np.mean(net.degree == 0):.4f}")
-    return _Run(text, partial(write_scatter_csv, net.degree, t), inputs.config())
+    return _Run(text, scatter_rows(net.degree, t), inputs.config())
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +390,9 @@ def cmd_oracle(inputs: _Inputs) -> _Run:
                else _read_histogram_csv(histogram))
 
     report = oracle_report(design, summary, p)
-
-    def write(out: Path) -> None:
-        with out.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["quantity", "value"])
-            for field_name, value in asdict(report).items():
-                writer.writerow([field_name, "" if value is None else value])
-
-    return _Run(f"oracle from {source}\n{_format_oracle_text(report)}", write,
+    rows = [("quantity", "value"),
+            *((name, "" if value is None else value) for name, value in asdict(report).items())]
+    return _Run(f"oracle from {source}\n{_format_oracle_text(report)}", rows,
                 inputs.config(design))
 
 
@@ -562,7 +565,7 @@ def cmd_audit(inputs: _Inputs) -> _Run:
         lines += ["", "no imputation warning raised"]
 
     text = "\n".join(lines)
-    return _Run(text, lambda out: out.write_text(text + "\n"), inputs.config(),
+    return _Run(text, None, inputs.config(),
                 {"stage_seconds": seconds, "rows_read": {"data": len(index), "edges": len(pairs)}})
 
 
@@ -634,7 +637,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(run.text)
         if args.out is not None:
             out = Path(args.out)
-            run.write(out)
+            with _create(out) as fh:
+                if run.rows is None:
+                    fh.write(run.text + "\n")
+                else:
+                    csv.writer(fh).writerows(run.rows)
             _write_manifest(args.command, out, run.config, started, **run.extra)
             print(f"wrote {out}")
         return 0

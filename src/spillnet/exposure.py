@@ -12,8 +12,7 @@ conflating them is exactly the practice this package exists to diagnose.
 
 from __future__ import annotations
 
-import csv
-from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -57,17 +56,13 @@ def cov_dbar_star_degree_closed_form(summary: DegreeSummary, p: float) -> np.nda
     return np.where(summary.n_positive > 0, gap * p * summary.positive_share, 0.0)
 
 
-def write_scatter_csv(degree: np.ndarray, t: np.ndarray, path: str | Path) -> None:
-    """Write per-node scatter data from the degrees and treated-neighbor counts.
+def scatter_rows(degree: np.ndarray, t: np.ndarray) -> Iterator[list]:
+    """The per-node scatter CSV rows, header first, of the degrees and treated-neighbor counts.
 
     ``dbar_star`` is t / g, and 0 for an isolated node, whose ``dbar`` is
     left empty; where a node has neighbors its ``dbar`` is its ``dbar_star``.
     """
     dbar_star = t / np.maximum(degree, 1)
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "degree", "dbar", "dbar_star", "isolated"])
-        writer.writerows(
-            [i, g, star if g > 0 else "", star, int(g == 0)]
-            for i, (g, star) in enumerate(zip(degree.tolist(), dbar_star.tolist()))
-        )
+    yield ["node", "degree", "dbar", "dbar_star", "isolated"]
+    for i, (g, star) in enumerate(zip(degree.tolist(), dbar_star.tolist())):
+        yield [i, g, star if g > 0 else "", star, int(g == 0)]

@@ -10,15 +10,13 @@ builds the cells, fits and oracles of the whole block.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import partial
-from pathlib import Path
 from time import perf_counter
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -167,12 +165,6 @@ class AggregateReport:
     def exclusion_counts(self) -> dict[str, int]:
         """The number of excluded reps per reason, in the order the reasons first occur."""
         return dict(Counter(reason for _, reason in self.exclusions))
-
-    def cell(self, spec_name: str, coef: str) -> CoefficientSummary:
-        for cell in self.cells:
-            if cell.spec_name == spec_name and cell.coef == coef:
-                return cell
-        raise KeyError((spec_name, coef))
 
 
 @dataclass(frozen=True)
@@ -384,34 +376,30 @@ def design_labels(design: Design) -> tuple[str, str]:
             else ("custom", ""))
 
 
-def write_results_csv(reports: Sequence[AggregateReport], path: str | Path) -> None:
-    """Write aggregated results rows (one per design/c/spec/coefficient).
+def results_rows(reports: Sequence[AggregateReport]) -> Iterator[Sequence]:
+    """The results CSV rows, header first, then one per design/c/spec/coefficient.
 
     ``ci_low``/``ci_high`` are the representative single-experiment interval
     mean_estimate +/- 1.96 * mean reported se, the half-width the coverage
     rate puts around each rep's estimate; ``mc_se`` is blank for single-rep
     runs.
     """
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULTS_COLUMNS)
-        for report in reports:
-            design_label, c_label = design_labels(report.config.design)
-            for cell in report.cells:
-                half = 1.96 * cell.mean_reported_se
-                writer.writerow(
-                    [
-                        design_label,
-                        c_label,
-                        cell.spec_name,
-                        cell.coef,
-                        cell.mean_estimate,
-                        cell.oracle_value,
-                        cell.bias,
-                        cell.mean_estimate - half,
-                        cell.mean_estimate + half,
-                        cell.coverage,
-                        "" if cell.mc_se is None else cell.mc_se,
-                        report.n_excluded,
-                    ]
-                )
+    yield RESULTS_COLUMNS
+    for report in reports:
+        design_label, c_label = design_labels(report.config.design)
+        for cell in report.cells:
+            half = 1.96 * cell.mean_reported_se
+            yield [
+                design_label,
+                c_label,
+                cell.spec_name,
+                cell.coef,
+                cell.mean_estimate,
+                cell.oracle_value,
+                cell.bias,
+                cell.mean_estimate - half,
+                cell.mean_estimate + half,
+                cell.coverage,
+                "" if cell.mc_se is None else cell.mc_se,
+                report.n_excluded,
+            ]

@@ -20,8 +20,10 @@ the same values (key order aside). The commands:
 
 - ``simulate`` with the benchmark's ``study`` and ``fixed_er`` arguments
   (as in ``perfbench/workloads.py``) at seeds 1 and 3;
+- ``simulate`` with a design file (a ``custom`` results row);
 - ``audit`` on the ``audit_dataset.py`` datasets of 20,000 units at seeds 1,
-  3 and 7, and on the golden record's dataset (2,000 units, seed 11);
+  3 and 7, and on the golden record's dataset (2,000 units, seed 11), the
+  last also with ``--out``;
 - ``scatter --out``;
 - ``oracle`` from a graph, from a degree histogram and with a design file,
   each with and without ``--out``.
@@ -54,9 +56,13 @@ def commands() -> dict[str, list[str]]:
             "simulate", "--design", "1", "--c", "-0.5", "--n", "4000", "--reps", "20",
             "--p", "0.5", "--seed", str(seed), "--workers", "1", "--graph", "er",
             "--er-mean-degree", "2", "--fixed-graph", "--out", "results.csv"]
+    runs["simulate-design-file"] = [
+        "simulate", "--design-file", "../inputs/design.csv", "--noise-sd", "0.5", "--n", "500",
+        "--reps", "30", "--seed", "2", "--out", "results.csv"]
     for dataset in ("1", "3", "7", "golden"):
         runs[f"audit-{dataset}"] = ["audit", "--edges", f"../inputs/edges-{dataset}.csv",
                                     "--data", f"../inputs/units-{dataset}.csv"]
+    runs["audit-golden-out"] = [*runs["audit-golden"], "--out", "report.txt"]
     runs["scatter"] = ["scatter", "--n", "1000", "--p", "0.4", "--seed", "7",
                        "--out", "scatter.csv"]
     oracles = {

@@ -7,6 +7,7 @@ normal equations) so that agreement with the library is meaningful.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import operator
 import random
@@ -57,6 +58,20 @@ def check_invariants(net: Network) -> None:
     keys = net.u * net.n + net.v
     if not (np.diff(keys) > 0).all():
         raise AssertionError("edges are unsorted or repeated")
+
+
+def cell(report, spec_name: str, coef: str):
+    """The ``CoefficientSummary`` of one specification's coefficient in a report."""
+    return next(summary for summary in report.cells
+                if summary.spec_name == spec_name and summary.coef == coef)
+
+
+def csv_lines(rows) -> list[str]:
+    """The lines of the CSV file of ``rows``, written by the ``csv.writer`` call of
+    ``spillnet.cli.main``."""
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue().splitlines()
 
 
 def treated_neighbor_counts(neighbors, d: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import helpers
 from helpers import exact_dbar_star_moments, reference_design, rep_cells, unit_outcomes
 from spillnet.dgp import BuiltinDesign
 from spillnet.errors import EmptySubsampleError, SingularModelError
@@ -154,23 +155,23 @@ def test_criterion_3_table_reproduction_at_full_scale(full_runs):
     for c in (0.0, -0.5):
         for spec_name in ("t_reg", "dbar_reg", "dbar_star_reg"):
             for coef in ("direct", "spillover"):
-                cell = runs[(3, c)].cell(spec_name, coef)
+                cell = helpers.cell(runs[(3, c)], spec_name, coef)
                 check(f"design3 c={c} {spec_name} {coef} bias", cell.bias, 0.0, 0.01)
 
     for design_id in (1, 2, 3):
-        cell = runs[(design_id, -0.5)].cell("t_reg", "spillover")
+        cell = helpers.cell(runs[(design_id, -0.5)], "t_reg", "spillover")
         check(f"design{design_id} t spillover mean", cell.mean_estimate, -0.146, 0.01)
-        cell = runs[(design_id, -0.5)].cell("dbar_reg", "spillover")
+        cell = helpers.cell(runs[(design_id, -0.5)], "dbar_reg", "spillover")
         check(f"design{design_id} dbar spillover mean", cell.mean_estimate, -0.298, 0.03)
 
     for (design_id, c), report in runs.items():
         for spec_name in ("t_reg", "dbar_reg", "dbar_star_reg"):
-            cell = report.cell(spec_name, "direct")
+            cell = helpers.cell(report, spec_name, "direct")
             check(f"design{design_id} c={c} {spec_name} direct mean",
                   cell.mean_estimate, 1.0, 0.01)
 
     for (design_id, c), target in (((1, 0.0), 0.703), ((2, 0.0), 0.314), ((1, -0.5), 0.401)):
-        cell = runs[(design_id, c)].cell("dbar_star_reg", "spillover")
+        cell = helpers.cell(runs[(design_id, c)], "dbar_star_reg", "spillover")
         check(f"design{design_id} c={c} dbar_star spillover mean",
               cell.mean_estimate, target, 0.08)
 
@@ -179,7 +180,7 @@ def test_criterion_3_table_reproduction_at_full_scale(full_runs):
     for (design_id, c), report in runs.items():
         for spec_name in ("t_reg", "dbar_reg", "dbar_star_reg"):
             for coef in ("direct", "spillover"):
-                cell = report.cell(spec_name, coef)
+                cell = helpers.cell(report, spec_name, coef)
                 target = (
                     cell.oracle_total
                     if (spec_name, coef) == ("dbar_star_reg", "spillover")
@@ -202,7 +203,7 @@ def test_criterion_3_table_reproduction_at_full_scale(full_runs):
 
 def test_criterion_4_sign_reversal(full_runs):
     runs, _ = full_runs
-    cell = runs[(1, -0.5)].cell("dbar_star_reg", "spillover")
+    cell = helpers.cell(runs[(1, -0.5)], "dbar_star_reg", "spillover")
     ci_low = cell.mean_estimate - 1.96 * cell.mean_reported_se
     ci_high = cell.mean_estimate + 1.96 * cell.mean_reported_se
     # every true per-unit spillover lies in [-0.5, 0), so a CI above zero
@@ -220,7 +221,7 @@ def test_criterion_5_confidence_interval_coverage(full_runs):
     worst = (0.95, "none")
     for (design_id, c), report in runs.items():
         for spec_name in ("t_reg", "dbar_reg"):
-            cov = report.cell(spec_name, "spillover").coverage
+            cov = helpers.cell(report, spec_name, "spillover").coverage
             label = f"design{design_id} c={c} {spec_name}"
             if not 0.935 <= cov <= 0.965:
                 failures.append(f"{label}: coverage {cov:.4f}")
@@ -228,7 +229,7 @@ def test_criterion_5_confidence_interval_coverage(full_runs):
                 worst = (cov, label)
     # the imputed regression's interval almost never covers its target when
     # the baseline varies with degree
-    star_cov = runs[(1, 0.0)].cell("dbar_star_reg", "spillover").coverage
+    star_cov = helpers.cell(runs[(1, 0.0)], "dbar_star_reg", "spillover").coverage
     if star_cov > 0.01:
         failures.append(f"design1 imputed coverage {star_cov:.4f} not near zero")
     _report(5, not failures,

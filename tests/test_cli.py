@@ -1019,6 +1019,26 @@ def test_audit_writes_report_file(tmp_path, capsys):
                                   "treatment_col": "z", "outcome_col": "y"}
 
 
+def test_audit_out_writes_an_undecodable_input_path_as_given(tmp_path):
+    # the report quotes its input paths; a byte of one that is not UTF-8 is written to the
+    # report file as that byte, as stdout prints it, in UTF-8 mode on any machine
+    folder = tmp_path / os.fsdecode(b"d\xe9")
+    folder.mkdir()
+    edges, data = folder / "edges.csv", folder / "units.csv"
+    write_audit_dataset(300, 2, edges, data)
+    src = str(Path(spillnet.__file__).parents[1])
+    env = {**os.environ, "PYTHONUTF8": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONIOENCODING", None)
+    proc = subprocess.run([sys.executable, "-m", "spillnet.cli", "audit", "--edges", str(edges),
+                           "--data", str(data), "--out", "r.txt"],
+                          cwd=tmp_path, env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    first = (tmp_path / "r.txt").read_bytes().split(b"\n")[0]
+    assert first == proc.stdout.split(b"\n")[0]
+    assert os.fsencode(folder) in first
+
+
 def test_audit_manifest_records_stage_seconds_and_rows_read(tmp_path, capsys):
     edges, data = _write_synthetic_dataset(tmp_path, design_id=1, c=0.0, n=400, seed=9)
     with edges.open("a") as fh:
@@ -1180,6 +1200,6 @@ def test_public_names_are_exactly_the_pinned_list():
         "dbar_weights", "derive_seed", "design_stack", "empirical_exposure_diagnostics",
         "enumeration_population_ols", "fit_cells", "from_edge_list",
         "generate_erdos_renyi", "generate_watts_strogatz", "imputation_bias", "load_design_csv",
-        "ols", "oracle_report", "read_table", "run_study",
-        "stratified_regression", "t_weights", "write_results_csv",
+        "ols", "oracle_report", "read_table", "results_rows", "run_study",
+        "stratified_regression", "t_weights",
     ]

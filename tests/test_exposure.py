@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import exact_dbar_star_moments, reference_exposure_diagnostics, rep_cells
+from helpers import csv_lines, exact_dbar_star_moments, reference_exposure_diagnostics, rep_cells
 from spillnet.errors import ParameterError
 from spillnet.estimators import empirical_exposure_diagnostics
 from spillnet.exposure import (
     assign_bernoulli,
     compute_exposure,
     cov_dbar_star_degree_closed_form,
-    write_scatter_csv,
+    scatter_rows,
 )
 from spillnet.graph import (
     WS_CALIBRATED,
@@ -42,34 +42,32 @@ def test_bernoulli_rejects_degenerate_probabilities():
             assign_bernoulli(10, p, seed=0)
 
 
-def _scatter_rows(net, d, tmp_path):
+def _scatter_rows(net, d):
     """The data rows of the scatter CSV of (net, d): node, degree, dbar, dbar_star, isolated."""
-    path = tmp_path / "scatter.csv"
-    write_scatter_csv(net.degree, compute_exposure(net, d), path)
-    return path.read_text().splitlines()[1:]
+    return csv_lines(scatter_rows(net.degree, compute_exposure(net, d)))[1:]
 
 
-def test_exposure_on_path_graph_by_hand(tmp_path):
+def test_exposure_on_path_graph_by_hand():
     net = from_edge_list([(0, 1), (1, 2)], n=3)
     d = np.array([1, 0, 1])
     t = compute_exposure(net, d)
     assert t.dtype == np.int64 and t.tolist() == [0, 2, 0]
     assert net.degree.tolist() == [1, 2, 1]
-    assert _scatter_rows(net, d, tmp_path) == ["0,1,0.0,0.0,0", "1,2,1.0,1.0,0", "2,1,0.0,0.0,0"]
+    assert _scatter_rows(net, d) == ["0,1,0.0,0.0,0", "1,2,1.0,1.0,0", "2,1,0.0,0.0,0"]
 
 
-def test_exposure_marks_isolated_nodes_as_absent(tmp_path):
+def test_exposure_marks_isolated_nodes_as_absent():
     net = from_edge_list([(0, 1)], n=3)
     d = np.array([1, 1, 1])
     assert compute_exposure(net, d)[2] == 0
-    assert _scatter_rows(net, d, tmp_path)[2] == "2,0,,0.0,1"  # no dbar, dbar_star 0
+    assert _scatter_rows(net, d)[2] == "2,0,,0.0,1"  # no dbar, dbar_star 0
 
 
-def test_exposure_star_center_half_treated(tmp_path):
+def test_exposure_star_center_half_treated():
     net = from_edge_list([(0, 1), (0, 2), (0, 3), (0, 4)], n=5)
     d = np.array([0, 1, 1, 0, 0])
     assert compute_exposure(net, d)[0] == 2
-    assert _scatter_rows(net, d, tmp_path)[0] == "0,4,0.5,0.5,0"
+    assert _scatter_rows(net, d)[0] == "0,4,0.5,0.5,0"
 
 
 def test_exposure_length_mismatch_raises():
@@ -211,11 +209,9 @@ def test_diagnostics_ignore_the_order_of_the_units():
         assert _diagnostics(relabelled, moved) == diag, seed
 
 
-def test_scatter_csv_format(tmp_path):
+def test_scatter_csv_format():
     net = from_edge_list([(0, 1)], n=3)
-    path = tmp_path / "scatter.csv"
-    write_scatter_csv(net.degree, compute_exposure(net, np.array([1, 0, 0])), path)
-    lines = path.read_text().strip().splitlines()
+    lines = csv_lines(scatter_rows(net.degree, compute_exposure(net, np.array([1, 0, 0]))))
     assert lines[0] == "node,degree,dbar,dbar_star,isolated"
     assert lines[1] == "0,1,0.0,0.0,0"
     assert lines[2] == "1,1,1.0,1.0,0"

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spillnet import montecarlo
-from helpers import reference_design, rep_cells
+import helpers
+from helpers import csv_lines, reference_design, rep_cells
 from spillnet.dgp import BuiltinDesign
 from spillnet.errors import (
     EmptySubsampleError, ParameterError, SingularModelError, TooFewUnitsError,
@@ -20,8 +21,8 @@ from spillnet.montecarlo import (
     SimConfig,
     WattsStrogatzGraph,
     derive_seed,
+    results_rows,
     run_study,
-    write_results_csv,
 )
 
 SMALL = SimConfig(n=80, reps=12, p=0.5, design=BuiltinDesign(1, -0.5), base_seed=3)
@@ -58,7 +59,7 @@ def test_run_has_all_cells_and_sane_aggregates():
         assert 0.0 <= cell.coverage <= 1.0
         assert cell.bias == pytest.approx(cell.mean_estimate - cell.oracle_value)
         assert cell.mc_se is not None and cell.mc_se > 0
-    spill = report.cell("dbar_star_reg", "spillover")
+    spill = helpers.cell(report, "dbar_star_reg", "spillover")
     assert spill.oracle_total != spill.oracle_value  # bias term present in design 1
 
 
@@ -105,7 +106,7 @@ def test_one_block_runs_serially_and_the_pool_has_a_worker_per_block(monkeypatch
 
 def test_single_rep_marks_mc_se_undefined():
     report = run_study([dataclasses.replace(SMALL, reps=1)])[0]
-    cell = report.cell("t_reg", "spillover")
+    cell = helpers.cell(report, "t_reg", "spillover")
     assert cell.mc_se is None
     assert cell.ci95_of_mean is None
     assert cell.coverage in (0.0, 1.0)
@@ -116,8 +117,8 @@ def test_fixed_graph_reuses_the_same_network():
     single = dataclasses.replace(SMALL, reps=1, regenerate_graph_each_rep=False)
     # with one shared graph the per-rep oracle is constant, so its average
     # equals the single-rep value exactly
-    assert (run_study([fixed])[0].cell("dbar_reg", "spillover").oracle_value
-            == run_study([single])[0].cell("dbar_reg", "spillover").oracle_value)
+    assert (helpers.cell(run_study([fixed])[0], "dbar_reg", "spillover").oracle_value
+            == helpers.cell(run_study([single])[0], "dbar_reg", "spillover").oracle_value)
 
 
 class CountingGraph:
@@ -296,9 +297,9 @@ def test_estimates_match_oracle_within_three_mc_ses():
     report = run_study([config])[0]
     for spec_name in ("t_reg", "dbar_reg"):
         for coef in ("direct", "spillover"):
-            cell = report.cell(spec_name, coef)
+            cell = helpers.cell(report, spec_name, coef)
             assert abs(cell.mean_estimate - cell.oracle_value) <= 3 * cell.mc_se
-    star = report.cell("dbar_star_reg", "spillover")
+    star = helpers.cell(report, "dbar_star_reg", "spillover")
     assert abs(star.mean_estimate - star.oracle_total) <= 3 * star.mc_se
 
 
@@ -345,11 +346,9 @@ def test_custom_design_spec_runs():
     assert report.reps_completed == 5
 
 
-def test_results_csv_layout(tmp_path):
+def test_results_csv_layout():
     report = run_study([SMALL])[0]
-    path = tmp_path / "results.csv"
-    write_results_csv([report], path)
-    lines = path.read_text().strip().splitlines()
+    lines = csv_lines(results_rows([report]))
     assert lines[0] == (
         "design,c,spec,coef,mean_estimate,true_coef,bias,"
         "ci_low,ci_high,coverage,mc_se,n_excluded"
@@ -359,7 +358,7 @@ def test_results_csv_layout(tmp_path):
     assert first[0] == "1" and first[1] == "-0.5"
     assert first[2] == "t_reg" and first[3] == "direct"
     # interval is mean +/- 1.96 * mean reported se
-    cell = report.cell("t_reg", "direct")
+    cell = helpers.cell(report, "t_reg", "direct")
     assert float(first[7]) == pytest.approx(cell.mean_estimate - 1.96 * cell.mean_reported_se)
     assert float(first[8]) == pytest.approx(cell.mean_estimate + 1.96 * cell.mean_reported_se)
 
