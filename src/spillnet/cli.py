@@ -111,6 +111,12 @@ def _design(value) -> str | Design:
                    for name, field in value.items()})
 
 
+def _file(value) -> str:
+    """A file name as given; ValueError if the file system cannot encode it, as a lone
+    surrogate that stands for no undecodable byte, which JSON can hold."""
+    return os.fsdecode(os.fsencode(value))
+
+
 def _c_list(value) -> list[float]:
     if not isinstance(value, list):
         value = ([value] if isinstance(value, (int, float))
@@ -136,7 +142,7 @@ _GRAPH_HELP = {"k": "ring neighbors (even)", "beta": "rewiring probability",
 _KEYS = {
     "design": _Key("--design", "1, 2, 3 or all (simulate's default: all)", _design, "all",
                    "design"),
-    "design_file": _Key("--design-file", "CSV degree,theta00,mu_de,lambda_se", os.fspath, None,
+    "design_file": _Key("--design-file", "CSV degree,theta00,mu_de,lambda_se", _file, None,
                         "design"),
     "noise_sd": _Key("--noise-sd", "noise scale for --design-file (default 1.0)", _number, 1.0,
                      "design"),
@@ -155,9 +161,9 @@ _KEYS = {
     "p": _Key("--p", "treatment probability (default 0.5)", _number, 0.5),
     "base_seed": _Key("--seed", "base seed (default 0)", _integer, 0, "graph"),
     "workers": _Key("--workers", "parallel worker processes (default 1)", _integer, 1),
-    "histogram": _Key("--histogram", "degree,count CSV in place of a graph", os.fspath, None),
-    "edges": _Key("--edges", "edge CSV src,dst referencing unit ids", os.fspath, None),
-    "data": _Key("--data", "unit CSV with id, treatment, outcome", os.fspath, None),
+    "histogram": _Key("--histogram", "degree,count CSV in place of a graph", _file, None),
+    "edges": _Key("--edges", "edge CSV src,dst referencing unit ids", _file, None),
+    "data": _Key("--data", "unit CSV with id, treatment, outcome", _file, None),
     "id_col": _Key("--id-col", "unit id column (default id)", os.fspath, "id"),
     "treatment_col": _Key("--treatment-col", "(default treatment)", os.fspath, "treatment"),
     "outcome_col": _Key("--outcome-col", "(default outcome)", os.fspath, "outcome"),

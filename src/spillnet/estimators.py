@@ -9,10 +9,11 @@ cell's unit count, mean outcome and within-cell sum of squares; every
 command builds its cells there. Every fit solves through ``_solve``: one
 thin SVD of a stack of weighted problems gives the rank check, the
 coefficients and the iid standard errors of every outcome column, whatever
-the number of units. ``_fit_rows`` solves ranges of cell rows, one stacked
-SVD per range size; ``fit_cells`` fits a specification of ``SPECS`` on every
-rep of a table, and ``stratified_regression`` fits each degree stratum of a
-one-rep table. ``ols`` solves unit rows.
+the number of units; ``_rank_error`` names a flagged problem's collinear
+columns by the same rule. ``_fit_rows`` solves ranges of cell rows, one
+stacked SVD per range size; ``fit_cells`` fits a specification of ``SPECS``
+on every rep of a table, and ``stratified_regression`` fits each degree
+stratum of a one-rep table. ``ols`` solves unit rows.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ DEGREE = "degree"
 DBAR = "dbar"
 DBAR_STAR = "dbar_star"
 
-# Relative pivot threshold for declaring a design matrix rank deficient.
+# Relative singular-value threshold for declaring a design matrix rank deficient.
 RANK_RTOL = 1e-10
 
 # Column of each regressor in ``CellTable.regressors``. One treated-fraction
@@ -182,29 +183,19 @@ def empirical_exposure_diagnostics(cells: CellTable) -> ExposureDiagnostics:
     )
 
 
-def _collinear_columns(x: np.ndarray, names: tuple[str, ...]) -> tuple[str, ...]:
-    # a column is flagged when the others reproduce it (relative residual ~ 0)
-    flagged = []
-    for j in range(x.shape[1]):
-        others = np.delete(x, j, axis=1)
-        col = x[:, j]
-        if others.shape[1] == 0:
-            fitted = np.zeros_like(col)
-        else:
-            fitted = others @ np.linalg.lstsq(others, col, rcond=None)[0]
-        scale = np.linalg.norm(col)
-        if scale == 0.0 or np.linalg.norm(col - fitted) <= 1e-8 * max(scale, 1.0):
-            flagged.append(names[j])
-    return tuple(flagged)
-
-
 def _rank_error(x: np.ndarray, weights: np.ndarray, names: tuple[str, ...]) -> SingularModelError:
-    """The error of a rank-deficient problem, naming the columns the others reproduce."""
-    cols = _collinear_columns(np.sqrt(weights)[:, None] * x, names)
+    """The error of a rank-deficient problem, naming the columns the others reproduce.
+
+    By ``_solve``'s rule, from one SVD of the rows sqrt(w) x: a column is named when its
+    unit vector has a part of squared length above ``RANK_RTOL`` outside the span of the
+    right singular vectors whose values exceed ``RANK_RTOL`` times the largest. Those
+    parts sum to the rank deficit, so a problem ``_solve`` flags names a column.
+    """
+    _, s, vt = np.linalg.svd(np.sqrt(weights)[:, None] * x, full_matrices=False)
+    outside = 1.0 - np.sum(vt[s > RANK_RTOL * s[0]] ** 2, axis=0)
+    cols = tuple(name for name, part in zip(names, outside.tolist()) if part > RANK_RTOL)
     return SingularModelError(
-        f"design matrix is rank deficient; collinear columns: {', '.join(cols) or 'unknown'}",
-        columns=cols,
-    )
+        f"design matrix is rank deficient; collinear columns: {', '.join(cols)}", columns=cols)
 
 
 def _solve(x: np.ndarray, ys: np.ndarray, weights: np.ndarray, within: np.ndarray):
@@ -216,12 +207,12 @@ def _solve(x: np.ndarray, ys: np.ndarray, weights: np.ndarray, within: np.ndarra
     row has weight 1 and within 0); the rows sqrt(w) x have the singular
     values of the units, so one thin SVD serves all D columns. Returns the
     coefficients and iid standard errors (..., k, D), the residual sums of
-    squares (..., D) and a flag (...) for a problem with fewer rows than
-    columns or rank-deficient rows, whose numbers mean nothing. Raises
-    ParameterError when a problem has no more units than columns; the caller
-    checks that the inputs are finite. A problem's numbers are those it has
-    when solved alone in the same memory layout: a C- and a Fortran-ordered
-    ``x`` give the same coefficients but can move the last bit of an se.
+    squares (..., D) and a flag (...) for a problem with fewer rows than columns or
+    rank-deficient rows (its smallest singular value at most ``RANK_RTOL`` times its
+    largest), whose numbers mean nothing. Raises ParameterError when a problem has no
+    more units than columns; the caller checks that the inputs are finite. A problem's
+    numbers are those it has when solved alone in the same memory layout: a C- and a
+    Fortran-ordered ``x`` give the same coefficients but can move the last bit of an se.
     """
     c, k = x.shape[-2:]
     n = np.asarray(weights.sum(axis=-1))

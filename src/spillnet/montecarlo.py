@@ -11,6 +11,7 @@ builds the cells, fits and oracles of the whole block.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -167,69 +168,49 @@ class AggregateReport:
         return dict(Counter(reason for _, reason in self.exclusions))
 
 
-@dataclass(frozen=True)
-class _Graphs:
-    """What a block of reps derives from its networks alone: the networks, their node
-    degrees (one row per network), their degree summary, the settings' design stack
-    at the degrees present, and every oracle field (networks x settings)."""
-
-    nets: tuple[Network, ...]
-    degree: np.ndarray
-    summary: DegreeSummary
-    stack: np.ndarray
-    oracle: dict[str, np.ndarray]
-
-
-def _graphs(configs: Sequence[SimConfig], nets: Sequence[Network]) -> _Graphs:
-    degree = np.stack([net.degree for net in nets])
-    summary = DegreeSummary.of(degree)
-    stack = design_stack([config.design for config in configs], summary.degrees)
-    return _Graphs(tuple(nets), degree, summary, stack, oracle_block(stack, summary, configs[0].p))
-
-
 def _block_size(n: int) -> int:
     """Reps per block: the most whose n-unit arrays hold at most ``_BLOCK_UNITS`` units, at
     least one."""
     return max(1, _BLOCK_UNITS // n)
 
 
-def _simulate_block(configs: Sequence[SimConfig], fixed: _Graphs | None, reps: range):
+def _simulate_block(configs: Sequence[SimConfig], fixed: Network | None, reps: range):
     """Every setting of the reps ``reps``, and the reasons some are excluded.
 
-    Each rep draws its graph (unless ``fixed`` is the state of the network
-    every rep shares), its treatment and its noise from its own seeds. Then
-    one pass over the block evaluates the designs and oracles at the degrees
-    of its graphs, groups the noise into cells, derives every setting's cell
-    means and fits each specification. Returns an array of shape (settings,
-    len(CELLS), 4, completed reps) holding each cell's (estimate, se,
-    oracle_value, oracle_total), the (rep, reason) of each excluded rep, and
-    the seconds spent per stage.
+    Each rep draws its graph (unless ``fixed`` is the network every rep
+    shares), its treatment and its noise from its own seeds. Then one pass
+    over the block evaluates the designs and oracles at the degrees of its
+    graphs (one row per network, broadcast to the reps of a shared one),
+    groups the noise into cells, derives every setting's cell means and fits
+    each specification. Returns an array of shape (settings, len(CELLS), 4,
+    completed reps) holding each cell's (estimate, se, oracle_value,
+    oracle_total), the (rep, reason) of each excluded rep, and the seconds
+    spent per stage.
     """
     first = configs[0]
     seconds: dict[str, float] = {}
     lap = stage_timer(seconds)
-    if fixed is None:
-        nets = [first.graph.generate(first.n, derive_seed(first.base_seed, rep, "graph"))
-                for rep in reps]
-        lap("generate")
-        graphs = _graphs(configs, nets)
-        lap("graph_state")
-    else:
-        graphs, nets = fixed, fixed.nets * len(reps)
+    nets = [fixed] if fixed is not None else [
+        first.graph.generate(first.n, derive_seed(first.base_seed, rep, "graph")) for rep in reps]
+    lap("generate")
+    degree = np.stack([net.degree for net in nets])
+    summary = DegreeSummary.of(degree)
+    stack = design_stack([config.design for config in configs], summary.degrees)
+    oracle = oracle_block(stack, summary, first.p)
+    lap("graph_state")
     # one row per rep, written in place, so that each rep's own arrays are freed
     # before the next rep draws
     d, t = np.empty((2, len(reps), first.n), dtype=np.int64)
     noise = np.empty((len(reps), first.n))
-    for i, (rep, net) in enumerate(zip(reps, nets)):
+    for i, (rep, net) in enumerate(zip(reps, itertools.cycle(nets))):
         d[i] = assign_bernoulli(first.n, first.p, derive_seed(first.base_seed, rep, "treatment"))
         t[i] = compute_exposure(net, d[i])
         noise_rng = np.random.default_rng(derive_seed(first.base_seed, rep, "noise"))
         noise_rng.standard_normal(first.n, out=noise[i])
     lap("draws")
-    degree = np.broadcast_to(graphs.degree, d.shape)
     # every setting's cell means and sums of squares; raises if a mean is not finite
-    cells = outcome_cells(graphs.stack, [config.design.noise_sd for config in configs],
-                          graphs.summary, exposure_cells(degree, t, d, noise))
+    cells = outcome_cells(stack, [config.design.noise_sd for config in configs], summary,
+                          exposure_cells(np.broadcast_to(degree, d.shape), t, d, noise))
     lap("cells")
 
     out = np.empty((len(configs), len(CELLS), 4, len(reps)))
@@ -238,7 +219,7 @@ def _simulate_block(configs: Sequence[SimConfig], fixed: _Graphs | None, reps: r
     for name, spec in SPECS.items():
         beta, se, _, spec_errors = fit_cells(name, cells)
         errors.append(spec_errors)
-        direct, value, total = (graphs.oracle[f].T for f in spec.oracle_fields)
+        direct, value, total = (oracle[f].T for f in spec.oracle_fields)
         for column, target, with_bias in ((TREATED, direct, direct), (spec.slope, value, total)):
             j = spec.columns.index(column)
             out[:, cell, 0] = beta[:, j].T
@@ -308,8 +289,9 @@ def run_study(configs: Sequence[SimConfig], workers: int = 1) -> list[AggregateR
     and reps. A rep's numbers do not depend on the other reps of its block.
     Reps whose fit meets a singularity, an empty subsample or too few units
     are excluded and logged, with a warning above 1%. Without
-    ``regenerate_graph_each_rep`` one network, with its degree summary, stack
-    and oracle, is built per call and shared by every rep. ``workers > 1``
+    ``regenerate_graph_each_rep`` one network is drawn per call and shared by
+    every rep, and each block derives its degree summary, stack and oracles
+    from it as from drawn networks. ``workers > 1``
     spreads two or more blocks over a process pool of at most one worker per
     block, with the same result, aggregated in rep order; one block runs
     serially. A worker that ends abruptly, as when the kernel kills it for
@@ -334,12 +316,10 @@ def run_study(configs: Sequence[SimConfig], workers: int = 1) -> list[AggregateR
     fixed = None
     if not first.regenerate_graph_each_rep:
         # Network is immutable and the seeds ignore the design, so every rep
-        # can share the graph rep 0 would draw and all that derives from it
+        # can share the graph rep 0 would draw
         lap = stage_timer(timings)
-        net = first.graph.generate(first.n, derive_seed(first.base_seed, 0, "graph"))
+        fixed = first.graph.generate(first.n, derive_seed(first.base_seed, 0, "graph"))
         lap("generate")
-        fixed = _graphs(configs, [net])
-        lap("graph_state")
     size = _block_size(first.n)
     blocks = [range(start, min(start + size, first.reps)) for start in range(0, first.reps, size)]
     block_fn = partial(_simulate_block, configs, fixed)

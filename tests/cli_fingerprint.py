@@ -8,7 +8,8 @@ inputs and outputs by relative paths, so that what it prints does not depend
 on where the directory is. Prints one JSON line per command, keys sorted:
 
 - ``name``, ``argv`` and the exit code ``rc``;
-- the SHA-256 of its ``stdout`` and ``stderr``;
+- the SHA-256 of its ``stdout`` and ``stderr``, the latter without the
+  file and line that each warning names, which differ between checkouts;
 - ``files``: the SHA-256 of every file it wrote but its manifest;
 - ``manifest``: its ``<out>.manifest.json``, if any, without the keys that
   differ between runs (``timestamp_utc``, ``duration_seconds`` and
@@ -20,6 +21,9 @@ the same values (key order aside). The commands:
 
 - ``simulate`` with the benchmark's ``study`` and ``fixed_er`` arguments
   (as in ``perfbench/workloads.py``) at seeds 1 and 3;
+- ``simulate`` on sparse graphs of 12 units, whose rank-deficient reps are
+  excluded by the names of their collinear columns;
+- ``simulate`` with a fixed graph over three blocks of reps;
 - ``simulate`` with a design file (a ``custom`` results row);
 - ``audit`` on the ``audit_dataset.py`` datasets of 20,000 units at seeds 1,
   3 and 7, and on the golden record's dataset (2,000 units, seed 11), the
@@ -34,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -43,6 +48,7 @@ from audit_dataset import write_audit_dataset
 
 ROOT = Path(__file__).resolve().parent.parent
 UNSTABLE = ("timestamp_utc", "duration_seconds", "stage_seconds")
+WARNING_SOURCE = re.compile(rb"^\S+:\d+: (?=\w+Warning: )", re.MULTILINE)
 
 
 def commands() -> dict[str, list[str]]:
@@ -56,6 +62,12 @@ def commands() -> dict[str, list[str]]:
             "simulate", "--design", "1", "--c", "-0.5", "--n", "4000", "--reps", "20",
             "--p", "0.5", "--seed", str(seed), "--workers", "1", "--graph", "er",
             "--er-mean-degree", "2", "--fixed-graph", "--out", "results.csv"]
+    runs["simulate-sparse"] = [
+        "simulate", "--n", "12", "--graph", "er", "--er-mean-degree", "0.5", "--reps", "50",
+        "--seed", "5", "--out", "results.csv"]
+    runs["simulate-fixed-blocks"] = [
+        "simulate", "--design", "all", "--n", "20000", "--reps", "8", "--seed", "4", "--graph",
+        "er", "--er-mean-degree", "2", "--fixed-graph", "--out", "results.csv"]
     runs["simulate-design-file"] = [
         "simulate", "--design-file", "../inputs/design.csv", "--noise-sd", "0.5", "--n", "500",
         "--reps", "30", "--seed", "2", "--out", "results.csv"]
@@ -102,8 +114,8 @@ def fingerprint(name: str, argv: list[str], folder: Path) -> dict:
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-m", "spillnet.cli", *argv], cwd=folder, env=env,
                           capture_output=True, timeout=600)
-    record = {"name": name, "argv": argv, "rc": done.returncode,
-              "stdout": sha256(done.stdout), "stderr": sha256(done.stderr), "files": {}}
+    record = {"name": name, "argv": argv, "rc": done.returncode, "stdout": sha256(done.stdout),
+              "stderr": sha256(WARNING_SOURCE.sub(b"", done.stderr)), "files": {}}
     for path in sorted(folder.iterdir()):
         if path.name.endswith(".manifest.json"):
             manifest = json.loads(path.read_text())

@@ -335,6 +335,24 @@ def test_config_file_is_utf8_with_an_optional_byte_order_mark(tmp_path, capsys):
     assert f"{cfg}: invalid JSON config: 'utf-8' codec can't decode byte 0xff" in err
 
 
+@pytest.mark.parametrize("argv, config, key", [
+    (["audit"], {"edges": "e.csv", "data": "\ud800.csv"}, "data"),
+    (["simulate", "--reps", "2", "--out", "o.csv"], {"design_file": "\ud800.csv"}, "design_file"),
+    (["oracle", "--design", "1"], {"histogram": "\ud800.csv"}, "histogram"),
+], ids=["audit", "simulate", "oracle"])
+def test_a_config_file_name_the_file_system_cannot_encode_is_an_input_error(tmp_path, capsys,
+                                                                            argv, config, key):
+    # JSON can hold a lone surrogate that stands for no undecodable byte, and so for no
+    # file name
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert main([*argv, "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert f"{cfg}: config key {key!r}: " in err
+    assert "can't encode character '\\ud800'" in err
+    assert "Traceback" not in err
+
+
 def test_scatter_is_byte_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

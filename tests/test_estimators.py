@@ -289,19 +289,21 @@ def test_cell_fits_equal_unit_row_fits(n, graph, k, rewire, delete, mean_degree,
 
 
 def test_cell_fits_raise_the_unit_row_errors():
-    # no treatment variation, all units isolated, and fewer cells than columns
+    # no treatment variation, all units isolated, fewer cells than columns, and every
+    # degree 2 on a ring, so that the degree column is twice the constant
     net = generate_watts_strogatz(30, 2, 0.0, 0.0, seed=1)
     isolated = from_edge_list([], n=12)
     pairs = from_edge_list([(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)], n=10)  # cells (1, t, d) only
     cases = [
-        (net, np.ones(30, dtype=np.int64)),
-        (isolated, assign_bernoulli(12, 0.5, seed=2)),
-        (pairs, np.array([1, 0] * 5)),
+        (net, np.ones(30, dtype=np.int64), SPECS),
+        (isolated, assign_bernoulli(12, 0.5, seed=2), SPECS),
+        (pairs, np.array([1, 0] * 5), SPECS),
+        (net, assign_bernoulli(30, 0.5, seed=2), ["t_reg"]),  # the one spec with a degree column
     ]
     seen = set()
-    for graph, d in cases:
+    for graph, d, names in cases:
         y = np.random.default_rng(3).normal(size=graph.n)
-        for name in SPECS:
+        for name in names:
             got = outcome(lambda: fit_one(name, rep_cells(graph, d, y)))
             want = outcome(lambda: reference_least_squares(name, graph, d, y[:, None]))
             assert isinstance(want[0], type) and got == want
@@ -311,6 +313,8 @@ def test_cell_fits_raise_the_unit_row_errors():
     assert (EmptySubsampleError,
             "no units with neighbors; treated fraction is undefined everywhere") in seen
     assert any("const, treated" in text for _, text in seen)  # no treatment variation
+    assert (SingularModelError, "design matrix is rank deficient; collinear columns: "
+            "const, degree") in seen  # degree = 2 const
 
 
 def assert_same_strata(net, d, y):

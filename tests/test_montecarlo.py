@@ -132,11 +132,14 @@ class CountingGraph:
         return WattsStrogatzGraph().generate(n, seed)
 
 
-def test_fixed_graph_is_generated_once_per_run():
-    for regenerate, expected in ((False, 1), (True, SMALL.reps)):
-        model = CountingGraph()
-        run_study([dataclasses.replace(SMALL, graph=model, regenerate_graph_each_rep=regenerate)])
-        assert model.calls == expected, regenerate
+def test_fixed_graph_is_generated_once_per_run(monkeypatch):
+    for units in (montecarlo._BLOCK_UNITS, 5 * SMALL.n):  # one block, then three
+        monkeypatch.setattr(montecarlo, "_BLOCK_UNITS", units)
+        for regenerate, expected in ((False, 1), (True, SMALL.reps)):
+            model = CountingGraph()
+            run_study([dataclasses.replace(SMALL, graph=model,
+                                           regenerate_graph_each_rep=regenerate)])
+            assert model.calls == expected, (units, regenerate)
 
 
 def test_study_generates_each_graph_once_for_all_settings():
