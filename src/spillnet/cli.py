@@ -306,13 +306,12 @@ def cmd_simulate(inputs: _Inputs) -> _Run:
               for key in ("n", "reps", "p", "base_seed", "regenerate_graph_each_rep")}
     designs, workers = inputs.designs(), inputs("workers")
     inputs.check()
-    reports = run_study([SimConfig(**common, design=design, graph=graph) for design in designs],
-                        workers=workers)
+    reports = run_study(SimConfig(**common, graph=graph), designs, workers=workers)
     text = "\n".join(f"design {label} c={c_label or '-'}: "
-                     f"{report.reps_completed}/{report.reps_requested} reps, "
+                     f"{report.reps_completed}/{report.config.reps} reps, "
                      f"{report.n_excluded} excluded"
                      for (label, c_label), report in zip(map(design_labels, designs), reports))
-    # the settings of one study share their reps, exclusions and clock
+    # the designs of one study share their reps, exclusions and clock
     return _Run(text, results_rows(reports), list(map(inputs.config, designs)),
                 {"stage_seconds": reports[0].timings,
                  "exclusion_counts": reports[0].exclusion_counts})

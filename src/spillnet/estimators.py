@@ -210,16 +210,16 @@ def _solve(x: np.ndarray, ys: np.ndarray, weights: np.ndarray, within: np.ndarra
     squares (..., D) and a flag (...) for a problem with fewer rows than columns or
     rank-deficient rows (its smallest singular value at most ``RANK_RTOL`` times its
     largest), whose numbers mean nothing. Raises ParameterError when a problem has no
-    more units than columns; the caller checks that the inputs are finite. A problem's
-    numbers are those it has when solved alone in the same memory layout: a C- and a
-    Fortran-ordered ``x`` give the same coefficients but can move the last bit of an se.
+    more units than columns; the caller checks that the inputs are finite. The rows are
+    made C-contiguous before the SVD, so a problem's numbers do not depend on the memory
+    layout of ``x``.
     """
     c, k = x.shape[-2:]
     n = np.asarray(weights.sum(axis=-1))
     if (n <= k).any():
         raise ParameterError(f"need more rows ({int(n.min())}) than columns ({k})")
     root = np.sqrt(weights)[..., None]
-    rows = root * x
+    rows = np.ascontiguousarray(root * x)
     # rows = U diag(s) Vt gives the rank check, beta = V diag(1/s) U'(root ys)
     # and diag((x'Wx)^-1) = sum_j (V_ij / s_j)^2
     u_mat, s, vt = np.linalg.svd(rows, full_matrices=False)

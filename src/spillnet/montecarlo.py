@@ -3,8 +3,8 @@
 Every repetition draws its own seeds from a documented mixing function, so
 runs are bit-reproducible from (config) alone, reps are independent, and the
 aggregate is identical whether reps execute serially or in a process pool.
-``run_study`` runs settings that differ only in design from one draw per rep,
-and processes the reps in blocks: each rep draws alone, then one numpy pass
+``run_study`` evaluates every design of a study on one draw per rep, and
+processes the reps in blocks: each rep draws alone, then one numpy pass
 builds the cells, fits and oracles of the whole block.
 """
 
@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import warnings
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from time import perf_counter
 from typing import Callable, Iterator, Sequence
@@ -86,12 +85,11 @@ GraphModel = WattsStrogatzGraph | ErdosRenyiGraph
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Full description of one Monte Carlo run."""
+    """The draws of a Monte Carlo study, which every design of the study is evaluated on."""
 
     n: int = 1000
     reps: int = 5000
     p: float = 0.5
-    design: Design = field(default_factory=lambda: BuiltinDesign(3, 0.0))
     graph: GraphModel = field(default_factory=WattsStrogatzGraph)
     base_seed: int = 0
     regenerate_graph_each_rep: bool = True
@@ -144,18 +142,18 @@ class CoefficientSummary:
 
 @dataclass(frozen=True)
 class AggregateReport:
-    """All cells of one run plus the exclusion log.
+    """All cells of ``design`` evaluated on the draws ``config``, plus the exclusion log.
 
-    ``timings`` holds the run's ``perf_counter`` seconds per ``STAGES``
-    entry, summed over its blocks; it is the same for every setting of a
+    ``timings`` holds the study's ``perf_counter`` seconds per ``STAGES``
+    entry, summed over its blocks; it is the same for every design of a
     study and is left out of comparisons, so equal seeds give equal reports.
     """
 
     cells: tuple[CoefficientSummary, ...]
-    reps_requested: int
     reps_completed: int
     exclusions: tuple[tuple[int, str], ...]
     config: SimConfig
+    design: Design
     timings: dict[str, float] = field(default_factory=dict, compare=False)
 
     @property
@@ -174,46 +172,47 @@ def _block_size(n: int) -> int:
     return max(1, _BLOCK_UNITS // n)
 
 
-def _simulate_block(configs: Sequence[SimConfig], fixed: Network | None, reps: range):
-    """Every setting of the reps ``reps``, and the reasons some are excluded.
+def _simulate_block(config: SimConfig, designs: Sequence[Design], fixed: Network | None,
+                    reps: range):
+    """Every design of the reps ``reps``, and the reasons some are excluded.
 
     Each rep draws its graph (unless ``fixed`` is the network every rep
     shares), its treatment and its noise from its own seeds. Then one pass
     over the block evaluates the designs and oracles at the degrees of its
     graphs (one row per network, broadcast to the reps of a shared one),
-    groups the noise into cells, derives every setting's cell means and fits
-    each specification. Returns an array of shape (settings, len(CELLS), 4,
+    groups the noise into cells, derives every design's cell means and fits
+    each specification. Returns an array of shape (designs, len(CELLS), 4,
     completed reps) holding each cell's (estimate, se, oracle_value,
     oracle_total), the (rep, reason) of each excluded rep, and the seconds
     spent per stage.
     """
-    first = configs[0]
+    n, p, seed = config.n, config.p, config.base_seed
     seconds: dict[str, float] = {}
     lap = stage_timer(seconds)
     nets = [fixed] if fixed is not None else [
-        first.graph.generate(first.n, derive_seed(first.base_seed, rep, "graph")) for rep in reps]
+        config.graph.generate(n, derive_seed(seed, rep, "graph")) for rep in reps]
     lap("generate")
     degree = np.stack([net.degree for net in nets])
     summary = DegreeSummary.of(degree)
-    stack = design_stack([config.design for config in configs], summary.degrees)
-    oracle = oracle_block(stack, summary, first.p)
+    stack = design_stack(designs, summary.degrees)
+    oracle = oracle_block(stack, summary, p)
     lap("graph_state")
     # one row per rep, written in place, so that each rep's own arrays are freed
     # before the next rep draws
-    d, t = np.empty((2, len(reps), first.n), dtype=np.int64)
-    noise = np.empty((len(reps), first.n))
+    d, t = np.empty((2, len(reps), n), dtype=np.int64)
+    noise = np.empty((len(reps), n))
     for i, (rep, net) in enumerate(zip(reps, itertools.cycle(nets))):
-        d[i] = assign_bernoulli(first.n, first.p, derive_seed(first.base_seed, rep, "treatment"))
+        d[i] = assign_bernoulli(n, p, derive_seed(seed, rep, "treatment"))
         t[i] = compute_exposure(net, d[i])
-        noise_rng = np.random.default_rng(derive_seed(first.base_seed, rep, "noise"))
-        noise_rng.standard_normal(first.n, out=noise[i])
+        noise_rng = np.random.default_rng(derive_seed(seed, rep, "noise"))
+        noise_rng.standard_normal(n, out=noise[i])
     lap("draws")
-    # every setting's cell means and sums of squares; raises if a mean is not finite
-    cells = outcome_cells(stack, [config.design.noise_sd for config in configs], summary,
+    # every design's cell means and sums of squares; raises if a mean is not finite
+    cells = outcome_cells(stack, [design.noise_sd for design in designs], summary,
                           exposure_cells(np.broadcast_to(degree, d.shape), t, d, noise))
     lap("cells")
 
-    out = np.empty((len(configs), len(CELLS), 4, len(reps)))
+    out = np.empty((len(designs), len(CELLS), 4, len(reps)))
     errors = []
     cell = 0  # CELLS lists each spec's direct cell, then its spillover cell
     for name, spec in SPECS.items():
@@ -236,10 +235,10 @@ def _simulate_block(configs: Sequence[SimConfig], fixed: Network | None, reps: r
     return out[..., [reason is None for reason in reasons]], exclusions, seconds
 
 
-def _aggregate(configs: Sequence[SimConfig], blocks: Sequence[np.ndarray],
+def _aggregate(config: SimConfig, designs: Sequence[Design], blocks: Sequence[np.ndarray],
                exclusions: tuple[tuple[int, str], ...],
                timings: dict[str, float]) -> list[AggregateReport]:
-    """Summarize every setting's (settings, len(CELLS), 4, completed reps) block arrays, in
+    """Summarize every design's (designs, len(CELLS), 4, completed reps) block arrays, in
     rep order, timed as ``timings["aggregate"]`` before the reports that share it."""
     lap = stage_timer(timings)
     # every reduction runs over the contiguous last axis, so each sum keeps the
@@ -267,62 +266,55 @@ def _aggregate(configs: Sequence[SimConfig], blocks: Sequence[np.ndarray],
                 for (spec_name, coef), (m, se, reported, low, high, value, total, bias, coverage)
                 in zip(CELLS, setting)
             ),
-            reps_requested=config.reps,
             reps_completed=r,
             exclusions=exclusions,
             config=config,
+            design=design,
             timings=timings,
         )
-        for config, setting in zip(configs, stats)
+        for design, setting in zip(designs, stats)
     ]
 
 
-def run_study(configs: Sequence[SimConfig], workers: int = 1) -> list[AggregateReport]:
-    """Execute settings that differ only in ``design`` (else ParameterError).
+def run_study(config: SimConfig, designs: Sequence[Design],
+              workers: int = 1) -> list[AggregateReport]:
+    """Evaluate each of ``designs`` on the draws of ``config``; one report per design.
 
     Seeds ignore the design, so each rep draws its graph, treatment and noise
-    once for every setting. The reps run in blocks of ``_block_size(n)``: one
-    pass over a block evaluates every setting's design once into one stack at
-    the degrees its graphs have, computes all their oracles, groups the noise
-    into exposure cells, derives every setting's cell means from them
-    (``outcome_cells``), and fits each specification once for all settings
+    once for every design. The reps run in blocks of ``_block_size(n)``: one
+    pass over a block evaluates every design once into one stack at the
+    degrees its graphs have, computes all their oracles, groups the noise
+    into exposure cells, derives every design's cell means from them
+    (``outcome_cells``), and fits each specification once for all designs
     and reps. A rep's numbers do not depend on the other reps of its block.
     Reps whose fit meets a singularity, an empty subsample or too few units
-    are excluded and logged, with a warning above 1%. Without
-    ``regenerate_graph_each_rep`` one network is drawn per call and shared by
-    every rep, and each block derives its degree summary, stack and oracles
-    from it as from drawn networks. ``workers > 1``
+    are excluded: every report carries the same (rep, reason) log, and
+    nothing warns. Without ``regenerate_graph_each_rep`` one network is drawn
+    per call and shared by every rep, and each block derives its degree
+    summary, stack and oracles from it as from drawn networks. ``workers > 1``
     spreads two or more blocks over a process pool of at most one worker per
     block, with the same result, aggregated in rep order; one block runs
     serially. A worker that ends abruptly, as when the kernel kills it for
-    lack of memory, raises MemoryError. Fewer than one worker is a
-    ParameterError.
+    lack of memory, raises MemoryError. No design or fewer than one worker is
+    a ParameterError.
     """
     if workers < 1:
         raise ParameterError(f"workers must be at least 1 (got {workers})")
-    configs = tuple(configs)
-    if not configs:
-        raise ParameterError("a study needs at least one setting")
-    first = configs[0]
-    for config in configs:
-        config.validate()
-        differ = [f.name for f in fields(SimConfig)
-                  if f.name != "design" and getattr(config, f.name) != getattr(first, f.name)]
-        if differ:
-            raise ParameterError(
-                f"settings of one study may differ only in design, not in {differ}"
-            )
+    designs = tuple(designs)
+    if not designs:
+        raise ParameterError("a study needs at least one design")
+    config.validate()
     timings = dict.fromkeys(STAGES, 0.0)
     fixed = None
-    if not first.regenerate_graph_each_rep:
+    if not config.regenerate_graph_each_rep:
         # Network is immutable and the seeds ignore the design, so every rep
         # can share the graph rep 0 would draw
         lap = stage_timer(timings)
-        fixed = first.graph.generate(first.n, derive_seed(first.base_seed, 0, "graph"))
+        fixed = config.graph.generate(config.n, derive_seed(config.base_seed, 0, "graph"))
         lap("generate")
-    size = _block_size(first.n)
-    blocks = [range(start, min(start + size, first.reps)) for start in range(0, first.reps, size)]
-    block_fn = partial(_simulate_block, configs, fixed)
+    size = _block_size(config.n)
+    blocks = [range(config.reps)[start:start + size] for start in range(0, config.reps, size)]
+    block_fn = partial(_simulate_block, config, designs, fixed)
     if workers > 1 and len(blocks) > 1:
         # only a pool needs multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -341,12 +333,9 @@ def run_study(configs: Sequence[SimConfig], workers: int = 1) -> list[AggregateR
     for _, _, seconds in results:
         for stage, value in seconds.items():
             timings[stage] += value
-    excluded = len(exclusions)
-    if excluded == first.reps:
+    if len(exclusions) == config.reps:
         raise EmptySubsampleError("every repetition failed; nothing to aggregate")
-    if excluded > 0.01 * first.reps:
-        warnings.warn(f"{excluded} of {first.reps} repetitions were excluded", stacklevel=2)
-    return _aggregate(configs, [values for values, _, _ in results], exclusions, timings)
+    return _aggregate(config, designs, [values for values, _, _ in results], exclusions, timings)
 
 
 def design_labels(design: Design) -> tuple[str, str]:
@@ -366,7 +355,7 @@ def results_rows(reports: Sequence[AggregateReport]) -> Iterator[Sequence]:
     """
     yield RESULTS_COLUMNS
     for report in reports:
-        design_label, c_label = design_labels(report.config.design)
+        design_label, c_label = design_labels(report.design)
         for cell in report.cells:
             half = 1.96 * cell.mean_reported_se
             yield [

@@ -8,8 +8,7 @@ inputs and outputs by relative paths, so that what it prints does not depend
 on where the directory is. Prints one JSON line per command, keys sorted:
 
 - ``name``, ``argv`` and the exit code ``rc``;
-- the SHA-256 of its ``stdout`` and ``stderr``, the latter without the
-  file and line that each warning names, which differ between checkouts;
+- the SHA-256 of its ``stdout`` and ``stderr``;
 - ``files``: the SHA-256 of every file it wrote but its manifest;
 - ``manifest``: its ``<out>.manifest.json``, if any, without the keys that
   differ between runs (``timestamp_utc``, ``duration_seconds`` and
@@ -38,7 +37,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import subprocess
 import sys
 import tempfile
@@ -48,7 +46,6 @@ from audit_dataset import write_audit_dataset
 
 ROOT = Path(__file__).resolve().parent.parent
 UNSTABLE = ("timestamp_utc", "duration_seconds", "stage_seconds")
-WARNING_SOURCE = re.compile(rb"^\S+:\d+: (?=\w+Warning: )", re.MULTILINE)
 
 
 def commands() -> dict[str, list[str]]:
@@ -115,7 +112,7 @@ def fingerprint(name: str, argv: list[str], folder: Path) -> dict:
     done = subprocess.run([sys.executable, "-m", "spillnet.cli", *argv], cwd=folder, env=env,
                           capture_output=True, timeout=600)
     record = {"name": name, "argv": argv, "rc": done.returncode, "stdout": sha256(done.stdout),
-              "stderr": sha256(WARNING_SOURCE.sub(b"", done.stderr)), "files": {}}
+              "stderr": sha256(done.stderr), "files": {}}
     for path in sorted(folder.iterdir()):
         if path.name.endswith(".manifest.json"):
             manifest = json.loads(path.read_text())

@@ -2,7 +2,8 @@
 
 Each test prints one PASS/FAIL line (visible with ``pytest -s`` or ``-rA``).
 The full-scale simulations (criteria 3-5) share one module-scoped fixture:
-six runs of 5,000 repetitions at n=1000 with the calibrated generator.
+one study of the six settings on 5,000 repetitions at n=1000 with the
+calibrated generator, as ``simulate --design all`` runs the paper table.
 """
 
 import dataclasses
@@ -75,14 +76,9 @@ def corpus():
 @pytest.fixture(scope="module")
 def full_runs():
     started = time.monotonic()
-    runs = {}
-    for design_id, c in SETTINGS:
-        config = SimConfig(
-            n=FULL_N, reps=FULL_REPS, p=0.5,
-            design=BuiltinDesign(design_id, c), base_seed=FULL_SEED,
-        )
-        runs[(design_id, c)] = run_study([config])[0]
-    return runs, time.monotonic() - started
+    config = SimConfig(n=FULL_N, reps=FULL_REPS, p=0.5, base_seed=FULL_SEED)
+    reports = run_study(config, [BuiltinDesign(design_id, c) for design_id, c in SETTINGS])
+    return dict(zip(SETTINGS, reports)), time.monotonic() - started
 
 
 def test_criterion_1_theorem_formulas_equal_enumeration(corpus):
@@ -196,7 +192,7 @@ def test_criterion_3_table_reproduction_at_full_scale(full_runs):
     if elapsed >= 300.0:
         failures.append(f"runtime {elapsed:.0f}s exceeds 300s")
     _report(3, not failures,
-            f"six 5000-rep runs in {elapsed:.0f}s; " +
+            f"one study of six settings x 5000 reps in {elapsed:.0f}s; " +
             ("all Table-style checks hold" if not failures else "; ".join(failures)))
     assert not failures, failures
 

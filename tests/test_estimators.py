@@ -72,6 +72,17 @@ def test_ols_residuals_orthogonal_to_columns():
     assert gram <= 1e-8 * scale
 
 
+def test_ols_does_not_depend_on_the_memory_layout_of_x():
+    rng = np.random.default_rng(12)
+    n = rng.integers(8, 60)
+    x = np.column_stack([np.ones(n), rng.integers(0, 2, n), rng.integers(0, 5, n),
+                         rng.normal(size=n)])
+    y = rng.normal(size=n)
+    names = ("const", "a", "b", "c")
+    for c_ordered, f_ordered in zip(ols(x, y, names), ols(np.asfortranarray(x), y, names)):
+        assert np.array_equal(c_ordered, f_ordered)
+
+
 def test_ols_duplicate_column_raises_and_names_columns():
     x = np.column_stack([np.ones(20), np.arange(20.0), np.arange(20.0)])
     with pytest.raises(SingularModelError) as err:

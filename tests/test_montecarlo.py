@@ -1,5 +1,4 @@
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +24,8 @@ from spillnet.montecarlo import (
     run_study,
 )
 
-SMALL = SimConfig(n=80, reps=12, p=0.5, design=BuiltinDesign(1, -0.5), base_seed=3)
+SMALL = SimConfig(n=80, reps=12, p=0.5, base_seed=3)
+ONE = [BuiltinDesign(1, -0.5)]
 
 
 def test_derive_seed_reproducible_and_64_bit():
@@ -49,11 +49,11 @@ def test_derive_seed_stream_and_rep_separation():
 
 
 def test_run_is_deterministic():
-    assert run_study([SMALL])[0] == run_study([SMALL])[0]
+    assert run_study(SMALL, ONE)[0] == run_study(SMALL, ONE)[0]
 
 
 def test_run_has_all_cells_and_sane_aggregates():
-    report = run_study([SMALL])[0]
+    report = run_study(SMALL, ONE)[0]
     assert tuple((c.spec_name, c.coef) for c in report.cells) == CELLS
     for cell in report.cells:
         assert 0.0 <= cell.coverage <= 1.0
@@ -65,13 +65,13 @@ def test_run_has_all_cells_and_sane_aggregates():
 
 def test_parallel_execution_matches_serial(monkeypatch):
     monkeypatch.setattr(montecarlo, "_BLOCK_UNITS", 5 * SMALL.n)  # three blocks of at most 5 reps
-    serial = run_study([SMALL])[0]
-    parallel = run_study([SMALL], workers=2)[0]
+    serial = run_study(SMALL, ONE)[0]
+    parallel = run_study(SMALL, ONE, workers=2)[0]
     assert serial == parallel
     fixed = dataclasses.replace(
         SMALL, graph=ErdosRenyiGraph(mean_degree=3.0), regenerate_graph_each_rep=False
     )
-    assert run_study([fixed])[0] == run_study([fixed], workers=2)[0]
+    assert run_study(fixed, ONE)[0] == run_study(fixed, ONE, workers=2)[0]
 
 
 def test_one_block_runs_serially_and_the_pool_has_a_worker_per_block(monkeypatch):
@@ -82,7 +82,7 @@ def test_one_block_runs_serially_and_the_pool_has_a_worker_per_block(monkeypatch
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert montecarlo._block_size(SMALL.n) >= SMALL.reps  # one block
-    assert run_study([SMALL], workers=2) == run_study([SMALL])
+    assert run_study(SMALL, ONE, workers=2) == run_study(SMALL, ONE)
 
     started = []
 
@@ -100,12 +100,12 @@ def test_one_block_runs_serially_and_the_pool_has_a_worker_per_block(monkeypatch
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(montecarlo, "_BLOCK_UNITS", 5 * SMALL.n)  # three blocks
-    assert run_study([SMALL], workers=8) == run_study([SMALL])
+    assert run_study(SMALL, ONE, workers=8) == run_study(SMALL, ONE)
     assert started == [3]
 
 
 def test_single_rep_marks_mc_se_undefined():
-    report = run_study([dataclasses.replace(SMALL, reps=1)])[0]
+    report = run_study(dataclasses.replace(SMALL, reps=1), ONE)[0]
     cell = helpers.cell(report, "t_reg", "spillover")
     assert cell.mc_se is None
     assert cell.ci95_of_mean is None
@@ -117,8 +117,8 @@ def test_fixed_graph_reuses_the_same_network():
     single = dataclasses.replace(SMALL, reps=1, regenerate_graph_each_rep=False)
     # with one shared graph the per-rep oracle is constant, so its average
     # equals the single-rep value exactly
-    assert (helpers.cell(run_study([fixed])[0], "dbar_reg", "spillover").oracle_value
-            == helpers.cell(run_study([single])[0], "dbar_reg", "spillover").oracle_value)
+    assert (helpers.cell(run_study(fixed, ONE)[0], "dbar_reg", "spillover").oracle_value
+            == helpers.cell(run_study(single, ONE)[0], "dbar_reg", "spillover").oracle_value)
 
 
 class CountingGraph:
@@ -137,8 +137,8 @@ def test_fixed_graph_is_generated_once_per_run(monkeypatch):
         monkeypatch.setattr(montecarlo, "_BLOCK_UNITS", units)
         for regenerate, expected in ((False, 1), (True, SMALL.reps)):
             model = CountingGraph()
-            run_study([dataclasses.replace(SMALL, graph=model,
-                                           regenerate_graph_each_rep=regenerate)])
+            run_study(dataclasses.replace(SMALL, graph=model,
+                                          regenerate_graph_each_rep=regenerate), ONE)
             assert model.calls == expected, (units, regenerate)
 
 
@@ -146,7 +146,7 @@ def test_study_generates_each_graph_once_for_all_settings():
     for regenerate, expected in ((False, 1), (True, SMALL.reps)):
         model = CountingGraph()
         base = dataclasses.replace(SMALL, graph=model, regenerate_graph_each_rep=regenerate)
-        run_study(study_settings(base))
+        run_study(base, study_settings())
         assert model.calls == expected, regenerate
 
 
@@ -158,20 +158,20 @@ def test_exposure_is_computed_once_per_rep(monkeypatch):
         return compute_exposure(net, d)
 
     monkeypatch.setattr(montecarlo, "compute_exposure", counting)
-    run_study([SMALL])
+    run_study(SMALL, ONE)
     assert len(calls) == SMALL.reps
     calls.clear()
-    run_study(study_settings(SMALL))
+    run_study(SMALL, study_settings())
     assert len(calls) == SMALL.reps
 
 
-def study_settings(base, designs=(1, 2, 3), cs=(0.0, -0.5)):
-    return [dataclasses.replace(base, design=BuiltinDesign(d, c)) for d in designs for c in cs]
+def study_settings(designs=(1, 2, 3), cs=(0.0, -0.5)):
+    return [BuiltinDesign(d, c) for d in designs for c in cs]
 
 
 def assert_reports_close(a, b, tol=1e-12):
-    assert a.config == b.config
-    assert (a.reps_requested, a.reps_completed) == (b.reps_requested, b.reps_completed)
+    assert (a.config, a.design) == (b.config, b.design)
+    assert a.reps_completed == b.reps_completed
     assert a.exclusions == b.exclusions
     for x, y in zip(a.cells, b.cells, strict=True):
         assert (x.spec_name, x.coef, x.coverage) == (y.spec_name, y.coef, y.coverage)
@@ -185,12 +185,10 @@ def assert_reports_close(a, b, tol=1e-12):
 
 def outcome(fn):
     """The reports ``fn`` returns, or the type of the error it raises."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            return fn()
-        except EmptySubsampleError as exc:
-            return type(exc)
+    try:
+        return fn()
+    except EmptySubsampleError as exc:
+        return type(exc)
 
 
 @settings(max_examples=25, deadline=None)
@@ -207,9 +205,9 @@ def outcome(fn):
 def test_study_equals_separate_runs(n, reps, seed, designs, cs, graph, regenerate):
     base = SimConfig(n=n, reps=reps, graph=graph, base_seed=seed,
                      regenerate_graph_each_rep=regenerate)
-    configs = study_settings(base, designs, cs)
-    study = outcome(lambda: run_study(configs))
-    separate = outcome(lambda: [run_study([config])[0] for config in configs])
+    study_designs = study_settings(designs, cs)
+    study = outcome(lambda: run_study(base, study_designs))
+    separate = outcome(lambda: [run_study(base, [design])[0] for design in study_designs])
     if study is EmptySubsampleError or separate is EmptySubsampleError:
         assert study is separate
         return
@@ -218,31 +216,24 @@ def test_study_equals_separate_runs(n, reps, seed, designs, cs, graph, regenerat
 
 
 def test_study_matches_separate_runs_on_the_paper_settings():
-    configs = study_settings(SimConfig(n=300, reps=20, base_seed=17))
-    separate = [run_study([config])[0] for config in configs]
-    for a, b in zip(run_study(configs), separate, strict=True):
+    config, designs = SimConfig(n=300, reps=20, base_seed=17), study_settings()
+    separate = [run_study(config, [design])[0] for design in designs]
+    for a, b in zip(run_study(config, designs), separate, strict=True):
         assert_reports_close(a, b)
 
 
 def test_study_rejects_settings_that_differ_beyond_design():
-    base = study_settings(SMALL)
-    for change in (
-        {"n": 81}, {"p": 0.4}, {"graph": ErdosRenyiGraph()}, {"base_seed": 4},
-        {"reps": 11}, {"regenerate_graph_each_rep": False},
-    ):
-        (field,) = change
-        with pytest.raises(ParameterError, match=field):
-            run_study(base + [dataclasses.replace(SMALL, **change)])
-    with pytest.raises(ParameterError):
-        run_study([])
+    # a study's settings share one SimConfig, so only an empty list of designs is left to reject
+    with pytest.raises(ParameterError, match="a study needs at least one design"):
+        run_study(SMALL, [])
 
 
 @pytest.mark.parametrize("workers", [0, -3])
 def test_study_rejects_fewer_than_one_worker(workers):
     with pytest.raises(ParameterError, match=f"workers must be at least 1 \\(got {workers}\\)"):
-        run_study(study_settings(SMALL), workers=workers)
+        run_study(SMALL, study_settings(), workers=workers)
     with pytest.raises(ParameterError, match="workers"):
-        run_study([SMALL], workers=workers)
+        run_study(SMALL, ONE, workers=workers)
 
 
 def test_only_degenerate_draws_are_excluded(monkeypatch):
@@ -262,12 +253,11 @@ def test_only_degenerate_draws_are_excluded(monkeypatch):
         return fit
 
     monkeypatch.setattr(montecarlo, "fit_cells", failing_rep_zero(TooFewUnitsError("too few")))
-    with pytest.warns(UserWarning, match="excluded"):
-        assert run_study([SMALL])[0].exclusions == ((0, "too few"),)
+    assert run_study(SMALL, ONE)[0].exclusions == ((0, "too few"),)
     # any other ParameterError is a bug to report, not a rep to drop
     monkeypatch.setattr(montecarlo, "fit_cells", failing_rep_zero(ParameterError("bug")))
     with pytest.raises(ParameterError, match="bug"):
-        run_study([SMALL])
+        run_study(SMALL, ONE)
 
 
 def test_a_rank_deficient_rep_is_excluded_with_the_message_of_its_fit(monkeypatch):
@@ -282,8 +272,7 @@ def test_a_rank_deficient_rep_is_excluded_with_the_message_of_its_fit(monkeypatc
         return np.ones(n, dtype=np.int64) if seed == all_treated_seed else d
 
     monkeypatch.setattr(montecarlo, "assign_bernoulli", assign)
-    with pytest.warns(UserWarning, match="excluded"):
-        report = run_study([config])[0]
+    report = run_study(config, ONE)[0]
     message = ("design matrix is rank deficient; collinear columns: "
                "const, treated, treated_neighbors, degree")
     assert report.exclusions == ((2, message),)
@@ -296,8 +285,8 @@ def test_a_rank_deficient_rep_is_excluded_with_the_message_of_its_fit(monkeypatc
 
 
 def test_estimates_match_oracle_within_three_mc_ses():
-    config = SimConfig(n=400, reps=150, p=0.5, design=BuiltinDesign(3, -0.5), base_seed=11)
-    report = run_study([config])[0]
+    config = SimConfig(n=400, reps=150, p=0.5, base_seed=11)
+    report = run_study(config, [BuiltinDesign(3, -0.5)])[0]
     for spec_name in ("t_reg", "dbar_reg"):
         for coef in ("direct", "spillover"):
             cell = helpers.cell(report, spec_name, coef)
@@ -310,13 +299,11 @@ def test_excluded_reps_are_logged_with_warning():
     # almost every tiny sparse graph leaves the fraction regression without
     # enough usable rows, so most reps fail and get excluded
     config = SimConfig(
-        n=10, reps=30, p=0.5, design=BuiltinDesign(3, 0.0),
-        graph=ErdosRenyiGraph(mean_degree=0.2), base_seed=5,
+        n=10, reps=30, p=0.5, graph=ErdosRenyiGraph(mean_degree=0.2), base_seed=5,
     )
-    with pytest.warns(UserWarning, match="excluded"):
-        report = run_study([config])[0]
+    report = run_study(config, [BuiltinDesign(3, 0.0)])[0]
     assert report.n_excluded > 0
-    assert report.reps_completed + report.n_excluded == report.reps_requested
+    assert report.reps_completed + report.n_excluded == report.config.reps
     for rep_index, reason in report.exclusions:
         assert 0 <= rep_index < 30
         assert reason
@@ -324,33 +311,32 @@ def test_excluded_reps_are_logged_with_warning():
 
 def test_all_reps_failing_raises():
     config = SimConfig(
-        n=10, reps=5, p=0.5, design=BuiltinDesign(3, 0.0),
-        graph=ErdosRenyiGraph(mean_degree=1e-9), base_seed=5,
+        n=10, reps=5, p=0.5, graph=ErdosRenyiGraph(mean_degree=1e-9), base_seed=5,
     )
     with pytest.raises(EmptySubsampleError):
-        run_study([config])
+        run_study(config, [BuiltinDesign(3, 0.0)])
 
 
 def test_config_validation():
     with pytest.raises(ParameterError):
-        run_study([dataclasses.replace(SMALL, reps=0)])
+        run_study(dataclasses.replace(SMALL, reps=0), ONE)
     with pytest.raises(ParameterError):
-        run_study([dataclasses.replace(SMALL, n=5)])
+        run_study(dataclasses.replace(SMALL, n=5), ONE)
     with pytest.raises(ParameterError):
-        run_study([dataclasses.replace(SMALL, p=1.0)])
+        run_study(dataclasses.replace(SMALL, p=1.0), ONE)
 
 
 def test_custom_design_spec_runs():
     spec = dataclasses.replace(
         reference_design(3, -0.5, range(0, 40)), noise_sd=0.5
     )
-    config = SimConfig(n=60, reps=5, p=0.5, design=spec, base_seed=9)
-    report = run_study([config])[0]
+    config = SimConfig(n=60, reps=5, p=0.5, base_seed=9)
+    report = run_study(config, [spec])[0]
     assert report.reps_completed == 5
 
 
 def test_results_csv_layout():
-    report = run_study([SMALL])[0]
+    report = run_study(SMALL, ONE)[0]
     lines = csv_lines(results_rows([report]))
     assert lines[0] == (
         "design,c,spec,coef,mean_estimate,true_coef,bias,"
@@ -390,24 +376,22 @@ BLOCK_STUDIES = {
 
 @pytest.mark.parametrize("name", sorted(BLOCK_STUDIES))
 def test_reports_do_not_depend_on_the_block_size(name, monkeypatch):
-    configs = study_settings(BLOCK_STUDIES[name])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the sparse study warns about its exclusions
-        blocks = run_study(configs)
-        for units in (1, 7 * configs[0].n):  # one rep per block; blocks of 7 reps
-            monkeypatch.setattr(montecarlo, "_BLOCK_UNITS", units)
-            assert montecarlo._block_size(configs[0].n) == max(1, units // configs[0].n)
-            other = run_study(configs)
-            assert other == blocks  # bit for bit, exclusions included
-            assert [r.exclusions for r in other] == [r.exclusions for r in blocks]
+    config, designs = BLOCK_STUDIES[name], study_settings()
+    blocks = run_study(config, designs)
+    for units in (1, 7 * config.n):  # one rep per block; blocks of 7 reps
+        monkeypatch.setattr(montecarlo, "_BLOCK_UNITS", units)
+        assert montecarlo._block_size(config.n) == max(1, units // config.n)
+        other = run_study(config, designs)
+        assert other == blocks  # bit for bit, exclusions included
+        assert [r.exclusions for r in other] == [r.exclusions for r in blocks]
     if name == "sparse":
         assert blocks[0].exclusions
 
 
 def test_parallel_blocks_match_serial(monkeypatch):
     monkeypatch.setattr(montecarlo, "_BLOCK_UNITS", 5 * SMALL.n)  # three blocks of at most 5 reps
-    configs = study_settings(SMALL)
-    assert run_study(configs, workers=2) == run_study(configs)
+    designs = study_settings()
+    assert run_study(SMALL, designs, workers=2) == run_study(SMALL, designs)
 
 
 @pytest.mark.parametrize("n", [10, 1000, 65_535, 2**16, 2**16 + 1, 10**6])
@@ -419,8 +403,8 @@ def test_block_size_bounds_the_units_of_a_block(n):
 
 
 def test_timings_cover_every_stage_and_do_not_enter_comparisons():
-    configs = study_settings(SMALL)
-    a, b = run_study(configs), run_study(configs)
+    designs = study_settings()
+    a, b = run_study(SMALL, designs), run_study(SMALL, designs)
     assert list(a[0].timings) == list(montecarlo.STAGES)
     assert all(seconds >= 0.0 for seconds in a[0].timings.values())
     assert a[0].timings["generate"] > 0.0 and a[0].timings["fit.t_reg"] > 0.0

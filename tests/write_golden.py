@@ -35,7 +35,6 @@ import io
 import json
 import sys
 import tempfile
-import warnings
 from pathlib import Path
 
 import spillnet
@@ -82,21 +81,17 @@ def golden_path(version: str = spillnet.__version__) -> Path:
 def studies() -> dict:
     """Every cell and the exclusions of the ``STUDIES``, as JSON-ready values."""
     out = {}
-    for name, base in STUDIES.items():
-        configs = [dataclasses.replace(base, design=BuiltinDesign(d, c))
-                   for d in (1, 2, 3) for c in (0.0, -0.5)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the sparse study warns about its exclusions
-            reports = run_study(configs)
+    designs = [BuiltinDesign(d, c) for d in (1, 2, 3) for c in (0.0, -0.5)]
+    for name, config in STUDIES.items():
         out[name] = [
             {
-                "design_id": config.design.design_id,
-                "c": config.design.c,
+                "design_id": report.design.design_id,
+                "c": report.design.c,
                 "reps_completed": report.reps_completed,
                 "exclusions": [list(e) for e in report.exclusions],
                 "cells": [dataclasses.asdict(cell) for cell in report.cells],
             }
-            for config, report in zip(configs, reports)
+            for report in run_study(config, designs)
         ]
     return json.loads(json.dumps(out))
 
