@@ -222,7 +222,7 @@ def test_study_matches_separate_runs_on_the_paper_settings():
         assert_reports_close(a, b)
 
 
-def test_study_rejects_settings_that_differ_beyond_design():
+def test_study_without_designs_is_a_usage_error():
     # a study's settings share one SimConfig, so only an empty list of designs is left to reject
     with pytest.raises(ParameterError, match="a study needs at least one design"):
         run_study(SMALL, [])
@@ -295,7 +295,7 @@ def test_estimates_match_oracle_within_three_mc_ses():
     assert abs(star.mean_estimate - star.oracle_total) <= 3 * star.mc_se
 
 
-def test_excluded_reps_are_logged_with_warning():
+def test_excluded_reps_are_logged_by_reason():
     # almost every tiny sparse graph leaves the fraction regression without
     # enough usable rows, so most reps fail and get excluded
     config = SimConfig(

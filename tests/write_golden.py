@@ -2,26 +2,30 @@
 
     PYTHONPATH=src python tests/write_golden.py [--out OUT] SECTION [SECTION ...]
 
-SECTION names one of ``SECTIONS``: ``studies``, ``audit``, ``graphs`` or
-``oracle``. OUT defaults to ``tests/golden/<spillnet.__version__>.json``.
-Only the named sections are (re)computed; every other section of an existing
-OUT is kept byte for byte, so adding a record never rewrites the last bits of
-committed floats. A new version's file needs every section named.
+SECTION names one of ``SECTIONS``: ``studies``, ``graphs`` or ``cli``. OUT
+defaults to ``tests/golden/<spillnet.__version__>.json``. Only the named
+sections are (re)computed; every other section of an existing OUT is kept
+byte for byte, so adding a record never rewrites the last bits of committed
+floats, and a key that names no section is dropped. A new version's file
+needs every section named.
 
 - ``studies``: every cell and the exclusions of three six-setting
   ``run_study`` calls: the paper's settings at reps = 50 with a new graph per
   rep and with a fixed graph, and a sparse small-n setting whose reps are
   often excluded.
-- ``audit``: the stdout of ``spillnet audit`` on the seeded dataset of
-  ``audit_dataset.py`` (2,000 units).
 - ``graphs``: edge-key digests of calibrated Watts-Strogatz graphs
   (n = 12 and 1,000) and Erdos-Renyi graphs (n = 1,000 and 100,000), three
   ``derive_seed`` seeds each.
-- ``oracle``: the ``spillnet oracle --out`` table of two degree histograms.
+- ``cli``: what each of ``commands()`` prints and writes, run in this process
+  in its own new folder, with inputs and outputs named by relative paths:
+  its arguments, exit code, stdout and stderr, each file it wrote (a CSV as
+  rows, a cell that parses as a float as that float) and its manifest
+  without the keys that differ between runs.
 
 ``test_golden.py`` compares a fresh run against the file of the running
-version, so a change that alters the mapping from seed to output must bump
-``__version__`` and write a new file with this script.
+version. A change that alters the mapping from seed to output must bump
+``__version__`` and write a new file with this script; a change that alters
+a command's output on purpose rewrites ``cli``.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -45,6 +50,10 @@ from spillnet.graph import Network
 from spillnet.montecarlo import (
     ErdosRenyiGraph, SimConfig, WattsStrogatzGraph, derive_seed, run_study,
 )
+
+# the benchmark's own audit inputs
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -64,14 +73,6 @@ GRAPHS = {
 }
 GRAPH_BASE_SEED = 20240601
 GRAPH_REPS = 3
-
-# name -> ({degree: count}, oracle flags); one histogram with isolated nodes, one without
-HISTOGRAMS = {
-    "isolated": ({0: 110, 1: 240, 2: 310, 3: 190, 5: 95, 9: 55},
-                 ["--design", "1", "--c", "-0.5", "--p", "0.5"]),
-    "connected": ({1: 40, 2: 61, 4: 33, 7: 5, 30: 1},
-                  ["--design", "2", "--c", "-0.5", "--p", "0.3"]),
-}
 
 
 def golden_path(version: str = spillnet.__version__) -> Path:
@@ -96,18 +97,6 @@ def studies() -> dict:
     return json.loads(json.dumps(out))
 
 
-def audit_stdout(units: int = 2000, seed: int = 11) -> str:
-    """``spillnet audit`` stdout on the seeded dataset, its files named without their folder."""
-    with tempfile.TemporaryDirectory() as tmp:
-        edges, data = Path(tmp, "edges.csv"), Path(tmp, "units.csv")
-        write_audit_dataset(units, seed, edges, data)
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            rc = cli_main(["audit", "--edges", str(edges), "--data", str(data)])
-        assert rc == 0, rc
-    return out.getvalue().replace(str(edges), edges.name).replace(str(data), data.name)
-
-
 def edge_key_digest(net: Network) -> str:
     """BLAKE2b of the packed edge keys ``u * n + v`` as little-endian int64, in edge order."""
     keys = (net.u * net.n + net.v).astype("<i8")
@@ -127,25 +116,127 @@ def graphs() -> dict:
     return out
 
 
-def oracle_tables() -> dict:
-    """Each ``HISTOGRAMS`` entry's ``oracle --out`` table: quantity -> float, None if blank."""
-    out = {}
+# manifest keys that differ between runs of one command
+UNSTABLE = ("timestamp_utc", "duration_seconds", "stage_seconds")
+
+
+def commands() -> dict[str, list[str]]:
+    """Each command's name and arguments; input paths are relative to a command's folder."""
+    runs = {}
+    for seed in (1, 3):
+        # the benchmark's study and fixed_er workloads, as in perfbench/workloads.py
+        runs[f"study-{seed}"] = [
+            "simulate", "--design", "all", "--c", "0,-0.5", "--n", "1000", "--reps", "20",
+            "--p", "0.5", "--seed", str(seed), "--workers", "1", "--out", "results.csv"]
+        runs[f"fixed_er-{seed}"] = [
+            "simulate", "--design", "1", "--c", "-0.5", "--n", "4000", "--reps", "20",
+            "--p", "0.5", "--seed", str(seed), "--workers", "1", "--graph", "er",
+            "--er-mean-degree", "2", "--fixed-graph", "--out", "results.csv"]
+    # rank-deficient reps are excluded by the names of their collinear columns
+    runs["simulate-sparse"] = [
+        "simulate", "--n", "12", "--graph", "er", "--er-mean-degree", "0.5", "--reps", "50",
+        "--seed", "5", "--out", "results.csv"]
+    # a fixed graph over three blocks of reps
+    runs["simulate-fixed-blocks"] = [
+        "simulate", "--design", "all", "--n", "20000", "--reps", "8", "--seed", "4", "--graph",
+        "er", "--er-mean-degree", "2", "--fixed-graph", "--out", "results.csv"]
+    runs["simulate-design-file"] = [
+        "simulate", "--design-file", "../inputs/design.csv", "--noise-sd", "0.5", "--n", "500",
+        "--reps", "30", "--seed", "2", "--out", "results.csv"]
+    # audit_dataset.py's edge cases at 20,000 units (seeds 1, 3, 7) and 2,000 (seed 11),
+    # and the benchmark's own audit inputs
+    for dataset in ("1", "3", "7", "golden", "bench-1", "bench-3", "bench-7"):
+        runs[f"audit-{dataset}"] = ["audit", "--edges", f"../inputs/edges-{dataset}.csv",
+                                    "--data", f"../inputs/units-{dataset}.csv"]
+    runs["audit-golden-out"] = [*runs["audit-golden"], "--out", "report.txt"]
+    runs["scatter"] = ["scatter", "--n", "200", "--p", "0.4", "--seed", "7",
+                       "--out", "scatter.csv"]
+    oracles = {
+        "graph": ["--design", "1", "--c=-0.5", "--n", "4000", "--seed", "11"],
+        "histogram": ["--design", "2", "--c=-0.5", "--p", "0.3",
+                      "--histogram", "../inputs/histogram.csv"],
+        "design-file": ["--design-file", "../inputs/design.csv", "--noise-sd", "0.5",
+                        "--n", "500", "--seed", "2"],
+    }
+    for source, argv in oracles.items():
+        runs[f"oracle-{source}"] = ["oracle", *argv]
+        runs[f"oracle-{source}-out"] = ["oracle", *argv, "--out", "oracle.csv"]
+    # a histogram with isolated nodes and one without
+    runs["oracle-isolated-out"] = [
+        "oracle", "--histogram", "../inputs/histogram.csv", "--design", "1", "--c", "-0.5",
+        "--p", "0.5", "--out", "oracle.csv"]
+    runs["oracle-connected-out"] = [
+        "oracle", "--histogram", "../inputs/histogram-connected.csv", "--design", "2", "--c",
+        "-0.5", "--p", "0.3", "--out", "oracle.csv"]
+    # one failure per documented exit code: 2 usage, 3 input, 4 numerical, 5 io
+    runs["usage-error"] = ["simulate", "--reps", "0", "--out", "results.csv"]
+    runs["input-error"] = ["audit", "--edges", "../inputs/edges-blank.csv",
+                           "--data", "../inputs/units-blank.csv"]
+    runs["numerical-error"] = ["simulate", "--n", "10", "--reps", "3", "--graph", "er",
+                               "--er-mean-degree", "0.01", "--out", "results.csv"]
+    runs["io-error"] = ["simulate", "--n", "10", "--reps", "3", "--out", "missing/results.csv"]
+    return runs
+
+
+def write_inputs(folder: Path) -> None:
+    """Write the input files that ``commands`` name into ``folder``."""
+    folder.mkdir()
+    for seed in (1, 3, 7):
+        write_audit_dataset(20_000, seed, folder / f"edges-{seed}.csv",
+                            folder / f"units-{seed}.csv")
+        workloads.write_audit_dataset(20_000, seed, folder / f"edges-bench-{seed}.csv",
+                                      folder / f"units-bench-{seed}.csv")
+    write_audit_dataset(2000, 11, folder / "edges-golden.csv", folder / "units-golden.csv")
+    (folder / "histogram.csv").write_text(
+        "degree,count\n0,110\n1,240\n2,310\n3,190\n5,95\n9,55\n")
+    (folder / "histogram-connected.csv").write_text("degree,count\n1,40\n2,61\n4,33\n7,5\n30,1\n")
+    (folder / "design.csv").write_text("degree,theta00,mu_de,lambda_se\n" + "".join(
+        f"{g},{1.0 + 0.1 * g!r},1.0,{-0.5 / (1 + g)!r}\n" for g in range(60)))
+    (folder / "units-blank.csv").write_text("id,treatment,outcome\na,1,1.0\n,0,2.0\n")
+    (folder / "edges-blank.csv").write_text("src,dst\na,b\n")
+
+
+def _cell(text: str) -> float | str:
+    """A CSV cell as a float if it parses as one, else as its text."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def run_command(argv: list[str], folder: Path) -> dict:
+    """Run one command in the new folder ``folder`` and return its record."""
+    folder.mkdir()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(folder)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = cli_main(argv)
+    finally:
+        os.chdir(cwd)
+    record = {"argv": argv, "rc": rc, "stdout": stdout.getvalue(),
+              "stderr": stderr.getvalue(), "files": {}}
+    for path in sorted(folder.iterdir()):
+        if path.name.endswith(".manifest.json"):
+            manifest = json.loads(path.read_text(encoding="utf-8"))
+            record["manifest"] = {k: v for k, v in manifest.items() if k not in UNSTABLE}
+        elif path.suffix == ".csv":
+            with path.open(newline="", encoding="utf-8") as fh:
+                record["files"][path.name] = [list(map(_cell, row)) for row in csv.reader(fh)]
+        else:
+            record["files"][path.name] = path.read_text(encoding="utf-8")
+    return record
+
+
+def cli() -> dict:
+    """Each of ``commands()``'s records, by name."""
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (histogram, flags) in HISTOGRAMS.items():
-            hist, table = Path(tmp, f"{name}.csv"), Path(tmp, f"{name}.oracle.csv")
-            hist.write_text("degree,count\n"
-                            + "".join(f"{g},{c}\n" for g, c in histogram.items()))
-            with contextlib.redirect_stdout(io.StringIO()):
-                rc = cli_main(["oracle", "--histogram", str(hist), *flags, "--out", str(table)])
-            assert rc == 0, rc
-            with table.open(newline="") as fh:
-                rows = list(csv.reader(fh))
-            assert rows[0] == ["quantity", "value"], rows[0]
-            out[name] = {quantity: float(value) if value else None for quantity, value in rows[1:]}
-    return out
+        write_inputs(Path(tmp, "inputs"))
+        return {name: run_command(argv, Path(tmp, name)) for name, argv in commands().items()}
 
 
-SECTIONS = {"studies": studies, "audit": audit_stdout, "graphs": graphs, "oracle": oracle_tables}
+SECTIONS = {"studies": studies, "graphs": graphs, "cli": cli}
 
 
 def main(argv: list[str]) -> int:
@@ -164,6 +255,7 @@ def main(argv: list[str]) -> int:
     missing = [name for name in SECTIONS if name not in payload and name not in args.sections]
     if missing:
         parser.error(f"{args.out} has no sections {missing}; name them too")
+    payload = {key: value for key, value in payload.items() if key in ("version", *SECTIONS)}
     for name in args.sections:
         payload[name] = SECTIONS[name]()
     # json round-trips every float exactly and keeps key order, so the
